@@ -104,8 +104,8 @@ class ChevalleyBasis:
         self.basis_keys = [("e", r) for r in sorted(rs.roots, key=Root.key)]
         self.basis_keys += [("h", j) for j in range(self.total_rank)]
         self.key_index = {k: i for i, k in enumerate(self.basis_keys)}
-        self.killing_e = {r: self._trace_e(r) for r in rs.positives}
         self.killing_h = self._killing_h_matrix()
+        self.killing_e = {r: self._killing_e(r) for r in rs.positives}
 
     # -- structure constants --------------------------------------------------
 
@@ -293,7 +293,7 @@ class ChevalleyBasis:
 
     def invariant_form(self, x: AlgebraElement, y: AlgebraElement) -> TowerScalar:
         """Killing form on the semisimple part, +identity on the center
-        (complex basis), computed from the stored honest traces."""
+        (complex basis), read off the stored killing_h and killing_e."""
         if x.cb is not self or y.cb is not self:
             raise ValueError("elements from different bases")
         acc = ZERO
@@ -313,55 +313,11 @@ class ChevalleyBasis:
                         acc = acc + xi * yj * row[j]
         return acc
 
-    # -- honest traces ------------------------------------------------------------
-
-    def _ad_int(self, root, vec):
-        """ad E_root applied to {key: Fraction} dicts over basis_keys."""
-        rs = self.rs
-        out = {}
-
-        def add(key, val):
-            if not val:
-                return
-            cur = out.get(key)
-            cur = val if cur is None else cur + val
-            if cur:
-                out[key] = cur
-            else:
-                del out[key]
-
-        for key, c in vec.items():
-            kind, v = key
-            if kind == "e":
-                b = v
-                if b.comp == root.comp:
-                    s = root_sum(root, b)
-                    if s in rs.root_set:
-                        add(("e", s), c * self.n_const[(root, b)])
-                    elif not any(s.coords):
-                        for j, m in enumerate(self.hroot[root]):
-                            if m:
-                                add(("h", j), c * m)
-            else:
-                j = v
-                ci = root.comp
-                off = self.offsets[ci]
-                if off <= j < off + len(root.coords):
-                    w = rs._pairings[root][j - off]
-                    if w:
-                        add(("e", root), -c * w)
-        return out
-
-    def _trace_e(self, alpha: Root) -> Fraction:
-        """tr(ad E_alpha o ad E_{-alpha}) over the full basis."""
-        acc = Fraction(0)
-        for key in self.basis_keys:
-            v = self._ad_int(-alpha, {key: Fraction(1)})
-            v = self._ad_int(alpha, v)
-            acc += v.get(key, Fraction(0))
-        return acc
+    # -- the trace form ----------------------------------------------------------
 
     def _killing_h_matrix(self):
+        """tr(ad H_i ad H_j) = sum of b(H_i) b(H_j) over the roots b, and the
+        identity on the center."""
         n = self.total_rank
         K = [[Fraction(0)] * n for _ in range(n)]
         for ci in range(len(self.rs.shape.simples)):
@@ -379,22 +335,19 @@ class ChevalleyBasis:
             K[j][j] = Fraction(1)
         return K
 
+    def _killing_e(self, r: Root) -> Fraction:
+        """B(E_r, E_-r) = B(H_r, H_r) / 2 by invariance of the trace form,
+        since [E_r, E_-r] = H_r and r(H_r) = 2."""
+        h = self.hroot[r]
+        K = self.killing_h
+        return sum(hi * hj * K[i][j]
+                   for i, hi in enumerate(h) if hi
+                   for j, hj in enumerate(h) if hj) / 2
+
 
 @lru_cache(maxsize=None)
 def make_basis(shape: ReductiveShape) -> ChevalleyBasis:
     return ChevalleyBasis(build_cached(shape))
-
-
-def bracket(x, y):
-    return x.cb.bracket(x, y)
-
-
-def tau(x):
-    return x.cb.tau(x)
-
-
-def invariant_form(x, y):
-    return x.cb.invariant_form(x, y)
 
 
 def verify_special_sign_identity(cb: ChevalleyBasis, stem) -> CheckReport:

@@ -840,13 +840,20 @@ def root_rotation(cb: ChevalleyBasis, gamma: Root, rho=ONE) -> RootRotation:
     return RootRotation(cb, gamma, rho, cols)
 
 
-def rotation_product(cb: ChevalleyBasis, gammas, phases=None) -> RootRotation:
-    """Composition of the stem rotations (they commute, so order is moot)."""
+def _phase_map(gammas, phases):
+    """One phase per root: None means 1, a single scalar broadcasts, and a
+    dict defaults its missing roots to 1."""
     if phases is None:
         phases = {}
     if not isinstance(phases, dict):
         phases = {g: phases for g in gammas}
-    rots = [root_rotation(cb, g, phases.get(g, ONE)) for g in gammas]
+    return {g: TowerScalar.of(phases.get(g, ONE)) for g in gammas}
+
+
+def rotation_product(cb: ChevalleyBasis, gammas, phases=None) -> RootRotation:
+    """Composition of the stem rotations (they commute, so order is moot)."""
+    phases = _phase_map(gammas, phases)
+    rots = [root_rotation(cb, g, phases[g]) for g in gammas]
     n = len(cb.basis_keys)
     cols = [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
     for r in rots:
@@ -961,9 +968,7 @@ def verify_rotation_spans(cb: ChevalleyBasis, stem, phases=None,
                           z_vecs=None) -> CheckReport:
     """Image spans of the full product rotation: each wing block goes to
     its mixed twin, and each plane {P, E_gamma} goes to the twisted plane."""
-    if phases is None:
-        phases = {}
-    phases = {g: TowerScalar.of(phases.get(g, ONE)) for g in stem.elements}
+    phases = _phase_map(stem.elements, phases)
     if z_vecs is None:
         zs = stem_z_vectors(cb, stem)
         z_vecs = {g: zs[t] for t, g in enumerate(stem.elements)}

@@ -134,10 +134,6 @@ class Span:
         raise TypeError("unhashable")
 
 
-def span_equal(vecs_a, vecs_b, ncols=None) -> bool:
-    return Span(vecs_a, ncols) == Span(vecs_b, ncols)
-
-
 def mat_vec(matrix, vec):
     zero, _ = _zero_one(matrix[0][0]) if matrix else _zero_one(Fraction(0))
     out = []

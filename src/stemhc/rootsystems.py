@@ -252,12 +252,12 @@ class RootSystem:
             n = len(C)
             self._pairings[r] = tuple(
                 sum(r.coords[i] * C[i][j] for i in range(n)) for j in range(n))
-        # L * d_j * alpha(H_j), with L the common denominator of the d_j of
-        # alpha's component: beta . w_alpha = L (beta, alpha), an integer
-        scales = [lcm(*(dj.denominator for dj in d)) for d in self.dvecs]
+        # L * d_j * alpha(H_j), with L = _scales[comp] the common denominator
+        # of the d_j of alpha's component: beta . w_alpha = L (beta, alpha)
+        self._scales = [lcm(*(dj.denominator for dj in d)) for d in self.dvecs]
         self._weights = {}
         for r in self.roots:
-            L = scales[r.comp]
+            L = self._scales[r.comp]
             self._weights[r] = tuple(
                 int(L * dj) * p
                 for dj, p in zip(self.dvecs[r.comp], self._pairings[r]))
@@ -268,7 +268,6 @@ class RootSystem:
         # reducedness: 2*alpha is never a root
         for r in self.positives:
             assert Root(r.comp, tuple(2 * c for c in r.coords)) not in self.root_set
-        self._sym_memo = {}
 
     # -- construction --------------------------------------------------------
 
@@ -323,14 +322,8 @@ class RootSystem:
         """
         if a.comp != b.comp:
             return Fraction(0)
-        v = self._sym_memo.get((a, b))
-        if v is None:
-            d = self.dvecs[a.comp]
-            pair = self._pairings[b]
-            v = sum((a.coords[j] * pair[j]) * d[j] for j in range(len(d)))
-            self._sym_memo[(a, b)] = v
-            self._sym_memo[(b, a)] = v
-        return v
+        return Fraction(sum(map(mul, a.coords, self._weights[b])),
+                        self._scales[a.comp])
 
     def norm2(self, a: Root) -> Fraction:
         return self.sym_form(a, a)
@@ -341,9 +334,11 @@ class RootSystem:
             raise ValueError("beta is not a root: %s" % (beta,))
         if alpha.comp != beta.comp:
             return 0
-        v = 2 * self.sym_form(alpha, beta) / self.norm2(beta)
-        assert v.denominator == 1
-        return int(v)
+        w = self._weights[beta]
+        v, rem = divmod(2 * sum(map(mul, alpha.coords, w)),
+                        sum(map(mul, beta.coords, w)))
+        assert rem == 0
+        return v
 
     def root_string(self, alpha: Root, beta: Root):
         """(p, q) with p <= 0 <= q such that alpha + n*beta is a root
@@ -521,10 +516,6 @@ def _classify_diagram(simples, cmat, rs) -> SimpleType:
         return SimpleType("D", n)
     assert legs[:2] == [1, 2] and legs[2] in (2, 3, 4)
     return SimpleType("E", n)
-
-
-def build(shape: ReductiveShape) -> RootSystem:
-    return RootSystem(shape)
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from stemhc.chevalley import bracket, invariant_form, make_basis, tau
+from stemhc.chevalley import make_basis
 from stemhc.rootsystems import Root, SimpleType, parse_shape, root_sub, shape
 from stemhc.scalars import TowerScalar, ZERO, ONE, I, EIGHTH_ROOT
 from stemhc.stem import compute_stem
@@ -165,25 +165,33 @@ def dual_coxeter(t: SimpleType) -> int:
             "E": {6: 12, 7: 18, 8: 30}.get(n), "F": 9, "G": 4}[f]
 
 
-@pytest.mark.parametrize("t", RANK_LE_4 + [SimpleType("D", 5),
-                                           SimpleType("E", 6)], ids=str)
-def test_killing_numbers_match_dual_coxeter(t):
-    cb = cb_of(t)
+@pytest.mark.parametrize("text", [str(t) for t in RANK_LE_4] + [
+    "D5", "E6", "E7", "E8", "B8", "C8", "D8", "c^2 x A3 x B2"])
+def test_killing_numbers_match_dual_coxeter(text):
+    sh = parse_shape(text)
+    cb = make_basis(sh)
     rs = cb.rs
-    theta = rs.highest_roots(set(rs.roots))[0]
-    n2t = rs.norm2(theta)
-    hv = dual_coxeter(t)
-    for a in rs.positives:
-        expected = Fraction(2 * hv) * n2t / rs.norm2(a)
-        assert cb.killing_e[a] == expected
-    off = 0
-    for i in range(t.rank):
-        ai = rs.simple_roots(0)[i]
-        for j in range(t.rank):
-            aj = rs.simple_roots(0)[j]
-            expected = (Fraction(2 * hv) * 2 * rs.sym_form(ai, aj) * n2t
-                        / (rs.norm2(ai) * rs.norm2(aj)))
-            assert cb.killing_h[off + i][off + j] == expected
+    n = cb.total_rank
+    # no factor pairs with another, and the center carries the identity
+    want_h = [[Fraction(0)] * n for _ in range(n)]
+    for j in range(cb.semisimple_rank, n):
+        want_h[j][j] = Fraction(1)
+    for ci, t in enumerate(sh.simples):
+        theta = rs.highest_roots({r for r in rs.roots if r.comp == ci})[0]
+        n2t = rs.norm2(theta)
+        hv = dual_coxeter(t)
+        for a in rs.positives:
+            if a.comp == ci:
+                expected = Fraction(2 * hv) * n2t / rs.norm2(a)
+                assert cb.killing_e[a] == expected
+        off = cb.offsets[ci]
+        simples = rs.simple_roots(ci)
+        for i, ai in enumerate(simples):
+            for j, aj in enumerate(simples):
+                want_h[off + i][off + j] = (
+                    Fraction(2 * hv) * 2 * rs.sym_form(ai, aj) * n2t
+                    / (rs.norm2(ai) * rs.norm2(aj)))
+    assert cb.killing_h == want_h
 
 
 @pytest.mark.parametrize("t", [SimpleType("A", 3), SimpleType("C", 3),

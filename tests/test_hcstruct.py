@@ -345,6 +345,16 @@ def test_rotation_product_spans():
         assert rep.ok, "%s: %s" % (text, rep.summary())
 
 
+@pytest.mark.parametrize("text", ["B4", "A3"])
+def test_rotation_spans_broadcast_a_single_phase(text):
+    cb = make_basis(parse_shape(text))
+    st = stem_of(parse_shape(text))
+    rep = verify_rotation_spans(cb, st, EIGHTH_ROOT)
+    same = verify_rotation_spans(cb, st, {g: EIGHTH_ROOT for g in st.elements})
+    assert rep.ok, "%s: %s" % (text, rep.summary())
+    assert rep.to_dict() == same.to_dict()
+
+
 def test_zero_partner_vectors_pad_small_kernels():
     cb = make_basis(parse_shape("B2"))
     st = stem_of(parse_shape("B2"))

@@ -50,9 +50,10 @@ def test_span_membership():
     assert sp.dim == 2
     assert sp.contains([F(1), F(2), F(1)])
     assert not sp.contains([F(0), F(0), F(1)])
-    assert linalg.span_equal([[F(1), F(1), F(0)], [F(0), F(1), F(1)]],
-                             [[F(1), F(0), F(-1)], [F(0), F(2), F(2)]])
-    assert not linalg.span_equal([[F(1), F(0), F(0)]], [[F(0), F(1), F(0)]])
+    assert (linalg.Span([[F(1), F(1), F(0)], [F(0), F(1), F(1)]])
+            == linalg.Span([[F(1), F(0), F(-1)], [F(0), F(2), F(2)]]))
+    assert (linalg.Span([[F(1), F(0), F(0)]])
+            != linalg.Span([[F(0), F(1), F(0)]]))
 
 
 def test_invert_random():

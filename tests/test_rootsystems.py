@@ -1,7 +1,7 @@
 import pytest
 
 from stemhc.rootsystems import (
-    Root, SimpleType, build, parse_shape, shape, simple_type,
+    Root, RootSystem, SimpleType, parse_shape, shape, simple_type,
 )
 from stemhc.stem import compute_stem
 import euclid_oracle as eo
@@ -14,10 +14,11 @@ ALL_SMALL = [
     SimpleType("C", 4), SimpleType("D", 4), SimpleType("D", 5),
     SimpleType("F", 4), SimpleType("G", 2),
 ]
+E_SERIES = [SimpleType("E", 6), SimpleType("E", 7), SimpleType("E", 8)]
 
 
 def rs_of(t):
-    return build(shape(t))
+    return RootSystem(shape(t))
 
 
 # ---------------------------------------------------------------------------
@@ -76,15 +77,30 @@ def test_large_e_series_counts(t):
     assert ours == eo.euclid_roots(t)
 
 
-@pytest.mark.parametrize("t", ALL_SMALL, ids=str)
+def doubled_euclid(t, rs):
+    """Twice each root's Euclidean vector: integers, since E and F have
+    halves; their dot products are 4 times the Euclidean ones."""
+    return {r: tuple(int(2 * x) for x in eo.to_euclid(t, r.coords))
+            for r in rs.roots}
+
+
+@pytest.mark.parametrize("t", ALL_SMALL + E_SERIES, ids=str)
 def test_sym_form_matches_euclidean_dot(t):
     rs = rs_of(t)
-    roots = list(rs.roots)
-    for a in roots:
-        va = eo.to_euclid(t, a.coords)
-        for b in roots:
-            vb = eo.to_euclid(t, b.coords)
-            assert rs.sym_form(a, b) == eo.dot(va, vb)
+    vec = doubled_euclid(t, rs)
+    for a in rs.roots:
+        for b in rs.roots:
+            assert 4 * rs.sym_form(a, b) == eo.dot(vec[a], vec[b])
+
+
+@pytest.mark.parametrize("t", ALL_SMALL + E_SERIES, ids=str)
+def test_cartan_int_matches_euclidean_ratio(t):
+    rs = rs_of(t)
+    vec = doubled_euclid(t, rs)
+    for a in rs.roots:
+        for b in rs.roots:
+            assert (rs.cartan_int(a, b) * eo.dot(vec[b], vec[b])
+                    == 2 * eo.dot(vec[a], vec[b]))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +140,7 @@ def test_root_string_errors():
 
 
 def test_cross_component_orthogonality():
-    rs = build(parse_shape("A1 x A1"))
+    rs = RootSystem(parse_shape("A1 x A1"))
     a = [r for r in rs.positives if r.comp == 0][0]
     b = [r for r in rs.positives if r.comp == 1][0]
     assert rs.cartan_int(a, b) == 0

@@ -4,7 +4,7 @@ import pytest
 
 from stemhc.chevalley import make_basis, verify_special_sign_identity
 from stemhc.rootsystems import (
-    Root, SimpleType, build, parse_shape, shape,
+    Root, RootSystem, SimpleType, parse_shape, shape,
 )
 from stemhc.stem import (
     all_partition_stems, compute_stem, hasse_export, phi_plus, srank, stem_of,
@@ -202,7 +202,7 @@ def test_verify_stem_properties(text):
 @pytest.mark.parametrize("text", ["A1", "A2", "A3", "A4", "A5", "B2", "B3",
                                   "B4", "C2", "C3", "C4", "D4", "D5", "G2"])
 def test_partition_stem_is_unique(text):
-    rs = build(parse_shape(text))
+    rs = RootSystem(parse_shape(text))
     assert len(rs.positives) <= 20
     sols = all_partition_stems(rs)
     st = compute_stem(rs)
