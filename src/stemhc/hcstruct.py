@@ -139,29 +139,16 @@ class PBasis:
     # -- setup ---------------------------------------------------------------
 
     def _normalize_phases(self, phases):
-        if phases is None:
-            phases = {}
-        if isinstance(phases, (TowerScalar, str, int, Fraction)):
-            phases = {g: phases for g in self.gamma_p}
-        if isinstance(phases, (list, tuple)):
-            if len(phases) != self.num_p:
-                raise ValueError("need %d phases, got %d"
-                                 % (self.num_p, len(phases)))
-            phases = dict(zip(self.gamma_p, phases))
-        unknown = set(phases) - set(self.gamma_p)
-        if unknown:
-            raise ValueError("phases given for roots outside the free stem: %s"
-                             % sorted(map(str, unknown)))
-        out = {}
-        for g in self.gamma_p:
-            rho = phases.get(g, ONE)
-            if isinstance(rho, str):
-                rho = TowerScalar.parse(rho)
-            rho = TowerScalar.of(rho)
+        if isinstance(phases, dict):
+            unknown = set(phases) - set(self.gamma_p)
+            if unknown:
+                raise ValueError("phases given for roots outside the free "
+                                 "stem: %s" % sorted(map(str, unknown)))
+        out = _phase_map(self.gamma_p, phases)
+        for g, rho in out.items():
             if not rho.is_unit_modulus():
                 raise ValueError("phase for %s is not unit modulus: %s"
                                  % (g, rho))
-            out[g] = rho
         return out
 
     def _split_cartan(self):
@@ -390,17 +377,20 @@ def _neg_matrix(m):
 
 
 def _matrix_mismatches(pb, got, want, limit=6):
+    """(descriptions of the first `limit` entries where got and want differ,
+    the number of all such entries)."""
     out = []
+    count = 0
     n = len(pb.labels)
     for i in range(n):
         for j in range(n):
             if got[i][j] != want[i][j]:
-                out.append("entry (%s <- %s): %s != %s"
-                           % (pb.labels[i], pb.labels[j],
-                              got[i][j], want[i][j]))
-                if len(out) >= limit:
-                    return out
-    return out
+                count += 1
+                if count <= limit:
+                    out.append("entry (%s <- %s): %s != %s"
+                               % (pb.labels[i], pb.labels[j],
+                                  got[i][j], want[i][j]))
+    return out, count
 
 
 # ---------------------------------------------------------------------------
@@ -460,19 +450,19 @@ def verify_operator_identities(hc: HCStructure) -> CheckReport:
     rep = CheckReport()
     minus_id = _neg_matrix(identity(n, ONE))
     rep.record("first structure squares to minus the identity", n * n,
-               _matrix_mismatches(pb, mat_mul(hc.i_matrix, hc.i_matrix),
-                                  minus_id))
+               *_matrix_mismatches(pb, mat_mul(hc.i_matrix, hc.i_matrix),
+                                   minus_id))
     rep.record("second structure squares to minus the identity", n * n,
-               _matrix_mismatches(pb, mat_mul(hc.j_matrix, hc.j_matrix),
-                                  minus_id))
+               *_matrix_mismatches(pb, mat_mul(hc.j_matrix, hc.j_matrix),
+                                   minus_id))
     anti = mat_mul(hc.i_matrix, hc.j_matrix)
     rep.record("the two structures anticommute", n * n,
-               _matrix_mismatches(pb, anti,
-                                  _neg_matrix(mat_mul(hc.j_matrix,
-                                                      hc.i_matrix))))
+               *_matrix_mismatches(pb, anti,
+                                   _neg_matrix(mat_mul(hc.j_matrix,
+                                                       hc.i_matrix))))
     t = hc.tau_matrix
     rep.record("conjugation matrix is an involution", n * n,
-               _matrix_mismatches(pb, mat_mul(t, t), identity(n, ONE)))
+               *_matrix_mismatches(pb, mat_mul(t, t), identity(n, ONE)))
     bad = []
     for j, lab in enumerate(pb.labels):
         img = pb.cb.tau(pb.vectors[j])
@@ -482,11 +472,11 @@ def verify_operator_identities(hc: HCStructure) -> CheckReport:
             bad.append("conjugate of %s disagrees with the matrix" % (lab,))
     rep.record("conjugation matrix mirrors the compact conjugation", n, bad)
     rep.record("first structure is real for the compact form", n * n,
-               _matrix_mismatches(pb, mat_mul(hc.i_matrix, t),
-                                  mat_mul(t, _conj_matrix(hc.i_matrix))))
+               *_matrix_mismatches(pb, mat_mul(hc.i_matrix, t),
+                                   mat_mul(t, _conj_matrix(hc.i_matrix))))
     rep.record("second structure is real for the compact form", n * n,
-               _matrix_mismatches(pb, mat_mul(hc.j_matrix, t),
-                                  mat_mul(t, _conj_matrix(hc.j_matrix))))
+               *_matrix_mismatches(pb, mat_mul(hc.j_matrix, t),
+                                   mat_mul(t, _conj_matrix(hc.j_matrix))))
     # the compact sl2 generators transform into each other as claimed
     bad = []
     for t_idx, g in enumerate(pb.gamma_p):
@@ -530,6 +520,7 @@ def verify_equivariance(hc: HCStructure) -> CheckReport:
     rep = CheckReport()
     leaks_all = []
     commute_i, commute_j = [], []
+    count_i = count_j = 0
     block_bad, kill_bad = [], []
     wing_labels = {}
     for g in pb.gamma_p:
@@ -548,10 +539,14 @@ def verify_equivariance(hc: HCStructure) -> CheckReport:
         ad, leaks = _ad_matrix(pb, x)
         leaks_all += ["%s moves %s outside the complement" % (name, lab)
                       for lab in leaks]
-        commute_i += _matrix_mismatches(pb, mat_mul(hc.i_matrix, ad),
+        bad, count = _matrix_mismatches(pb, mat_mul(hc.i_matrix, ad),
                                         mat_mul(ad, hc.i_matrix), limit=3)
-        commute_j += _matrix_mismatches(pb, mat_mul(hc.j_matrix, ad),
+        commute_i += bad
+        count_i += count
+        bad, count = _matrix_mismatches(pb, mat_mul(hc.j_matrix, ad),
                                         mat_mul(ad, hc.j_matrix), limit=3)
+        commute_j += bad
+        count_j += count
         for g in pb.gamma_p:
             labs = wing_labels[g]
             for j in labs:
@@ -567,9 +562,9 @@ def verify_equivariance(hc: HCStructure) -> CheckReport:
     rep.record("subalgebra brackets stay inside the complement",
                nk * n, leaks_all)
     rep.record("first structure commutes with the subalgebra action",
-               nk * n * n, commute_i)
+               nk * n * n, commute_i, count_i)
     rep.record("second structure commutes with the subalgebra action",
-               nk * n * n, commute_j)
+               nk * n * n, commute_j, count_j)
     rep.record("the action preserves each free wing block", nk * n, block_bad)
     rep.record("the action kills the free sl2 and central directions",
                nk * len(sl2_labels), kill_bad)
@@ -841,13 +836,27 @@ def root_rotation(cb: ChevalleyBasis, gamma: Root, rho=ONE) -> RootRotation:
 
 
 def _phase_map(gammas, phases):
-    """One phase per root: None means 1, a single scalar broadcasts, and a
-    dict defaults its missing roots to 1."""
+    """One phase per root: None means 1, a single scalar broadcasts, a list
+    or tuple holds one phase per root in root order, and a dict defaults its
+    missing roots to 1.  A phase may be given as text in the form `str`
+    prints."""
+    gammas = list(gammas)
     if phases is None:
         phases = {}
-    if not isinstance(phases, dict):
+    elif isinstance(phases, (list, tuple)):
+        if len(phases) != len(gammas):
+            raise ValueError("need %d phases, got %d"
+                             % (len(gammas), len(phases)))
+        phases = dict(zip(gammas, phases))
+    elif not isinstance(phases, dict):
         phases = {g: phases for g in gammas}
-    return {g: TowerScalar.of(phases.get(g, ONE)) for g in gammas}
+    out = {}
+    for g in gammas:
+        rho = phases.get(g, ONE)
+        if isinstance(rho, str):
+            rho = TowerScalar.parse(rho)
+        out[g] = TowerScalar.of(rho)
+    return out
 
 
 def rotation_product(cb: ChevalleyBasis, gammas, phases=None) -> RootRotation:

@@ -3,13 +3,23 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 
 @dataclass
 class CheckItem:
+    """One named check: how many cases ran, a description of each failed
+    case (or of the first few, when a check caps them), and the true number
+    of failed cases."""
+
     name: str
     checked: int = 0
     violations: list = field(default_factory=list)
+    violation_count: Optional[int] = None
+
+    def __post_init__(self):
+        if self.violation_count is None:
+            self.violation_count = len(self.violations)
 
     @property
     def ok(self):
@@ -17,15 +27,16 @@ class CheckItem:
 
     def to_dict(self):
         return {"name": self.name, "checked": self.checked,
-                "ok": self.ok, "violations": list(self.violations)}
+                "ok": self.ok, "violations": list(self.violations),
+                "violation_count": self.violation_count}
 
 
 @dataclass
 class CheckReport:
     items: list = field(default_factory=list)
 
-    def record(self, name, checked, violations=()):
-        item = CheckItem(name, checked, list(violations))
+    def record(self, name, checked, violations=(), violation_count=None):
+        item = CheckItem(name, checked, list(violations), violation_count)
         self.items.append(item)
         return item
 
@@ -48,7 +59,7 @@ class CheckReport:
     def summary(self):
         lines = []
         for it in self.items:
-            status = "ok" if it.ok else "FAIL(%d)" % len(it.violations)
+            status = "ok" if it.ok else "FAIL(%d)" % it.violation_count
             lines.append("%-40s %6d checks  %s" % (it.name, it.checked, status))
         return "\n".join(lines)
 

@@ -412,14 +412,20 @@ class RootSystem:
         sym = sub | {-a for a in sub}
         if not self.is_closed(sym):
             raise ValueError("subset is not closed")
-        out = []
-        for comp in self.irreducible_components(sym):
-            pos = [r for r in comp if r.positive]
-            tops = [t for t in pos
-                    if all(root_sum(t, b) not in comp for b in pos)]
-            assert len(tops) == 1, "no unique maximal root in component"
-            out.append(tops[0])
-        return out
+        return [self.highest_root(comp)
+                for comp in self.irreducible_components(sym)]
+
+    @staticmethod
+    def highest_root(comp):
+        """The unique maximal positive root of one irreducible component (a
+        set, as `irreducible_components` returns it) of a closed symmetric
+        subsystem."""
+        pos = [r for r in comp if r.positive]
+        tops = [t for t in pos
+                if all(root_sum(t, b) not in comp for b in pos)]
+        if len(tops) != 1:
+            raise AssertionError("no unique maximal root in component")
+        return tops[0]
 
     def component_type(self, subset) -> SimpleType:
         """Recognize the isomorphism type of a closed irreducible symmetric

@@ -3,14 +3,20 @@
 Every coefficient this library ever produces lives here: integer structure
 constants, the unit phases attached to stem roots (including eighth roots of
 unity like (sqrt2/2)(1+i)), and the sqrt2/2 factors coming out of the Cayley
-maps.  A scalar is stored as four rationals over the basis {1, i, sqrt2,
-i*sqrt2}, so equality, conjugation and inversion are exact and deterministic.
+maps.  A scalar is stored as four integers over one positive common
+denominator, (n0 + n1*i + n2*sqrt2 + n3*i*sqrt2) / d, reduced so that
+gcd(n0, n1, n2, n3, d) = 1.  Every value has exactly one such form, so
+equality and zero tests compare integers, and conjugation and inversion are
+exact and deterministic.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+
+_new = object.__new__
 
 
 def _as_fraction(x):
@@ -21,19 +27,52 @@ def _as_fraction(x):
     raise TypeError("expected int or Fraction, got %r" % type(x).__name__)
 
 
-class TowerScalar:
-    """c0 + c1*i + c2*sqrt2 + c3*i*sqrt2 with rational coordinates."""
+def _raw(n0, n1, n2, n3, d):
+    """The scalar with these fields, which must already be canonical."""
+    s = _new(TowerScalar)
+    s._n0 = n0
+    s._n1 = n1
+    s._n2 = n2
+    s._n3 = n3
+    s._d = d
+    return s
 
-    __slots__ = ("c0", "c1", "c2", "c3")
+
+def _make(n0, n1, n2, n3, d):
+    """The canonical scalar (n0 + n1*i + n2*sqrt2 + n3*i*sqrt2) / d, d > 0."""
+    if d != 1:
+        g = gcd(n0, n1, n2, n3, d)
+        if g != 1:
+            n0 //= g
+            n1 //= g
+            n2 //= g
+            n3 //= g
+            d //= g
+    return _raw(n0, n1, n2, n3, d)
+
+
+class TowerScalar:
+    """c0 + c1*i + c2*sqrt2 + c3*i*sqrt2 with rational coordinates, held as
+    (n0 + n1*i + n2*sqrt2 + n3*i*sqrt2) / d in lowest terms with d > 0.
+
+    Immutable: the coordinates are read-only properties, and the private
+    integer fields are written only when a scalar is made."""
+
+    __slots__ = ("_n0", "_n1", "_n2", "_n3", "_d")
 
     def __init__(self, c0=0, c1=0, c2=0, c3=0):
-        object.__setattr__(self, "c0", _as_fraction(c0))
-        object.__setattr__(self, "c1", _as_fraction(c1))
-        object.__setattr__(self, "c2", _as_fraction(c2))
-        object.__setattr__(self, "c3", _as_fraction(c3))
+        cs = tuple(map(_as_fraction, (c0, c1, c2, c3)))
+        # over the least common denominator the fields are already coprime
+        d = lcm(*(c.denominator for c in cs))
+        self._n0, self._n1, self._n2, self._n3 = (
+            c.numerator * (d // c.denominator) for c in cs)
+        self._d = d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TowerScalar is immutable")
+    # read-only rational coordinates
+    c0 = property(lambda self: Fraction(self._n0, self._d))
+    c1 = property(lambda self: Fraction(self._n1, self._d))
+    c2 = property(lambda self: Fraction(self._n2, self._d))
+    c3 = property(lambda self: Fraction(self._n3, self._d))
 
     # -- coercion -----------------------------------------------------------
 
@@ -41,8 +80,10 @@ class TowerScalar:
     def of(x) -> "TowerScalar":
         if isinstance(x, TowerScalar):
             return x
-        if isinstance(x, (int, Fraction)):
-            return TowerScalar(x)
+        if isinstance(x, int):
+            return _raw(int(x), 0, 0, 0, 1)
+        if isinstance(x, Fraction):
+            return _raw(x.numerator, 0, 0, 0, x.denominator)
         raise TypeError("cannot coerce %r to TowerScalar" % (x,))
 
     def coords(self):
@@ -51,41 +92,60 @@ class TowerScalar:
     # -- ring structure ------------------------------------------------------
 
     def __add__(self, other):
-        o = TowerScalar.of(other)
-        return TowerScalar(self.c0 + o.c0, self.c1 + o.c1,
-                           self.c2 + o.c2, self.c3 + o.c3)
+        if other.__class__ is not TowerScalar:
+            other = TowerScalar.of(other)
+        ad = self._d
+        bd = other._d
+        if ad == bd:
+            return _make(self._n0 + other._n0, self._n1 + other._n1,
+                         self._n2 + other._n2, self._n3 + other._n3, ad)
+        return _make(self._n0 * bd + other._n0 * ad,
+                     self._n1 * bd + other._n1 * ad,
+                     self._n2 * bd + other._n2 * ad,
+                     self._n3 * bd + other._n3 * ad, ad * bd)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = TowerScalar.of(other)
-        return TowerScalar(self.c0 - o.c0, self.c1 - o.c1,
-                           self.c2 - o.c2, self.c3 - o.c3)
+        if other.__class__ is not TowerScalar:
+            other = TowerScalar.of(other)
+        ad = self._d
+        bd = other._d
+        if ad == bd:
+            return _make(self._n0 - other._n0, self._n1 - other._n1,
+                         self._n2 - other._n2, self._n3 - other._n3, ad)
+        return _make(self._n0 * bd - other._n0 * ad,
+                     self._n1 * bd - other._n1 * ad,
+                     self._n2 * bd - other._n2 * ad,
+                     self._n3 * bd - other._n3 * ad, ad * bd)
 
     def __rsub__(self, other):
         return TowerScalar.of(other).__sub__(self)
 
     def __neg__(self):
-        return TowerScalar(-self.c0, -self.c1, -self.c2, -self.c3)
+        return _raw(-self._n0, -self._n1, -self._n2, -self._n3, self._d)
 
     def __mul__(self, other):
-        o = TowerScalar.of(other)
-        a0, a1, a2, a3 = self.c0, self.c1, self.c2, self.c3
-        b0, b1, b2, b3 = o.c0, o.c1, o.c2, o.c3
+        if other.__class__ is not TowerScalar:
+            other = TowerScalar.of(other)
+        a0, a1, a2, a3 = self._n0, self._n1, self._n2, self._n3
+        b0, b1, b2, b3 = other._n0, other._n1, other._n2, other._n3
+        d = self._d * other._d
         # fast paths: purely rational factors dominate the hot loops
         if not (a1 or a2 or a3):
             if not a0:
                 return ZERO
-            return TowerScalar(a0 * b0, a0 * b1, a0 * b2, a0 * b3)
+            return _make(a0 * b0, a0 * b1, a0 * b2, a0 * b3, d)
         if not (b1 or b2 or b3):
             if not b0:
                 return ZERO
-            return TowerScalar(a0 * b0, a1 * b0, a2 * b0, a3 * b0)
-        return TowerScalar(
+            return _make(a0 * b0, a1 * b0, a2 * b0, a3 * b0, d)
+        return _make(
             a0 * b0 - a1 * b1 + 2 * (a2 * b2 - a3 * b3),
             a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2),
             a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1,
             a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
+            d,
         )
 
     __rmul__ = __mul__
@@ -107,30 +167,37 @@ class TowerScalar:
         cis = cs.conj()
         num = ci * cs * cis
         norm = self * num
-        assert not (norm.c1 or norm.c2 or norm.c3), "norm must be rational"
-        r = norm.c0
-        return TowerScalar(num.c0 / r, num.c1 / r, num.c2 / r, num.c3 / r)
+        if norm._n1 or norm._n2 or norm._n3:
+            raise ArithmeticError("norm of %s is not rational: %s"
+                                  % (self, norm))
+        # num / (p / q); p > 0, as the norm is |s|^2 |conj_s2(s)|^2
+        p, q = norm._n0, norm._d
+        return _make(num._n0 * q, num._n1 * q, num._n2 * q, num._n3 * q,
+                     num._d * p)
 
     # -- involutions ---------------------------------------------------------
 
     def conj(self) -> "TowerScalar":
         """Complex conjugation (i -> -i, sqrt2 fixed)."""
-        return TowerScalar(self.c0, -self.c1, self.c2, -self.c3)
+        return _raw(self._n0, -self._n1, self._n2, -self._n3, self._d)
 
     def _sqrt2_conj(self) -> "TowerScalar":
-        return TowerScalar(self.c0, self.c1, -self.c2, -self.c3)
+        return _raw(self._n0, self._n1, -self._n2, -self._n3, self._d)
 
     # -- predicates ----------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.c0 or self.c1 or self.c2 or self.c3)
+        return bool(self._n0 or self._n1 or self._n2 or self._n3)
 
     def __eq__(self, other):
-        try:
-            o = TowerScalar.of(other)
-        except TypeError:
-            return NotImplemented
-        return self.coords() == o.coords()
+        if other.__class__ is not TowerScalar:
+            try:
+                other = TowerScalar.of(other)
+            except TypeError:
+                return NotImplemented
+        return (self._n0 == other._n0 and self._n1 == other._n1
+                and self._n2 == other._n2 and self._n3 == other._n3
+                and self._d == other._d)
 
     def __hash__(self):
         return hash(self.coords())
@@ -140,7 +207,7 @@ class TowerScalar:
         return self * self.conj() == ONE
 
     def is_rational(self) -> bool:
-        return not (self.c1 or self.c2 or self.c3)
+        return not (self._n1 or self._n2 or self._n3)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -151,8 +218,9 @@ class TowerScalar:
 
     def __complex__(self):
         s2 = 2 ** 0.5
-        return complex(float(self.c0) + float(self.c2) * s2,
-                       float(self.c1) + float(self.c3) * s2)
+        d = self._d
+        return complex(self._n0 / d + self._n2 / d * s2,
+                       self._n1 / d + self._n3 / d * s2)
 
     # -- text ----------------------------------------------------------------
 

@@ -97,6 +97,9 @@ def compute_stem(rs: RootSystem, subset=None) -> Stem:
     remaining = set(rs.roots) if subset is None else set(subset)
     for r in remaining:
         assert -r in remaining, "subset must be symmetric"
+    # every later stage is checked as it is left behind
+    if not rs.is_closed(remaining):
+        raise ValueError("subset is not closed")
     elements = []
     phi = {}
     theta = {}
@@ -106,7 +109,7 @@ def compute_stem(rs: RootSystem, subset=None) -> Stem:
         comps = rs.irreducible_components(remaining)
         peel = []
         for comp in comps:
-            g = rs.highest_roots(comp)[0]
+            g = rs.highest_root(comp)
             wings = phi_plus_set(rs, g)
             pos_comp = {r for r in comp if r.positive}
             assert wings <= pos_comp, "wings must stay inside the component"

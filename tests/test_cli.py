@@ -138,3 +138,25 @@ def test_selftest_small_rank():
 def test_help_and_unknown_command():
     assert run("--help").exit_code == 0
     assert run("frobnicate").exit_code == 2
+
+
+def test_build_is_the_same_under_optimize():
+    """`python -O` strips asserts; the construction must not depend on them."""
+    import os
+    import subprocess
+    import sys
+
+    import stemhc
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stemhc.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["-m", "stemhc", "build", "--g", "A3", "--substem", "2",
+            "--rho", "i", "--json"]
+    plain = subprocess.run([sys.executable] + argv, env=env,
+                           capture_output=True, text=True, check=True)
+    optimized = subprocess.run([sys.executable, "-O"] + argv, env=env,
+                               capture_output=True, text=True, check=True)
+    assert json.loads(plain.stdout)["verification"]["ok"]
+    assert optimized.stdout == plain.stdout

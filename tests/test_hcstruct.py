@@ -355,6 +355,20 @@ def test_rotation_spans_broadcast_a_single_phase(text):
     assert rep.to_dict() == same.to_dict()
 
 
+def test_rotation_spans_take_one_phase_per_root_in_order():
+    cb = make_basis(parse_shape("A3"))
+    st = stem_of(parse_shape("A3"))
+    phases = [I, EIGHTH_ROOT]
+    rep = verify_rotation_spans(cb, st, phases)
+    same = verify_rotation_spans(cb, st, dict(zip(st.elements, phases)))
+    assert rep.ok, rep.summary()
+    assert rep.to_dict() == same.to_dict()
+    with pytest.raises(ValueError):
+        verify_rotation_spans(cb, st, [I])
+    with pytest.raises(ValueError):
+        rotation_product(cb, st.elements, (I, I, I))
+
+
 def test_zero_partner_vectors_pad_small_kernels():
     cb = make_basis(parse_shape("B2"))
     st = stem_of(parse_shape("B2"))
@@ -387,3 +401,28 @@ def test_integrability_report_items():
     names = [it.name for it in rep.items]
     assert any("torsion" in n for n in names)
     assert sum("eigenspace" in n for n in names) >= 4
+
+
+def test_failure_counts_every_wrong_entry():
+    """The report counts all wrong entries, not just the ones it prints."""
+    np = pytest.importorskip("numpy")
+    hc = build("A4", (2,))
+    pb = hc.pbasis
+    n = len(pb.labels)
+    # J is monomial and pairs the labels, so negating a single column breaks
+    # J*J at two entries only; negate every positive root column instead
+    flip = {j for j, lab in enumerate(pb.labels)
+            if lab[0] == "e" and lab[1].positive}
+    bad_j = [[-v if j in flip else v for j, v in enumerate(row)]
+             for row in hc.j_matrix]
+    broken = HCStructure(pb, hc.i_matrix, bad_j, hc.tau_matrix)
+    item = next(it for it in verify_operator_identities(broken).items
+                if it.name.startswith("second structure squares"))
+    m = np.array([[complex(v) for v in row] for row in bad_j])
+    want = int((np.abs(m @ m + np.eye(n)) > 1e-9).sum())
+    assert want > 6
+    assert item.violation_count == want
+    assert len(item.violations) == 6
+    assert item.to_dict()["violation_count"] == want
+    rep = verify_operator_identities(broken)
+    assert "FAIL(%d)" % want in rep.summary()

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,3 +110,147 @@ def test_rational_views():
 def test_immutability():
     with pytest.raises(AttributeError):
         ONE.c0 = Fraction(2)
+
+
+# ------------------------------------------- against an independent model
+
+
+class RefScalar:
+    """Q(i, sqrt2) as four plain Fractions over {1, i, sqrt2, i*sqrt2}."""
+
+    def __init__(self, c0=0, c1=0, c2=0, c3=0):
+        self.c = tuple(Fraction(x) for x in (c0, c1, c2, c3))
+
+    def __add__(self, o):
+        return RefScalar(*(x + y for x, y in zip(self.c, o.c)))
+
+    def __sub__(self, o):
+        return RefScalar(*(x - y for x, y in zip(self.c, o.c)))
+
+    def __neg__(self):
+        return RefScalar(*(-x for x in self.c))
+
+    def __mul__(self, o):
+        a0, a1, a2, a3 = self.c
+        b0, b1, b2, b3 = o.c
+        # i^2 = -1, sqrt2^2 = 2, (i sqrt2)^2 = -2, i * sqrt2 = i sqrt2
+        return RefScalar(a0 * b0 - a1 * b1 + 2 * a2 * b2 - 2 * a3 * b3,
+                         a0 * b1 + a1 * b0 + 2 * a2 * b3 + 2 * a3 * b2,
+                         a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1,
+                         a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1)
+
+    def conj(self):
+        a0, a1, a2, a3 = self.c
+        return RefScalar(a0, -a1, a2, -a3)
+
+    def __eq__(self, o):
+        return self.c == o.c
+
+    def __bool__(self):
+        return any(self.c)
+
+    def __str__(self):
+        parts = []
+        for coeff, unit in zip(self.c, ("", "i", "√2", "i√2")):
+            if coeff:
+                mag = str(abs(coeff)) if abs(coeff) != 1 or not unit else ""
+                sign = "-" if coeff < 0 else "+"
+                if parts:
+                    parts.append(" %s %s%s" % (sign, mag, unit))
+                else:
+                    parts.append("%s%s%s" % ("-" if coeff < 0 else "",
+                                             mag, unit))
+        return "".join(parts) or "0"
+
+
+def ref(s):
+    return RefScalar(*s.coords())
+
+
+def fields(s):
+    return (s._n0, s._n1, s._n2, s._n3, s._d)
+
+
+def canonical(s):
+    n0, n1, n2, n3, d = fields(s)
+    return d > 0 and gcd(n0, n1, n2, n3, d) == 1 and all(
+        type(x) is int for x in fields(s))
+
+
+# unit phases (a + b i) / c with a^2 + b^2 = c^2, c <= 41, as the benchmark
+# draws them, times the eighth roots of unity
+PYTHAGOREAN = [(a, b, c) for c in range(1, 42) for a in range(-c, c + 1)
+               for b in range(-c, c + 1) if a * a + b * b == c * c]
+phases = st.builds(
+    lambda abc, k: TowerScalar(Fraction(abc[0], abc[2]),
+                               Fraction(abc[1], abc[2])) * eighth_root_power(k),
+    st.sampled_from(PYTHAGOREAN), st.integers(0, 7))
+wide = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                    max_denominator=41 ** 3)
+mixed = st.one_of(
+    scalars, phases,
+    st.builds(TowerScalar, wide, wide, wide, wide),
+    st.builds(lambda p, q: p * q, phases, st.builds(TowerScalar, wide, wide)),
+    st.builds(TowerScalar, wide))
+
+
+@given(mixed, mixed)
+@settings(max_examples=300)
+def test_arithmetic_matches_the_fraction_model(a, b):
+    ra, rb = ref(a), ref(b)
+    for got, want in ((a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb),
+                      (-a, -ra), (a.conj(), ra.conj())):
+        assert canonical(got)
+        assert ref(got) == want
+        assert str(got) == str(want)
+        assert bool(got) == bool(want)
+    assert (a == b) == (ra == rb)
+    assert (a == a + a) == (not a)
+    assert str(a) == str(ra)
+    if b:
+        q = a / b
+        assert canonical(q) and canonical(b.inv())
+        assert ref(q) * rb == ra
+        assert ref(b.inv()) * rb == RefScalar(1)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+
+
+@given(mixed, wide, st.integers(-10 ** 6, 10 ** 6))
+def test_mixed_operands_on_both_sides(a, f, k):
+    ra, rf, rk = ref(a), RefScalar(f), RefScalar(k)
+    cases = [(f * a, rf * ra), (a * f, ra * rf), (k * a, rk * ra),
+             (a * k, ra * rk), (a + f, ra + rf), (f + a, rf + ra),
+             (k - a, rk - ra), (a - k, ra - rk), (3 - a, RefScalar(3) - ra),
+             (a + 1, ra + RefScalar(1))]
+    for got, want in cases:
+        assert isinstance(got, TowerScalar)
+        assert canonical(got)
+        assert ref(got) == want
+    assert (a == f) == (ra == rf)
+    assert (a == k) == (ra == rk)
+
+
+def test_one_representation_per_value():
+    half = TowerScalar(Fraction(2, 4))
+    assert fields(half) == fields(TowerScalar(Fraction(1, 2))) == (1, 0, 0, 0, 2)
+    assert hash(half) == hash(TowerScalar(Fraction(1, 2)))
+    assert fields(TowerScalar(Fraction(-6, 4), 3, Fraction(9, 6))) == \
+        (-3, 6, 3, 0, 2)
+    assert fields(ZERO) == (0, 0, 0, 0, 1)
+    assert TowerScalar(Fraction(1, 2)) != ONE
+    assert fields(I - I) == fields(ZERO)
+    x = TowerScalar(Fraction(1, 3), 0, Fraction(-5, 7), 2)
+    for s in (x, half, ZERO, EIGHTH_ROOT, x * x.inv(), x - x):
+        assert hash(s) == hash(s.coords())
+    assert x * x.inv() == ONE and fields(x * x.inv()) == fields(ONE)
+    assert all(type(c) is Fraction for c in x.coords())
+
+
+def test_irrational_norm_raises_arithmetic_error(monkeypatch):
+    """A norm that is not rational (only a broken conjugation can make one)
+    raises ArithmeticError, which `python -O` keeps, unlike an assert."""
+    monkeypatch.setattr(TowerScalar, "_sqrt2_conj", lambda self: self)
+    with pytest.raises(ArithmeticError):
+        (ONE + SQRT2).inv()

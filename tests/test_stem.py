@@ -4,7 +4,7 @@ import pytest
 
 from stemhc.chevalley import make_basis, verify_special_sign_identity
 from stemhc.rootsystems import (
-    Root, RootSystem, SimpleType, parse_shape, shape,
+    Root, RootSystem, SimpleType, parse_shape, root_sum, shape,
 )
 from stemhc.stem import (
     all_partition_stems, compute_stem, hasse_export, phi_plus, srank, stem_of,
@@ -250,3 +250,13 @@ def test_special_sign_identity(text):
     rep = verify_special_sign_identity(cb, st)
     assert rep.ok, rep.summary()
     assert rep.total_checked == sum(len(st.phi[g]) for g in st.elements) // 2
+
+
+def test_compute_stem_rejects_a_subset_that_is_not_closed():
+    # the short roots of B2: e2 and e1 = a1 + a2 are orthogonal, so each
+    # sits in its own component, but their sum a1 + 2 a2 is a root
+    rs = RootSystem(parse_shape("B2"))
+    e2, e1 = Root(0, (0, 1)), Root(0, (1, 1))
+    assert root_sum(e1, e2) in rs.roots
+    with pytest.raises(ValueError):
+        compute_stem(rs, {e1, -e1, e2, -e2})
