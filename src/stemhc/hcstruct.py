@@ -4,11 +4,16 @@ Given an accepted pair spec this module fixes an adapted basis of the
 complexified complement p (root vectors of the free wing blocks, two
 tau-conjugate combinations P, Q per free stem root, and a 4-divisible block
 of leftover central directions u), builds the two anticommuting complex
-structures I and J as matrices over the scalar tower, builds the Cayley-type
-root rotations exp((pi/2) ad X_gamma) on the full algebra, and verifies every
-identity the construction is supposed to satisfy.  All checks are exact;
-the only floating point in the file is the optional cross-check of the
-rotation matrices against scipy's expm.
+structures I and J over the scalar tower, builds the Cayley-type root
+rotations exp((pi/2) ad X_gamma) on the full algebra, and verifies every
+identity the construction is supposed to satisfy.
+
+Every linear map has one sparse form: I, J, tau and ad(k) on p are lists of
+columns, each a dict from row index to nonzero entry, and a rotation holds
+the image of each basis vector of the full algebra as an AlgebraElement.
+Dense matrices are views built on demand.  All checks are exact; the only
+floating point in the file is the optional cross-check of the rotations
+against scipy's expm.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chevalley import AlgebraElement, ChevalleyBasis, make_basis
-from .linalg import Span, identity, invert, kernel_basis, mat_mul, mat_vec, rref
-from .pairs import PairSpec, check_pair, complement_data, delta_k
+from .linalg import Span, invert, kernel_basis, mat_vec, rref
+from .pairs import PairSpec, complement_data, delta_k
 from .reporting import CheckReport
 from .rootsystems import Root, root_sub
 from .scalars import HALF, I, ONE, SQRT2, ZERO, TowerScalar, eighth_root_power
@@ -116,8 +121,8 @@ class PBasis:
         self.stem = stem_of(spec.shape)
         assert self.cb.rs is self.stem.rs
         self.sub = spec.substem()
-        self.report = check_pair(spec)
         self.data = complement_data(spec, force=force)
+        self.report = self.data.report
         self.gamma_p = list(self.data.gamma_p)
         self.gamma_k = [g for g in self.stem.elements if g in self.sub.members]
         self.num_p = len(self.gamma_p)
@@ -287,9 +292,6 @@ class PBasis:
         """Coordinates of the complement part, dropping the subalgebra part."""
         return self.decompose(x).coords
 
-    def apply_matrix(self, m, x: AlgebraElement) -> AlgebraElement:
-        return self.assemble(mat_vec(m, self.coords_strict(x)))
-
 
 def subalgebra_basis(pb: PBasis):
     """Labelled basis of the complexified subalgebra k."""
@@ -301,15 +303,41 @@ def subalgebra_basis(pb: PBasis):
 
 
 # ---------------------------------------------------------------------------
-# The two complex structures and the conjugation, as matrices
+# The two complex structures and the conjugation, as sparse columns
 
 
-def _matrix_from_entries(pb: PBasis, entries):
-    n = len(pb.labels)
-    m = [[ZERO] * n for _ in range(n)]
+def _apply_cols(cols, coords):
+    """The map with these columns applied to a dense coordinate vector."""
+    out = [ZERO] * len(cols)
+    for j, c in enumerate(coords):
+        if c:
+            for i, v in cols[j].items():
+                out[i] = out[i] + v * c
+    return out
+
+
+def _compose_cols(a, b):
+    """The columns of the product a b."""
+    out = []
+    for col in b:
+        acc = {}
+        for k, c in col.items():
+            for i, v in a[k].items():
+                acc[i] = acc.get(i, ZERO) + v * c
+        out.append({i: v for i, v in acc.items() if v})
+    return out
+
+
+def _dense_view(cols):
+    """The dense matrix of the columns: entry [i][j] is row i of column j."""
+    return [[col.get(i, ZERO) for col in cols] for i in range(len(cols))]
+
+
+def _cols_from_entries(pb: PBasis, entries):
+    cols = [{} for _ in pb.labels]
     for (row, col), v in entries.items():
-        m[pb.index[row]][pb.index[col]] = TowerScalar.of(v)
-    return m
+        cols[pb.index[col]][pb.index[row]] = TowerScalar.of(v)
+    return cols
 
 
 def build_I(pb: PBasis):
@@ -325,7 +353,7 @@ def build_I(pb: PBasis):
     for s in range(0, len(pb.j_vecs), 2):
         entries[(("u", s + 1), ("u", s))] = ONE
         entries[(("u", s), ("u", s + 1))] = -ONE
-    return _matrix_from_entries(pb, entries)
+    return _cols_from_entries(pb, entries)
 
 
 def build_J(pb: PBasis):
@@ -350,12 +378,12 @@ def build_J(pb: PBasis):
         entries[(("u", s + 3), ("u", s + 1))] = -ONE
         entries[(("u", s), ("u", s + 2))] = -ONE
         entries[(("u", s + 1), ("u", s + 3))] = ONE
-    return _matrix_from_entries(pb, entries)
+    return _cols_from_entries(pb, entries)
 
 
 def conjugation_matrix(pb: PBasis):
     """The compact conjugation on the adapted labels: E_a -> -E_{-a},
-    P <-> Q, u fixed.  Antilinear; the matrix is its linear part."""
+    P <-> Q, u fixed.  Antilinear; the columns hold its linear part."""
     entries = {}
     for a in pb.dp_plus:
         entries[(("e", -a), ("e", a))] = -ONE
@@ -365,32 +393,19 @@ def conjugation_matrix(pb: PBasis):
         entries[(("p", t), ("q", t))] = ONE
     for s in range(len(pb.j_vecs)):
         entries[(("u", s), ("u", s))] = ONE
-    return _matrix_from_entries(pb, entries)
-
-
-def _conj_matrix(m):
-    return [[v.conj() for v in row] for row in m]
-
-
-def _neg_matrix(m):
-    return [[-v for v in row] for row in m]
+    return _cols_from_entries(pb, entries)
 
 
 def _matrix_mismatches(pb, got, want, limit=6):
-    """(descriptions of the first `limit` entries where got and want differ,
-    the number of all such entries)."""
-    out = []
-    count = 0
-    n = len(pb.labels)
-    for i in range(n):
-        for j in range(n):
-            if got[i][j] != want[i][j]:
-                count += 1
-                if count <= limit:
-                    out.append("entry (%s <- %s): %s != %s"
-                               % (pb.labels[i], pb.labels[j],
-                                  got[i][j], want[i][j]))
-    return out, count
+    """(descriptions of the first `limit` entries, in row-major order, where
+    the columns got and want differ, the number of all such entries)."""
+    wrong = sorted((i, j) for j, (g, w) in enumerate(zip(got, want))
+                   for i in g.keys() | w.keys()
+                   if g.get(i, ZERO) != w.get(i, ZERO))
+    return (["entry (%s <- %s): %s != %s"
+             % (pb.labels[i], pb.labels[j], got[j].get(i, ZERO),
+                want[j].get(i, ZERO)) for i, j in wrong[:limit]],
+            len(wrong))
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +414,13 @@ def _matrix_mismatches(pb, got, want, limit=6):
 
 @dataclass
 class HCStructure:
+    """I, J and the linear part of the conjugation tau on the adapted basis,
+    as sparse columns; the `*_matrix` properties are dense views."""
+
     pbasis: PBasis
-    i_matrix: list
-    j_matrix: list
-    tau_matrix: list
+    i_cols: list
+    j_cols: list
+    tau_cols: list
 
     @property
     def cb(self):
@@ -412,11 +430,17 @@ class HCStructure:
     def spec(self):
         return self.pbasis.spec
 
+    i_matrix = property(lambda self: _dense_view(self.i_cols))
+    j_matrix = property(lambda self: _dense_view(self.j_cols))
+    tau_matrix = property(lambda self: _dense_view(self.tau_cols))
+
     def apply_i(self, x):
-        return self.pbasis.apply_matrix(self.i_matrix, x)
+        pb = self.pbasis
+        return pb.assemble(_apply_cols(self.i_cols, pb.coords_strict(x)))
 
     def apply_j(self, x):
-        return self.pbasis.apply_matrix(self.j_matrix, x)
+        pb = self.pbasis
+        return pb.assemble(_apply_cols(self.j_cols, pb.coords_strict(x)))
 
     def verify_all(self, include_cayley=True) -> CheckReport:
         rep = CheckReport()
@@ -448,35 +472,34 @@ def verify_operator_identities(hc: HCStructure) -> CheckReport:
     if n == 0:
         return _empty_report("operator identities")
     rep = CheckReport()
-    minus_id = _neg_matrix(identity(n, ONE))
+    i_cols, j_cols, t = hc.i_cols, hc.j_cols, hc.tau_cols
+    minus_id = [{j: -ONE} for j in range(n)]
     rep.record("first structure squares to minus the identity", n * n,
-               *_matrix_mismatches(pb, mat_mul(hc.i_matrix, hc.i_matrix),
+               *_matrix_mismatches(pb, _compose_cols(i_cols, i_cols),
                                    minus_id))
     rep.record("second structure squares to minus the identity", n * n,
-               *_matrix_mismatches(pb, mat_mul(hc.j_matrix, hc.j_matrix),
+               *_matrix_mismatches(pb, _compose_cols(j_cols, j_cols),
                                    minus_id))
-    anti = mat_mul(hc.i_matrix, hc.j_matrix)
+    minus_ji = [{i: -v for i, v in col.items()}
+                for col in _compose_cols(j_cols, i_cols)]
     rep.record("the two structures anticommute", n * n,
-               *_matrix_mismatches(pb, anti,
-                                   _neg_matrix(mat_mul(hc.j_matrix,
-                                                       hc.i_matrix))))
-    t = hc.tau_matrix
+               *_matrix_mismatches(pb, _compose_cols(i_cols, j_cols),
+                                   minus_ji))
     rep.record("conjugation matrix is an involution", n * n,
-               *_matrix_mismatches(pb, mat_mul(t, t), identity(n, ONE)))
+               *_matrix_mismatches(pb, _compose_cols(t, t),
+                                   [{j: ONE} for j in range(n)]))
     bad = []
     for j, lab in enumerate(pb.labels):
         img = pb.cb.tau(pb.vectors[j])
         d = pb.decompose(img)
-        col = [t[i][j] for i in range(n)]
-        if not d.in_p or d.coords != col:
+        if not d.in_p or d.coords != [t[j].get(i, ZERO) for i in range(n)]:
             bad.append("conjugate of %s disagrees with the matrix" % (lab,))
     rep.record("conjugation matrix mirrors the compact conjugation", n, bad)
-    rep.record("first structure is real for the compact form", n * n,
-               *_matrix_mismatches(pb, mat_mul(hc.i_matrix, t),
-                                   mat_mul(t, _conj_matrix(hc.i_matrix))))
-    rep.record("second structure is real for the compact form", n * n,
-               *_matrix_mismatches(pb, mat_mul(hc.j_matrix, t),
-                                   mat_mul(t, _conj_matrix(hc.j_matrix))))
+    for opname, cols in (("first", i_cols), ("second", j_cols)):
+        conj = [{i: v.conj() for i, v in col.items()} for col in cols]
+        rep.record("%s structure is real for the compact form" % opname,
+                   n * n, *_matrix_mismatches(pb, _compose_cols(cols, t),
+                                              _compose_cols(t, conj)))
     # the compact sl2 generators transform into each other as claimed
     bad = []
     for t_idx, g in enumerate(pb.gamma_p):
@@ -493,20 +516,18 @@ def verify_operator_identities(hc: HCStructure) -> CheckReport:
     return rep
 
 
-def _ad_matrix(pb: PBasis, x: AlgebraElement):
-    """ad(x) restricted to the complement, as a matrix over the labels.
-    Returns (matrix, leak list); leak names labels whose bracket fell
-    outside the complement."""
-    n = len(pb.labels)
-    m = [[ZERO] * n for _ in range(n)]
+def _ad_cols(pb: PBasis, x: AlgebraElement):
+    """ad(x) restricted to the complement, as sparse columns over the
+    labels, each with its rows in increasing order.  Returns (columns, leak
+    list); leak names labels whose bracket fell outside the complement."""
+    cols = []
     leaks = []
-    for j, v in enumerate(pb.vectors):
+    for lab, v in zip(pb.labels, pb.vectors):
         d = pb.decompose(pb.cb.bracket(x, v))
         if not d.in_p:
-            leaks.append(pb.labels[j])
-        for i in range(n):
-            m[i][j] = d.coords[i]
-    return m, leaks
+            leaks.append(lab)
+        cols.append({i: c for i, c in enumerate(d.coords) if c})
+    return cols, leaks
 
 
 def verify_equivariance(hc: HCStructure) -> CheckReport:
@@ -536,27 +557,27 @@ def verify_equivariance(hc: HCStructure) -> CheckReport:
     sl2_labels += [pb.index[(k, t)] for (k, t) in pb.labels
                    if k in ("p", "q", "u")]
     for name, x in kbasis:
-        ad, leaks = _ad_matrix(pb, x)
+        ad, leaks = _ad_cols(pb, x)
         leaks_all += ["%s moves %s outside the complement" % (name, lab)
                       for lab in leaks]
-        bad, count = _matrix_mismatches(pb, mat_mul(hc.i_matrix, ad),
-                                        mat_mul(ad, hc.i_matrix), limit=3)
+        bad, count = _matrix_mismatches(pb, _compose_cols(hc.i_cols, ad),
+                                        _compose_cols(ad, hc.i_cols), limit=3)
         commute_i += bad
         count_i += count
-        bad, count = _matrix_mismatches(pb, mat_mul(hc.j_matrix, ad),
-                                        mat_mul(ad, hc.j_matrix), limit=3)
+        bad, count = _matrix_mismatches(pb, _compose_cols(hc.j_cols, ad),
+                                        _compose_cols(ad, hc.j_cols), limit=3)
         commute_j += bad
         count_j += count
         for g in pb.gamma_p:
             labs = wing_labels[g]
             for j in labs:
-                for i in range(n):
-                    if ad[i][j] and i not in labs:
+                for i in ad[j]:
+                    if i not in labs:
                         block_bad.append(
                             "%s maps %s outside its wing block"
                             % (name, pb.labels[j]))
         for j in sl2_labels:
-            if any(ad[i][j] for i in range(n)):
+            if ad[j]:
                 kill_bad.append("%s acts on %s" % (name, pb.labels[j]))
     nk = max(len(kbasis), 1)
     rep.record("subalgebra brackets stay inside the complement",
@@ -572,7 +593,7 @@ def verify_equivariance(hc: HCStructure) -> CheckReport:
 
 
 def eigenspace(matrix, sign):
-    """Exact basis of the (sign * i)-eigenspace, as coordinate vectors."""
+    """Exact basis of the (sign * i)-eigenspace of a dense matrix."""
     n = len(matrix)
     lam = I if sign > 0 else -I
     rows = [[matrix[i][j] - (lam if i == j else ZERO) for j in range(n)]
@@ -623,9 +644,9 @@ def verify_integrability(hc: HCStructure) -> CheckReport:
                        "projected bracket" % (opname, signname),
                        checked + 1, bad)
     basis = compact_basis(pb)
-    for opname, m in (("first", hc.i_matrix), ("second", hc.j_matrix)):
+    for opname, cols in (("first", hc.i_cols), ("second", hc.j_cols)):
         coords = [pb.coords_strict(x) for _, x in basis]
-        images = [pb.assemble(mat_vec(m, c)) for c in coords]
+        images = [pb.assemble(_apply_cols(cols, c)) for c in coords]
         bad = []
         checked = 0
 
@@ -638,8 +659,8 @@ def verify_integrability(hc: HCStructure) -> CheckReport:
                 xa, xb = basis[a][1], basis[b][1]
                 torsion = proj_bracket(images[a], images[b])
                 base = proj_bracket(xa, xb)
-                cross_a = mat_vec(m, proj_bracket(images[a], xb))
-                cross_b = mat_vec(m, proj_bracket(xa, images[b]))
+                cross_a = _apply_cols(cols, proj_bracket(images[a], xb))
+                cross_b = _apply_cols(cols, proj_bracket(xa, images[b]))
                 val = [torsion[i] - base[i] - cross_a[i] - cross_b[i]
                        for i in range(n)]
                 if any(val):
@@ -655,9 +676,9 @@ def root_coupling_matrix(hc: HCStructure):
     pb = hc.pbasis
     out = {}
     for b in pb.dp_plus:
-        col = pb.index[("e", b)]
+        col = hc.j_cols[pb.index[("e", b)]]
         for a in pb.dp_plus:
-            v = hc.j_matrix[pb.index[("e", -a)]][col]
+            v = col.get(pb.index[("e", -a)])
             if v:
                 out[(a, b)] = v
     return out
@@ -763,53 +784,40 @@ def g_coords(cb: ChevalleyBasis, x: AlgebraElement):
     return out
 
 
-def g_element(cb: ChevalleyBasis, coords) -> AlgebraElement:
-    h = [ZERO] * cb.total_rank
-    e = {}
-    for key, c in zip(cb.basis_keys, coords):
-        if not c:
-            continue
-        kind, val = key
-        if kind == "e":
-            e[val] = c
-        else:
-            h[val] = c
-    return AlgebraElement(cb, tuple(h), e)
-
-
 class RootRotation:
-    """The inner automorphism exp((pi/2) ad X_gamma) as an exact matrix in
-    the canonical basis of the full algebra (column-major)."""
+    """An automorphism of the full algebra, such as exp((pi/2) ad X_gamma),
+    held by the images of the canonical basis vectors, in `cb.basis_keys`
+    order; `cols` is a dense column-major view."""
 
-    def __init__(self, cb, gamma, rho, cols):
+    def __init__(self, cb, images):
         self.cb = cb
-        self.gamma = gamma
-        self.rho = rho
-        self.cols = cols
+        self.images = images
 
-    def apply_coords(self, coords):
-        n = len(self.cols)
-        out = [ZERO] * n
-        for j, c in enumerate(coords):
-            if c:
-                col = self.cols[j]
-                for i in range(n):
-                    if col[i]:
-                        out[i] = out[i] + c * col[i]
-        return out
+    @property
+    def cols(self):
+        return [g_coords(self.cb, v) for v in self.images]
+
+    def apply_coords(self, terms) -> AlgebraElement:
+        """The image of the sum of c * (basis vector k) over (k, c) pairs."""
+        acc = self.cb.zero()
+        for k, c in terms:
+            acc = acc + self.images[k].scale(c)
+        return acc
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
-        return g_element(self.cb, self.apply_coords(g_coords(self.cb, x)))
+        index = self.cb.key_index
+        terms = [(index[("e", r)], c) for r, c in x.e.items()]
+        terms += [(index[("h", j)], c) for j, c in enumerate(x.h) if c]
+        return self.apply_coords(terms)
 
     def compose(self, other: "RootRotation") -> "RootRotation":
         assert other.cb is self.cb
-        cols = [self.apply_coords(c) for c in other.cols]
-        return RootRotation(self.cb, None, None, cols)
+        return RootRotation(self.cb, [self.apply(v) for v in other.images])
 
     def __eq__(self, other):
         if not isinstance(other, RootRotation):
             return NotImplemented
-        return self.cb is other.cb and self.cols == other.cols
+        return self.cb is other.cb and self.images == other.images
 
 
 def root_rotation(cb: ChevalleyBasis, gamma: Root, rho=ONE) -> RootRotation:
@@ -820,7 +828,7 @@ def root_rotation(cb: ChevalleyBasis, gamma: Root, rho=ONE) -> RootRotation:
         raise ValueError("phase is not unit modulus: %s" % (rho,))
     poly = _rotation_poly()
     x = cb.X(gamma, rho)
-    cols = []
+    images = []
     for key in cb.basis_keys:
         v = cb.basis_element(key)
         acc = v.scale(poly[0])
@@ -831,8 +839,8 @@ def root_rotation(cb: ChevalleyBasis, gamma: Root, rho=ONE) -> RootRotation:
                 break
             if c:
                 acc = acc + w.scale(c)
-        cols.append(g_coords(cb, acc))
-    return RootRotation(cb, gamma, rho, cols)
+        images.append(acc)
+    return RootRotation(cb, images)
 
 
 def _phase_map(gammas, phases):
@@ -862,12 +870,10 @@ def _phase_map(gammas, phases):
 def rotation_product(cb: ChevalleyBasis, gammas, phases=None) -> RootRotation:
     """Composition of the stem rotations (they commute, so order is moot)."""
     phases = _phase_map(gammas, phases)
-    rots = [root_rotation(cb, g, phases[g]) for g in gammas]
-    n = len(cb.basis_keys)
-    cols = [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
-    for r in rots:
-        cols = [r.apply_coords(c) for c in cols]
-    return RootRotation(cb, None, None, cols)
+    prod = RootRotation(cb, [cb.basis_element(k) for k in cb.basis_keys])
+    for g in gammas:
+        prod = root_rotation(cb, g, phases[g]).compose(prod)
+    return prod
 
 
 def verify_rotation(cb: ChevalleyBasis, stem, gamma: Root,
@@ -879,7 +885,7 @@ def verify_rotation(cb: ChevalleyBasis, stem, gamma: Root,
     rep = CheckReport()
     keys = cb.basis_keys
     n = len(keys)
-    images = [g_element(cb, c) for c in rot.cols]
+    images = rot.images
 
     bad = []
     checked = 0
@@ -963,10 +969,9 @@ def verify_rotation(cb: ChevalleyBasis, stem, gamma: Root,
             if block and Span(block, n) != Span(imgs, n):
                 bad.append("wing block of %s not setwise invariant"
                            % (d if sign > 0 else -d,))
-    sl2 = [g_coords(cb, cb.E(gamma)), g_coords(cb, cb.E(-gamma)),
-           g_coords(cb, cb.H_of_root(gamma))]
-    sl2_imgs = [g_coords(cb, rot.apply(g_element(cb, v))) for v in sl2]
-    if Span(sl2, n) != Span(sl2_imgs, n):
+    sl2 = [cb.E(gamma), cb.E(-gamma), cb.H_of_root(gamma)]
+    if Span([g_coords(cb, v) for v in sl2], n) != \
+            Span([g_coords(cb, rot.apply(v)) for v in sl2], n):
         bad.append("own sl2 block not setwise invariant")
     rep.record("other wing blocks and the own sl2 stay setwise invariant",
                2 * len(others) + 1, bad)
@@ -1033,8 +1038,9 @@ def verify_eigenspace_transport(hc: HCStructure) -> CheckReport:
                             {g: pb.phases[g] for g in pb.gamma_p})
     rep = CheckReport()
 
-    kvecs = [g_coords(cb, x) for _, x in subalgebra_basis(pb)]
-    kimgs = [prod.apply_coords(v) for v in kvecs]
+    kbasis = [x for _, x in subalgebra_basis(pb)]
+    kvecs = [g_coords(cb, x) for x in kbasis]
+    kimgs = [g_coords(cb, prod.apply(x)) for x in kbasis]
     bad = []
     if kvecs and Span(kvecs, ng) != Span(kimgs, ng):
         bad.append("subalgebra span moved")
@@ -1042,7 +1048,7 @@ def verify_eigenspace_transport(hc: HCStructure) -> CheckReport:
                max(len(kvecs), 1), bad)
 
     pvecs = [g_coords(cb, v) for v in pb.vectors]
-    pimgs = [prod.apply_coords(v) for v in pvecs]
+    pimgs = [g_coords(cb, prod.apply(v)) for v in pb.vectors]
     bad = []
     if Span(pvecs, ng) != Span(pimgs, ng):
         bad.append("complement span moved")
@@ -1074,8 +1080,8 @@ def verify_eigenspace_transport(hc: HCStructure) -> CheckReport:
 
 
 def rotation_float_error(cb: ChevalleyBasis, gamma: Root, rho=ONE) -> float:
-    """Entrywise gap between the exact rotation matrix and a floating
-    evaluation of the exponential it interpolates."""
+    """Entrywise gap between the dense view of the exact rotation and a
+    floating evaluation of the exponential it interpolates."""
     import math
 
     import numpy as np

@@ -163,13 +163,6 @@ def mat_mul(a, b):
     return out
 
 
-def identity(n, one=None):
-    if one is None:
-        one = Fraction(1)
-    zero = one - one
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def invert(matrix):
     """Exact inverse of a square matrix; ValueError if singular."""
     n = len(matrix)

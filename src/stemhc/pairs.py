@@ -235,6 +235,7 @@ class ComplementData:
     dim_z_p: int             # their partners inside o_p
     dim_j_p: int             # what remains of o_p, always divisible by 4
     dim_p: int
+    report: PairReport       # the criterion this split was sized from
 
     def to_dict(self):
         return {"gamma_p": [str(g) for g in self.gamma_p],
@@ -281,7 +282,7 @@ def complement_data(spec: PairSpec, force=False) -> ComplementData:
     # the two equivalent forms of the deficiency
     assert report.deficiency == dim_h_p - 2 * num_p == dim_o_p - num_p
     return ComplementData(spec, gamma_p, tuple(dp_plus), dim_h_p, dim_o_p,
-                          num_p, num_p, dim_j_p, dim_p)
+                          num_p, num_p, dim_j_p, dim_p, report)
 
 
 def edm1_equalities(spec: PairSpec):

@@ -56,17 +56,16 @@ class TowerScalar:
     (n0 + n1*i + n2*sqrt2 + n3*i*sqrt2) / d in lowest terms with d > 0.
 
     Immutable: the coordinates are read-only properties, and the private
-    integer fields are written only when a scalar is made."""
+    integer fields are written only when a scalar is made, in `__new__`, so
+    no later `__init__` call can rewrite a shared constant like ONE."""
 
     __slots__ = ("_n0", "_n1", "_n2", "_n3", "_d")
 
-    def __init__(self, c0=0, c1=0, c2=0, c3=0):
+    def __new__(cls, c0=0, c1=0, c2=0, c3=0):
         cs = tuple(map(_as_fraction, (c0, c1, c2, c3)))
         # over the least common denominator the fields are already coprime
         d = lcm(*(c.denominator for c in cs))
-        self._n0, self._n1, self._n2, self._n3 = (
-            c.numerator * (d // c.denominator) for c in cs)
-        self._d = d
+        return _raw(*(c.numerator * (d // c.denominator) for c in cs), d)
 
     # read-only rational coordinates
     c0 = property(lambda self: Fraction(self._n0, self._d))

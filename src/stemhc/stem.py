@@ -111,8 +111,8 @@ def compute_stem(rs: RootSystem, subset=None) -> Stem:
         for comp in comps:
             g = rs.highest_root(comp)
             wings = phi_plus_set(rs, g)
-            pos_comp = {r for r in comp if r.positive}
-            assert wings <= pos_comp, "wings must stay inside the component"
+            if not wings <= {r for r in comp if r.positive}:
+                raise ValueError("wings of %s leave its component" % (g,))
             elements.append(g)
             theta[g] = comp
             phi[g] = frozenset(wings)

@@ -9,7 +9,7 @@ from stemhc.hcstruct import (
     HCStructure, PBasis, build_structure, compact_basis, eigenspace,
     root_coupling_matrix, root_rotation, rotation_float_error,
     rotation_product, stem_central_kernel, stem_z_vectors, subalgebra_basis,
-    verify_eigenspace_transport, verify_integrability,
+    verify_eigenspace_transport, verify_equivariance, verify_integrability,
     verify_operator_identities, verify_root_coupling, verify_rotation,
     verify_rotation_spans, verify_wing_restriction,
 )
@@ -33,6 +33,12 @@ ACCEPTED = [
 def build(shape, substem=(), o_k_dim=0, phases=None, force=False):
     spec = make_pair_spec(shape, substem, o_k_dim)
     return build_structure(spec, phases=phases, force=force)
+
+
+def sparse_cols(m):
+    """The sparse columns HCStructure stores, read off a dense matrix."""
+    n = len(m)
+    return [{i: m[i][j] for i in range(n) if m[i][j]} for j in range(n)]
 
 
 # ------------------------------------------------------------ adapted basis
@@ -195,6 +201,8 @@ def test_su3_wing_coupling_literals():
     assert hc.apply_j(pb.cb.E(a2)) == pb.cb.E(-a1, -I)
     assert hc.apply_j(pb.cb.E(-a1)) == pb.cb.E(a2, -I)
     assert hc.apply_j(pb.cb.E(-a2)) == pb.cb.E(a1, I)
+    # the dense view puts the image of a label in its column
+    assert hc.j_matrix[pb.index[("e", -a2)]][pb.index[("e", a1)]] == I
     coup = root_coupling_matrix(hc)
     assert coup == {(a2, a1): I, (a1, a2): -I}
 
@@ -256,13 +264,13 @@ def test_verifiers_catch_a_corrupted_operator():
     r = pb.index[("e", -pb.dp_plus[0])]
     c = pb.index[("e", pb.dp_plus[1])]
     m[r][c] = -m[r][c]
-    bad = HCStructure(pb, good.i_matrix, m, good.tau_matrix)
+    bad = HCStructure(pb, good.i_cols, sparse_cols(m), good.tau_cols)
     assert not verify_operator_identities(bad).ok
     assert not verify_root_coupling(bad)[1].ok
     assert not verify_wing_restriction(bad).ok
     m2 = [row[:] for row in good.j_matrix]
     m2[pb.index[("e", -pb.gamma_p[0])]][pb.index[("e", pb.gamma_p[0])]] = ONE
-    bad2 = HCStructure(pb, good.i_matrix, m2, good.tau_matrix)
+    bad2 = HCStructure(pb, good.i_cols, sparse_cols(m2), good.tau_cols)
     assert not verify_root_coupling(bad2)[1].ok
 
 
@@ -329,8 +337,25 @@ def test_rotation_battery_small_types():
             assert rep.ok, "%s %s: %s" % (text, g, rep.summary())
 
 
+def test_eighth_power_is_the_identity():
+    # ad X_gamma has its eigenvalues in (i/2)Z, so exp(4 pi ad X_gamma) = 1;
+    # in these types some root string along gamma has length two, which
+    # gives the eigenvalue i/2, so no lower power is the identity
+    for text in ("B2", "G2", "A3"):
+        cb = make_basis(parse_shape(text))
+        st = stem_of(parse_shape(text))
+        identity = rotation_product(cb, [])
+        for g in st.elements:
+            rot = root_rotation(cb, g, rho=EIGHTH_ROOT)
+            powers = [rot]
+            for _ in range(7):
+                powers.append(rot.compose(powers[-1]))
+            assert [p == identity for p in powers] == [False] * 7 + [True], \
+                "%s %s" % (text, g)
+
+
 def test_rotation_matches_float_exponential():
-    for text in ("A2", "B2"):
+    for text in ("A2", "B2", "G2", "A3", "D4"):
         cb = make_basis(parse_shape(text))
         st = stem_of(parse_shape(text))
         for g in st.elements:
@@ -415,7 +440,7 @@ def test_failure_counts_every_wrong_entry():
             if lab[0] == "e" and lab[1].positive}
     bad_j = [[-v if j in flip else v for j, v in enumerate(row)]
              for row in hc.j_matrix]
-    broken = HCStructure(pb, hc.i_matrix, bad_j, hc.tau_matrix)
+    broken = HCStructure(pb, hc.i_cols, sparse_cols(bad_j), hc.tau_cols)
     item = next(it for it in verify_operator_identities(broken).items
                 if it.name.startswith("second structure squares"))
     m = np.array([[complex(v) for v in row] for row in bad_j])
@@ -426,3 +451,23 @@ def test_failure_counts_every_wrong_entry():
     assert item.to_dict()["violation_count"] == want
     rep = verify_operator_identities(broken)
     assert "FAIL(%d)" % want in rep.summary()
+    # negating J on two wing roots and their opposites breaks commutation
+    # with ad(k) at more entries than the report samples (3 per element)
+    flip = {pb.index[("e", r)] for a in pb.dp_plus[:2] for r in (a, -a)}
+    bad_j = [[-v if j in flip else v for j, v in enumerate(row)]
+             for row in hc.j_matrix]
+    broken = HCStructure(pb, hc.i_cols, sparse_cols(bad_j), hc.tau_cols)
+    item = next(it for it in verify_equivariance(broken).items
+                if it.name.startswith("second structure commutes"))
+    m = np.array([[complex(v) for v in row] for row in bad_j])
+    want = sample = 0
+    for _, x in subalgebra_basis(pb):
+        ad = np.array([[complex(c) for c in
+                        pb.decompose(pb.cb.bracket(x, v)).coords]
+                       for v in pb.vectors]).T
+        count = int((np.abs(m @ ad - ad @ m) > 1e-9).sum())
+        want += count
+        sample += min(count, 3)
+    assert want > sample
+    assert item.violation_count == want
+    assert len(item.violations) == sample

@@ -65,7 +65,8 @@ def test_invert_random():
         if linalg.rank(mat) < n:
             continue
         inv = linalg.invert(mat)
-        assert linalg.mat_mul(mat, inv) == linalg.identity(n)
+        assert linalg.mat_mul(mat, inv) == \
+            [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
         done += 1
 
 
@@ -77,7 +78,7 @@ def test_invert_singular():
 def test_tower_scalar_matrices():
     mat = [[I, ONE], [ZERO, I]]
     inv = linalg.invert(mat)
-    assert linalg.mat_mul(mat, inv) == linalg.identity(2, one=ONE)
+    assert linalg.mat_mul(mat, inv) == [[ONE, ZERO], [ZERO, ONE]]
     ker = linalg.kernel_basis([[ONE, I]])
     assert len(ker) == 1
     got = linalg.mat_vec([[ONE, I]], ker[0])

@@ -229,6 +229,7 @@ def test_complement_dims_sweep():
             if not rep.verdict:
                 continue
             cd = complement_data(s)
+            assert cd.report == rep
             assert cd.dim_p == rep.dim_diff
             assert cd.dim_h_p == 2 * cd.dim_w_p + cd.dim_j_p
             assert cd.dim_j_p % 4 == 0

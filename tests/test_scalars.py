@@ -112,6 +112,15 @@ def test_immutability():
         ONE.c0 = Fraction(2)
 
 
+def test_second_init_cannot_rewrite_a_constant():
+    try:
+        ONE.__init__(5)
+    except TypeError:
+        pass
+    assert ONE == TowerScalar.of(1)
+    assert str(ONE) == "1"
+
+
 # ------------------------------------------- against an independent model
 
 

@@ -260,3 +260,33 @@ def test_compute_stem_rejects_a_subset_that_is_not_closed():
     assert root_sum(e1, e2) in rs.roots
     with pytest.raises(ValueError):
         compute_stem(rs, {e1, -e1, e2, -e2})
+
+
+
+def test_compute_stem_rejects_wings_outside_the_subset():
+    # {e1, -e1} in B2 is closed, but the wings a1, a2 of e1 = a1 + a2 lie
+    # outside it
+    e1 = Root(0, (1, 1))
+    with pytest.raises(ValueError):
+        compute_stem(RootSystem(parse_shape("B2")), {e1, -e1})
+    # and the check survives `python -O`
+    import os
+    import subprocess
+    import sys
+
+    import stemhc
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stemhc.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    script = ("from stemhc.rootsystems import Root, RootSystem, parse_shape\n"
+              "from stemhc.stem import compute_stem\n"
+              "e1 = Root(0, (1, 1))\n"
+              "try:\n"
+              "    compute_stem(RootSystem(parse_shape('B2')), {e1, -e1})\n"
+              "except ValueError:\n"
+              "    print('ValueError')\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "ValueError"
