@@ -48,12 +48,12 @@ def _phases(text):
 
 
 def _pair_spec(g, substem, ok_dim):
+    """The spec and its criterion report, or a usage error."""
     try:
         spec = make_pair_spec(_shape(g), _indices(substem), ok_dim)
-        check_pair(spec)
+        return spec, check_pair(spec)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    return spec
 
 
 @click.group()
@@ -142,11 +142,10 @@ def audit(type_, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def pair(g_, substem, ok_dim, as_json):
     """The numeric criterion for one candidate pair; exit 0 iff accepted."""
-    spec = _pair_spec(g_, substem, ok_dim)
-    rep = check_pair(spec)
+    spec, rep = _pair_spec(g_, substem, ok_dim)
     record = rep.to_dict()
     if rep.verdict:
-        record["complement"] = complement_data(spec).to_dict()
+        record["complement"] = complement_data(spec, report=rep).to_dict()
     if as_json:
         emit_json(record)
     else:
@@ -180,15 +179,14 @@ def pair(g_, substem, ok_dim, as_json):
 def build(g_, substem, ok_dim, rho, verify_, as_json):
     """Construct the two invariant structures and verify every identity;
     exit 0 iff the pair is accepted and no check fails."""
-    spec = _pair_spec(g_, substem, ok_dim)
-    rep = check_pair(spec)
+    spec, rep = _pair_spec(g_, substem, ok_dim)
     if not rep.verdict:
         click.echo("pair rejected (%s); nothing to build"
                    % ", ".join(rep.reasons), err=True)
         fail(1)
     phases = _phases(rho)
     try:
-        hc = build_structure(spec, phases=phases)
+        hc = build_structure(spec, phases=phases, report=rep)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     report = hc.verify_all(include_cayley=(verify_ == "all"))

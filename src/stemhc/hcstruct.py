@@ -8,12 +8,13 @@ structures I and J over the scalar tower, builds the Cayley-type root
 rotations exp((pi/2) ad X_gamma) on the full algebra, and verifies every
 identity the construction is supposed to satisfy.
 
-Every linear map has one sparse form: I, J, tau and ad(k) on p are lists of
-columns, each a dict from row index to nonzero entry, and a rotation holds
-the image of each basis vector of the full algebra as an AlgebraElement.
-Dense matrices are views built on demand.  All checks are exact; the only
-floating point in the file is the optional cross-check of the rotations
-against scipy's expm.
+Everything on p has one sparse form: a vector is a dict from label index to
+nonzero coordinate, and I, J, tau and ad(k) are lists of such columns.  A
+rotation holds the image of each basis vector of the full algebra as an
+AlgebraElement.  Dense matrices are views built on demand, and dense vectors
+only feed the exact linear algebra (Span, kernel_basis).  All checks are
+exact; the only floating point in the file is the optional cross-check of
+the rotations against scipy's expm.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def stem_z_vectors(cb: ChevalleyBasis, stem):
 
 @dataclass
 class PDecomposition:
-    coords: list          # over the adapted labels, TowerScalar
+    coords: dict          # label index -> nonzero TowerScalar
     k_e: dict             # root-vector part that fell into the subalgebra
     k_h: list             # subalgebra Cartan coefficients (coroots of
                           # the picked stem roots, then the o_k vectors)
@@ -115,13 +116,13 @@ class PBasis:
     block, whose dimension is divisible by 4.
     """
 
-    def __init__(self, spec: PairSpec, phases=None, force=False):
+    def __init__(self, spec: PairSpec, phases=None, force=False, report=None):
         self.spec = spec
         self.cb = make_basis(spec.shape)
         self.stem = stem_of(spec.shape)
         assert self.cb.rs is self.stem.rs
         self.sub = spec.substem()
-        self.data = complement_data(spec, force=force)
+        self.data = complement_data(spec, force=force, report=report)
         self.report = self.data.report
         self.gamma_p = list(self.data.gamma_p)
         self.gamma_k = [g for g in self.stem.elements if g in self.sub.members]
@@ -222,10 +223,9 @@ class PBasis:
     def _round_trip_check(self):
         for j, v in enumerate(self.vectors):
             d = self.decompose(v)
-            assert d.in_p, "basis element %s leaks into k" % (self.labels[j],)
-            want = [ONE if i == j else ZERO for i in range(len(self.labels))]
-            assert d.coords == want, "basis round trip failed at %s" \
-                % (self.labels[j],)
+            if not d.in_p or d.coords != {j: ONE}:
+                raise ValueError("basis round trip failed at %s"
+                                 % (self.labels[j],))
 
     # -- elements --------------------------------------------------------------
 
@@ -254,13 +254,12 @@ class PBasis:
 
     def assemble(self, coords) -> AlgebraElement:
         acc = self.cb.zero()
-        for c, v in zip(coords, self.vectors):
-            if c:
-                acc = acc + v.scale(c)
+        for j, c in coords.items():
+            acc = acc + self.vectors[j].scale(c)
         return acc
 
     def decompose(self, x: AlgebraElement) -> PDecomposition:
-        coords = [ZERO] * len(self.labels)
+        coords = {}
         k_e = {}
         for r, c in x.e.items():
             if r in self.dp_set:
@@ -280,6 +279,7 @@ class PBasis:
                 coords[self.index[("q", t)]] = -(d_t * HALF) - I * c_t
             for s in range(len(self.j_vecs)):
                 coords[self.index[("u", s)]] = -I * cf[nk + 2 * self.num_p + s]
+            coords = {i: c for i, c in coords.items() if c}
         return PDecomposition(coords, k_e, k_h)
 
     def coords_strict(self, x: AlgebraElement):
@@ -307,24 +307,25 @@ def subalgebra_basis(pb: PBasis):
 
 
 def _apply_cols(cols, coords):
-    """The map with these columns applied to a dense coordinate vector."""
-    out = [ZERO] * len(cols)
-    for j, c in enumerate(coords):
-        if c:
-            for i, v in cols[j].items():
-                out[i] = out[i] + v * c
-    return out
+    """The map with these columns applied to sparse coordinates (a dict from
+    label index to nonzero entry); the image comes back in the same form."""
+    out = {}
+    for j, c in coords.items():
+        for i, v in cols[j].items():
+            out[i] = out.get(i, ZERO) + v * c
+    return {i: v for i, v in out.items() if v}
 
 
 def _compose_cols(a, b):
     """The columns of the product a b."""
-    out = []
-    for col in b:
-        acc = {}
-        for k, c in col.items():
-            for i, v in a[k].items():
-                acc[i] = acc.get(i, ZERO) + v * c
-        out.append({i: v for i, v in acc.items() if v})
+    return [_apply_cols(a, col) for col in b]
+
+
+def _dense(coords, n):
+    """Sparse coordinates as a dense length-n list, for Span."""
+    out = [ZERO] * n
+    for i, c in coords.items():
+        out[i] = c
     return out
 
 
@@ -454,8 +455,9 @@ class HCStructure:
         return rep
 
 
-def build_structure(spec: PairSpec, phases=None, force=False) -> HCStructure:
-    pb = PBasis(spec, phases=phases, force=force)
+def build_structure(spec: PairSpec, phases=None, force=False,
+                    report=None) -> HCStructure:
+    pb = PBasis(spec, phases=phases, force=force, report=report)
     return HCStructure(pb, build_I(pb), build_J(pb), conjugation_matrix(pb))
 
 
@@ -492,7 +494,7 @@ def verify_operator_identities(hc: HCStructure) -> CheckReport:
     for j, lab in enumerate(pb.labels):
         img = pb.cb.tau(pb.vectors[j])
         d = pb.decompose(img)
-        if not d.in_p or d.coords != [t[j].get(i, ZERO) for i in range(n)]:
+        if not d.in_p or d.coords != t[j]:
             bad.append("conjugate of %s disagrees with the matrix" % (lab,))
     rep.record("conjugation matrix mirrors the compact conjugation", n, bad)
     for opname, cols in (("first", i_cols), ("second", j_cols)):
@@ -518,15 +520,15 @@ def verify_operator_identities(hc: HCStructure) -> CheckReport:
 
 def _ad_cols(pb: PBasis, x: AlgebraElement):
     """ad(x) restricted to the complement, as sparse columns over the
-    labels, each with its rows in increasing order.  Returns (columns, leak
-    list); leak names labels whose bracket fell outside the complement."""
+    labels.  Returns (columns, leak list); leak names labels whose bracket
+    fell outside the complement."""
     cols = []
     leaks = []
     for lab, v in zip(pb.labels, pb.vectors):
         d = pb.decompose(pb.cb.bracket(x, v))
         if not d.in_p:
             leaks.append(lab)
-        cols.append({i: c for i, c in enumerate(d.coords) if c})
+        cols.append(d.coords)
     return cols, leaks
 
 
@@ -631,13 +633,14 @@ def verify_integrability(hc: HCStructure) -> CheckReport:
             if 2 * len(vecs) != n:
                 bad.append("eigenspace dimension %d of %d" % (len(vecs), n))
             sp = Span(vecs, n)
-            elems = [pb.assemble(v) for v in vecs]
+            elems = [pb.assemble({i: c for i, c in enumerate(v) if c})
+                     for v in vecs]
             checked = 0
             for a in range(len(elems)):
                 for b in range(a, len(elems)):
                     checked += 1
                     out = pb.cb.bracket(elems[a], elems[b])
-                    if not sp.contains(pb.project_coords(out)):
+                    if not sp.contains(_dense(pb.project_coords(out), n)):
                         bad.append("bracket of vectors %d,%d leaves the %s "
                                    "eigenspace" % (a, b, signname))
             rep.record("%s structure: %s eigenspace closes under the "
@@ -649,21 +652,17 @@ def verify_integrability(hc: HCStructure) -> CheckReport:
         images = [pb.assemble(_apply_cols(cols, c)) for c in coords]
         bad = []
         checked = 0
-
-        def proj_bracket(x, y):
-            return pb.project_coords(pb.cb.bracket(x, y))
-
+        br = pb.cb.bracket
+        # by linearity of the projection P and of J, the torsion is
+        # N(x, y) = P([Jx, Jy] - [x, y]) - J P([Jx, y] + [x, Jy])
         for a in range(len(basis)):
             for b in range(a + 1, len(basis)):
                 checked += 1
                 xa, xb = basis[a][1], basis[b][1]
-                torsion = proj_bracket(images[a], images[b])
-                base = proj_bracket(xa, xb)
-                cross_a = _apply_cols(cols, proj_bracket(images[a], xb))
-                cross_b = _apply_cols(cols, proj_bracket(xa, images[b]))
-                val = [torsion[i] - base[i] - cross_a[i] - cross_b[i]
-                       for i in range(n)]
-                if any(val):
+                ja, jb = images[a], images[b]
+                lhs = pb.project_coords(br(ja, jb) - br(xa, xb))
+                cross = pb.project_coords(br(ja, xb) + br(xa, jb))
+                if lhs != _apply_cols(cols, cross):
                     bad.append("torsion of %s, %s is not zero"
                                % (basis[a][0], basis[b][0]))
         rep.record("%s structure: real torsion vanishes on the compact basis"
@@ -1067,8 +1066,8 @@ def verify_eigenspace_transport(hc: HCStructure) -> CheckReport:
             u = [pb.element(("u", s + r)) for r in range(4)]
             central.append(u[0] - u[2].scale(I * sign))
             central.append(u[1] + u[3].scale(I * sign))
-        moved = [pb.coords_strict(prod.apply(x)) for x in source]
-        moved += [pb.coords_strict(x) for x in central]
+        moved = [_dense(pb.coords_strict(prod.apply(x)), n) for x in source]
+        moved += [_dense(pb.coords_strict(x), n) for x in central]
         eig = eigenspace(hc.j_matrix, sign)
         bad = []
         if Span(moved, n) != Span(eig, n):

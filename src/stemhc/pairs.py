@@ -59,9 +59,6 @@ class Substem:
         """Stem roots outside the substem, in stem order."""
         return tuple(g for g in self.stem.elements if g not in self.members)
 
-    def member_roots(self):
-        return tuple(g for g in self.stem.elements if g in self.members)
-
 
 def enumerate_substems(stem: Stem):
     """All up-closed subsets, sorted by size then indices."""
@@ -245,10 +242,12 @@ class ComplementData:
                 "dim_j_p": self.dim_j_p, "dim_p": self.dim_p}
 
 
-def complement_data(spec: PairSpec, force=False) -> ComplementData:
+def complement_data(spec: PairSpec, force=False,
+                    report=None) -> ComplementData:
     """Dimension split of the complement; requires an accepted spec unless
-    force is given (the split must still be realizable)."""
-    report = check_pair(spec)
+    force is given (the split must still be realizable).  `report` is
+    check_pair(spec) when the caller already has it."""
+    report = report or check_pair(spec)
     if not report.verdict and not force:
         raise ValueError("pair fails the criterion (%s); pass force=True "
                          "to size the complement anyway"

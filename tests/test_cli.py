@@ -109,6 +109,26 @@ def test_build_rejections():
     assert run("build", "--g", "A2", "--rho", "i,i").exit_code == 2
 
 
+def test_pair_and_build_check_the_pair_once(monkeypatch):
+    from stemhc import cli, pairs
+
+    calls = []
+    check_pair = pairs.check_pair
+
+    def counted(spec):
+        calls.append(spec)
+        return check_pair(spec)
+
+    monkeypatch.setattr(pairs, "check_pair", counted)
+    monkeypatch.setattr(cli, "check_pair", counted)
+    for argv in (("pair", "--g", "A3", "--substem", "2"),
+                 ("build", "--g", "A2", "--verify", "fast"),
+                 ("build", "--g", "B3", "--substem", "2")):
+        calls.clear()
+        run(*argv)
+        assert len(calls) == 1, argv
+
+
 def test_enumerate_small_bounds():
     res = run("enumerate", "--max-dim", "12", "--json")
     assert res.exit_code == 0

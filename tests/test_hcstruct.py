@@ -6,7 +6,8 @@ import pytest
 
 from stemhc.chevalley import make_basis
 from stemhc.hcstruct import (
-    HCStructure, PBasis, build_structure, compact_basis, eigenspace,
+    HCStructure, PBasis, _apply_cols, build_structure, compact_basis,
+    eigenspace,
     root_coupling_matrix, root_rotation, rotation_float_error,
     rotation_product, stem_central_kernel, stem_z_vectors, subalgebra_basis,
     verify_eigenspace_transport, verify_equivariance, verify_integrability,
@@ -15,7 +16,7 @@ from stemhc.hcstruct import (
 )
 from stemhc.linalg import Span
 from stemhc.pairs import make_pair_spec
-from stemhc.rootsystems import Root, parse_shape
+from stemhc.rootsystems import Root, parse_shape, root_sub
 from stemhc.scalars import EIGHTH_ROOT, HALF, I, ONE, TowerScalar, ZERO
 from stemhc.stem import stem_of
 
@@ -98,7 +99,7 @@ def test_decompose_h_gamma_is_minus_i_p_plus_q():
     assert d.in_p
     assert d.coords[pb.index[("p", 0)]] == -I
     assert d.coords[pb.index[("q", 0)]] == -I
-    assert sum(1 for c in d.coords if c) == 2
+    assert len(d.coords) == 2
 
 
 def test_decompose_z_vector_splits_p_minus_q():
@@ -121,6 +122,64 @@ def test_decompose_reports_subalgebra_part():
         pb.coords_strict(x)
     # the projection just drops the subalgebra part
     assert pb.project_coords(x) == d.coords
+
+
+def test_decompose_stores_no_zero():
+    # the Cartan part is solved for every central slot at once; the slots
+    # that come out zero must not be stored
+    for shape, substem in (("c^4 x A2", ()), ("A3", (2,))):
+        pb = build(shape, substem).pbasis
+        for x in pb.vectors:
+            for y in pb.vectors:
+                d = pb.decompose(pb.cb.bracket(x, y))
+                assert all(d.coords.values())
+
+
+def test_round_trip_check_holds_under_optimize(monkeypatch):
+    """A decompose that scales one coordinate by 2 stops the basis from
+    being built, also under `python -O`, which strips asserts."""
+    import os
+    import subprocess
+    import sys
+
+    import stemhc
+
+    want = "basis round trip failed at %s" % (build("A2").pbasis.labels[0],)
+    decompose = PBasis.decompose
+
+    def doubled(self, x):
+        d = decompose(self, x)
+        j = min(d.coords, default=None)
+        if j is not None:
+            d.coords[j] = d.coords[j] * 2
+        return d
+
+    monkeypatch.setattr(PBasis, "decompose", doubled)
+    with pytest.raises(ValueError) as exc:
+        PBasis(make_pair_spec("A2"))
+    assert str(exc.value) == want
+    monkeypatch.undo()
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stemhc.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    script = ("from stemhc.hcstruct import PBasis\n"
+              "from stemhc.pairs import make_pair_spec\n"
+              "decompose = PBasis.decompose\n"
+              "def doubled(self, x):\n"
+              "    d = decompose(self, x)\n"
+              "    j = min(d.coords, default=None)\n"
+              "    if j is not None:\n"
+              "        d.coords[j] = d.coords[j] * 2\n"
+              "    return d\n"
+              "PBasis.decompose = doubled\n"
+              "try:\n"
+              "    PBasis(make_pair_spec('A2'))\n"
+              "except ValueError as exc:\n"
+              "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == want
 
 
 def test_w_and_z_elements():
@@ -274,6 +333,29 @@ def test_verifiers_catch_a_corrupted_operator():
     assert not verify_root_coupling(bad2)[1].ok
 
 
+def test_mirror_check_catches_a_sign_on_the_conjugation():
+    # negating both columns of one 2-cycle keeps tau an involution, but it
+    # no longer matches the compact conjugation at those two labels
+    hc = build("A2")
+    pb = hc.pbasis
+    a = pb.index[("e", pb.dp_plus[0])]
+    (b,) = hc.tau_cols[a]
+    t = [{i: -v for i, v in col.items()} if j in (a, b) else col
+         for j, col in enumerate(hc.tau_cols)]
+    broken = HCStructure(pb, hc.i_cols, hc.j_cols, t)
+    items = {it.name: it for it in verify_operator_identities(broken).items}
+    assert items["conjugation matrix is an involution"].ok
+    assert items["conjugation matrix mirrors the compact conjugation"] \
+        .violations == ["conjugate of %s disagrees with the matrix"
+                        % (pb.labels[j],) for j in sorted((a, b))]
+
+
+def test_sparse_apply_drops_cancelled_entries():
+    cols = [{0: ONE, 1: ONE}, {0: -ONE, 1: ONE}]
+    assert _apply_cols(cols, {0: ONE, 1: ONE}) == {1: TowerScalar.of(2)}
+    assert _apply_cols(cols, {}) == {}
+
+
 def test_eigenspaces_split_the_complement():
     hc = build("A3", (2,), phases=EIGHTH_ROOT)
     n = len(hc.pbasis.labels)
@@ -287,7 +369,8 @@ def test_eigenspaces_split_the_complement():
 def test_compact_basis_spans_everything():
     pb = build("A2 x A2").pbasis
     n = len(pb.labels)
-    vecs = [pb.coords_strict(x) for _, x in compact_basis(pb)]
+    vecs = [[c.get(i, ZERO) for i in range(n)]
+            for c in (pb.coords_strict(x) for _, x in compact_basis(pb))]
     assert len(vecs) == n
     assert Span(vecs, n).dim == n
 
@@ -428,6 +511,42 @@ def test_integrability_report_items():
     assert sum("eigenspace" in n for n in names) >= 4
 
 
+@pytest.mark.parametrize("shape,substem,pairs,k", [
+    ("A2", (), 28, 1), ("A3", (2,), 66, 3), ("A4", (2,), 120, 5)])
+def test_integrability_fails_on_a_negated_two_cycle(shape, substem, pairs, k):
+    """J with the 2-cycle through the first positive root negated still
+    squares to -1, but its torsion and eigenspace brackets fail."""
+    hc = build(shape, substem)
+    pb = hc.pbasis
+    a = pb.index[("e", pb.dp_plus[0])]
+    (b,) = hc.j_cols[a]
+    cols = [{i: -v for i, v in col.items()} if j in (a, b) else col
+            for j, col in enumerate(hc.j_cols)]
+    broken = HCStructure(pb, hc.i_cols, cols, hc.tau_cols)
+    assert next(it for it in verify_operator_identities(broken).items
+                if it.name.startswith("second structure squares")).ok
+    items = verify_integrability(broken).items
+    assert [it.ok for it in items] == [True, True, False, False, True, False]
+    for it, sign in ((items[2], "+i"), (items[3], "-i")):
+        assert it.violation_count == 3
+        assert it.violations == [
+            "bracket of vectors %d,%d leaves the %s eigenspace" % (u, v, sign)
+            for u, v in ((0, k), (k, k + 1), (k, k + 2))]
+    # the failing pairs, as the four-projection loop listed them
+    r, g = pb.dp_plus[0], pb.gamma_p[0]
+    xa, ya = "x_%s" % (r,), "y_%s" % (r,)
+    xb, yb = "x_%s" % (root_sub(g, r),), "y_%s" % (root_sub(g, r),)
+    xg, w = "x_%s" % (g,), "w_0"
+    torsion = items[5]
+    assert torsion.checked == pairs
+    assert torsion.violation_count == 12
+    assert torsion.violations == [
+        "torsion of %s, %s is not zero" % pair
+        for pair in ((xa, ya), (xa, yb), (xa, xg), (xa, w), (ya, xb),
+                     (ya, xg), (ya, w), (xb, yb), (xb, xg), (xb, w),
+                     (yb, xg), (yb, w))]
+
+
 def test_failure_counts_every_wrong_entry():
     """The report counts all wrong entries, not just the ones it prints."""
     np = pytest.importorskip("numpy")
@@ -462,9 +581,10 @@ def test_failure_counts_every_wrong_entry():
     m = np.array([[complex(v) for v in row] for row in bad_j])
     want = sample = 0
     for _, x in subalgebra_basis(pb):
-        ad = np.array([[complex(c) for c in
-                        pb.decompose(pb.cb.bracket(x, v)).coords]
-                       for v in pb.vectors]).T
+        ad = np.zeros((n, n), dtype=complex)
+        for j, v in enumerate(pb.vectors):
+            for i, c in pb.decompose(pb.cb.bracket(x, v)).coords.items():
+                ad[i, j] = complex(c)
         count = int((np.abs(m @ ad - ad @ m) > 1e-9).sum())
         want += count
         sample += min(count, 3)
