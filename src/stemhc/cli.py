@@ -145,7 +145,7 @@ def pair(g_, substem, ok_dim, as_json):
     spec, rep = _pair_spec(g_, substem, ok_dim)
     record = rep.to_dict()
     if rep.verdict:
-        record["complement"] = complement_data(spec, report=rep).to_dict()
+        record["complement"] = complement_data(spec).to_dict()
     if as_json:
         emit_json(record)
     else:
@@ -186,7 +186,7 @@ def build(g_, substem, ok_dim, rho, verify_, as_json):
         fail(1)
     phases = _phases(rho)
     try:
-        hc = build_structure(spec, phases=phases, report=rep)
+        hc = build_structure(spec, phases=phases)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     report = hc.verify_all(include_cayley=(verify_ == "all"))

@@ -116,13 +116,13 @@ class PBasis:
     block, whose dimension is divisible by 4.
     """
 
-    def __init__(self, spec: PairSpec, phases=None, force=False, report=None):
+    def __init__(self, spec: PairSpec, phases=None, force=False):
         self.spec = spec
         self.cb = make_basis(spec.shape)
         self.stem = stem_of(spec.shape)
         assert self.cb.rs is self.stem.rs
         self.sub = spec.substem()
-        self.data = complement_data(spec, force=force, report=report)
+        self.data = complement_data(spec, force=force)
         self.report = self.data.report
         self.gamma_p = list(self.data.gamma_p)
         self.gamma_k = [g for g in self.stem.elements if g in self.sub.members]
@@ -223,7 +223,10 @@ class PBasis:
     def _round_trip_check(self):
         for j, v in enumerate(self.vectors):
             d = self.decompose(v)
-            if not d.in_p or d.coords != {j: ONE}:
+            if not d.in_p:
+                raise ValueError("basis element %s leaks into k"
+                                 % (self.labels[j],))
+            if d.coords != {j: ONE}:
                 raise ValueError("basis round trip failed at %s"
                                  % (self.labels[j],))
 
@@ -455,9 +458,8 @@ class HCStructure:
         return rep
 
 
-def build_structure(spec: PairSpec, phases=None, force=False,
-                    report=None) -> HCStructure:
-    pb = PBasis(spec, phases=phases, force=force, report=report)
+def build_structure(spec: PairSpec, phases=None, force=False) -> HCStructure:
+    pb = PBasis(spec, phases=phases, force=force)
     return HCStructure(pb, build_I(pb), build_J(pb), conjugation_matrix(pb))
 
 
@@ -494,7 +496,8 @@ def verify_operator_identities(hc: HCStructure) -> CheckReport:
     for j, lab in enumerate(pb.labels):
         img = pb.cb.tau(pb.vectors[j])
         d = pb.decompose(img)
-        if not d.in_p or d.coords != t[j]:
+        if not d.in_p or any(d.coords.get(i, ZERO) != t[j].get(i, ZERO)
+                             for i in d.coords.keys() | t[j].keys()):
             bad.append("conjugate of %s disagrees with the matrix" % (lab,))
     rep.record("conjugation matrix mirrors the compact conjugation", n, bad)
     for opname, cols in (("first", i_cols), ("second", j_cols)):

@@ -242,12 +242,10 @@ class ComplementData:
                 "dim_j_p": self.dim_j_p, "dim_p": self.dim_p}
 
 
-def complement_data(spec: PairSpec, force=False,
-                    report=None) -> ComplementData:
+def complement_data(spec: PairSpec, force=False) -> ComplementData:
     """Dimension split of the complement; requires an accepted spec unless
-    force is given (the split must still be realizable).  `report` is
-    check_pair(spec) when the caller already has it."""
-    report = report or check_pair(spec)
+    force is given (the split must still be realizable)."""
+    report = check_pair(spec)
     if not report.verdict and not force:
         raise ValueError("pair fails the criterion (%s); pass force=True "
                          "to size the complement anyway"

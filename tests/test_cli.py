@@ -110,16 +110,17 @@ def test_build_rejections():
 
 
 def test_pair_and_build_check_the_pair_once(monkeypatch):
-    from stemhc import cli, pairs
+    # the command validates the pair and reuses that report; the library
+    # calls behind it (complement_data, build_structure) check on their own
+    from stemhc import cli
 
     calls = []
-    check_pair = pairs.check_pair
+    check_pair = cli.check_pair
 
     def counted(spec):
         calls.append(spec)
         return check_pair(spec)
 
-    monkeypatch.setattr(pairs, "check_pair", counted)
     monkeypatch.setattr(cli, "check_pair", counted)
     for argv in (("pair", "--g", "A3", "--substem", "2"),
                  ("build", "--g", "A2", "--verify", "fast"),

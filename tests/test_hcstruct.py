@@ -182,6 +182,21 @@ def test_round_trip_check_holds_under_optimize(monkeypatch):
     assert out.stdout.strip() == want
 
 
+def test_round_trip_check_names_a_leak_into_k(monkeypatch):
+    want = "basis element %s leaks into k" % (build("A2").pbasis.labels[0],)
+    decompose = PBasis.decompose
+
+    def leaky(self, x):
+        d = decompose(self, x)
+        d.k_e = {"leak": ONE}
+        return d
+
+    monkeypatch.setattr(PBasis, "decompose", leaky)
+    with pytest.raises(ValueError) as exc:
+        PBasis(make_pair_spec("A2"))
+    assert str(exc.value) == want
+
+
 def test_w_and_z_elements():
     pb = build("A4", (2,)).pbasis
     for t in range(pb.num_p):
@@ -348,6 +363,17 @@ def test_mirror_check_catches_a_sign_on_the_conjugation():
     assert items["conjugation matrix mirrors the compact conjugation"] \
         .violations == ["conjugate of %s disagrees with the matrix"
                         % (pb.labels[j],) for j in sorted((a, b))]
+
+
+def test_operator_checks_accept_explicit_zeros_in_caller_columns():
+    # HCStructure takes any sparse columns; a stored zero is still zero
+    hc = build("A2")
+    n = len(hc.pbasis.labels)
+    pad = [dict(col) for col in hc.tau_cols]
+    for j, col in enumerate(pad):
+        col.setdefault((j + 1) % n, ZERO)
+    padded = HCStructure(hc.pbasis, hc.i_cols, hc.j_cols, pad)
+    assert verify_operator_identities(padded).ok
 
 
 def test_sparse_apply_drops_cancelled_entries():
