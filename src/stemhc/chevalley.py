@@ -5,6 +5,11 @@ Structure-constant signs are fixed the classical way: walk the positive roots
 by height; for each non-simple positive root the minimal-first decomposition
 gets N = p+1 > 0, every other decomposition is forced by the Jacobi identity,
 and each value is propagated to the full 12-pair orbit of its root triple.
+
+One integer scan per component builds the table `root_products`, a -> {b: a+b}
+over the pairs whose sum is a root and b = -a -> None, and checks that each
+such pair has a constant.  The bracket reads this table, and `combine` forms
+every linear combination; both drop zero coefficients once, at the end.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .rootsystems import (
     ReductiveShape, Root, RootSystem, build_cached, root_sub, root_sum,
@@ -37,13 +43,10 @@ class AlgebraElement:
             raise ValueError("elements come from different bases")
         e = dict(self.e)
         for r, c in other.e.items():
-            s = e.get(r, ZERO) + c
-            if s:
-                e[r] = s
-            else:
-                e.pop(r, None)
+            e[r] = e.get(r, ZERO) + c
         return AlgebraElement(self.cb,
-                              tuple(a + b for a, b in zip(self.h, other.h)), e)
+                              tuple(a + b for a, b in zip(self.h, other.h)),
+                              {r: c for r, c in e.items() if c})
 
     def __sub__(self, other):
         return self + (-other)
@@ -96,7 +99,7 @@ class ChevalleyBasis:
         self.n_const = {}
         for ci in range(len(shape.simples)):
             self._build_constants(ci)
-        self._check_constants_complete()
+        self.root_products = self._root_products()
         self.hroot = {}
         for r in rs.roots:
             self.hroot[r] = self._coroot_coords(r)
@@ -115,14 +118,6 @@ class ChevalleyBasis:
         order = {r: i for i, r in enumerate(pos)}
         posset = set(pos)
         N = self.n_const
-
-        def down_steps(b, a):
-            p = 0
-            v = root_sub(b, a)
-            while v in rs.root_set:
-                p += 1
-                v = root_sub(v, a)
-            return p
 
         def set_triple(a, b, n):
             """Record N for every ordered pair built from {+-a, +-b, -+(a+b)}."""
@@ -147,7 +142,7 @@ class ChevalleyBasis:
             specials.sort(key=lambda ab: order[ab[0]])
             assert specials, "non-simple root with no decomposition"
             a0, b0 = specials[0]
-            set_triple(a0, b0, down_steps(b0, a0) + 1)
+            set_triple(a0, b0, 1 - rs.root_string(b0, a0)[0])
             for x, y in specials[1:]:
                 t = 0
                 xm = root_sub(x, a0)
@@ -160,13 +155,27 @@ class ChevalleyBasis:
                 assert t % denom == 0
                 set_triple(x, y, -t // denom)
 
-    def _check_constants_complete(self):
-        rs = self.rs
-        for a in rs.roots:
-            for b in rs.roots:
-                s = root_sum(a, b)
-                if s is not None and s in rs.root_set:
-                    assert (a, b) in self.n_const, (a, b)
+    def _root_products(self):
+        """a -> {b: a+b} (a root of rs.roots) over the pairs of one component
+        whose sum is a root, and b = -a -> None.  Raises ValueError when such
+        a pair has no structure constant."""
+        by_comp = {}
+        for r in self.rs.roots:
+            by_comp.setdefault(r.comp, {})[r.coords] = r
+        table = {}
+        for roots in by_comp.values():
+            for a in roots.values():
+                row = table[a] = {}
+                for b in roots.values():
+                    s = tuple(map(add, a.coords, b.coords))
+                    if s in roots:
+                        if (a, b) not in self.n_const:
+                            raise ValueError("no structure constant for "
+                                             "(%s, %s)" % (a, b))
+                        row[b] = roots[s]
+                    elif not any(s):
+                        row[b] = None
+        return table
 
     def _coroot_coords(self, r: Root):
         """H_r = sum m_i (d_i / d_r) H_i as an integer global h-vector."""
@@ -240,46 +249,48 @@ class ChevalleyBasis:
     def bracket(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         if x.cb is not self or y.cb is not self:
             raise ValueError("elements come from different bases")
-        rs = self.rs
         h = [ZERO] * self.total_rank
         e = {}
         for a, ca in x.e.items():
+            row = self.root_products[a]
             for b, cb2 in y.e.items():
-                if a.comp != b.comp:
+                if b not in row:
                     continue
-                s = root_sum(a, b)
-                if s in rs.root_set:
-                    v = ca * cb2 * self.n_const[(a, b)]
-                    if v:
-                        w = e.get(s, ZERO) + v
-                        if w:
-                            e[s] = w
-                        else:
-                            e.pop(s, None)
-                elif not any(s.coords):
+                s = row[b]
+                if s is None:             # b = -a: [E_a, E_-a] = H_a
                     coef = ca * cb2
                     for j, m in enumerate(self.hroot[a]):
                         if m:
                             h[j] = h[j] + coef * m
+                else:
+                    e[s] = e.get(s, ZERO) + ca * cb2 * self.n_const[(a, b)]
         if any(x.h):
             for b, cb2 in y.e.items():
                 w = self.eval_root(b, x.h)
                 if w:
-                    v = e.get(b, ZERO) + w * cb2
-                    if v:
-                        e[b] = v
-                    else:
-                        e.pop(b, None)
+                    e[b] = e.get(b, ZERO) + w * cb2
         if any(y.h):
             for a, ca in x.e.items():
                 w = self.eval_root(a, y.h)
                 if w:
-                    v = e.get(a, ZERO) - w * ca
-                    if v:
-                        e[a] = v
-                    else:
-                        e.pop(a, None)
-        return AlgebraElement(self, tuple(h), e)
+                    e[a] = e.get(a, ZERO) - w * ca
+        return AlgebraElement(self, tuple(h),
+                              {r: c for r, c in e.items() if c})
+
+    def combine(self, terms) -> AlgebraElement:
+        """The sum of c * x over the (c, x) pairs in terms."""
+        h = [ZERO] * self.total_rank
+        e = {}
+        for c, x in terms:
+            if x.cb is not self:
+                raise ValueError("element from another basis")
+            for r, v in x.e.items():
+                e[r] = e.get(r, ZERO) + c * v
+            for j, v in enumerate(x.h):
+                if v:
+                    h[j] = h[j] + c * v
+        return AlgebraElement(self, tuple(h),
+                              {r: v for r, v in e.items() if v})
 
     def tau(self, x: AlgebraElement) -> AlgebraElement:
         """The compact conjugation: E_a -> -E_{-a}, antilinear, -conj on h."""

@@ -170,8 +170,7 @@ class PBasis:
         span_o = _kernel_inside(hk_semi, stem_rows)
         assert len(span_o) == (self.report.rank_k_semisimple
                                - len(self.gamma_k))
-        central = kernel_basis(stem_rows, R) if stem_rows else \
-            kernel_basis([], R)
+        central = kernel_basis(stem_rows, R)
         extras = _kernel_inside(central, [mat_vec(K, w) for w in span_o])
         assert len(extras) >= self.spec.o_k_dim
         self.o_k = [list(v) for v in span_o] + \
@@ -182,8 +181,7 @@ class PBasis:
         # the complement's Cartan slice: orthogonal to the subalgebra slice
         # under the invariant form
         constraints = [mat_vec(K, v) for v in h_k]
-        h_p = kernel_basis(constraints, R) if constraints else \
-            kernel_basis([], R)
+        h_p = kernel_basis(constraints, R)
         assert len(h_p) == self.data.dim_h_p
         o_p = _kernel_inside(h_p, [root_functional(cb, g)
                                    for g in self.gamma_p])
@@ -256,10 +254,7 @@ class PBasis:
         return self.cb.H_vec(self.z_vecs[t]).scale(I)
 
     def assemble(self, coords) -> AlgebraElement:
-        acc = self.cb.zero()
-        for j, c in coords.items():
-            acc = acc + self.vectors[j].scale(c)
-        return acc
+        return self.cb.combine((c, self.vectors[j]) for j, c in coords.items())
 
     def decompose(self, x: AlgebraElement) -> PDecomposition:
         coords = {}
@@ -629,21 +624,23 @@ def verify_integrability(hc: HCStructure) -> CheckReport:
     if n == 0:
         return _empty_report("integrability")
     rep = CheckReport()
-    for opname, m in (("first", hc.i_matrix), ("second", hc.j_matrix)):
+    for opname, cols in (("first", hc.i_cols), ("second", hc.j_cols)):
         for sign, signname in ((1, "+i"), (-1, "-i")):
-            vecs = eigenspace(m, sign)
+            lam = I if sign > 0 else -I
+            vecs = eigenspace(_dense_view(cols), sign)
             bad = []
             if 2 * len(vecs) != n:
                 bad.append("eigenspace dimension %d of %d" % (len(vecs), n))
-            sp = Span(vecs, n)
             elems = [pb.assemble({i: c for i, c in enumerate(v) if c})
                      for v in vecs]
             checked = 0
             for a in range(len(elems)):
                 for b in range(a, len(elems)):
                     checked += 1
-                    out = pb.cb.bracket(elems[a], elems[b])
-                    if not sp.contains(_dense(pb.project_coords(out), n)):
+                    # the span of the kernel basis is all of ker(op - lam)
+                    w = pb.project_coords(pb.cb.bracket(elems[a], elems[b]))
+                    if _apply_cols(cols, w) != {i: lam * c
+                                                for i, c in w.items()}:
                         bad.append("bracket of vectors %d,%d leaves the %s "
                                    "eigenspace" % (a, b, signname))
             rep.record("%s structure: %s eigenspace closes under the "
@@ -698,21 +695,15 @@ def verify_root_coupling(hc: HCStructure):
     for a in pb.dp_plus:
         for b in pb.dp_plus:
             checked += 1
-            s = None
-            if a.comp == b.comp:
-                cand = Root(a.comp, tuple(x + y for x, y
-                                          in zip(a.coords, b.coords)))
-                if cand in gamma_set:
-                    s = cand
+            g = pb.cb.root_products[a].get(b)
             v = coup.get((a, b))
-            if s is None:
+            if g not in gamma_set:
                 if v is not None:
                     bad.append("unexpected coupling at (%s, %s)" % (a, b))
                 continue
             if v is None:
                 bad.append("missing coupling at (%s, %s)" % (a, b))
                 continue
-            g = s
             rho = pb.phases[g]
             want = I * rho.conj() * pb.cb.n_const[(g, -b)]
             if v != want:
@@ -801,10 +792,7 @@ class RootRotation:
 
     def apply_coords(self, terms) -> AlgebraElement:
         """The image of the sum of c * (basis vector k) over (k, c) pairs."""
-        acc = self.cb.zero()
-        for k, c in terms:
-            acc = acc + self.images[k].scale(c)
-        return acc
+        return self.cb.combine((c, self.images[k]) for k, c in terms)
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         index = self.cb.key_index
@@ -832,16 +820,15 @@ def root_rotation(cb: ChevalleyBasis, gamma: Root, rho=ONE) -> RootRotation:
     x = cb.X(gamma, rho)
     images = []
     for key in cb.basis_keys:
-        v = cb.basis_element(key)
-        acc = v.scale(poly[0])
-        w = v
+        w = cb.basis_element(key)
+        terms = [(poly[0], w)]
         for c in poly[1:]:
             w = cb.bracket(x, w)
             if w.is_zero():
                 break
             if c:
-                acc = acc + w.scale(c)
-        images.append(acc)
+                terms.append((c, w))
+        images.append(cb.combine(terms))
     return RootRotation(cb, images)
 
 
@@ -980,14 +967,12 @@ def verify_rotation(cb: ChevalleyBasis, stem, gamma: Root,
     return rep
 
 
-def verify_rotation_spans(cb: ChevalleyBasis, stem, phases=None,
-                          z_vecs=None) -> CheckReport:
+def verify_rotation_spans(cb: ChevalleyBasis, stem,
+                          phases=None) -> CheckReport:
     """Image spans of the full product rotation: each wing block goes to
     its mixed twin, and each plane {P, E_gamma} goes to the twisted plane."""
     phases = _phase_map(stem.elements, phases)
-    if z_vecs is None:
-        zs = stem_z_vectors(cb, stem)
-        z_vecs = {g: zs[t] for t, g in enumerate(stem.elements)}
+    z_vecs = stem_z_vectors(cb, stem)
     prod = rotation_product(cb, stem.elements, phases)
     n = len(cb.basis_keys)
     rep = CheckReport()
@@ -1009,13 +994,11 @@ def verify_rotation_spans(cb: ChevalleyBasis, stem, phases=None,
                len(stem.elements), bad)
 
     bad = []
-    for g in stem.elements:
-        if g not in z_vecs:
-            continue
+    for g, z_vec in zip(stem.elements, z_vecs):
         rho = phases[g]
         rb = rho.conj()
         w = cb.W(g)
-        z = cb.H_vec(z_vecs[g]).scale(I)
+        z = cb.H_vec(z_vec).scale(I)
         p = w - z.scale(I)
         q = w + z.scale(I)
         plane = [g_coords(cb, prod.apply(p)),
@@ -1025,7 +1008,7 @@ def verify_rotation_spans(cb: ChevalleyBasis, stem, phases=None,
         if Span(plane, n) != Span(want, n):
             bad.append("twisted plane of %s" % (g,))
     rep.record("product rotation twists each stem plane as claimed",
-               max(len(z_vecs), 1), bad)
+               max(len(stem.elements), 1), bad)
     return rep
 
 

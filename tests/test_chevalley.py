@@ -4,8 +4,10 @@ from itertools import combinations
 
 import pytest
 
-from stemhc.chevalley import make_basis
-from stemhc.rootsystems import Root, SimpleType, parse_shape, root_sub, shape
+from stemhc.chevalley import AlgebraElement, ChevalleyBasis, make_basis
+from stemhc.rootsystems import (
+    Root, RootSystem, SimpleType, parse_shape, root_sub, root_sum, shape,
+)
 from stemhc.scalars import TowerScalar, ZERO, ONE, I, EIGHTH_ROOT
 from stemhc.stem import compute_stem
 
@@ -46,6 +48,142 @@ def test_constant_antisymmetries(t):
     for (a, b), n in cb.n_const.items():
         assert cb.n_const[(b, a)] == -n
         assert cb.n_const[(-a, -b)] == -n
+
+
+def test_missing_constant_raises(monkeypatch):
+    """A basis whose constants miss one pair with a root sum is refused,
+    also under `python -O`, which strips asserts."""
+    import os
+    import subprocess
+    import sys
+
+    import stemhc
+
+    rs = RootSystem(parse_shape("A2"))
+    pair = next(iter(ChevalleyBasis(rs).n_const))
+    want = "no structure constant for (%s, %s)" % pair
+    build = ChevalleyBasis._build_constants
+
+    def dropping(self, ci):
+        build(self, ci)
+        del self.n_const[next(iter(self.n_const))]
+
+    monkeypatch.setattr(ChevalleyBasis, "_build_constants", dropping)
+    with pytest.raises(ValueError) as exc:
+        ChevalleyBasis(rs)
+    assert str(exc.value) == want
+    monkeypatch.undo()
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stemhc.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    script = ("from stemhc.chevalley import ChevalleyBasis\n"
+              "from stemhc.rootsystems import RootSystem, parse_shape\n"
+              "build = ChevalleyBasis._build_constants\n"
+              "def dropping(self, ci):\n"
+              "    build(self, ci)\n"
+              "    del self.n_const[next(iter(self.n_const))]\n"
+              "ChevalleyBasis._build_constants = dropping\n"
+              "try:\n"
+              "    ChevalleyBasis(RootSystem(parse_shape('A2')))\n"
+              "except ValueError as exc:\n"
+              "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == want
+
+
+def reference_bracket(cb, x, y):
+    """The bracket term by term from coordinate sums of roots and n_const,
+    without the root-product table."""
+    rs = cb.rs
+    h = [ZERO] * cb.total_rank
+    e = {}
+    for a, ca in x.e.items():
+        for b, cb2 in y.e.items():
+            s = root_sum(a, b)
+            if s is None:
+                continue
+            if s in rs.root_set:
+                e[s] = e.get(s, ZERO) + ca * cb2 * cb.n_const[(a, b)]
+            elif not any(s.coords):
+                h = [v + ca * cb2 * m for v, m in zip(h, cb.hroot[a])]
+    for b, cb2 in y.e.items():
+        e[b] = e.get(b, ZERO) + cb.eval_root(b, x.h) * cb2
+    for a, ca in x.e.items():
+        e[a] = e.get(a, ZERO) - cb.eval_root(a, y.h) * ca
+    return AlgebraElement(cb, tuple(h), {r: c for r, c in e.items() if c})
+
+
+def random_element(cb, rng, n_roots):
+    """A sparse element: a few root vectors (a root and its negative are
+    likely together) and a Cartan part with some zero coordinates."""
+    def scalar():
+        return TowerScalar(rng.randint(-3, 3), rng.randint(-3, 3),
+                           rng.randint(-2, 2), rng.randint(-2, 2))
+
+    x = cb.H_vec([scalar() if rng.random() < 0.5 else ZERO
+                  for _ in range(cb.total_rank)])
+    for _ in range(n_roots):
+        r = rng.choice(cb.rs.roots)
+        x = x + cb.E(r, scalar()) + cb.E(-r, scalar())
+    return x
+
+
+@pytest.mark.parametrize("text", [str(t) for t in RANK_LE_4]
+                         + ["c^4 x A2", "A2 x B2"])
+def test_bracket_matches_reference(text):
+    cb = make_basis(parse_shape(text))
+    rng = random.Random(8)
+    for _ in range(40):
+        x = random_element(cb, rng, rng.randint(0, 4))
+        y = random_element(cb, rng, rng.randint(0, 4))
+        got = cb.bracket(x, y)
+        assert got == reference_bracket(cb, x, y)
+        assert all(got.e.values())
+    # cancelling terms leave no zero coefficient behind
+    a = cb.rs.positives[0]
+    h = cb.H_of_root(a)
+    got = cb.bracket(h, cb.E(a) + cb.E(-a))
+    assert got == reference_bracket(cb, h, cb.E(a) + cb.E(-a))
+    assert all(got.e.values())
+
+
+def test_root_products_table():
+    cb = cb_of(SimpleType("B", 3))
+    rs = cb.rs
+    stored = {r: r for r in rs.roots}
+    for a in rs.roots:
+        row = cb.root_products[a]
+        for b in rs.roots:
+            s = root_sum(a, b)
+            if s in rs.root_set:
+                assert row[b] is stored[s]
+            elif b == -a:
+                assert b in row and row[b] is None
+            else:
+                assert b not in row
+
+
+def test_combine_matches_the_chain():
+    cb = make_basis(parse_shape("c^4 x A2"))
+    rng = random.Random(5)
+    for _ in range(30):
+        elems = [random_element(cb, rng, 2) for _ in range(3)]
+        coefs = [TowerScalar(rng.randint(-2, 2), rng.randint(-2, 2))
+                 for _ in elems]
+        # a term and its negative, so some coordinates cancel
+        terms = list(zip(coefs, elems))
+        terms += [(coefs[0], -elems[0]), (2, elems[1])]
+        chain = cb.zero()
+        for c, x in terms:
+            chain = chain + x.scale(c)
+        got = cb.combine(terms)
+        assert got == chain
+        assert all(got.e.values())
+    assert cb.combine([]) == cb.zero()
+    with pytest.raises(ValueError):
+        cb.combine([(ONE, cb_of(SimpleType("A", 2)).zero())])
 
 
 @pytest.mark.parametrize("t", RANK_LE_4, ids=str)
