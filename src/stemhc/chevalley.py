@@ -10,6 +10,9 @@ One integer scan per component builds the table `root_products`, a -> {b: a+b}
 over the pairs whose sum is a root and b = -a -> None, and checks that each
 such pair has a constant.  The bracket reads this table, and `combine` forms
 every linear combination; both drop zero coefficients once, at the end.
+
+An element stores its Cartan part and its root part sparsely, as dicts of
+nonzero coefficients, so operations touch only the slots an element uses.
 """
 
 from __future__ import annotations
@@ -28,38 +31,42 @@ from .reporting import CheckReport
 
 @dataclass
 class AlgebraElement:
-    """h is a coordinate vector over (simple coroots per component, center);
-    e maps roots to coefficients.  Everything is a TowerScalar."""
+    """cartan maps Cartan slots (simple coroots per component, then the
+    center) and e maps roots to their nonzero coefficients, all TowerScalars;
+    h is the Cartan part as a dense tuple view."""
 
     cb: "ChevalleyBasis"
-    h: tuple
+    cartan: dict
     e: dict
 
+    @property
+    def h(self) -> tuple:
+        return tuple(self.cartan.get(j, ZERO)
+                     for j in range(self.cb.total_rank))
+
     def is_zero(self):
-        return not any(self.h) and not self.e
+        return not self.cartan and not self.e
 
     def __add__(self, other):
         if not isinstance(other, AlgebraElement) or other.cb is not self.cb:
             raise ValueError("elements come from different bases")
-        e = dict(self.e)
-        for r, c in other.e.items():
-            e[r] = e.get(r, ZERO) + c
-        return AlgebraElement(self.cb,
-                              tuple(a + b for a, b in zip(self.h, other.h)),
-                              {r: c for r, c in e.items() if c})
+        return AlgebraElement(self.cb, _added(self.cartan, other.cartan),
+                              _added(self.e, other.e))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return AlgebraElement(self.cb, tuple(-a for a in self.h),
+        return AlgebraElement(self.cb,
+                              {j: -c for j, c in self.cartan.items()},
                               {r: -c for r, c in self.e.items()})
 
     def scale(self, s) -> "AlgebraElement":
         s = TowerScalar.of(s)
         if not s:
             return self.cb.zero()
-        return AlgebraElement(self.cb, tuple(s * a for a in self.h),
+        return AlgebraElement(self.cb,
+                              {j: s * c for j, c in self.cartan.items()},
                               {r: s * c for r, c in self.e.items()})
 
     def __rmul__(self, s):
@@ -68,7 +75,7 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return (self.cb is other.cb and self.h == other.h
+        return (self.cb is other.cb and self.cartan == other.cartan
                 and self.e == other.e)
 
     def coeff(self, root) -> TowerScalar:
@@ -78,10 +85,17 @@ class AlgebraElement:
         parts = []
         for r in sorted(self.e, key=Root.key):
             parts.append("(%s) E[%s]" % (self.e[r], r))
-        for j, c in enumerate(self.h):
-            if c:
-                parts.append("(%s) H[%d]" % (c, j))
+        for j in sorted(self.cartan):
+            parts.append("(%s) H[%d]" % (self.cartan[j], j))
         return " + ".join(parts) if parts else "0"
+
+
+def _added(u: dict, v: dict) -> dict:
+    """The sum of two sparse coefficient dicts, without zero entries."""
+    out = dict(u)
+    for k, c in v.items():
+        out[k] = out.get(k, ZERO) + c
+    return {k: c for k, c in out.items() if c}
 
 
 class ChevalleyBasis:
@@ -103,6 +117,11 @@ class ChevalleyBasis:
         self.hroot = {}
         for r in rs.roots:
             self.hroot[r] = self._coroot_coords(r)
+        # alpha(H_j) by global Cartan slot j, nonzero values only
+        self.pairings = {
+            r: {self.offsets[r.comp] + j: p
+                for j, p in enumerate(rs._pairings[r]) if p}
+            for r in rs.roots}
         # canonical ordering of the full basis, used for matrices
         self.basis_keys = [("e", r) for r in sorted(rs.roots, key=Root.key)]
         self.basis_keys += [("h", j) for j in range(self.total_rank)]
@@ -194,19 +213,21 @@ class ChevalleyBasis:
     # -- element constructors --------------------------------------------------
 
     def zero(self):
-        return AlgebraElement(self, (ZERO,) * self.total_rank, {})
+        return AlgebraElement(self, {}, {})
 
     def E(self, root, coeff=ONE):
         if root not in self.rs.root_set:
             raise ValueError("not a root: %s" % (root,))
         coeff = TowerScalar.of(coeff)
-        return AlgebraElement(self, (ZERO,) * self.total_rank,
-                              {root: coeff} if coeff else {})
+        return AlgebraElement(self, {}, {root: coeff} if coeff else {})
 
     def H_vec(self, vec):
-        vec = tuple(TowerScalar.of(v) for v in vec)
-        assert len(vec) == self.total_rank
-        return AlgebraElement(self, vec, {})
+        """The Cartan element with this dense coordinate vector."""
+        if len(vec) != self.total_rank:
+            raise ValueError("need %d Cartan coordinates, got %d"
+                             % (self.total_rank, len(vec)))
+        cartan = {j: c for j, c in enumerate(map(TowerScalar.of, vec)) if c}
+        return AlgebraElement(self, cartan, {})
 
     def H_of_root(self, root):
         return self.H_vec(self.hroot[root])
@@ -215,8 +236,9 @@ class ChevalleyBasis:
         kind, val = key
         if kind == "e":
             return self.E(val)
-        return self.H_vec(tuple(ONE if j == val else ZERO
-                                for j in range(self.total_rank)))
+        if kind == "h" and 0 <= val < self.total_rank:
+            return AlgebraElement(self, {val: ONE}, {})
+        raise ValueError("not a basis key: %r" % (key,))
 
     # compact generators attached to a root (phase rho must be unit modulus)
     def W(self, gamma):
@@ -224,32 +246,32 @@ class ChevalleyBasis:
 
     def X(self, gamma, rho=ONE):
         rho = TowerScalar.of(rho)
-        return AlgebraElement(self, (ZERO,) * self.total_rank,
+        return AlgebraElement(self, {},
                               {gamma: rho * HALF, -gamma: -rho.conj() * HALF})
 
     def Y(self, gamma, rho=ONE):
         rho = TowerScalar.of(rho)
         ih = I * HALF
-        return AlgebraElement(self, (ZERO,) * self.total_rank,
+        return AlgebraElement(self, {},
                               {gamma: rho * ih, -gamma: rho.conj() * ih})
 
     # -- operations --------------------------------------------------------------
 
-    def eval_root(self, alpha: Root, hvec) -> TowerScalar:
-        """alpha(h) for a coordinate vector h."""
-        off = self.offsets[alpha.comp]
-        pair = self.rs._pairings[alpha]
+    def eval_root(self, alpha: Root, cartan: dict) -> TowerScalar:
+        """alpha(h) for a sparse Cartan part h, {slot: coefficient}, as
+        `AlgebraElement.cartan` holds it."""
+        pairing = self.pairings[alpha]
         acc = ZERO
-        for j, p in enumerate(pair):
-            v = hvec[off + j]
-            if v and p:
+        for j, v in cartan.items():
+            p = pairing.get(j)
+            if p:
                 acc = acc + v * p
         return acc
 
     def bracket(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         if x.cb is not self or y.cb is not self:
             raise ValueError("elements come from different bases")
-        h = [ZERO] * self.total_rank
+        h = {}
         e = {}
         for a, ca in x.e.items():
             row = self.root_products[a]
@@ -261,46 +283,43 @@ class ChevalleyBasis:
                     coef = ca * cb2
                     for j, m in enumerate(self.hroot[a]):
                         if m:
-                            h[j] = h[j] + coef * m
+                            h[j] = h.get(j, ZERO) + coef * m
                 else:
                     e[s] = e.get(s, ZERO) + ca * cb2 * self.n_const[(a, b)]
-        if any(x.h):
+        if x.cartan:
             for b, cb2 in y.e.items():
-                w = self.eval_root(b, x.h)
+                w = self.eval_root(b, x.cartan)
                 if w:
                     e[b] = e.get(b, ZERO) + w * cb2
-        if any(y.h):
+        if y.cartan:
             for a, ca in x.e.items():
-                w = self.eval_root(a, y.h)
+                w = self.eval_root(a, y.cartan)
                 if w:
                     e[a] = e.get(a, ZERO) - w * ca
-        return AlgebraElement(self, tuple(h),
+        return AlgebraElement(self, {j: c for j, c in h.items() if c},
                               {r: c for r, c in e.items() if c})
 
     def combine(self, terms) -> AlgebraElement:
         """The sum of c * x over the (c, x) pairs in terms."""
-        h = [ZERO] * self.total_rank
+        h = {}
         e = {}
         for c, x in terms:
             if x.cb is not self:
                 raise ValueError("element from another basis")
             for r, v in x.e.items():
                 e[r] = e.get(r, ZERO) + c * v
-            for j, v in enumerate(x.h):
-                if v:
-                    h[j] = h[j] + c * v
-        return AlgebraElement(self, tuple(h),
+            for j, v in x.cartan.items():
+                h[j] = h.get(j, ZERO) + c * v
+        return AlgebraElement(self, {j: v for j, v in h.items() if v},
                               {r: v for r, v in e.items() if v})
 
     def tau(self, x: AlgebraElement) -> AlgebraElement:
         """The compact conjugation: E_a -> -E_{-a}, antilinear, -conj on h."""
         if x.cb is not self:
             raise ValueError("element from another basis")
-        h = tuple(-c.conj() for c in x.h)
-        e = {}
-        for a, c in x.e.items():
-            e[-a] = -c.conj()
-        return AlgebraElement(self, h, e)
+        return AlgebraElement(self,
+                              {j: -c.conj() for j, c in x.cartan.items()},
+                              {-a: -c.conj() for a, c in x.e.items()})
 
     def invariant_form(self, x: AlgebraElement, y: AlgebraElement) -> TowerScalar:
         """Killing form on the semisimple part, +identity on the center
@@ -313,15 +332,12 @@ class ChevalleyBasis:
             if cb2:
                 pos = a if a.positive else -a
                 acc = acc + ca * cb2 * self.killing_e[pos]
-        if any(x.h) and any(y.h):
-            K = self.killing_h
-            for i, xi in enumerate(x.h):
-                if not xi:
-                    continue
-                row = K[i]
-                for j, yj in enumerate(y.h):
-                    if yj and row[j]:
-                        acc = acc + xi * yj * row[j]
+        K = self.killing_h
+        for i, xi in x.cartan.items():
+            row = K[i]
+            for j, yj in y.cartan.items():
+                if row[j]:
+                    acc = acc + xi * yj * row[j]
         return acc
 
     # -- the trace form ----------------------------------------------------------

@@ -38,12 +38,8 @@ from .stem import stem_of
 
 def root_functional(cb: ChevalleyBasis, gamma: Root):
     """gamma as a Fraction row acting on global Cartan coordinate vectors."""
-    row = [Fraction(0)] * cb.total_rank
-    off = cb.offsets[gamma.comp]
-    for j, p in enumerate(cb.rs._pairings[gamma]):
-        if p:
-            row[off + j] = Fraction(p)
-    return row
+    pairing = cb.pairings[gamma]
+    return [Fraction(pairing.get(j, 0)) for j in range(cb.total_rank)]
 
 
 def _kernel_inside(span_rows, functional_rows):
@@ -266,8 +262,9 @@ class PBasis:
                 assert r in self.dk_set, "unknown root %s" % (r,)
                 k_e[r] = c
         k_h = [ZERO] * self.n_k
-        if any(x.h):
-            cf = mat_vec(self.h_inverse, x.h)
+        if x.cartan:
+            cf = [sum((c * row[j] for j, c in x.cartan.items() if row[j]),
+                      ZERO) for row in self.h_inverse]
             k_h = cf[:self.n_k]
             nk = self.n_k
             for t in range(self.num_p):
@@ -713,7 +710,7 @@ def verify_root_coupling(hc: HCStructure):
             # the closed form through the stem root image: the coefficient
             # equals N(g,-b) / conj(g(J E_g))
             jg = hc.apply_j(pb.cb.E(g))
-            denom = pb.cb.eval_root(g, jg.h).conj()
+            denom = pb.cb.eval_root(g, jg.cartan).conj()
             if v * denom != TowerScalar.of(pb.cb.n_const[(g, -b)]):
                 bad.append("closed form fails at (%s, %s)" % (a, b))
     rep.record("root coupling is supported exactly on free stem sums",
@@ -771,9 +768,8 @@ def g_coords(cb: ChevalleyBasis, x: AlgebraElement):
     out = [ZERO] * len(cb.basis_keys)
     for r, c in x.e.items():
         out[cb.key_index[("e", r)]] = c
-    for j, c in enumerate(x.h):
-        if c:
-            out[cb.key_index[("h", j)]] = c
+    for j, c in x.cartan.items():
+        out[cb.key_index[("h", j)]] = c
     return out
 
 
@@ -797,7 +793,7 @@ class RootRotation:
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         index = self.cb.key_index
         terms = [(index[("e", r)], c) for r, c in x.e.items()]
-        terms += [(index[("h", j)], c) for j, c in enumerate(x.h) if c]
+        terms += [(index[("h", j)], c) for j, c in x.cartan.items()]
         return self.apply_coords(terms)
 
     def compose(self, other: "RootRotation") -> "RootRotation":
@@ -874,6 +870,7 @@ def verify_rotation(cb: ChevalleyBasis, stem, gamma: Root,
     rep = CheckReport()
     keys = cb.basis_keys
     n = len(keys)
+    basis = [cb.basis_element(k) for k in keys]
     images = rot.images
 
     bad = []
@@ -881,8 +878,7 @@ def verify_rotation(cb: ChevalleyBasis, stem, gamma: Root,
     for a in range(n):
         for b in range(a + 1, n):
             checked += 1
-            lhs = rot.apply(cb.bracket(cb.basis_element(keys[a]),
-                                       cb.basis_element(keys[b])))
+            lhs = rot.apply(cb.bracket(basis[a], basis[b]))
             if lhs != cb.bracket(images[a], images[b]):
                 bad.append("bracket of %s, %s not respected"
                            % (keys[a], keys[b]))
@@ -890,7 +886,7 @@ def verify_rotation(cb: ChevalleyBasis, stem, gamma: Root,
 
     bad = []
     for a in range(n):
-        if rot.apply(cb.tau(cb.basis_element(keys[a]))) != cb.tau(images[a]):
+        if rot.apply(cb.tau(basis[a])) != cb.tau(images[a]):
             bad.append("conjugation slips past the rotation at %s"
                        % (keys[a],))
     rep.record("rotation commutes with the compact conjugation", n, bad)
@@ -932,9 +928,8 @@ def verify_rotation(cb: ChevalleyBasis, stem, gamma: Root,
     bad = []
     shear = cb.Y(gamma, rho) + cb.W(gamma)
     for j in range(cb.total_rank):
-        unit = tuple(ONE if i == j else ZERO for i in range(cb.total_rank))
-        h = cb.H_vec(unit)
-        want = h + shear.scale(I * cb.eval_root(gamma, unit))
+        h = basis[cb.key_index[("h", j)]]
+        want = h + shear.scale(I * cb.eval_root(gamma, h.cartan))
         if rot.apply(h) != want:
             bad.append("Cartan image at slot %d" % j)
     rep.record("Cartan vectors shear along the stem root",

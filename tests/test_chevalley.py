@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stemhc.chevalley import AlgebraElement, ChevalleyBasis, make_basis
 from stemhc.rootsystems import (
@@ -10,6 +11,7 @@ from stemhc.rootsystems import (
 )
 from stemhc.scalars import TowerScalar, ZERO, ONE, I, EIGHTH_ROOT
 from stemhc.stem import compute_stem
+from test_scalars import scalars
 
 
 RANK_LE_4 = [
@@ -51,8 +53,9 @@ def test_constant_antisymmetries(t):
 
 
 def test_missing_constant_raises(monkeypatch):
-    """A basis whose constants miss one pair with a root sum is refused,
-    also under `python -O`, which strips asserts."""
+    """A basis whose constants miss one pair with a root sum is refused, and
+    so is a Cartan vector of the wrong length, also under `python -O`, which
+    strips asserts; so is a Cartan basis key past the last slot."""
     import os
     import subprocess
     import sys
@@ -60,8 +63,17 @@ def test_missing_constant_raises(monkeypatch):
     import stemhc
 
     rs = RootSystem(parse_shape("A2"))
-    pair = next(iter(ChevalleyBasis(rs).n_const))
+    cb = ChevalleyBasis(rs)
+    pair = next(iter(cb.n_const))
     want = "no structure constant for (%s, %s)" % pair
+    short = "need 2 Cartan coordinates, got 1"
+    long = "need 2 Cartan coordinates, got 3"
+    for vec, msg in (([1], short), ([1, 0, 1], long)):
+        with pytest.raises(ValueError) as exc:
+            cb.H_vec(vec)
+        assert str(exc.value) == msg
+    with pytest.raises(ValueError):
+        cb.basis_element(("h", 2))
     build = ChevalleyBasis._build_constants
 
     def dropping(self, ci):
@@ -79,6 +91,12 @@ def test_missing_constant_raises(monkeypatch):
         p for p in (src, env.get("PYTHONPATH")) if p)
     script = ("from stemhc.chevalley import ChevalleyBasis\n"
               "from stemhc.rootsystems import RootSystem, parse_shape\n"
+              "cb = ChevalleyBasis(RootSystem(parse_shape('A2')))\n"
+              "for vec in ([1], [1, 0, 1]):\n"
+              "    try:\n"
+              "        cb.H_vec(vec)\n"
+              "    except ValueError as exc:\n"
+              "        print(exc)\n"
               "build = ChevalleyBasis._build_constants\n"
               "def dropping(self, ci):\n"
               "    build(self, ci)\n"
@@ -90,13 +108,20 @@ def test_missing_constant_raises(monkeypatch):
               "    print(exc)\n")
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == want
+    assert out.stdout.splitlines() == [short, long, want]
 
 
 def reference_bracket(cb, x, y):
     """The bracket term by term from coordinate sums of roots and n_const,
-    without the root-product table."""
+    without the root-product table, and with alpha(h) summed over the dense
+    Cartan view against the root system's pairings."""
     rs = cb.rs
+
+    def root_at(alpha, hvec):
+        off = cb.offsets[alpha.comp]
+        return sum((hvec[off + j] * rs.pairing(alpha, j)
+                    for j in range(len(alpha.coords))), ZERO)
+
     h = [ZERO] * cb.total_rank
     e = {}
     for a, ca in x.e.items():
@@ -109,10 +134,11 @@ def reference_bracket(cb, x, y):
             elif not any(s.coords):
                 h = [v + ca * cb2 * m for v, m in zip(h, cb.hroot[a])]
     for b, cb2 in y.e.items():
-        e[b] = e.get(b, ZERO) + cb.eval_root(b, x.h) * cb2
+        e[b] = e.get(b, ZERO) + root_at(b, x.h) * cb2
     for a, ca in x.e.items():
-        e[a] = e.get(a, ZERO) - cb.eval_root(a, y.h) * ca
-    return AlgebraElement(cb, tuple(h), {r: c for r, c in e.items() if c})
+        e[a] = e.get(a, ZERO) - root_at(a, y.h) * ca
+    return AlgebraElement(cb, {j: v for j, v in enumerate(h) if v},
+                          {r: c for r, c in e.items() if c})
 
 
 def random_element(cb, rng, n_roots):
@@ -186,6 +212,44 @@ def test_combine_matches_the_chain():
         cb.combine([(ONE, cb_of(SimpleType("A", 2)).zero())])
 
 
+coefficients = st.one_of(st.just(ZERO), scalars)
+
+
+@st.composite
+def elements(draw, cb):
+    """A Cartan part with some zero coordinates plus a few root vectors,
+    some of them with a zero coefficient."""
+    x = cb.H_vec([draw(coefficients) for _ in range(cb.total_rank)])
+    for r in draw(st.lists(st.sampled_from(cb.rs.roots), max_size=4)):
+        x = x + cb.E(r, draw(coefficients))
+    return x
+
+
+def assert_sparse(x):
+    """No zero coefficient is stored, and the dense view `h` has length
+    total_rank and agrees with the sparse Cartan part."""
+    assert all(x.cartan.values()) and all(x.e.values())
+    assert len(x.h) == x.cb.total_rank
+    assert {j: c for j, c in enumerate(x.h) if c} == x.cartan
+
+
+@given(st.sampled_from(["A2", "B2", "G2", "c^2 x A2", "A1 x B2"]),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_operations_store_no_zero(text, data):
+    cb = make_basis(parse_shape(text))
+    x = data.draw(elements(cb))
+    y = data.draw(elements(cb))
+    c = data.draw(coefficients)
+    key = data.draw(st.sampled_from(cb.basis_keys))
+    for z in (x, y, cb.basis_element(key), cb.bracket(x, y),
+              cb.bracket(x, x), cb.combine([(c, x), (ONE, y), (-c, x)]),
+              x + y, x - y, x - x, x.scale(c), cb.tau(x)):
+        assert_sparse(z)
+    assert (x - x).is_zero()
+    assert cb.bracket(x, x).is_zero()
+
+
 @pytest.mark.parametrize("t", RANK_LE_4, ids=str)
 def test_jacobi_exhaustive(t):
     cb = cb_of(t)
@@ -222,7 +286,7 @@ def test_coroot_normalization(t):
         # [E_a, E_{-a}] is the coroot, and a(H_a) = 2
         h = cb.bracket(cb.E(a), cb.E(-a))
         assert h == cb.H_of_root(a)
-        assert cb.eval_root(a, cb.hroot[a]) == TowerScalar(2)
+        assert cb.eval_root(a, h.cartan) == TowerScalar(2)
 
 
 def test_h_acts_diagonally():
@@ -231,7 +295,7 @@ def test_h_acts_diagonally():
     h = cb.H_vec([TowerScalar(2), TowerScalar(-3)])
     for b in rs.roots:
         got = cb.bracket(h, cb.E(b))
-        want = cb.E(b, cb.eval_root(b, h.h))
+        want = cb.E(b, cb.eval_root(b, h.cartan))
         assert got == want
 
 

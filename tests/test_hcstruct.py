@@ -80,7 +80,7 @@ def test_centered_splitting():
     cb = pb.cb
     for v in pb.z_vecs + pb.j_vecs:
         for g in pb.stem.elements:
-            assert cb.eval_root(g, v) == ZERO
+            assert cb.eval_root(g, cb.H_vec(v).cartan) == ZERO
 
 
 def test_o_k_padding_takes_orthogonal_center():
