@@ -6,10 +6,11 @@ by height; for each non-simple positive root the minimal-first decomposition
 gets N = p+1 > 0, every other decomposition is forced by the Jacobi identity,
 and each value is propagated to the full 12-pair orbit of its root triple.
 
-One integer scan per component builds the table `root_products`, a -> {b: a+b}
-over the pairs whose sum is a root and b = -a -> None, and checks that each
-such pair has a constant.  The bracket reads this table, and `combine` forms
-every linear combination; both drop zero coefficients once, at the end.
+Which pairs of roots add to a root is read from the root system's table
+`RootSystem.sums`, a -> {b: a+b} over the pairs whose sum is a root and
+b = -a -> None; the basis checks that each such pair has a constant.  The
+bracket reads this table, and `combine` forms every linear combination; both
+drop zero coefficients once, at the end.
 
 An element stores its Cartan part and its root part sparsely, as dicts of
 nonzero coefficients, so operations touch only the slots an element uses.
@@ -20,11 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 
-from .rootsystems import (
-    ReductiveShape, Root, RootSystem, build_cached, root_sub, root_sum,
-)
+from .rootsystems import ReductiveShape, Root, RootSystem, build_cached
 from .scalars import TowerScalar, ZERO, ONE, I, HALF
 from .reporting import CheckReport
 
@@ -90,6 +88,14 @@ class AlgebraElement:
         return " + ".join(parts) if parts else "0"
 
 
+def _unit_phase(rho) -> TowerScalar:
+    """rho as a TowerScalar; ValueError unless it has modulus one."""
+    rho = TowerScalar.of(rho)
+    if not rho.is_unit_modulus():
+        raise ValueError("phase is not unit modulus: %s" % (rho,))
+    return rho
+
+
 def _added(u: dict, v: dict) -> dict:
     """The sum of two sparse coefficient dicts, without zero entries."""
     out = dict(u)
@@ -113,7 +119,11 @@ class ChevalleyBasis:
         self.n_const = {}
         for ci in range(len(shape.simples)):
             self._build_constants(ci)
-        self.root_products = self._root_products()
+        for a, row in rs.sums.items():
+            for b, s in row.items():
+                if s is not None and (a, b) not in self.n_const:
+                    raise ValueError("no structure constant for (%s, %s)"
+                                     % (a, b))
         self.hroot = {}
         for r in rs.roots:
             self.hroot[r] = self._coroot_coords(r)
@@ -140,7 +150,7 @@ class ChevalleyBasis:
 
         def set_triple(a, b, n):
             """Record N for every ordered pair built from {+-a, +-b, -+(a+b)}."""
-            c = root_sum(a, b)
+            c = rs.sums[a][b]
             r1 = n * rs.norm2(a) / rs.norm2(c)    # value for (b, -c)
             r2 = n * rs.norm2(b) / rs.norm2(c)    # value for (-c, a)
             assert r1.denominator == 1 and r2.denominator == 1
@@ -155,7 +165,7 @@ class ChevalleyBasis:
                 continue
             specials = []
             for a in pos:
-                b = root_sub(c, a)
+                b = rs.sums[c].get(-a)
                 if b in posset and order[a] < order[b]:
                     specials.append((a, b))
             specials.sort(key=lambda ab: order[ab[0]])
@@ -164,37 +174,15 @@ class ChevalleyBasis:
             set_triple(a0, b0, 1 - rs.root_string(b0, a0)[0])
             for x, y in specials[1:]:
                 t = 0
-                xm = root_sub(x, a0)
-                if xm in rs.root_set:
+                xm = rs.sums[x].get(-a0)
+                if xm is not None:
                     t += N[(-a0, x)] * N[(xm, y)]
-                ym = root_sub(y, a0)
-                if ym in rs.root_set:
+                ym = rs.sums[y].get(-a0)
+                if ym is not None:
                     t += N[(y, -a0)] * N[(ym, x)]
                 denom = N[(c, -a0)]
                 assert t % denom == 0
                 set_triple(x, y, -t // denom)
-
-    def _root_products(self):
-        """a -> {b: a+b} (a root of rs.roots) over the pairs of one component
-        whose sum is a root, and b = -a -> None.  Raises ValueError when such
-        a pair has no structure constant."""
-        by_comp = {}
-        for r in self.rs.roots:
-            by_comp.setdefault(r.comp, {})[r.coords] = r
-        table = {}
-        for roots in by_comp.values():
-            for a in roots.values():
-                row = table[a] = {}
-                for b in roots.values():
-                    s = tuple(map(add, a.coords, b.coords))
-                    if s in roots:
-                        if (a, b) not in self.n_const:
-                            raise ValueError("no structure constant for "
-                                             "(%s, %s)" % (a, b))
-                        row[b] = roots[s]
-                    elif not any(s):
-                        row[b] = None
-        return table
 
     def _coroot_coords(self, r: Root):
         """H_r = sum m_i (d_i / d_r) H_i as an integer global h-vector."""
@@ -240,17 +228,18 @@ class ChevalleyBasis:
             return AlgebraElement(self, {val: ONE}, {})
         raise ValueError("not a basis key: %r" % (key,))
 
-    # compact generators attached to a root (phase rho must be unit modulus)
+    # compact generators attached to a root; X and Y raise ValueError unless
+    # the phase rho has modulus one
     def W(self, gamma):
         return self.H_of_root(gamma).scale(I * HALF)
 
     def X(self, gamma, rho=ONE):
-        rho = TowerScalar.of(rho)
+        rho = _unit_phase(rho)
         return AlgebraElement(self, {},
                               {gamma: rho * HALF, -gamma: -rho.conj() * HALF})
 
     def Y(self, gamma, rho=ONE):
-        rho = TowerScalar.of(rho)
+        rho = _unit_phase(rho)
         ih = I * HALF
         return AlgebraElement(self, {},
                               {gamma: rho * ih, -gamma: rho.conj() * ih})
@@ -271,10 +260,11 @@ class ChevalleyBasis:
     def bracket(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         if x.cb is not self or y.cb is not self:
             raise ValueError("elements come from different bases")
+        sums = self.rs.sums
         h = {}
         e = {}
         for a, ca in x.e.items():
-            row = self.root_products[a]
+            row = sums[a]
             for b, cb2 in y.e.items():
                 if b not in row:
                     continue
@@ -387,7 +377,7 @@ def verify_special_sign_identity(cb: ChevalleyBasis, stem) -> CheckReport:
     for g in stem.elements:
         wings = stem.phi[g]
         for a in wings:
-            b = root_sub(g, a)
+            b = cb.rs.sums[g].get(-a)
             if b not in wings or a.key() > b.key():
                 continue
             checked += 1

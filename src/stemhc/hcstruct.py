@@ -27,7 +27,7 @@ from .chevalley import AlgebraElement, ChevalleyBasis, make_basis
 from .linalg import Span, invert, kernel_basis, mat_vec, rref
 from .pairs import PairSpec, complement_data, delta_k
 from .reporting import CheckReport
-from .rootsystems import Root, root_sub
+from .rootsystems import Root
 from .scalars import HALF, I, ONE, SQRT2, ZERO, TowerScalar, eighth_root_power
 from .stem import stem_of
 
@@ -367,8 +367,8 @@ def build_J(pb: PBasis):
         entries[(("e", -g), ("p", t))] = rb
         for a in sorted(pb.stem.phi[g], key=Root.key):
             n = cb.n_const[(g, -a)]
-            entries[(("e", root_sub(a, g)), ("e", a))] = I * rb * n
-            entries[(("e", root_sub(g, a)), ("e", -a))] = -(I * rho * n)
+            entries[(("e", cb.rs.sums[a][-g]), ("e", a))] = I * rb * n
+            entries[(("e", cb.rs.sums[g][-a]), ("e", -a))] = -(I * rho * n)
     for s in range(0, len(pb.j_vecs), 4):
         entries[(("u", s + 2), ("u", s))] = ONE
         entries[(("u", s + 3), ("u", s + 1))] = -ONE
@@ -692,7 +692,7 @@ def verify_root_coupling(hc: HCStructure):
     for a in pb.dp_plus:
         for b in pb.dp_plus:
             checked += 1
-            g = pb.cb.root_products[a].get(b)
+            g = pb.cb.rs.sums[a].get(b)
             v = coup.get((a, b))
             if g not in gamma_set:
                 if v is not None:
@@ -809,9 +809,6 @@ class RootRotation:
 def root_rotation(cb: ChevalleyBasis, gamma: Root, rho=ONE) -> RootRotation:
     if gamma not in cb.rs.root_set:
         raise ValueError("not a root: %s" % (gamma,))
-    rho = TowerScalar.of(rho)
-    if not rho.is_unit_modulus():
-        raise ValueError("phase is not unit modulus: %s" % (rho,))
     poly = _rotation_poly()
     x = cb.X(gamma, rho)
     images = []
@@ -902,13 +899,14 @@ def verify_rotation(cb: ChevalleyBasis, stem, gamma: Root,
     scale = SQRT2 * HALF
     bad = []
     wings = sorted(stem.phi[gamma], key=Root.key)
+    sums = cb.rs.sums
     for a in wings:
         nconst = cb.n_const[(gamma, -a)]
-        want = (cb.E(a) + cb.E(root_sub(a, gamma), nconst * rho.conj())) \
+        want = (cb.E(a) + cb.E(sums[a][-gamma], nconst * rho.conj())) \
             .scale(scale)
         if rot.apply(cb.E(a)) != want:
             bad.append("wing image at %s" % (a,))
-        want = (cb.E(-a) + cb.E(root_sub(gamma, a), nconst * rho)) \
+        want = (cb.E(-a) + cb.E(sums[gamma][-a], nconst * rho)) \
             .scale(scale)
         if rot.apply(cb.E(-a)) != want:
             bad.append("wing image at %s" % (-a,))
@@ -980,7 +978,7 @@ def verify_rotation_spans(cb: ChevalleyBasis, stem,
             continue
         imgs = [g_coords(cb, prod.apply(cb.E(a))) for a in wings]
         want = [g_coords(cb, cb.E(a)
-                         + cb.E(root_sub(a, g),
+                         + cb.E(cb.rs.sums[a][-g],
                                 cb.n_const[(g, -a)] * rho.conj()))
                 for a in wings]
         if Span(imgs, n) != Span(want, n):

@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from . import linalg
 from .reporting import CheckReport
-from .rootsystems import ReductiveShape, Root, build_cached, parse_shape, \
-    root_sum
+from .rootsystems import ReductiveShape, Root, build_cached, parse_shape
 from .stem import Stem, stem_of
 
 
@@ -318,11 +317,11 @@ def gmg2_check(spec) -> CheckReport:
         wings = set(stem.phi[g]) | {-w for w in stem.phi[g]}
         for beta in dk:
             checked += 1
-            if root_sum(g, beta) in rs.root_set:
+            if rs.sums[g].get(beta) is not None:
                 bad.append("%s + %s is a root" % (g, beta))
             for a in wings:
-                s = root_sum(a, beta)
-                if s is not None and s in rs.root_set:
+                s = rs.sums[a].get(beta)
+                if s is not None:
                     checked += 1
                     if s not in wings:
                         bad.append("%s + %s leaves the wings of %s"

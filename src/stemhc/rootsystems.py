@@ -4,6 +4,12 @@ Roots are integer coordinate vectors over the simple roots of one irreducible
 component; no Euclidean embedding is ever used here (the test suite holds the
 classical e_i realizations as an independent oracle).  The Cartan matrices
 follow the standard Bourbaki numbering.
+
+Root addition is decided once, here: `RootSystem.sums` maps each root a to
+{b: a+b} over the roots b of its component whose sum with a is a root, and
+b = -a to None.  Closure, root strings, highest roots and subsystem types read
+this table, and so do the stem, pair, Chevalley and structure modules;
+`root_sum` and `root_sub` only generate the positive roots.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple
 
 
@@ -261,10 +267,25 @@ class RootSystem:
             self._weights[r] = tuple(
                 int(L * dj) * p
                 for dj, p in zip(self.dvecs[r.comp], self._pairings[r]))
-        # root coordinates per component, for closure tests on bare tuples
-        self._coord_sets = [frozenset(r.coords for r in self.roots
-                                      if r.comp == ci)
-                            for ci in range(len(shape.simples))]
+        # a -> {b: a+b} over the b of a's component whose sum with a is a
+        # root (the stored Root of self.roots), and b = -a -> None.  A root
+        # is coded as one integer in a base wide enough that the code of a
+        # sum of two roots is the sum of their codes and no two sums collide.
+        self.sums = {}
+        for ci in range(len(shape.simples)):
+            roots = [r for r in self.roots if r.comp == ci]
+            base = 4 * max(max(r.coords) for r in roots) + 1
+            codes = [sum(c * base ** i for i, c in enumerate(r.coords))
+                     for r in roots]
+            at = dict(zip(codes, roots))
+            for a, ca in zip(roots, codes):
+                row = self.sums[a] = {}
+                for b, cb in zip(roots, codes):
+                    s = ca + cb
+                    if s in at:
+                        row[b] = at[s]
+                    elif not s:
+                        row[b] = None
         # reducedness: 2*alpha is never a root
         for r in self.positives:
             assert Root(r.comp, tuple(2 * c for c in r.coords)) not in self.root_set
@@ -350,32 +371,30 @@ class RootSystem:
         if alpha.comp != beta.comp:
             return (0, 0)
         p = 0
-        v = root_sub(alpha, beta)
-        while v in self.root_set:
+        v = self.sums[alpha].get(-beta)
+        while v is not None:
             p -= 1
-            v = root_sub(v, beta)
+            v = self.sums[v].get(-beta)
         q = 0
-        v = root_sum(alpha, beta)
-        while v in self.root_set:
+        v = self.sums[alpha].get(beta)
+        while v is not None:
             q += 1
-            v = root_sum(v, beta)
+            v = self.sums[v].get(beta)
         return (p, q)
 
     # -- subsets ---------------------------------------------------------------
 
     def is_closed(self, subset) -> bool:
-        """Closed under addition of roots: a,b in S, a+b a root => a+b in S."""
-        by_comp = {}
-        for r in subset:
-            by_comp.setdefault(r.comp, set()).add(r.coords)
-        for ci, coords in by_comp.items():
-            roots = self._coord_sets[ci]
-            items = list(coords)
-            for i, a in enumerate(items):
-                for b in items[i:]:
-                    s = tuple(map(add, a, b))
-                    if s in roots and s not in coords:
-                        return False
+        """Closed under addition of roots: a,b in S, a+b a root => a+b in S.
+        Raises ValueError when S holds something that is not a root."""
+        sub = set(subset)
+        for a in sub:
+            if a not in self.sums:
+                raise ValueError("not a root: %s" % (a,))
+        for a in sub:
+            for b, s in self.sums[a].items():
+                if s is not None and b in sub and s not in sub:
+                    return False
         return True
 
     def irreducible_components(self, subset):
@@ -415,14 +434,13 @@ class RootSystem:
         return [self.highest_root(comp)
                 for comp in self.irreducible_components(sym)]
 
-    @staticmethod
-    def highest_root(comp):
+    def highest_root(self, comp):
         """The unique maximal positive root of one irreducible component (a
         set, as `irreducible_components` returns it) of a closed symmetric
         subsystem."""
         pos = [r for r in comp if r.positive]
         tops = [t for t in pos
-                if all(root_sum(t, b) not in comp for b in pos)]
+                if all(self.sums[t].get(b) not in comp for b in pos)]
         if len(tops) != 1:
             raise AssertionError("no unique maximal root in component")
         return tops[0]
@@ -433,18 +451,9 @@ class RootSystem:
         sub = set(subset)
         pos = sorted((r for r in sub if r.positive), key=Root.key)
         possd = set(pos)
-        simples = []
-        for t in pos:
-            decomposable = False
-            for a in pos:
-                if a == t:
-                    continue
-                b = root_sub(t, a)
-                if b is not None and b in possd:
-                    decomposable = True
-                    break
-            if not decomposable:
-                simples.append(t)
+        # the indecomposable roots: t - a is a root of the subsystem for no a
+        simples = [t for t in pos
+                   if not any(self.sums[t].get(-a) in possd for a in pos)]
         n = len(simples)
         assert n >= 1
         cmat = [[self.cartan_int(a, b) for b in simples] for a in simples]

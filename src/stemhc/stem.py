@@ -15,23 +15,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .reporting import CheckReport
-from .rootsystems import (
-    ReductiveShape, Root, RootSystem, build_cached, root_sub, root_sum,
-)
+from .rootsystems import ReductiveShape, Root, RootSystem, build_cached
 
 
 def phi_plus_set(rs: RootSystem, zeta: Root):
     """Wing set of a positive root, w.r.t. the full positive system."""
     if zeta not in rs.root_set or not zeta.positive:
         raise ValueError("zeta must be a positive root: %s" % (zeta,))
-    out = set()
-    for b in rs.positives:
-        if b.comp != zeta.comp:
-            continue
-        d = root_sub(zeta, b)
-        if d in rs.root_set and d.positive:
-            out.add(b)
-    return out
+    # b is a wing when zeta + (-b) is a positive root; the row meets the
+    # negative roots -b in the order of rs.positives
+    return {-c for c, s in rs.sums[zeta].items()
+            if s is not None and s.positive and not c.positive}
 
 
 @dataclass
@@ -95,9 +89,8 @@ def compute_stem(rs: RootSystem, subset=None) -> Stem:
     the stem order with the maximal roots of the algebra first.
     """
     remaining = set(rs.roots) if subset is None else set(subset)
-    for r in remaining:
-        assert -r in remaining, "subset must be symmetric"
-    # every later stage is checked as it is left behind
+    # symmetry is checked by irreducible_components; every later stage is
+    # checked for closure as it is left behind
     if not rs.is_closed(remaining):
         raise ValueError("subset is not closed")
     elements = []
@@ -133,9 +126,11 @@ def compute_stem(rs: RootSystem, subset=None) -> Stem:
         seen = {}
         for g in stem.elements:
             for r in set([g]) | set(stem.phi[g]):
-                assert r not in seen, "wing blocks overlap"
+                if r in seen:
+                    raise AssertionError("wing blocks overlap")
                 seen[r] = g
-        assert len(seen) == len(rs.positives), "wing blocks miss roots"
+        if len(seen) != len(rs.positives):
+            raise AssertionError("wing blocks miss roots")
     return stem
 
 
@@ -190,9 +185,8 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
     for i, g in enumerate(G):
         for d in G[i + 1:]:
             checked += 1
-            s, m = root_sum(g, d), root_sub(g, d)
-            if (s is not None and s in rs.root_set) or \
-               (m is not None and m in rs.root_set):
+            row = rs.sums[g]
+            if row.get(d) is not None or row.get(-d) is not None:
                 bad.append("%s, %s not strongly orthogonal" % (g, d))
             if rs.cartan_int(g, d) != 0:
                 bad.append("%s, %s not orthogonal" % (g, d))
@@ -210,8 +204,8 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
                 continue
             for a in wing_block(g):
                 for b in wing_block(d):
-                    for v in (root_sum(a, b), root_sub(a, b)):
-                        if v is None or v not in rs.root_set:
+                    for v in (rs.sums[a].get(b), rs.sums[a].get(-b)):
+                        if v is None:
                             continue
                         checked += 1
                         vv = v if v.positive else -v
@@ -227,8 +221,8 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
         blk = sorted(wing_block(g), key=Root.key)
         for i, a in enumerate(blk):
             for b in blk[i + 1:]:
-                s = root_sum(a, b)
-                if s in rs.root_set:
+                s = rs.sums[a].get(b)
+                if s is not None:
                     checked += 1
                     if s != g:
                         bad.append("%s + %s = %s inside block of %s"
@@ -244,8 +238,8 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
                 continue
             for a in wing_block(g):
                 checked += 1
-                s, m = root_sum(a, d), root_sub(a, d)
-                if (s in rs.root_set) or (m in rs.root_set) or \
+                row = rs.sums[a]
+                if row.get(d) is not None or row.get(-d) is not None or \
                         rs.cartan_int(a, d) != 0:
                     bad.append("%s sees shallower stem root %s" % (a, d))
     rep.record("deeper blocks are orthogonal to shallower stem roots",
@@ -261,9 +255,8 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
             for a in wing_block(g):
                 for b in wing_block(d):
                     checked += 1
-                    s, m = root_sum(a, b), root_sub(a, b)
-                    if (s is not None and s in rs.root_set) or \
-                       (m is not None and m in rs.root_set):
+                    row = rs.sums[a]
+                    if row.get(b) is not None or row.get(-b) is not None:
                         bad.append("incomparable blocks of %s, %s interact"
                                    % (g, d))
     rep.record("incomparable blocks never sum to roots", checked, bad)
@@ -274,11 +267,10 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
     for g in G:
         for a in stem.phi[g]:
             checked += 1
-            down = root_sub(a, g)
-            up = root_sum(a, g)
-            if not (down in rs.root_set and not down.positive):
+            down = rs.sums[a].get(-g)
+            if down is None or down.positive:
                 bad.append("%s - %s is not a negative root" % (a, g))
-            if up in rs.root_set:
+            if rs.sums[a].get(g) is not None:
                 bad.append("%s + %s is a root" % (a, g))
             if rs.cartan_int(a, g) <= 0:
                 bad.append("%s pairs nonpositively with %s" % (a, g))
@@ -300,8 +292,7 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
     diffs = {}
     for d in G:
         wings_d = stem.phi[d]
-        diffs[d] = {root_sub(b1, b2) for b1 in wings_d for b2 in wings_d
-                    if b1 != b2}
+        diffs[d] = {rs.sums[b1].get(-b2) for b1 in wings_d for b2 in wings_d}
     for d in G:
         for g in G:
             if not stem.precedes(d, g):

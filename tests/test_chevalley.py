@@ -11,6 +11,7 @@ from stemhc.rootsystems import (
 )
 from stemhc.scalars import TowerScalar, ZERO, ONE, I, EIGHTH_ROOT
 from stemhc.stem import compute_stem
+from test_rootsystems import optimized_stdout
 from test_scalars import scalars
 
 
@@ -54,14 +55,9 @@ def test_constant_antisymmetries(t):
 
 def test_missing_constant_raises(monkeypatch):
     """A basis whose constants miss one pair with a root sum is refused, and
-    so is a Cartan vector of the wrong length, also under `python -O`, which
-    strips asserts; so is a Cartan basis key past the last slot."""
-    import os
-    import subprocess
-    import sys
-
-    import stemhc
-
+    so are a Cartan vector of the wrong length and a compact generator X or Y
+    with a phase off the unit circle, zero included, also under `python -O`,
+    which strips asserts; so is a Cartan basis key past the last slot."""
     rs = RootSystem(parse_shape("A2"))
     cb = ChevalleyBasis(rs)
     pair = next(iter(cb.n_const))
@@ -74,6 +70,15 @@ def test_missing_constant_raises(monkeypatch):
         assert str(exc.value) == msg
     with pytest.raises(ValueError):
         cb.basis_element(("h", 2))
+    g = rs.positives[-1]
+    phases = ("0", "2", "1/2+1/2i")
+    for rho in phases:
+        for make in (cb.X, cb.Y):
+            with pytest.raises(ValueError) as exc:
+                make(g, TowerScalar.parse(rho))
+            assert str(exc.value) == ("phase is not unit modulus: %s"
+                                      % TowerScalar.parse(rho))
+    assert cb.X(g, I) == cb.Y(g)
     build = ChevalleyBasis._build_constants
 
     def dropping(self, ci):
@@ -85,18 +90,21 @@ def test_missing_constant_raises(monkeypatch):
         ChevalleyBasis(rs)
     assert str(exc.value) == want
     monkeypatch.undo()
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(stemhc.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     script = ("from stemhc.chevalley import ChevalleyBasis\n"
               "from stemhc.rootsystems import RootSystem, parse_shape\n"
+              "from stemhc.scalars import TowerScalar\n"
               "cb = ChevalleyBasis(RootSystem(parse_shape('A2')))\n"
               "for vec in ([1], [1, 0, 1]):\n"
               "    try:\n"
               "        cb.H_vec(vec)\n"
               "    except ValueError as exc:\n"
               "        print(exc)\n"
+              "for rho in %r:\n"
+              "    for make in (cb.X, cb.Y):\n"
+              "        try:\n"
+              "            make(cb.rs.positives[-1], TowerScalar.parse(rho))\n"
+              "        except ValueError as exc:\n"
+              "            print(exc)\n"
               "build = ChevalleyBasis._build_constants\n"
               "def dropping(self, ci):\n"
               "    build(self, ci)\n"
@@ -105,16 +113,18 @@ def test_missing_constant_raises(monkeypatch):
               "try:\n"
               "    ChevalleyBasis(RootSystem(parse_shape('A2')))\n"
               "except ValueError as exc:\n"
-              "    print(exc)\n")
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == [short, long, want]
+              "    print(exc)\n") % (phases,)
+    assert optimized_stdout(script).splitlines() == (
+        [short, long]
+        + ["phase is not unit modulus: %s" % TowerScalar.parse(rho)
+           for rho in phases for _ in range(2)]
+        + [want])
 
 
 def reference_bracket(cb, x, y):
     """The bracket term by term from coordinate sums of roots and n_const,
-    without the root-product table, and with alpha(h) summed over the dense
-    Cartan view against the root system's pairings."""
+    without the root-sum table `rs.sums`, and with alpha(h) summed over the
+    dense Cartan view against the root system's pairings."""
     rs = cb.rs
 
     def root_at(alpha, hvec):
@@ -176,11 +186,13 @@ def test_bracket_matches_reference(text):
 
 
 def test_root_products_table():
+    """The bracket's root-sum table, `rs.sums`, against coordinate sums; its
+    pairs with a root sum are exactly the pairs with a structure constant."""
     cb = cb_of(SimpleType("B", 3))
     rs = cb.rs
     stored = {r: r for r in rs.roots}
     for a in rs.roots:
-        row = cb.root_products[a]
+        row = rs.sums[a]
         for b in rs.roots:
             s = root_sum(a, b)
             if s in rs.root_set:
@@ -189,6 +201,8 @@ def test_root_products_table():
                 assert b in row and row[b] is None
             else:
                 assert b not in row
+    assert set(cb.n_const) == {(a, b) for a, row in rs.sums.items()
+                               for b, s in row.items() if s is not None}
 
 
 def test_combine_matches_the_chain():

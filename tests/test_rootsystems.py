@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import stemhc
 from stemhc.rootsystems import (
-    Root, RootSystem, SimpleType, parse_shape, shape, simple_type,
+    Root, RootSystem, SimpleType, parse_shape, root_sum, shape, simple_type,
 )
 from stemhc.stem import compute_stem
 import euclid_oracle as eo
@@ -15,6 +20,20 @@ ALL_SMALL = [
     SimpleType("F", 4), SimpleType("G", 2),
 ]
 E_SERIES = [SimpleType("E", 6), SimpleType("E", 7), SimpleType("E", 8)]
+# every small type, the E series, a center and two simple factors
+TABLE_SHAPES = ([str(t) for t in ALL_SMALL + E_SERIES]
+                + ["c^4 x A2", "A2 x B2"])
+
+
+def optimized_stdout(script):
+    """What `script` prints under `python -O`, which strips asserts."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stemhc.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout
 
 
 def rs_of(t):
@@ -199,6 +218,51 @@ def test_is_closed_and_components():
         rs.irreducible_components({a1})
     with pytest.raises(ValueError):
         rs.highest_roots({a1, a2, -a1, -a2})
+
+
+def test_is_closed_rejects_a_non_root():
+    """Also under `python -O`, which strips asserts; compute_stem passes the
+    error on."""
+    rs = rs_of(SimpleType("A", 2))
+    bogus = {Root(0, (5, 5)), Root(0, (-5, -5))}
+    other = {Root(1, (1, 0)), Root(1, (-1, 0))}   # A2 has no component 1
+    for sub in (bogus, other, bogus | set(rs.roots)):
+        with pytest.raises(ValueError, match="not a root"):
+            rs.is_closed(sub)
+        with pytest.raises(ValueError, match="not a root"):
+            compute_stem(rs, sub)
+    script = ("from stemhc.rootsystems import Root, RootSystem, parse_shape\n"
+              "from stemhc.stem import compute_stem\n"
+              "rs = RootSystem(parse_shape('A2'))\n"
+              "bogus = {Root(0, (5, 5)), Root(0, (-5, -5))}\n"
+              "for check in (rs.is_closed, lambda s: compute_stem(rs, s)):\n"
+              "    try:\n"
+              "        check(bogus)\n"
+              "    except ValueError as exc:\n"
+              "        print(exc)\n")
+    lines = optimized_stdout(script).splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("not a root: 0:(") for line in lines)
+
+
+@pytest.mark.parametrize("text", TABLE_SHAPES)
+def test_sums_match_coordinate_addition(text):
+    """rs.sums against root_sum and root_set on every ordered pair of roots;
+    its keys and values are the very Root objects of rs.roots."""
+    rs = RootSystem(parse_shape(text))
+    stored = {r: r for r in rs.roots}
+    assert len(rs.sums) == len(rs.roots)
+    for a, row in rs.sums.items():
+        assert a is stored[a]
+        assert all(b is stored[b] for b in row)
+        for b in rs.roots:
+            s = root_sum(a, b)
+            if s in rs.root_set:
+                assert row[b] is stored[s]
+            elif b == -a:
+                assert b in row and row[b] is None
+            else:
+                assert b not in row
 
 
 def euclid_components(t, subset):

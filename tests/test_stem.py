@@ -1,16 +1,18 @@
+import os
 from fractions import Fraction
 
 import pytest
 
 from stemhc.chevalley import make_basis, verify_special_sign_identity
 from stemhc.rootsystems import (
-    Root, RootSystem, SimpleType, parse_shape, root_sum, shape,
+    Root, RootSystem, SimpleType, parse_shape, root_sub, root_sum, shape,
 )
 from stemhc.stem import (
-    all_partition_stems, compute_stem, hasse_export, phi_plus, srank, stem_of,
-    verify_stem_properties,
+    all_partition_stems, compute_stem, hasse_export, phi_plus, phi_plus_set,
+    srank, stem_of, verify_stem_properties,
 )
 import euclid_oracle as eo
+from test_rootsystems import TABLE_SHAPES, optimized_stdout
 
 
 def ev(*entries):
@@ -179,6 +181,20 @@ def test_phi_plus_requires_positive_root():
         phi_plus(st, Root(0, (5, 5)))
 
 
+@pytest.mark.parametrize("text", TABLE_SHAPES)
+def test_phi_plus_set_matches_its_definition(text):
+    """Phi_zeta^+ = {b in Delta^+ : zeta - b in Delta^+}, written with
+    coordinate differences, for every positive root zeta."""
+    rs = RootSystem(parse_shape(text))
+    for zeta in rs.positives:
+        want = set()
+        for b in rs.positives:
+            d = root_sub(zeta, b)
+            if d in rs.root_set and d.positive:
+                want.add(b)
+        assert phi_plus_set(rs, zeta) == want
+
+
 def test_phi_plus_even_cardinality_on_stem():
     for text in ["A4", "B3", "C4", "D5", "F4", "G2", "E6"]:
         st = stem_of(parse_shape(text))
@@ -270,16 +286,6 @@ def test_compute_stem_rejects_wings_outside_the_subset():
     with pytest.raises(ValueError):
         compute_stem(RootSystem(parse_shape("B2")), {e1, -e1})
     # and the check survives `python -O`
-    import os
-    import subprocess
-    import sys
-
-    import stemhc
-
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(stemhc.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     script = ("from stemhc.rootsystems import Root, RootSystem, parse_shape\n"
               "from stemhc.stem import compute_stem\n"
               "e1 = Root(0, (1, 1))\n"
@@ -287,6 +293,58 @@ def test_compute_stem_rejects_wings_outside_the_subset():
               "    compute_stem(RootSystem(parse_shape('B2')), {e1, -e1})\n"
               "except ValueError:\n"
               "    print('ValueError')\n")
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "ValueError"
+    assert optimized_stdout(script).strip() == "ValueError"
+
+
+def test_compute_stem_rejects_an_asymmetric_subset():
+    # a lone root is closed; all roots but one are not closed
+    rs = RootSystem(parse_shape("A2"))
+    a1 = rs.positives[0]
+    for sub in ({a1}, set(rs.roots) - {-a1}):
+        with pytest.raises(ValueError):
+            compute_stem(rs, sub)
+    script = ("from stemhc.rootsystems import RootSystem, parse_shape\n"
+              "from stemhc.stem import compute_stem\n"
+              "rs = RootSystem(parse_shape('A2'))\n"
+              "a1 = rs.positives[0]\n"
+              "for sub in ({a1}, set(rs.roots) - {-a1}):\n"
+              "    try:\n"
+              "        compute_stem(rs, sub)\n"
+              "    except ValueError:\n"
+              "        print('ValueError')\n")
+    assert optimized_stdout(script).split() == ["ValueError"] * 2
+
+
+def peel_overlapping_blocks():
+    # every component comes back twice, so its highest root is peeled twice
+    rs = RootSystem(parse_shape("A2"))
+    comps = rs.irreducible_components
+    rs.irreducible_components = lambda sub: comps(sub) * 2
+    compute_stem(rs)
+
+
+def peel_missing_a_root():
+    # the positive system claims one root more than the peeling can cover
+    rs = RootSystem(parse_shape("A2"))
+    rs.positives = rs.positives + [Root(0, (5, 5))]
+    compute_stem(rs)
+
+
+def test_compute_stem_partition_checks_raise():
+    """The wing-block partition of a full stem is checked by explicit
+    raises, so the checks also hold under `python -O`."""
+    for breaker, msg in ((peel_overlapping_blocks, "wing blocks overlap"),
+                         (peel_missing_a_root, "wing blocks miss roots")):
+        with pytest.raises(AssertionError, match=msg):
+            breaker()
+    script = ("import sys\n"
+              "sys.path.insert(0, %r)\n"
+              "import test_stem\n"
+              "for breaker in (test_stem.peel_overlapping_blocks,\n"
+              "                test_stem.peel_missing_a_root):\n"
+              "    try:\n"
+              "        breaker()\n"
+              "    except AssertionError as exc:\n"
+              "        print(exc)\n" % os.path.dirname(__file__))
+    assert optimized_stdout(script).splitlines() == [
+        "wing blocks overlap", "wing blocks miss roots"]
