@@ -11,8 +11,9 @@ identity the construction is supposed to satisfy.
 Everything on p has one sparse form: a vector is a dict from label index to
 nonzero coordinate, and I, J, tau and ad(k) are lists of such columns.  A
 rotation holds the image of each basis vector of the full algebra as an
-AlgebraElement.  Dense matrices are views built on demand, and dense vectors
-only feed the exact linear algebra (Span, kernel_basis).  All checks are
+AlgebraElement.  A rotation is invertible, so it sends independent vectors to
+as many independent images, which span a target of that dimension iff each
+lies in it: every subspace check is a sparse membership test.  All checks are
 exact; the only floating point in the file is the optional cross-check of
 the rotations against scipy's expm.
 """
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chevalley import AlgebraElement, ChevalleyBasis, make_basis
-from .linalg import Span, invert, kernel_basis, mat_vec, rref
+from .linalg import invert, kernel_basis, mat_vec, rref
 from .pairs import PairSpec, complement_data, delta_k
 from .reporting import CheckReport
 from .rootsystems import Root
@@ -182,8 +183,9 @@ class PBasis:
         o_p = _kernel_inside(h_p, [root_functional(cb, g)
                                    for g in self.gamma_p])
         full = _kernel_inside(h_p, stem_rows)
-        assert Span(o_p, R) == Span(full, R), \
-            "central kernel of the complement drifted"
+        # both are RREF rows, so they span the same space iff they are equal
+        if o_p != full:
+            raise ValueError("central kernel of the complement drifted")
         assert len(o_p) == self.data.dim_o_p
         assert len(o_p) >= self.num_p
         self.h_p = h_p
@@ -316,14 +318,6 @@ def _compose_cols(a, b):
     return [_apply_cols(a, col) for col in b]
 
 
-def _dense(coords, n):
-    """Sparse coordinates as a dense length-n list, for Span."""
-    out = [ZERO] * n
-    for i, c in coords.items():
-        out[i] = c
-    return out
-
-
 def _dense_view(cols):
     """The dense matrix of the columns: entry [i][j] is row i of column j."""
     return [[col.get(i, ZERO) for col in cols] for i in range(len(cols))]
@@ -428,7 +422,6 @@ class HCStructure:
 
     i_matrix = property(lambda self: _dense_view(self.i_cols))
     j_matrix = property(lambda self: _dense_view(self.j_cols))
-    tau_matrix = property(lambda self: _dense_view(self.tau_cols))
 
     def apply_i(self, x):
         pb = self.pbasis
@@ -598,6 +591,26 @@ def eigenspace(matrix, sign):
     return kernel_basis(rows, n)
 
 
+def _eigenvectors(cols, sign):
+    """`eigenspace(_dense_view(cols), sign)` as sparse coordinates.  If each
+    column is one entry on a cycle of length at most 2, the RREF is block
+    diagonal over the cycles, so the basis is read off them in free-column
+    order: e_j if c_jj = lam, and e_j + (c_ij / lam) e_i for a 2-cycle i < j
+    with c_ij c_ji = -1."""
+    lam = I if sign > 0 else -I
+    out = []
+    for j, col in enumerate(cols):
+        if len(col) != 1 or cols[next(iter(col))].keys() != {j}:
+            return [{i: c for i, c in enumerate(v) if c}
+                    for v in eigenspace(_dense_view(cols), sign)]
+        ((i, c),) = col.items()
+        if i == j and c == lam:
+            out.append({j: ONE})
+        elif i < j and c * cols[i][j] == -ONE:
+            out.append({i: -lam * c, j: ONE})
+    return out
+
+
 def compact_basis(pb: PBasis):
     """A real basis of the compact form of the complement (it spans the
     complexification over the tower, which is what the checks need)."""
@@ -624,12 +637,11 @@ def verify_integrability(hc: HCStructure) -> CheckReport:
     for opname, cols in (("first", hc.i_cols), ("second", hc.j_cols)):
         for sign, signname in ((1, "+i"), (-1, "-i")):
             lam = I if sign > 0 else -I
-            vecs = eigenspace(_dense_view(cols), sign)
+            vecs = _eigenvectors(cols, sign)
             bad = []
             if 2 * len(vecs) != n:
                 bad.append("eigenspace dimension %d of %d" % (len(vecs), n))
-            elems = [pb.assemble({i: c for i, c in enumerate(v) if c})
-                     for v in vecs]
+            elems = [pb.assemble(v) for v in vecs]
             checked = 0
             for a in range(len(elems)):
                 for b in range(a, len(elems)):
@@ -771,6 +783,15 @@ def g_coords(cb: ChevalleyBasis, x: AlgebraElement):
     for j, c in x.cartan.items():
         out[cb.key_index[("h", j)]] = c
     return out
+
+
+def _in_span(x: AlgebraElement, targets) -> bool:
+    """Whether x lies in the span of targets, (pivot, vector) pairs whose
+    pivot, ("e", root) or ("cartan", slot), is nonzero in its own vector
+    only: then x is in the span iff it equals its expansion on the pivots."""
+    return x == x.cb.combine(
+        (getattr(x, part).get(key, ZERO) / getattr(t, part)[key], t)
+        for (part, key), t in targets)
 
 
 class RootRotation:
@@ -942,18 +963,20 @@ def verify_rotation(cb: ChevalleyBasis, stem, gamma: Root,
     rep.record("rotation fixes the kernel of the stem root",
                max(len(ker), 1), bad)
 
+    # rot is invertible, so the images of a block's basis span the block iff
+    # each lies in it: support inside the block and no Cartan part
     bad = []
     for d in others:
         for sign in (1, -1):
-            side = [a if sign > 0 else -a for a in stem.phi[d]]
-            block = [g_coords(cb, cb.E(a)) for a in side]
-            imgs = [g_coords(cb, rot.apply(cb.E(a))) for a in side]
-            if block and Span(block, n) != Span(imgs, n):
+            side = {a if sign > 0 else -a for a in stem.phi[d]}
+            if any(img.cartan or not img.e.keys() <= side
+                   for img in (rot.apply(cb.E(a)) for a in side)):
                 bad.append("wing block of %s not setwise invariant"
                            % (d if sign > 0 else -d,))
-    sl2 = [cb.E(gamma), cb.E(-gamma), cb.H_of_root(gamma)]
-    if Span([g_coords(cb, v) for v in sl2], n) != \
-            Span([g_coords(cb, rot.apply(v)) for v in sl2], n):
+    h_gamma = cb.H_of_root(gamma)
+    sl2 = [(("e", gamma), cb.E(gamma)), (("e", -gamma), cb.E(-gamma)),
+           (("cartan", min(h_gamma.cartan)), h_gamma)]
+    if not all(_in_span(rot.apply(v), sl2) for _, v in sl2):
         bad.append("own sl2 block not setwise invariant")
     rep.record("other wing blocks and the own sl2 stay setwise invariant",
                2 * len(others) + 1, bad)
@@ -967,38 +990,33 @@ def verify_rotation_spans(cb: ChevalleyBasis, stem,
     phases = _phase_map(stem.elements, phases)
     z_vecs = stem_z_vectors(cb, stem)
     prod = rotation_product(cb, stem.elements, phases)
-    n = len(cb.basis_keys)
     rep = CheckReport()
 
+    # the product is invertible and each target vector has its own pivot (a
+    # for E_a + c E_(a-g), as a > 0 > a - g), so the images span the target
+    # iff each lies in it
     bad = []
     for g in stem.elements:
-        rho = phases[g]
-        wings = sorted(stem.phi[g], key=Root.key)
-        if not wings:
-            continue
-        imgs = [g_coords(cb, prod.apply(cb.E(a))) for a in wings]
-        want = [g_coords(cb, cb.E(a)
-                         + cb.E(cb.rs.sums[a][-g],
-                                cb.n_const[(g, -a)] * rho.conj()))
+        rb = phases[g].conj()
+        wings = stem.phi[g]
+        want = [(("e", a), cb.E(a) + cb.E(cb.rs.sums[a][-g],
+                                           cb.n_const[(g, -a)] * rb))
                 for a in wings]
-        if Span(imgs, n) != Span(want, n):
+        if not all(_in_span(prod.apply(cb.E(a)), want) for a in wings):
             bad.append("wing span of %s" % (g,))
     rep.record("product rotation sends wing blocks to their mixed twins",
                len(stem.elements), bad)
 
     bad = []
     for g, z_vec in zip(stem.elements, z_vecs):
-        rho = phases[g]
-        rb = rho.conj()
+        rb = phases[g].conj()
         w = cb.W(g)
         z = cb.H_vec(z_vec).scale(I)
         p = w - z.scale(I)
         q = w + z.scale(I)
-        plane = [g_coords(cb, prod.apply(p)),
-                 g_coords(cb, prod.apply(cb.E(g)))]
-        want = [g_coords(cb, cb.E(g) - q.scale(I * rb)),
-                g_coords(cb, p - cb.E(-g).scale(I * rb))]
-        if Span(plane, n) != Span(want, n):
+        want = [(("e", g), cb.E(g) - q.scale(I * rb)),
+                (("e", -g), p - cb.E(-g).scale(I * rb))]
+        if not all(_in_span(prod.apply(x), want) for x in (p, cb.E(g))):
             bad.append("twisted plane of %s" % (g,))
     rep.record("product rotation twists each stem plane as claimed",
                max(len(stem.elements), 1), bad)
@@ -1010,50 +1028,45 @@ def verify_eigenspace_transport(hc: HCStructure) -> CheckReport:
     eigenspaces of the second structure, and permutes the pair split."""
     pb = hc.pbasis
     cb = pb.cb
-    n = len(pb.labels)
-    ng = len(cb.basis_keys)
     prod = rotation_product(cb, pb.stem.elements,
                             {g: pb.phases[g] for g in pb.gamma_p})
     rep = CheckReport()
 
+    # the product is invertible, so the images of a basis of k (of p) span
+    # k (p) iff none has a part in p (in k)
     kbasis = [x for _, x in subalgebra_basis(pb)]
-    kvecs = [g_coords(cb, x) for x in kbasis]
-    kimgs = [g_coords(cb, prod.apply(x)) for x in kbasis]
     bad = []
-    if kvecs and Span(kvecs, ng) != Span(kimgs, ng):
+    if any(pb.decompose(prod.apply(x)).coords for x in kbasis):
         bad.append("subalgebra span moved")
     rep.record("product rotation preserves the subalgebra",
-               max(len(kvecs), 1), bad)
+               max(len(kbasis), 1), bad)
 
-    pvecs = [g_coords(cb, v) for v in pb.vectors]
-    pimgs = [g_coords(cb, prod.apply(v)) for v in pb.vectors]
+    moved = [pb.decompose(prod.apply(v)) for v in pb.vectors]
     bad = []
-    if Span(pvecs, ng) != Span(pimgs, ng):
+    if not all(d.in_p for d in moved):
         bad.append("complement span moved")
-    rep.record("product rotation preserves the complement", len(pvecs), bad)
+    rep.record("product rotation preserves the complement", len(moved), bad)
 
     # the untwisted polarization: positive root vectors with P (resp.
-    # negatives with Q), plus the matching central eigenvectors
+    # negatives with Q), plus the matching central eigenvectors, which the
+    # product fixes as every stem root kills them; the moved vectors span
+    # the lam-eigenspace iff each is in it and they match its dimension
     for sign, signname in ((1, "+i"), (-1, "-i")):
-        source = []
-        for a in pb.dp_plus:
-            source.append(pb.element(("e", a if sign > 0 else -a)))
-        for t in range(pb.num_p):
-            source.append(pb.element(("p" if sign > 0 else "q", t)))
-        central = []
+        lam = I if sign > 0 else -I
+        labels = [("e", a if sign > 0 else -a) for a in pb.dp_plus]
+        labels += [("p" if sign > 0 else "q", t) for t in range(pb.num_p)]
+        vecs = [moved[pb.index[lab]].coords for lab in labels]
         for s in range(0, len(pb.j_vecs), 4):
-            u = [pb.element(("u", s + r)) for r in range(4)]
-            central.append(u[0] - u[2].scale(I * sign))
-            central.append(u[1] + u[3].scale(I * sign))
-        moved = [_dense(pb.coords_strict(prod.apply(x)), n) for x in source]
-        moved += [_dense(pb.coords_strict(x), n) for x in central]
-        eig = eigenspace(hc.j_matrix, sign)
+            u = [pb.index[("u", s + r)] for r in range(4)]
+            vecs += [{u[0]: ONE, u[2]: -I * sign}, {u[1]: ONE, u[3]: I * sign}]
         bad = []
-        if Span(moved, n) != Span(eig, n):
+        if len(vecs) != len(_eigenvectors(hc.j_cols, sign)) or any(
+                _apply_cols(hc.j_cols, v) != {i: lam * c for i, c in v.items()}
+                for v in vecs):
             bad.append("transported span differs from the %s eigenspace"
                        % signname)
         rep.record("rotated polarization equals the %s eigenspace of the "
-                   "second structure" % signname, len(moved), bad)
+                   "second structure" % signname, len(vecs), bad)
     return rep
 
 

@@ -1,7 +1,7 @@
 """Small exact dense linear algebra over Fraction or TowerScalar entries.
 
-Only what the library needs: reduced row echelon form, kernels, span
-membership, square inversion, and products.  Pivoting is first-nonzero, which
+Only what the library needs: reduced row echelon form, kernels, square
+inversion, and products, plus the spans the tests compare.  Pivoting is first-nonzero, which
 keeps every output deterministic (a requirement for the canonical bases picked
 downstream).
 """
@@ -94,7 +94,7 @@ def kernel_basis(rows, ncols=None):
 
 
 class Span:
-    """A subspace held in RREF, answering membership and coordinates."""
+    """A subspace held in RREF; two spans are equal iff their rows are."""
 
     def __init__(self, vectors, ncols=None):
         vectors = [list(v) for v in vectors]
@@ -110,19 +110,6 @@ class Span:
     @property
     def dim(self):
         return len(self.rows)
-
-    def reduce(self, vec):
-        """Residue of vec modulo the span (zero vector iff vec is inside)."""
-        v = list(vec)
-        for r, p in zip(self.rows, self.pivots):
-            f = v[p]
-            if f:
-                for j in range(self.ncols):
-                    v[j] = v[j] - f * r[j]
-        return v
-
-    def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
 
     def __eq__(self, other):
         if not isinstance(other, Span):

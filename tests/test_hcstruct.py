@@ -1,13 +1,18 @@
 """The adapted basis, both complex structures, and the root rotations."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import stemhc
+from stemhc import hcstruct, linalg
 from stemhc.chevalley import make_basis
 from stemhc.hcstruct import (
-    HCStructure, PBasis, _apply_cols, build_structure, compact_basis,
-    eigenspace,
+    HCStructure, PBasis, _apply_cols, _compose_cols, _dense_view,
+    _eigenvectors, _rotation_poly, build_structure, compact_basis, eigenspace,
     root_coupling_matrix, root_rotation, rotation_float_error,
     rotation_product, stem_central_kernel, stem_z_vectors, subalgebra_basis,
     verify_eigenspace_transport, verify_equivariance, verify_integrability,
@@ -40,6 +45,28 @@ def sparse_cols(m):
     """The sparse columns HCStructure stores, read off a dense matrix."""
     n = len(m)
     return [{i: m[i][j] for i in range(n) if m[i][j]} for j in range(n)]
+
+
+def negated_two_cycle(hc):
+    """hc with J negated on both columns of the 2-cycle through the first
+    positive root: J still squares to -1, but it is no longer integrable."""
+    pb = hc.pbasis
+    a = pb.index[("e", pb.dp_plus[0])]
+    (b,) = hc.j_cols[a]
+    cols = [{i: -v for i, v in col.items()} if j in (a, b) else col
+            for j, col in enumerate(hc.j_cols)]
+    return HCStructure(pb, hc.i_cols, cols, hc.tau_cols)
+
+
+def run_python(script, *flags):
+    """Standard output of `python <flags> -c script` with this stemhc."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stemhc.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
 
 
 # ------------------------------------------------------------ adapted basis
@@ -138,12 +165,6 @@ def test_decompose_stores_no_zero():
 def test_round_trip_check_holds_under_optimize(monkeypatch):
     """A decompose that scales one coordinate by 2 stops the basis from
     being built, also under `python -O`, which strips asserts."""
-    import os
-    import subprocess
-    import sys
-
-    import stemhc
-
     want = "basis round trip failed at %s" % (build("A2").pbasis.labels[0],)
     decompose = PBasis.decompose
 
@@ -159,10 +180,6 @@ def test_round_trip_check_holds_under_optimize(monkeypatch):
         PBasis(make_pair_spec("A2"))
     assert str(exc.value) == want
     monkeypatch.undo()
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(stemhc.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     script = ("from stemhc.hcstruct import PBasis\n"
               "from stemhc.pairs import make_pair_spec\n"
               "decompose = PBasis.decompose\n"
@@ -177,9 +194,7 @@ def test_round_trip_check_holds_under_optimize(monkeypatch):
               "    PBasis(make_pair_spec('A2'))\n"
               "except ValueError as exc:\n"
               "    print(exc)\n")
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == want
+    assert run_python(script, "-O") == want
 
 
 def test_round_trip_check_names_a_leak_into_k(monkeypatch):
@@ -195,6 +210,29 @@ def test_round_trip_check_names_a_leak_into_k(monkeypatch):
     with pytest.raises(ValueError) as exc:
         PBasis(make_pair_spec("A2"))
     assert str(exc.value) == want
+
+
+def test_central_kernel_drift_raises_under_optimize():
+    """A central kernel of the complement that differs from the kernel of
+    every stem root stops the basis from being built, also under -O."""
+    # the fourth kernel A2 asks for is that of every stem root; dropping a
+    # row of it leaves a different space
+    script = ("import stemhc.hcstruct as h\n"
+              "from stemhc.pairs import make_pair_spec\n"
+              "kernel_inside = h._kernel_inside\n"
+              "calls = []\n"
+              "def drifted(span_rows, functional_rows):\n"
+              "    calls.append(functional_rows)\n"
+              "    out = kernel_inside(span_rows, functional_rows)\n"
+              "    return out[1:] if len(calls) == 4 else out\n"
+              "h._kernel_inside = drifted\n"
+              "try:\n"
+              "    h.PBasis(make_pair_spec('A2'))\n"
+              "except ValueError as exc:\n"
+              "    print(exc, len(calls))\n")
+    for flags in ((), ("-O",)):
+        assert run_python(script, *flags) == \
+            "central kernel of the complement drifted 4"
 
 
 def test_w_and_z_elements():
@@ -383,13 +421,55 @@ def test_sparse_apply_drops_cancelled_entries():
 
 
 def test_eigenspaces_split_the_complement():
+    """The eigenvectors read off the cycles of a monomial map are the
+    kernel basis of its dense eigenspace, vector for vector; a map that is
+    not monomial goes through the dense kernel.  Each structure splits the
+    complement into its two eigenspaces."""
+    def dense_kernel(cols, sign):
+        return [{i: c for i, c in enumerate(v) if c}
+                for v in eigenspace(_dense_view(cols), sign)]
+
+    for shape, substem, o_k_dim in ACCEPTED:
+        for rho in (ONE, I, EIGHTH_ROOT):
+            hc = build(shape, substem, o_k_dim, phases=rho)
+            n = len(hc.pbasis.labels)
+            # a J with one column negated no longer squares to -1: that
+            # 2-cycle has no eigenvector
+            one_column = [{i: -v for i, v in col.items()} if j == 0 else col
+                          for j, col in enumerate(hc.j_cols)]
+            for cols in (hc.i_cols, hc.j_cols, negated_two_cycle(hc).j_cols,
+                         one_column):
+                for sign in (1, -1):
+                    assert _eigenvectors(cols, sign) == dense_kernel(cols,
+                                                                     sign)
+            for m in (hc.i_matrix, hc.j_matrix):
+                plus = eigenspace(m, 1)
+                minus = eigenspace(m, -1)
+                assert len(plus) == len(minus) == n // 2
+                assert Span(plus + minus, n).dim == n
+    # J conjugated by the shear e_1 -> e_1 + e_0 has a column with two
+    # entries: still a complex structure, with the same eigenspace sizes
     hc = build("A3", (2,), phases=EIGHTH_ROOT)
     n = len(hc.pbasis.labels)
-    for m in (hc.i_matrix, hc.j_matrix):
-        plus = eigenspace(m, 1)
-        minus = eigenspace(m, -1)
-        assert len(plus) == len(minus) == n // 2
-        assert Span(plus + minus, n).dim == n
+    shear = [{j: ONE} for j in range(n)]
+    unshear = [{j: ONE} for j in range(n)]
+    shear[1] = {0: ONE, 1: ONE}
+    unshear[1] = {0: -ONE, 1: ONE}
+    cols = _compose_cols(shear, _compose_cols(hc.j_cols, unshear))
+    assert max(len(col) for col in cols) > 1
+    for sign, lam in ((1, I), (-1, -I)):
+        vecs = _eigenvectors(cols, sign)
+        assert vecs == dense_kernel(cols, sign)
+        assert len(vecs) == n // 2
+        assert all(_apply_cols(cols, v) == {i: lam * c for i, c in v.items()}
+                   for v in vecs)
+    # J after swapping e_0 and e_1 is monomial, but with a 4-cycle
+    swap = [{1: ONE}, {0: ONE}] + [{j: ONE} for j in range(2, n)]
+    cols = _compose_cols(hc.j_cols, swap)
+    assert all(len(col) == 1 for col in cols)
+    assert cols[next(iter(cols[0]))].keys() != {0}
+    for sign in (1, -1):
+        assert _eigenvectors(cols, sign) == dense_kernel(cols, sign)
 
 
 def test_compact_basis_spans_everything():
@@ -544,11 +624,7 @@ def test_integrability_fails_on_a_negated_two_cycle(shape, substem, pairs, k):
     squares to -1, but its torsion and eigenspace brackets fail."""
     hc = build(shape, substem)
     pb = hc.pbasis
-    a = pb.index[("e", pb.dp_plus[0])]
-    (b,) = hc.j_cols[a]
-    cols = [{i: -v for i, v in col.items()} if j in (a, b) else col
-            for j, col in enumerate(hc.j_cols)]
-    broken = HCStructure(pb, hc.i_cols, cols, hc.tau_cols)
+    broken = negated_two_cycle(hc)
     assert next(it for it in verify_operator_identities(broken).items
                 if it.name.startswith("second structure squares")).ok
     items = verify_integrability(broken).items
@@ -571,6 +647,145 @@ def test_integrability_fails_on_a_negated_two_cycle(shape, substem, pairs, k):
         for pair in ((xa, ya), (xa, yb), (xa, xg), (xa, w), (ya, xb),
                      (ya, xg), (ya, w), (xb, yb), (xb, xg), (xb, w),
                      (yb, xg), (yb, w))]
+
+
+@pytest.mark.parametrize("broken", ["negated", "scalar"])
+@pytest.mark.parametrize("shape,substem", [
+    ("A2", ()), ("A4", (2,)), ("c^4 x A2", ())])
+def test_transport_fails_on_a_broken_two_cycle(shape, substem, broken):
+    """A J with one 2-cycle negated moves both eigenspaces off the rotated
+    polarization.  A J that is i on that 2-cycle keeps every rotated +i
+    vector an eigenvector, but its +i eigenspace has one dimension more.
+    The rotation checks do not read J."""
+    hc = build(shape, substem, phases=EIGHTH_ROOT)
+    if broken == "negated":
+        hc = negated_two_cycle(hc)
+    else:
+        pb = hc.pbasis
+        a = pb.index[("e", pb.dp_plus[0])]
+        (b,) = hc.j_cols[a]
+        cols = [{j: I} if j in (a, b) else col
+                for j, col in enumerate(hc.j_cols)]
+        hc = HCStructure(pb, hc.i_cols, cols, hc.tau_cols)
+    items = verify_eigenspace_transport(hc).items
+    assert [it.ok for it in items] == [True, True, False, False]
+    for it, sign in zip(items[2:], ("+i", "-i")):
+        assert it.violation_count == 1
+        assert it.violations == [
+            "transported span differs from the %s eigenspace" % sign]
+
+
+@pytest.mark.parametrize("leak", ["subalgebra", "complement"])
+def test_transport_catches_an_image_that_leaves_its_summand(monkeypatch,
+                                                            leak):
+    """The product rotation with the image of a subalgebra root vector
+    given a complement part, or the reverse; a leak out of the complement
+    is reported, not raised."""
+    hc = build("A3", (2,), phases=EIGHTH_ROOT)
+    pb = hc.pbasis
+    r, a = min(pb.dk_set, key=Root.key), pb.dp_plus[0]
+    key, extra = (r, a) if leak == "subalgebra" else (a, r)
+    product = hcstruct.rotation_product
+
+    def leaky(cb, gammas, phases=None):
+        prod = product(cb, gammas, phases)
+        k = cb.key_index[("e", key)]
+        prod.images[k] = prod.images[k] + cb.E(extra)
+        return prod
+
+    monkeypatch.setattr(hcstruct, "rotation_product", leaky)
+    items = [it.to_dict() for it in verify_eigenspace_transport(hc).items]
+    want = {"subalgebra": {
+        "name": "product rotation preserves the subalgebra",
+        "checked": len(subalgebra_basis(pb)), "ok": False,
+        "violations": ["subalgebra span moved"], "violation_count": 1},
+        "complement": {
+        "name": "product rotation preserves the complement",
+        "checked": len(pb.labels), "ok": False,
+        "violations": ["complement span moved"], "violation_count": 1}}
+    assert [it for it in items if not it["ok"]] == [want[leak]]
+
+
+@pytest.mark.parametrize("moved", ["wing", "stem"])
+def test_rotation_checks_catch_an_image_outside_its_block(monkeypatch, moved):
+    """The first stem rotation of A4 with one image pushed out of its block:
+    a wing vector of the second stem root gains E_gamma, or E_gamma gains
+    that wing vector."""
+    cb = make_basis(parse_shape("A4"))
+    st = stem_of(parse_shape("A4"))
+    g, d = st.elements
+    a = min(st.phi[d], key=Root.key)
+    key, extra = (("e", a), cb.E(g)) if moved == "wing" else \
+        (("e", g), cb.E(a))
+    rotation = hcstruct.root_rotation
+
+    def pushed(cb, gamma, rho=ONE):
+        rot = rotation(cb, gamma, rho)
+        if gamma == g:
+            k = cb.key_index[key]
+            rot.images[k] = rot.images[k] + extra
+        return rot
+
+    monkeypatch.setattr(hcstruct, "root_rotation", pushed)
+    block = verify_rotation(cb, st, g, rho=EIGHTH_ROOT).items[-1]
+    assert block.to_dict() == {
+        "name": "other wing blocks and the own sl2 stay setwise invariant",
+        "checked": 3, "ok": False,
+        "violations": ["wing block of %s not setwise invariant" % (d,)
+                       if moved == "wing"
+                       else "own sl2 block not setwise invariant"],
+        "violation_count": 1}
+    wing_spans, planes = verify_rotation_spans(cb, st, EIGHTH_ROOT).items
+    bad, good = (wing_spans, planes) if moved == "wing" else \
+        (planes, wing_spans)
+    assert good.ok
+    assert bad.violation_count == 1
+    assert bad.violations == (["wing span of %s" % (d,)] if moved == "wing"
+                              else ["twisted plane of %s" % (g,)])
+
+
+def test_verifiers_build_no_dense_span(monkeypatch):
+    """Once the structures are built, the verifiers build no Span, and the
+    only row reductions left are the rational kernels on the Cartan
+    subalgebra, with rows of length total_rank."""
+    jobs = []
+    for shape, substem in (("A4", (2,)), ("c^4 x A2", ())):
+        hc = build(shape, substem, phases=EIGHTH_ROOT)
+        jobs.append((hc.cb.total_rank, hc.verify_all))
+    cb = make_basis(parse_shape("B4"))
+    st = stem_of(parse_shape("B4"))
+    for g in st.elements:
+        jobs.append((cb.total_rank,
+                     lambda g=g: verify_rotation(cb, st, g, rho=EIGHTH_ROOT)))
+    jobs.append((cb.total_rank, lambda: verify_rotation_spans(cb, st)))
+    _rotation_poly()      # the rotations' interpolation, solved once
+    spans, reduced = [], []
+    span_init = linalg.Span.__init__
+
+    def counted_span(self, *args, **kwargs):
+        spans.append(args)
+        span_init(self, *args, **kwargs)
+
+    rref = linalg.rref
+
+    def counted_rref(rows):
+        rows = [list(r) for r in rows]
+        reduced.append(rows)
+        return rref(rows)
+
+    monkeypatch.setattr(linalg.Span, "__init__", counted_span)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stemhc") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is rref:
+                    monkeypatch.setattr(module, attr, counted_rref)
+    for rank, job in jobs:
+        start = len(reduced)
+        assert job().ok
+        assert all(len(r) == rank for rows in reduced[start:] for r in rows)
+    assert spans == []
+    assert reduced
+    assert all(type(x) is Fraction for rows in reduced for r in rows for x in r)
 
 
 def test_failure_counts_every_wrong_entry():

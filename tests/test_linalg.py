@@ -46,10 +46,12 @@ def test_kernel_of_empty():
 
 
 def test_span_membership():
-    sp = linalg.Span([[F(1), F(1), F(0)], [F(0), F(1), F(1)]])
+    rows = [[F(1), F(1), F(0)], [F(0), F(1), F(1)]]
+    sp = linalg.Span(rows)
     assert sp.dim == 2
-    assert sp.contains([F(1), F(2), F(1)])
-    assert not sp.contains([F(0), F(0), F(1)])
+    # v lies in the span iff adding it leaves the span unchanged
+    assert linalg.Span(rows + [[F(1), F(2), F(1)]]) == sp
+    assert linalg.Span(rows + [[F(0), F(0), F(1)]]) != sp
     assert (linalg.Span([[F(1), F(1), F(0)], [F(0), F(1), F(1)]])
             == linalg.Span([[F(1), F(0), F(-1)], [F(0), F(2), F(2)]]))
     assert (linalg.Span([[F(1), F(0), F(0)]])
@@ -90,4 +92,4 @@ def test_tower_span():
     v2 = [I, -ONE]          # = i * v1
     sp = linalg.Span([v1, v2])
     assert sp.dim == 1
-    assert sp.contains([TowerScalar(2), TowerScalar(0, 2)])
+    assert linalg.Span([v1, v2, [TowerScalar(2), TowerScalar(0, 2)]]) == sp
