@@ -1,8 +1,10 @@
 """Print every verifier report item the library produces on a fixed set of
-inputs, one line per item: (name, checked, ok, violation_count, violations).
+inputs, one line per item: (name, checked, ok, violation_count, violations),
+and then the pair layer those verifiers rest on.
 
-Two checkouts that print the same lines give the same verdicts and the same
-`checked` counts on these inputs, so diffing the output of
+Two checkouts that print the same lines give the same verdicts, the same
+`checked` counts and the same pair data on these inputs, so diffing the
+output of
 
     PYTHONPATH=src python3 scripts/verifier_reports.py
 
@@ -10,21 +12,36 @@ across a change shows whether it kept the verifiers' outputs.  The inputs:
 `verify_all` on the five worked pairs and on every space of
 `enumerate_hc_spaces(24)` at the phases 1, i and zeta8; `verify_rotation` on
 every stem root, and `verify_rotation_spans` once, for each type in
-ROTATION_TYPES at the same phases.
+ROTATION_TYPES at the same phases.  The same runs on the TORUS_BUILDS pairs,
+whose subalgebras hold central directions.  The pair layer: `check_pair` on
+every substem of every ATLAS_TYPES type, `complement_data` on the accepted
+ones, the `audit_type` rows, and the Cartan vectors `o_k`, `z_vecs` and
+`j_vecs` of every adapted basis built above.
 """
 
 from stemhc.chevalley import make_basis
-from stemhc.classify import enumerate_hc_spaces
+from stemhc.classify import audit_type, enumerate_hc_spaces
 from stemhc.cli import SELFTEST_BUILDS
 from stemhc.hcstruct import (build_structure, verify_rotation,
                              verify_rotation_spans)
-from stemhc.pairs import make_pair_spec
+from stemhc.pairs import (PairSpec, check_pair, complement_data,
+                          enumerate_substems, make_pair_spec)
 from stemhc.rootsystems import parse_shape
 from stemhc.scalars import EIGHTH_ROOT, I, ONE
 from stemhc.stem import stem_of
 
 PHASES = (("1", ONE), ("i", I), ("zeta8", EIGHTH_ROOT))
 ROTATION_TYPES = ("B4", "C4", "D4", "F4", "G2", "A7", "D6", "E6")
+# pairs with central directions in the subalgebra or a torus in g
+TORUS_BUILDS = (("c^1 x A1", (), 0), ("c^1 x C3", (2, 3), 0),
+                ("c^2 x A3", (2,), 2), ("c^2 x A5", (), 1),
+                ("c^1 x B2", (2,), 0), ("A6", (3,), 0))
+# every simple type of rank <= 8
+ATLAS_TYPES = (["A%d" % n for n in range(1, 9)]
+               + ["B%d" % n for n in range(2, 9)]
+               + ["C%d" % n for n in range(2, 9)]
+               + ["D%d" % n for n in range(4, 9)]
+               + ["E6", "E7", "E8", "F4", "G2"])
 
 
 def show(label, rep):
@@ -33,15 +50,35 @@ def show(label, rep):
                       it.violations))
 
 
+def show_pair_layer(bases):
+    for text in ATLAS_TYPES:
+        sh = parse_shape(text)
+        for sub in enumerate_substems(stem_of(sh)):
+            spec = PairSpec(sh, sub.indices, 0)
+            rep = check_pair(spec)
+            print("%s pair |" % text, rep.to_dict())
+            if rep.verdict:
+                print("%s complement |" % text, complement_data(spec).to_dict())
+        for row in audit_type(text):
+            print("%s audit |" % text, row.to_dict())
+    for label, pb in bases:
+        for name in ("o_k", "z_vecs", "j_vecs"):
+            print("%s %s |" % (label, name),
+                  [[str(x) for x in v] for v in getattr(pb, name)])
+
+
 def main():
+    builds = list(SELFTEST_BUILDS) + list(TORUS_BUILDS)
     specs = [("%s %s %d" % (text, list(sub), ok_dim),
               make_pair_spec(text, sub, ok_dim))
-             for text, sub, ok_dim in SELFTEST_BUILDS]
+             for text, sub, ok_dim in builds]
     specs += [(s.describe(), s.to_pair_spec()) for s in enumerate_hc_spaces(24)]
+    bases = []
     for label, spec in specs:
         for name, rho in PHASES:
-            show("%s @%s |" % (label, name),
-                 build_structure(spec, phases=rho).verify_all())
+            hc = build_structure(spec, phases=rho)
+            show("%s @%s |" % (label, name), hc.verify_all())
+            bases.append(("%s @%s |" % (label, name), hc.pbasis))
     for text in ROTATION_TYPES:
         cb = make_basis(parse_shape(text))
         st = stem_of(parse_shape(text))
@@ -51,6 +88,7 @@ def main():
                      verify_rotation(cb, st, g, rho=rho))
             show("%s spans @%s |" % (text, name),
                  verify_rotation_spans(cb, st, rho))
+    show_pair_layer(bases)
 
 
 if __name__ == "__main__":

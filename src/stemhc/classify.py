@@ -124,7 +124,10 @@ class SpaceFactor:
     k: int
 
     def __post_init__(self):
-        assert self.n >= 2 and self.k >= 2 and self.subgroup_order >= 1
+        if not (self.n >= 2 and self.k >= 2 and self.subgroup_order >= 1):
+            raise ValueError("a factor needs n >= 2, k >= 2 and "
+                             "n + 3 - 2k >= 1, got n = %d, k = %d"
+                             % (self.n, self.k))
 
     @property
     def subgroup_order(self):

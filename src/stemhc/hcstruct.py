@@ -156,43 +156,45 @@ class PBasis:
 
     def _split_cartan(self):
         cb = self.cb
-        R = cb.total_rank
         K = cb.killing_h
         stem_rows = [root_functional(cb, g) for g in self.stem.elements]
-        # torus part of the subalgebra: what the picked wing blocks already
-        # cover of the central kernel, padded up to o_k_dim with orthogonal
-        # kernel directions
+        # torus part of the subalgebra: what the coroots of the simple roots
+        # of Delta_k cover of the central kernel, padded up to o_k_dim with
+        # orthogonal kernel directions
         hk_semi = [list(map(Fraction, cb.hroot[r]))
-                   for r in sorted(self.dk_set, key=Root.key) if r.positive]
+                   for r in cb.rs.base(self.dk_set)]
         span_o = _kernel_inside(hk_semi, stem_rows)
-        assert len(span_o) == (self.report.rank_k_semisimple
-                               - len(self.gamma_k))
-        central = kernel_basis(stem_rows, R)
+        if len(span_o) != self.report.rank_k_semisimple - len(self.gamma_k):
+            raise AssertionError("central part of the subalgebra has "
+                                 "dimension %d" % len(span_o))
+        central = stem_central_kernel(cb, self.stem)
         extras = _kernel_inside(central, [mat_vec(K, w) for w in span_o])
-        assert len(extras) >= self.spec.o_k_dim
+        if len(extras) < self.spec.o_k_dim:
+            raise AssertionError("too few central directions to pad o_k")
         self.o_k = [list(v) for v in span_o] + \
             [list(v) for v in extras[:self.spec.o_k_dim]]
-        h_k = [list(map(Fraction, cb.hroot[g])) for g in self.gamma_k] + \
-            self.o_k
-        assert len(rref(h_k)[0]) == self.report.rank_k
-        # the complement's Cartan slice: orthogonal to the subalgebra slice
-        # under the invariant form
-        constraints = [mat_vec(K, v) for v in h_k]
-        h_p = kernel_basis(constraints, R)
-        assert len(h_p) == self.data.dim_h_p
-        o_p = _kernel_inside(h_p, [root_functional(cb, g)
-                                   for g in self.gamma_p])
-        full = _kernel_inside(h_p, stem_rows)
-        # both are RREF rows, so they span the same space iff they are equal
-        if o_p != full:
-            raise ValueError("central kernel of the complement drifted")
-        assert len(o_p) == self.data.dim_o_p
-        assert len(o_p) >= self.num_p
-        self.h_p = h_p
+        # the complement's central slice o_p: the part of h_k^perp (under
+        # the invariant form K) killed by the free stem roots.  The stem roots
+        # are strongly orthogonal, so h is the sum of the lines C H_gamma and
+        # of c, their common kernel, and c is K-orthogonal to every H_gamma.
+        # Delta_k is orthogonal to every free stem root (a deeper block is
+        # orthogonal to a shallower stem root, incomparable blocks are
+        # strongly orthogonal).  So h_k^perp is the sum of the lines C H_gamma
+        # over the free stem roots and of c inside o_k^perp, and o_p is
+        # c inside o_k^perp
+        o_p = _kernel_inside(central, [mat_vec(K, w) for w in self.o_k])
+        if len(o_p) != self.data.dim_o_p:
+            raise AssertionError("central slice of the complement has "
+                                 "dimension %d, expected %d"
+                                 % (len(o_p), self.data.dim_o_p))
+        if len(o_p) < self.num_p:
+            raise AssertionError("central slice too small to pair every "
+                                 "free stem root")
         self.z_vecs = [list(v) for v in o_p[:self.num_p]]
         self.j_vecs = [list(v) for v in o_p[self.num_p:]]
-        assert len(self.j_vecs) == self.data.dim_j_p
-        assert len(self.j_vecs) % 4 == 0
+        if len(self.j_vecs) != self.data.dim_j_p or len(self.j_vecs) % 4:
+            raise AssertionError("leftover central block of dimension %d"
+                                 % len(self.j_vecs))
 
     def _build_labels(self):
         self.labels = [("e", a) for a in self.dp_plus]
@@ -200,7 +202,9 @@ class PBasis:
         for t in range(self.num_p):
             self.labels += [("p", t), ("q", t)]
         self.labels += [("u", s) for s in range(len(self.j_vecs))]
-        assert len(self.labels) == self.data.dim_p
+        if len(self.labels) != self.data.dim_p:
+            raise AssertionError("%d labels for a complement of dimension %d"
+                                 % (len(self.labels), self.data.dim_p))
         self.index = {lab: j for j, lab in enumerate(self.labels)}
 
     def _build_h_matrix(self):
@@ -211,7 +215,9 @@ class PBasis:
         cols += [list(map(Fraction, cb.hroot[g])) for g in self.gamma_p]
         cols += self.z_vecs
         cols += self.j_vecs
-        assert len(cols) == cb.total_rank
+        if len(cols) != cb.total_rank:
+            raise AssertionError("%d Cartan basis vectors for rank %d"
+                                 % (len(cols), cb.total_rank))
         m = [[cols[j][i] for j in range(len(cols))]
              for i in range(cb.total_rank)]
         self.h_inverse = invert(m)

@@ -63,10 +63,6 @@ def rref(rows):
     return out, pivots
 
 
-def rank(rows) -> int:
-    return len(rref(rows)[0])
-
-
 def kernel_basis(rows, ncols=None):
     """Basis of {v : M v = 0}, from the RREF free columns.
 

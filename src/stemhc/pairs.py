@@ -2,16 +2,15 @@
 dimension bookkeeping of the reductive complement.
 
 A subalgebra is described by an up-closed subset of the stem (its substem)
-plus an optional extra central torus dimension.  Everything here is counting;
+plus an optional extra central torus dimension.  Everything here is counting,
+the subalgebra's rank included (the number of simple roots of its root set);
 the actual basis construction lives in hcstruct.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import linalg
 from .reporting import CheckReport
 from .rootsystems import ReductiveShape, Root, build_cached, parse_shape
 from .stem import Stem, stem_of
@@ -89,9 +88,11 @@ def minimal_elements(sub: Substem):
     seen = set()
     for g in mins:
         th = stem.theta[g]
-        assert not (seen & th), "component tiles overlap"
+        if seen & th:
+            raise AssertionError("component tiles overlap")
         seen |= th
-    assert seen == delta_k(sub), "component tiles miss roots"
+    if seen != delta_k(sub):
+        raise AssertionError("component tiles miss roots")
     return mins
 
 
@@ -163,26 +164,6 @@ class PairReport:
         }
 
 
-def _root_coord_vector(rs, r: Root, offsets, width):
-    v = [Fraction(0)] * width
-    off = offsets[r.comp]
-    for i, c in enumerate(r.coords):
-        v[off + i] = Fraction(c)
-    return v
-
-
-def subsystem_rank(rs, roots) -> int:
-    offsets = []
-    off = 0
-    for t in rs.shape.simples:
-        offsets.append(off)
-        off += t.rank
-    if not roots:
-        return 0
-    mat = [_root_coord_vector(rs, r, offsets, off) for r in roots]
-    return linalg.rank(mat)
-
-
 def check_pair(spec: PairSpec) -> PairReport:
     """Evaluate the numeric criterion: positive dimension gap, divisible by
     four, and nonnegative deficiency."""
@@ -194,7 +175,7 @@ def check_pair(spec: PairSpec) -> PairReport:
     srank_g = stem.srank
     srank_k = 2 * len(sub.members)
     dk = delta_k(sub)
-    rank_s = subsystem_rank(rs, [r for r in dk if r.positive])
+    rank_s = len(rs.base(dk))                      # simple roots of k
     dim_center = rank_g - len(stem.elements)       # central directions in h
     available = dim_center - (rank_s - len(sub.members))
     if spec.o_k_dim < 0:
@@ -259,7 +240,8 @@ def complement_data(spec: PairSpec, force=False) -> ComplementData:
     for g in gamma_p:
         blocks.add(g)
         blocks |= set(stem.phi[g])
-    assert set(dp_plus) == blocks, "complement roots mismatch wing blocks"
+    if set(dp_plus) != blocks:
+        raise AssertionError("complement roots mismatch wing blocks")
     num_p = len(gamma_p)
     dim_h_p = report.rank_g - report.rank_k
     dim_center = report.rank_g - len(stem.elements)
@@ -273,10 +255,15 @@ def complement_data(spec: PairSpec, force=False) -> ComplementData:
         raise ValueError("leftover central block of dimension %d is not "
                          "divisible by 4" % dim_j_p)
     dim_p = dim_h_p + 2 * len(dp_plus)
-    assert dim_p == report.dim_diff
-    assert dim_h_p == 2 * num_p + dim_j_p
+    if dim_p != report.dim_diff:
+        raise AssertionError("complement dimension %d, criterion says %d"
+                             % (dim_p, report.dim_diff))
+    if dim_h_p != 2 * num_p + dim_j_p:
+        raise AssertionError("Cartan part of the complement does not split "
+                             "into stem pairs and the central block")
     # the two equivalent forms of the deficiency
-    assert report.deficiency == dim_h_p - 2 * num_p == dim_o_p - num_p
+    if not report.deficiency == dim_h_p - 2 * num_p == dim_o_p - num_p:
+        raise AssertionError("the forms of the deficiency disagree")
     return ComplementData(spec, gamma_p, tuple(dp_plus), dim_h_p, dim_o_p,
                           num_p, num_p, dim_j_p, dim_p, report)
 

@@ -7,9 +7,9 @@ follow the standard Bourbaki numbering.
 
 Root addition is decided once, here: `RootSystem.sums` maps each root a to
 {b: a+b} over the roots b of its component whose sum with a is a root, and
-b = -a to None.  Closure, root strings, highest roots and subsystem types read
-this table, and so do the stem, pair, Chevalley and structure modules;
-`root_sum` and `root_sub` only generate the positive roots.
+b = -a to None.  Closure, root strings, highest roots, subsystem bases and
+types read this table, and so do the stem, pair, Chevalley and structure
+modules; `root_sum` and `root_sub` only generate the positive roots.
 """
 
 from __future__ import annotations
@@ -445,17 +445,21 @@ class RootSystem:
             raise AssertionError("no unique maximal root in component")
         return tops[0]
 
+    def base(self, subset):
+        """The simple roots of a closed symmetric subsystem: its positive
+        roots that are not a sum of two of its positive roots, sorted by
+        `Root.key`.  There are as many as the subsystem's rank."""
+        pos = sorted((r for r in subset if r.positive), key=Root.key)
+        possd = set(pos)
+        decomposable = {s for a in pos for b, s in self.sums[a].items()
+                        if b in possd}
+        return [t for t in pos if t not in decomposable]
+
     def component_type(self, subset) -> SimpleType:
         """Recognize the isomorphism type of a closed irreducible symmetric
         subsystem from its induced Dynkin diagram."""
-        sub = set(subset)
-        pos = sorted((r for r in sub if r.positive), key=Root.key)
-        possd = set(pos)
-        # the indecomposable roots: t - a is a root of the subsystem for no a
-        simples = [t for t in pos
-                   if not any(self.sums[t].get(-a) in possd for a in pos)]
-        n = len(simples)
-        assert n >= 1
+        simples = self.base(subset)
+        assert simples
         cmat = [[self.cartan_int(a, b) for b in simples] for a in simples]
         return _classify_diagram(simples, cmat, self)
 

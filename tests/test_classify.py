@@ -11,6 +11,7 @@ from stemhc.classify import (
 from stemhc.pairs import PairSpec, check_pair, enumerate_substems
 from stemhc.rootsystems import parse_shape
 from stemhc.stem import stem_of
+from test_rootsystems import optimized_stdout
 
 
 # Independent oracle for the space enumeration, straight from the group
@@ -77,6 +78,24 @@ def test_factor_dimension_formula():
             d = factor_dimension(n, k)
             assert d == (n + 1) ** 2 - (n + 3 - 2 * k) ** 2
             assert d % 4 == 0 and d > 0
+
+
+def test_space_factor_rejects_out_of_range_parameters():
+    """The checks hold under -O as well: SpaceFactor(2, 3) would be
+    "SU(3)/SU(-1)" of dimension 8."""
+    for n, k in [(2, 3), (1, 2), (2, 1), (5, 5)]:
+        with pytest.raises(ValueError, match="n = %d, k = %d" % (n, k)):
+            SpaceFactor(n, k)
+    with pytest.raises(ValueError):
+        factor_dimension(1, 2)
+    script = ("from stemhc.classify import SpaceFactor, factor_dimension\n"
+              "for args in [(2, 3), (1, 2)]:\n"
+              "    for make in (SpaceFactor, factor_dimension):\n"
+              "        try:\n"
+              "            print(make(*args))\n"
+              "        except ValueError as exc:\n"
+              "            print(type(exc).__name__)\n")
+    assert optimized_stdout(script).split() == ["ValueError"] * 4
 
 
 def test_full_group_factors_are_deduplicated():

@@ -20,7 +20,8 @@ from stemhc.hcstruct import (
     verify_rotation_spans, verify_wing_restriction,
 )
 from stemhc.linalg import Span
-from stemhc.pairs import make_pair_spec
+from stemhc.pairs import PairSpec, check_pair, enumerate_substems, \
+    make_pair_spec
 from stemhc.rootsystems import Root, parse_shape, root_sub
 from stemhc.scalars import EIGHTH_ROOT, HALF, I, ONE, TowerScalar, ZERO
 from stemhc.stem import stem_of
@@ -90,7 +91,10 @@ def test_su4_su2_splitting():
     pb = build("A3", (2,)).pbasis
     assert [g.coords for g in pb.gamma_p] == [(1, 1, 1)]
     assert [g.coords for g in pb.gamma_k] == [(0, 1, 0)]
-    assert len(pb.h_p) == 2 and pb.data.dim_h_p == 2
+    # p holds two Cartan directions: P and Q of the one free stem root
+    assert [lab for lab in pb.labels if lab[0] in "pqu"] == \
+        [("p", 0), ("q", 0)]
+    assert pb.data.dim_h_p == 2
     assert len(pb.z_vecs) == 1 and pb.j_vecs == []
     assert len(pb.dp_plus) == 5
     assert len(pb.labels) == 12
@@ -212,27 +216,83 @@ def test_round_trip_check_names_a_leak_into_k(monkeypatch):
     assert str(exc.value) == want
 
 
-def test_central_kernel_drift_raises_under_optimize():
-    """A central kernel of the complement that differs from the kernel of
-    every stem root stops the basis from being built, also under -O."""
-    # the fourth kernel A2 asks for is that of every stem root; dropping a
-    # row of it leaves a different space
+def test_cartan_split_checks_raise_under_optimize():
+    """A central slice of the complement of the wrong size stops the basis
+    from being built, also under -O."""
+    # the third kernel A2 asks for is the complement's central slice
     script = ("import stemhc.hcstruct as h\n"
               "from stemhc.pairs import make_pair_spec\n"
               "kernel_inside = h._kernel_inside\n"
               "calls = []\n"
-              "def drifted(span_rows, functional_rows):\n"
+              "def shrunk(span_rows, functional_rows):\n"
               "    calls.append(functional_rows)\n"
               "    out = kernel_inside(span_rows, functional_rows)\n"
-              "    return out[1:] if len(calls) == 4 else out\n"
-              "h._kernel_inside = drifted\n"
+              "    return out[1:] if len(calls) == 3 else out\n"
+              "h._kernel_inside = shrunk\n"
               "try:\n"
               "    h.PBasis(make_pair_spec('A2'))\n"
-              "except ValueError as exc:\n"
+              "except AssertionError as exc:\n"
               "    print(exc, len(calls))\n")
     for flags in ((), ("-O",)):
         assert run_python(script, *flags) == \
-            "central kernel of the complement drifted 4"
+            "central slice of the complement has dimension 0, expected 1 3"
+
+
+# c^m x (one simple factor) and A2-A7: central tori on both sides of the pair
+TORUS_SWEEP = (["c^%d x %s" % (m, t) for m in range(1, 6)
+                for t in ("A1", "A3", "B2", "C3", "G2")]
+               + ["A%d" % n for n in range(2, 8)])
+
+
+def accepted_torus_pairs():
+    """Every accepted pair of TORUS_SWEEP, each substem with every o_k_dim
+    check_pair allows."""
+    out = []
+    for text in TORUS_SWEEP:
+        sh = parse_shape(text)
+        for sub in enumerate_substems(stem_of(sh)):
+            ok_dim = 0
+            while True:
+                spec = PairSpec(sh, sub.indices, ok_dim)
+                try:
+                    verdict = check_pair(spec).verdict
+                except ValueError:        # past the central directions
+                    break
+                if verdict:
+                    out.append(spec)
+                ok_dim += 1
+    return out
+
+
+def test_complement_torus_is_the_orthogonal_central_slice():
+    """z_vecs + j_vecs is h_k^perp inside the common kernel of the stem
+    roots, computed here directly: the kernel of the K-pairings with a basis
+    of h_k together with every stem root, in RREF."""
+    specs = accepted_torus_pairs()
+    assert len(specs) == 74
+    shapes_seen = set()
+    for spec in specs:
+        pb = PBasis(spec)
+        cb = pb.cb
+        K = cb.killing_h
+        torus = pb.z_vecs + pb.j_vecs
+        for v in torus:
+            cartan = cb.H_vec(v).cartan
+            for g in pb.stem.elements:
+                assert cb.eval_root(g, cartan) == ZERO
+            for r in pb.dk_set:
+                assert cb.eval_root(r, cartan) == ZERO
+            for w in pb.o_k:
+                assert sum(x * y for x, y in zip(linalg.mat_vec(K, w), v)) \
+                    == 0
+        h_k = [list(map(Fraction, cb.hroot[g])) for g in pb.gamma_k] + pb.o_k
+        rows = [linalg.mat_vec(K, w) for w in h_k]
+        rows += [hcstruct.root_functional(cb, g) for g in pb.stem.elements]
+        oracle = linalg.rref(linalg.kernel_basis(rows, cb.total_rank))[0]
+        assert torus == oracle, spec
+        shapes_seen.add((len(pb.o_k) > 0, len(pb.j_vecs) > 0))
+    assert shapes_seen == {(False, False), (True, False), (False, True),
+                           (True, True)}
 
 
 def test_w_and_z_elements():

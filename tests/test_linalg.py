@@ -33,7 +33,7 @@ def test_rank_nullity_random():
     for _ in range(30):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         mat = random_fraction_matrix(rng, n, m)
-        r = linalg.rank(mat)
+        r = len(linalg.rref(mat)[0])
         ker = linalg.kernel_basis(mat)
         assert r + len(ker) == m
         for v in ker:
@@ -64,7 +64,7 @@ def test_invert_random():
     while done < 15:
         n = rng.randint(1, 5)
         mat = random_fraction_matrix(rng, n, n)
-        if linalg.rank(mat) < n:
+        if len(linalg.rref(mat)[0]) < n:
             continue
         inv = linalg.invert(mat)
         assert linalg.mat_mul(mat, inv) == \

@@ -1,15 +1,20 @@
 """Substems and the numeric pair criterion."""
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
+from stemhc import linalg, pairs
 from stemhc.pairs import (
     PairSpec, Substem, check_pair, complement_data, delta_k,
     edm1_equalities, enumerate_substems, gmg2_check, make_pair_spec,
-    minimal_elements, subsystem_rank,
+    minimal_elements,
     REASON_DEFICIENCY_NEGATIVE, REASON_DIM_NOT_MOD4, REASON_DIM_NOT_POSITIVE,
 )
-from stemhc.rootsystems import build_cached, parse_shape
+from stemhc.rootsystems import parse_shape
 from stemhc.stem import stem_of
+from test_rootsystems import optimized_stdout
 
 
 def shape(text):
@@ -18,6 +23,21 @@ def shape(text):
 
 def spec(text, substem=(), o_k_dim=0):
     return make_pair_spec(shape(text), substem, o_k_dim)
+
+
+def dense_rank(rs, roots):
+    """Rank of the roots' simple-root coordinates, one column block per
+    simple factor, by a dense Fraction row reduction."""
+    offsets = [0]
+    for t in rs.shape.simples:
+        offsets.append(offsets[-1] + t.rank)
+    rows = []
+    for r in roots:
+        row = [Fraction(0)] * offsets[-1]
+        for i, c in enumerate(r.coords):
+            row[offsets[r.comp] + i] = Fraction(c)
+        rows.append(row)
+    return len(linalg.rref(rows)[0])
 
 
 # ---------------------------------------------------------------- substems
@@ -101,7 +121,7 @@ def test_delta_k_is_closed_and_symmetric():
             assert dk == {-r for r in dk}
             assert st.rs.is_closed(dk)
             # never more stem roots than the rank of the span
-            rk = subsystem_rank(st.rs, [r for r in dk if r.positive])
+            rk = dense_rank(st.rs, [r for r in dk if r.positive])
             assert len(sub) <= rk or not sub.members
 
 
@@ -304,9 +324,82 @@ def test_pair_spec_hashable_and_canonical():
     assert {a: 1}[b] == 1
 
 
-def test_subsystem_rank_examples():
-    rs = build_cached(shape("E6"))
-    st = stem_of(shape("E6"))
-    dk = delta_k(Substem(st, [2]))
-    assert subsystem_rank(rs, [r for r in dk if r.positive]) == 5
-    assert subsystem_rank(rs, []) == 0
+# the type of the peeled component theta_g at each stem root, in stem order
+THETA_TYPES = {
+    "A1": "A1", "A2": "A2", "A3": "A3 A1", "A4": "A4 A2",
+    "A5": "A5 A3 A1", "A6": "A6 A4 A2", "A7": "A7 A5 A3 A1",
+    "A8": "A8 A6 A4 A2",
+    "B2": "B2 A1", "B3": "B3 A1 A1", "B4": "B4 B2 A1 A1",
+    "B5": "B5 B3 A1 A1 A1", "B6": "B6 B4 A1 B2 A1 A1",
+    "B7": "B7 B5 A1 B3 A1 A1 A1", "B8": "B8 B6 A1 B4 A1 B2 A1 A1",
+    "C2": "B2 A1", "C3": "C3 B2 A1", "C4": "C4 C3 B2 A1",
+    "C5": "C5 C4 C3 B2 A1", "C6": "C6 C5 C4 C3 B2 A1",
+    "C7": "C7 C6 C5 C4 C3 B2 A1", "C8": "C8 C7 C6 C5 C4 C3 B2 A1",
+    "D4": "D4 A1 A1 A1", "D5": "D5 A3 A1 A1", "D6": "D6 D4 A1 A1 A1 A1",
+    "D7": "D7 D5 A1 A3 A1 A1", "D8": "D8 D6 A1 D4 A1 A1 A1 A1",
+    "E6": "E6 A5 A3 A1", "E7": "E7 D6 A1 D4 A1 A1 A1",
+    "E8": "E8 E7 D6 A1 D4 A1 A1 A1", "F4": "F4 C3 B2 A1", "G2": "G2 A1",
+    "A2 x B3": "A2 B3 A1 A1", "c^2 x A3 x G2": "A3 G2 A1 A1",
+    "A3 x A3 x C2": "A3 A3 B2 A1 A1 A1",
+}
+
+
+def test_subalgebra_rank_is_its_number_of_simple_roots():
+    """check_pair counts the simple roots of Delta_k; a dense row reduction
+    of all of Delta_k+ gives the same rank on every substem."""
+    count = 0
+    for text, types in THETA_TYPES.items():
+        st = stem_of(shape(text))
+        rs = st.rs
+        assert " ".join(str(rs.component_type(st.theta[g]))
+                        for g in st.elements) == types
+        for sub in enumerate_substems(st):
+            dk = delta_k(sub)
+            rep = check_pair(PairSpec(shape(text), sub.indices, 0))
+            assert rep.rank_k_semisimple == len(rs.base(dk)) == \
+                dense_rank(rs, [r for r in dk if r.positive]), \
+                (text, sub.indices)
+            count += 1
+    assert count == 354
+    # E6 > A5: the substem (2, 3, 4) picks a rank-5 subalgebra
+    assert check_pair(spec("E6", [2])).rank_k_semisimple == 5
+    assert check_pair(spec("E6")).rank_k_semisimple == 0
+
+
+def test_pair_checks_raise_under_optimize(monkeypatch):
+    """The tiling checks of minimal_elements and the dimension checks of
+    complement_data are raises, so they hold under -O as well."""
+    script = (
+        "import dataclasses\n"
+        "import stemhc.pairs as p\n"
+        "spec = p.make_pair_spec('A3', (2,))\n"
+        "delta_k, check_pair = p.delta_k, p.check_pair\n"
+        "p.delta_k = lambda sub: delta_k(sub) | {sub.stem.elements[0]}\n"
+        "try:\n"
+        "    p.minimal_elements(spec.substem())\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+        "p.delta_k = delta_k\n"
+        "def skewed(s):\n"
+        "    rep = check_pair(s)\n"
+        "    return dataclasses.replace(rep, dim_diff=rep.dim_diff + 4)\n"
+        "p.check_pair = skewed\n"
+        "try:\n"
+        "    p.complement_data(spec)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n")
+    assert optimized_stdout(script).splitlines() == [
+        "component tiles miss roots",
+        "complement dimension 12, criterion says 16"]
+    s = spec("A3", [2])
+    real_delta_k = pairs.delta_k
+    monkeypatch.setattr(pairs, "delta_k", lambda sub: real_delta_k(sub)
+                        | {sub.stem.elements[0]})
+    with pytest.raises(AssertionError, match="component tiles miss roots"):
+        minimal_elements(s.substem())
+    monkeypatch.undo()
+    real_check_pair = pairs.check_pair
+    monkeypatch.setattr(pairs, "check_pair", lambda t: dataclasses.replace(
+        real_check_pair(t), dim_diff=real_check_pair(t).dim_diff + 4))
+    with pytest.raises(AssertionError, match="criterion says 16"):
+        complement_data(s)

@@ -339,6 +339,37 @@ def test_component_type_of_full_system(t):
         assert got == t
 
 
+@pytest.mark.parametrize("text", TABLE_SHAPES)
+def test_base_of_the_full_system_is_its_simple_roots(text):
+    rs = RootSystem(parse_shape(text))
+    simples = [r for c in range(len(rs.shape.simples))
+               for r in rs.simple_roots(c)]
+    assert rs.base(rs.roots) == sorted(simples, key=Root.key)
+    assert rs.base([]) == []
+
+
+def test_base_of_proper_subsystems():
+    # inside B3 the long roots {+-e_i +- e_j} form a D3 = A3, whose simple
+    # roots are not all simple in B3
+    rs = rs_of(SimpleType("B", 3))
+    longs = {r for r in rs.roots if rs.norm2(r) == 2}
+    base = rs.base(longs)
+    assert len(base) == 3 and base == sorted(base, key=Root.key)
+    assert all(r in longs and r.positive for r in base)
+    assert not set(base) <= set(rs.simple_roots(0))
+    # adding base roots one at a time reaches every positive long root
+    reached = set(base)
+    frontier = list(base)
+    while frontier:
+        a = frontier.pop()
+        for b in base:
+            s = rs.sums[a].get(b)
+            if s in longs and s not in reached:
+                reached.add(s)
+                frontier.append(s)
+    assert reached == {r for r in longs if r.positive}
+
+
 def test_component_type_of_proper_subsystems():
     # inside A3: single root lines and an A2
     rs = rs_of(SimpleType("A", 3))
