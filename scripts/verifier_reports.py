@@ -1,6 +1,6 @@
 """Print every verifier report item the library produces on a fixed set of
 inputs, one line per item: (name, checked, ok, violation_count, violations),
-and then the pair layer those verifiers rest on.
+and then the pair layer and the Chevalley data those verifiers rest on.
 
 Two checkouts that print the same lines give the same verdicts, the same
 `checked` counts and the same pair data on these inputs, so diffing the
@@ -16,8 +16,12 @@ ROTATION_TYPES at the same phases.  The same runs on the TORUS_BUILDS pairs,
 whose subalgebras hold central directions.  The pair layer: `check_pair` on
 every substem of every ATLAS_TYPES type, `complement_data` on the accepted
 ones, the `audit_type` rows, and the Cartan vectors `o_k`, `z_vecs` and
-`j_vecs` of every adapted basis built above.
+`j_vecs` of every adapted basis built above.  The Chevalley data: one
+sha256 per ATLAS_TYPES type over the sorted `n_const`, `hroot`, `killing_h`
+and `killing_e` of its basis, each number with its type.
 """
+
+import hashlib
 
 from stemhc.chevalley import make_basis
 from stemhc.classify import audit_type, enumerate_hc_spaces
@@ -67,6 +71,26 @@ def show_pair_layer(bases):
                   [[str(x) for x in v] for v in getattr(pb, name)])
 
 
+def typed(v):
+    """v with every number tagged by its type name, for hashing."""
+    if isinstance(v, (tuple, list)):
+        return [typed(x) for x in v]
+    return (type(v).__name__, str(v))
+
+
+def show_chevalley_data():
+    for text in ATLAS_TYPES:
+        cb = make_basis(parse_shape(text))
+        digest = hashlib.sha256()
+        for name, items in (("n_const", sorted(cb.n_const.items())),
+                            ("hroot", sorted(cb.hroot.items())),
+                            ("killing_h", enumerate(cb.killing_h)),
+                            ("killing_e", sorted(cb.killing_e.items()))):
+            for key, val in items:
+                digest.update(repr((name, key, typed(val))).encode())
+        print("%s chevalley data |" % text, digest.hexdigest())
+
+
 def main():
     builds = list(SELFTEST_BUILDS) + list(TORUS_BUILDS)
     specs = [("%s %s %d" % (text, list(sub), ok_dim),
@@ -89,6 +113,7 @@ def main():
             show("%s spans @%s |" % (text, name),
                  verify_rotation_spans(cb, st, rho))
     show_pair_layer(bases)
+    show_chevalley_data()
 
 
 if __name__ == "__main__":

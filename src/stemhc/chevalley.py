@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .rootsystems import ReductiveShape, Root, RootSystem, build_cached
 from .scalars import TowerScalar, ZERO, ONE, I, HALF
@@ -136,8 +137,9 @@ class ChevalleyBasis:
         self.basis_keys = [("e", r) for r in sorted(rs.roots, key=Root.key)]
         self.basis_keys += [("h", j) for j in range(self.total_rank)]
         self.key_index = {k: i for i, k in enumerate(self.basis_keys)}
-        self.killing_h = self._killing_h_matrix()
-        self.killing_e = {r: self._killing_e(r) for r in rs.positives}
+        K = self._killing_h_matrix()
+        self.killing_h = [[Fraction(x) for x in row] for row in K]
+        self.killing_e = {r: self._killing_e(K, r) for r in rs.positives}
 
     # -- structure constants --------------------------------------------------
 
@@ -146,15 +148,19 @@ class ChevalleyBasis:
         pos = sorted((r for r in rs.positives if r.comp == ci), key=Root.key)
         order = {r: i for i, r in enumerate(pos)}
         posset = set(pos)
+        # L (r, r), an integer
+        norm = {r: sum(map(mul, r.coords, rs._weights[r])) for r in pos}
         N = self.n_const
 
         def set_triple(a, b, n):
             """Record N for every ordered pair built from {+-a, +-b, -+(a+b)}."""
             c = rs.sums[a][b]
-            r1 = n * rs.norm2(a) / rs.norm2(c)    # value for (b, -c)
-            r2 = n * rs.norm2(b) / rs.norm2(c)    # value for (-c, a)
-            assert r1.denominator == 1 and r2.denominator == 1
-            for (u, v), m in (((a, b), n), ((b, -c), int(r1)), ((-c, a), int(r2))):
+            r1, rem1 = divmod(n * norm[a], norm[c])    # value for (b, -c)
+            r2, rem2 = divmod(n * norm[b], norm[c])    # value for (-c, a)
+            if rem1 or rem2:
+                raise AssertionError("non-integral structure constant on "
+                                     "(%s, %s)" % (a, b))
+            for (u, v), m in (((a, b), n), ((b, -c), r1), ((-c, a), r2)):
                 N[(u, v)] = m
                 N[(v, u)] = -m
                 N[(-u, -v)] = -m
@@ -169,7 +175,9 @@ class ChevalleyBasis:
                 if b in posset and order[a] < order[b]:
                     specials.append((a, b))
             specials.sort(key=lambda ab: order[ab[0]])
-            assert specials, "non-simple root with no decomposition"
+            if not specials:
+                raise AssertionError("non-simple root %s with no "
+                                     "decomposition" % (c,))
             a0, b0 = specials[0]
             set_triple(a0, b0, 1 - rs.root_string(b0, a0)[0])
             for x, y in specials[1:]:
@@ -181,21 +189,26 @@ class ChevalleyBasis:
                 if ym is not None:
                     t += N[(y, -a0)] * N[(ym, x)]
                 denom = N[(c, -a0)]
-                assert t % denom == 0
+                if t % denom:
+                    raise AssertionError("Jacobi forces a non-integral "
+                                         "constant on (%s, %s)" % (x, y))
                 set_triple(x, y, -t // denom)
 
     def _coroot_coords(self, r: Root):
-        """H_r = sum m_i (d_i / d_r) H_i as an integer global h-vector."""
+        """H_r = sum m_i (d_i / d_r) H_i as an integer global h-vector, with
+        d_i / d_r = 2 (L d_i) / (L (r, r))."""
         rs = self.rs
-        d = rs.dvecs[r.comp]
-        dr = rs.norm2(r) / 2
+        ld = rs._ldvecs[r.comp]
+        lnorm = sum(map(mul, r.coords, rs._weights[r]))
         off = self.offsets[r.comp]
         out = [0] * self.total_rank
         for i, m in enumerate(r.coords):
             if m:
-                v = m * d[i] / dr
-                assert v.denominator == 1
-                out[off + i] = int(v)
+                v, rem = divmod(2 * m * ld[i], lnorm)
+                if rem:
+                    raise AssertionError("coroot of %s has a non-integral "
+                                         "coordinate" % (r,))
+                out[off + i] = v
         return tuple(out)
 
     # -- element constructors --------------------------------------------------
@@ -334,32 +347,32 @@ class ChevalleyBasis:
 
     def _killing_h_matrix(self):
         """tr(ad H_i ad H_j) = sum of b(H_i) b(H_j) over the roots b, and the
-        identity on the center."""
+        identity on the center; integer entries."""
         n = self.total_rank
-        K = [[Fraction(0)] * n for _ in range(n)]
+        K = [[0] * n for _ in range(n)]
         for ci in range(len(self.rs.shape.simples)):
             off = self.offsets[ci]
             rank = self.rs.shape.simples[ci].rank
-            roots = [r for r in self.rs.roots if r.comp == ci]
+            # column j: b(H_j) over the roots b of this component
+            cols = list(zip(*(p for b, p in self.rs._pairings.items()
+                              if b.comp == ci)))
             for i in range(rank):
                 for j in range(i, rank):
-                    s = Fraction(0)
-                    for b in roots:
-                        s += self.rs._pairings[b][i] * self.rs._pairings[b][j]
+                    s = sum(map(mul, cols[i], cols[j]))
                     K[off + i][off + j] = s
                     K[off + j][off + i] = s
         for j in range(self.semisimple_rank, n):
-            K[j][j] = Fraction(1)
+            K[j][j] = 1
         return K
 
-    def _killing_e(self, r: Root) -> Fraction:
+    def _killing_e(self, K, r: Root) -> Fraction:
         """B(E_r, E_-r) = B(H_r, H_r) / 2 by invariance of the trace form,
-        since [E_r, E_-r] = H_r and r(H_r) = 2."""
+        since [E_r, E_-r] = H_r and r(H_r) = 2; K is the integer
+        `_killing_h_matrix`."""
         h = self.hroot[r]
-        K = self.killing_h
-        return sum(hi * hj * K[i][j]
-                   for i, hi in enumerate(h) if hi
-                   for j, hj in enumerate(h) if hj) / 2
+        return Fraction(sum(hi * hj * K[i][j]
+                            for i, hi in enumerate(h) if hi
+                            for j, hj in enumerate(h) if hj), 2)
 
 
 @lru_cache(maxsize=None)

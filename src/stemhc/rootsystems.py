@@ -213,13 +213,23 @@ class Root(NamedTuple):
         return self.height > 0
 
     def __neg__(self):
-        return Root(self.comp, tuple(-c for c in self.coords))
+        opp = _OPPOSITES.get(self)
+        if opp is None:
+            return Root(self.comp, tuple(-c for c in self.coords))
+        return opp
 
     def key(self):
         return (self.comp, self.height, self.coords)
 
     def __str__(self):
         return "%d:(%s)" % (self.comp, ",".join(map(str, self.coords)))
+
+
+# root -> its opposite, keyed by value over the roots of every RootSystem
+# built so far; each build stores its own objects, so right after it -r is
+# the stored opposite of rs.roots.  Equal roots of two systems have equal
+# opposites, so a later build only swaps which equal object comes back.
+_OPPOSITES = {}
 
 
 def root_sum(a: Root, b: Root):
@@ -246,11 +256,17 @@ class RootSystem:
         for ci, t in enumerate(shape.simples):
             pos = self._generate_positives(ci, t)
             expected = _ROOT_COUNTS[t.family](t.rank) // 2
-            assert len(pos) == expected, (t, len(pos), expected)
+            if len(pos) != expected:
+                raise AssertionError("%s has %d positive roots, expected %d"
+                                     % (t, len(pos), expected))
             self.positives.extend(pos)
         self.positives.sort(key=Root.key)
-        self.roots = tuple(self.positives) + tuple(-r for r in self.positives)
+        negatives = tuple(Root(r.comp, tuple(-c for c in r.coords))
+                          for r in self.positives)
+        self.roots = tuple(self.positives) + negatives
         self.root_set = frozenset(self.roots)
+        _OPPOSITES.update(zip(self.positives, negatives))
+        _OPPOSITES.update(zip(negatives, self.positives))
         # alpha(H_j) for every root alpha and simple coroot H_j of its component
         self._pairings = {}
         for r in self.roots:
@@ -261,12 +277,12 @@ class RootSystem:
         # L * d_j * alpha(H_j), with L = _scales[comp] the common denominator
         # of the d_j of alpha's component: beta . w_alpha = L (beta, alpha)
         self._scales = [lcm(*(dj.denominator for dj in d)) for d in self.dvecs]
-        self._weights = {}
-        for r in self.roots:
-            L = self._scales[r.comp]
-            self._weights[r] = tuple(
-                int(L * dj) * p
-                for dj, p in zip(self.dvecs[r.comp], self._pairings[r]))
+        # L * d_j as integers, per component
+        self._ldvecs = [tuple(int(L * dj) for dj in d)
+                        for L, d in zip(self._scales, self.dvecs)]
+        self._weights = {
+            r: tuple(map(mul, self._ldvecs[r.comp], self._pairings[r]))
+            for r in self.roots}
         # a -> {b: a+b} over the b of a's component whose sum with a is a
         # root (the stored Root of self.roots), and b = -a -> None.  A root
         # is coded as one integer in a base wide enough that the code of a
@@ -288,7 +304,8 @@ class RootSystem:
                         row[b] = None
         # reducedness: 2*alpha is never a root
         for r in self.positives:
-            assert Root(r.comp, tuple(2 * c for c in r.coords)) not in self.root_set
+            if Root(r.comp, tuple(2 * c for c in r.coords)) in self.root_set:
+                raise AssertionError("not reduced: twice %s is a root" % (r,))
 
     # -- construction --------------------------------------------------------
 
@@ -358,7 +375,9 @@ class RootSystem:
         w = self._weights[beta]
         v, rem = divmod(2 * sum(map(mul, alpha.coords, w)),
                         sum(map(mul, beta.coords, w)))
-        assert rem == 0
+        if rem:
+            raise AssertionError("2 (%s, %s) / (%s, %s) is not an integer"
+                                 % (alpha, beta, beta, beta))
         return v
 
     def root_string(self, alpha: Root, beta: Root):

@@ -53,6 +53,123 @@ def test_constant_antisymmetries(t):
         assert cb.n_const[(-a, -b)] == -n
 
 
+# every simple type of rank <= 6, E6, F4 and G2 among them, and a product
+# with a center
+ORACLE_SHAPES = (["A%d" % n for n in range(1, 7)]
+                 + ["B%d" % n for n in range(2, 7)]
+                 + ["C%d" % n for n in range(2, 7)]
+                 + ["D4", "D5", "D6", "E6", "F4", "G2", "c^2 x A3 x B2"])
+
+
+def fraction_killing_h(cb):
+    """tr(ad H_i ad H_j) summed in Fractions, the identity on the center."""
+    rs = cb.rs
+    n = cb.total_rank
+    K = [[Fraction(0)] * n for _ in range(n)]
+    for ci, t in enumerate(rs.shape.simples):
+        off = cb.offsets[ci]
+        roots = [b for b in rs.roots if b.comp == ci]
+        for i in range(t.rank):
+            for j in range(t.rank):
+                K[off + i][off + j] = sum(
+                    (Fraction(rs.pairing(b, i) * rs.pairing(b, j))
+                     for b in roots), Fraction(0))
+    for j in range(cb.semisimple_rank, n):
+        K[j][j] = Fraction(1)
+    return K
+
+
+@pytest.mark.parametrize("text", ORACLE_SHAPES)
+def test_integer_data_match_fraction_formulas(text):
+    """n_const, hroot, killing_h and killing_e against the Fraction formulas
+    N(b,-c) = N(a,b) |a|^2/|c|^2, H_r = sum m_i (d_i/d_r) H_i and the traces,
+    in value and in type."""
+    cb = make_basis(parse_shape(text))
+    rs = cb.rs
+    assert set(cb.n_const) == {(a, b) for a, row in rs.sums.items()
+                               for b, c in row.items() if c is not None}
+    for a, row in rs.sums.items():
+        for b, c in row.items():
+            if c is None:
+                continue
+            n = cb.n_const[(a, b)]
+            assert type(n) is int
+            assert cb.n_const[(b, -c)] == n * rs.norm2(a) / rs.norm2(c)
+            assert cb.n_const[(-c, a)] == n * rs.norm2(b) / rs.norm2(c)
+    for r in rs.roots:
+        dr = rs.norm2(r) / 2
+        want = [Fraction(0)] * cb.total_rank
+        for i, m in enumerate(r.coords):
+            want[cb.offsets[r.comp] + i] = m * rs.dvecs[r.comp][i] / dr
+        h = cb.hroot[r]
+        assert type(h) is tuple and list(h) == want
+        assert all(type(x) is int for x in h)
+    K = fraction_killing_h(cb)
+    assert cb.killing_h == K
+    assert all(type(x) is Fraction for row in cb.killing_h for x in row)
+    assert list(cb.killing_e) == rs.positives
+    for r, val in cb.killing_e.items():
+        h = cb.hroot[r]
+        want = sum((h[i] * h[j] * K[i][j] for i in range(len(h))
+                    for j in range(len(h))), Fraction(0)) / 2
+        assert type(val) is Fraction and val == want
+
+
+def test_integrality_checks_raise(monkeypatch):
+    """A non-integral constant from a triple or from the Jacobi identity, a
+    non-simple root with no decomposition and a non-integral coroot are
+    refused, also under `python -O`, which strips asserts."""
+    triple = "non-integral structure constant on (0:(0,1), 0:(1,1))"
+    jacobi = "Jacobi forces a non-integral constant on (0:(1,0,0), 0:(0,1,1))"
+    special = "non-simple root 0:(1,1) with no decomposition"
+    coroot = "coroot of 0:(1) has a non-integral coordinate"
+    string = RootSystem.root_string
+    monkeypatch.setattr(RootSystem, "root_string", lambda self, a, b: (0, 0))
+    with pytest.raises(AssertionError) as exc:
+        ChevalleyBasis(RootSystem(parse_shape("B2")))
+    assert str(exc.value) == triple
+    # p = -1 on the one triple of height 3: its constants double
+    monkeypatch.setattr(RootSystem, "root_string", lambda self, a, b: (
+        (-1, 0) if a.height + b.height == 3 else string(self, a, b)))
+    with pytest.raises(AssertionError) as exc:
+        ChevalleyBasis(RootSystem(parse_shape("A3")))
+    assert str(exc.value) == jacobi
+    monkeypatch.undo()
+    rs = RootSystem(parse_shape("A2"))
+    rs.sums[rs.positives[-1]] = {}
+    with pytest.raises(AssertionError) as exc:
+        ChevalleyBasis(rs)
+    assert str(exc.value) == special
+    rs = RootSystem(parse_shape("A1"))
+    rs._weights[rs.positives[0]] = (4,)
+    with pytest.raises(AssertionError) as exc:
+        ChevalleyBasis(rs)
+    assert str(exc.value) == coroot
+    script = ("from stemhc.chevalley import ChevalleyBasis\n"
+              "from stemhc.rootsystems import RootSystem, parse_shape\n"
+              "def attempt(rs):\n"
+              "    try:\n"
+              "        ChevalleyBasis(rs)\n"
+              "    except AssertionError as exc:\n"
+              "        print(exc)\n"
+              "string = RootSystem.root_string\n"
+              "RootSystem.root_string = lambda self, a, b: (0, 0)\n"
+              "attempt(RootSystem(parse_shape('B2')))\n"
+              "RootSystem.root_string = lambda self, a, b: (\n"
+              "    (-1, 0) if a.height + b.height == 3\n"
+              "    else string(self, a, b))\n"
+              "attempt(RootSystem(parse_shape('A3')))\n"
+              "RootSystem.root_string = string\n"
+              "rs = RootSystem(parse_shape('A2'))\n"
+              "rs.sums[rs.positives[-1]] = {}\n"
+              "attempt(rs)\n"
+              "rs = RootSystem(parse_shape('A1'))\n"
+              "rs._weights[rs.positives[0]] = (4,)\n"
+              "attempt(rs)\n")
+    assert optimized_stdout(script).splitlines() == [
+        triple, jacobi, special, coroot]
+
+
 def test_missing_constant_raises(monkeypatch):
     """A basis whose constants miss one pair with a root sum is refused, and
     so are a Cartan vector of the wrong length and a compact generator X or Y

@@ -5,8 +5,10 @@ import sys
 import pytest
 
 import stemhc
+from stemhc import chevalley, rootsystems, stem
 from stemhc.rootsystems import (
-    Root, RootSystem, SimpleType, parse_shape, root_sum, shape, simple_type,
+    Root, RootSystem, SimpleType, build_cached, parse_shape, root_sum, shape,
+    simple_type,
 )
 from stemhc.stem import compute_stem
 import euclid_oracle as eo
@@ -394,3 +396,100 @@ def test_reducedness_and_pairing():
     a1, a2 = rs.simple_roots(0)
     assert rs.pairing(a2, 0) == -3
     assert rs.pairing(a1, 1) == -1
+
+
+def test_construction_invariants_raise(monkeypatch):
+    """A wrong root count, a root system that is not reduced and a Cartan
+    integer that is not an integer are refused, also under `python -O`,
+    which strips asserts."""
+    count = "A2 has 3 positive roots, expected 0"
+    reduced = "not reduced: twice 0:(1) is a root"
+    cartan = ("2 (0:(0,1), 0:(1,0)) / (0:(1,0), 0:(1,0)) is not an integer")
+    monkeypatch.setitem(rootsystems._ROOT_COUNTS, "A", lambda n: 0)
+    with pytest.raises(AssertionError) as exc:
+        RootSystem(parse_shape("A2"))
+    assert str(exc.value) == count
+    generate = RootSystem._generate_positives
+    monkeypatch.setitem(rootsystems._ROOT_COUNTS, "A", lambda n: 4)
+    monkeypatch.setattr(RootSystem, "_generate_positives",
+                        lambda self, ci, t: generate(self, ci, t)
+                        + [Root(ci, (2,))])
+    with pytest.raises(AssertionError) as exc:
+        RootSystem(parse_shape("A1"))
+    assert str(exc.value) == reduced
+    monkeypatch.undo()
+    rs = RootSystem(parse_shape("A2"))
+    a1, a2 = rs.simple_roots(0)
+    rs._weights[a1] = (3, 1)
+    with pytest.raises(AssertionError) as exc:
+        rs.cartan_int(a2, a1)
+    assert str(exc.value) == cartan
+    script = ("import stemhc.rootsystems as R\n"
+              "from stemhc.rootsystems import Root, RootSystem, parse_shape\n"
+              "def attempt(make):\n"
+              "    try:\n"
+              "        make()\n"
+              "    except AssertionError as exc:\n"
+              "        print(exc)\n"
+              "R._ROOT_COUNTS['A'] = lambda n: 0\n"
+              "attempt(lambda: RootSystem(parse_shape('A2')))\n"
+              "R._ROOT_COUNTS['A'] = lambda n: 4\n"
+              "generate = RootSystem._generate_positives\n"
+              "RootSystem._generate_positives = (\n"
+              "    lambda self, ci, t: generate(self, ci, t) + [Root(ci, (2,))])\n"
+              "attempt(lambda: RootSystem(parse_shape('A1')))\n"
+              "R._ROOT_COUNTS['A'] = lambda n: n * (n + 1)\n"
+              "RootSystem._generate_positives = generate\n"
+              "rs = RootSystem(parse_shape('A2'))\n"
+              "a1, a2 = rs.simple_roots(0)\n"
+              "rs._weights[a1] = (3, 1)\n"
+              "attempt(lambda: rs.cartan_int(a2, a1))\n")
+    assert optimized_stdout(script).splitlines() == [count, reduced, cartan]
+
+
+# ---------------------------------------------------------------------------
+# negation
+
+
+def negated(r):
+    return Root(r.comp, tuple(-c for c in r.coords))
+
+
+@pytest.mark.parametrize("text", TABLE_SHAPES)
+def test_roots_negate_to_their_stored_opposites(text):
+    """Right after a build, -r is the stored Root of rs.roots; an equal Root
+    built anew negates to the same value."""
+    rs = RootSystem(parse_shape(text))
+    stored = {r: r for r in rs.roots}
+    for r in rs.roots:
+        neg = -r
+        assert neg == negated(r)
+        assert neg is stored[neg]
+        assert -neg is r
+        assert -Root(r.comp, tuple(r.coords)) is neg
+
+
+def test_a_root_no_system_holds_still_negates():
+    RootSystem(parse_shape("A2"))
+    for r in (Root(0, (5, 5)), Root(7, (1, -2, 3)), Root(0, ())):
+        assert -r == negated(r)
+        assert -(-r) == r
+
+
+def test_negation_survives_a_rebuild():
+    """Clearing the caches and building again, as a fresh job does, keeps
+    every value and hands back the new system's objects."""
+    sh = parse_shape("c^2 x A3 x B2")
+    for cached in (build_cached, chevalley.make_basis, stem.stem_of):
+        cached.cache_clear()
+    first = build_cached(sh)
+    before = {r: -r for r in first.roots}
+    build_cached.cache_clear()
+    rs = build_cached(sh)
+    assert rs is not first
+    stored = {r: r for r in rs.roots}
+    for r in first.roots:
+        assert -r == before[r] == negated(r)
+        assert -r is stored[negated(r)]
+    for cached in (build_cached, chevalley.make_basis, stem.stem_of):
+        cached.cache_clear()
