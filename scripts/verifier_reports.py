@@ -18,7 +18,9 @@ every substem of every ATLAS_TYPES type, `complement_data` on the accepted
 ones, the `audit_type` rows, and the Cartan vectors `o_k`, `z_vecs` and
 `j_vecs` of every adapted basis built above.  The Chevalley data: one
 sha256 per ATLAS_TYPES type over the sorted `n_const`, `hroot`, `killing_h`
-and `killing_e` of its basis, each number with its type.
+and `killing_e` of its basis, each number with its type.  The subsystem
+types: `component_type` of the whole root system, of every theta_g and of
+every irreducible component of every Delta_k, for each ATLAS_TYPES type.
 """
 
 import hashlib
@@ -29,7 +31,7 @@ from stemhc.cli import SELFTEST_BUILDS
 from stemhc.hcstruct import (build_structure, verify_rotation,
                              verify_rotation_spans)
 from stemhc.pairs import (PairSpec, check_pair, complement_data,
-                          enumerate_substems, make_pair_spec)
+                          delta_k, enumerate_substems, make_pair_spec)
 from stemhc.rootsystems import parse_shape
 from stemhc.scalars import EIGHTH_ROOT, I, ONE
 from stemhc.stem import stem_of
@@ -91,6 +93,20 @@ def show_chevalley_data():
         print("%s chevalley data |" % text, digest.hexdigest())
 
 
+def show_subsystem_types():
+    for text in ATLAS_TYPES:
+        st = stem_of(parse_shape(text))
+        rs = st.rs
+        print("%s type |" % text, rs.component_type(rs.roots))
+        for g in st.elements:
+            print("%s theta %s |" % (text, g), rs.component_type(st.theta[g]))
+        for sub in enumerate_substems(st):
+            dk = delta_k(sub)
+            comps = rs.irreducible_components(dk) if dk else []
+            print("%s delta_k %s |" % (text, list(sub.indices)),
+                  [str(rs.component_type(c)) for c in comps])
+
+
 def main():
     builds = list(SELFTEST_BUILDS) + list(TORUS_BUILDS)
     specs = [("%s %s %d" % (text, list(sub), ok_dim),
@@ -114,6 +130,7 @@ def main():
                  verify_rotation_spans(cb, st, rho))
     show_pair_layer(bases)
     show_chevalley_data()
+    show_subsystem_types()
 
 
 if __name__ == "__main__":

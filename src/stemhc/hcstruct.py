@@ -117,7 +117,9 @@ class PBasis:
         self.spec = spec
         self.cb = make_basis(spec.shape)
         self.stem = stem_of(spec.shape)
-        assert self.cb.rs is self.stem.rs
+        if self.cb.rs is not self.stem.rs:
+            raise AssertionError("the basis and the stem hold different "
+                                 "root systems")
         self.sub = spec.substem()
         self.data = complement_data(spec, force=force)
         self.report = self.data.report
@@ -127,11 +129,6 @@ class PBasis:
         self.dp_plus = list(self.data.delta_p_plus)
         self.dp_set = set(self.dp_plus) | {-a for a in self.dp_plus}
         self.dk_set = delta_k(self.sub)
-        self.wing_stem = {}
-        for g in self.gamma_p:
-            for a in self.stem.phi[g]:
-                self.wing_stem[a] = g
-                self.wing_stem[-a] = g
         self.phases = self._normalize_phases(phases)
         self._split_cartan()
         self._build_labels()
@@ -261,14 +258,17 @@ class PBasis:
         return self.cb.combine((c, self.vectors[j]) for j, c in coords.items())
 
     def decompose(self, x: AlgebraElement) -> PDecomposition:
+        if x.cb is not self.cb:
+            raise ValueError("element of another Chevalley basis")
         coords = {}
         k_e = {}
         for r, c in x.e.items():
             if r in self.dp_set:
                 coords[self.index[("e", r)]] = c
-            else:
-                assert r in self.dk_set, "unknown root %s" % (r,)
+            elif r in self.dk_set:
                 k_e[r] = c
+            else:
+                raise ValueError("unknown root %s" % (r,))
         k_h = [ZERO] * self.n_k
         if x.cartan:
             cf = [sum((c * row[j] for j, c in x.cartan.items() if row[j]),
@@ -824,7 +824,8 @@ class RootRotation:
         return self.apply_coords(terms)
 
     def compose(self, other: "RootRotation") -> "RootRotation":
-        assert other.cb is self.cb
+        if other.cb is not self.cb:
+            raise ValueError("rotations of different Chevalley bases")
         return RootRotation(self.cb, [self.apply(v) for v in other.images])
 
     def __eq__(self, other):

@@ -195,6 +195,17 @@ _ROOT_COUNTS = {
     "G": lambda n: 12,
 }
 
+# how many simple roots are shorter than the longest one
+_SHORT_SIMPLES = {
+    "A": lambda n: 0,
+    "B": lambda n: 1,
+    "C": lambda n: n - 1,
+    "D": lambda n: 0,
+    "E": lambda n: 0,
+    "F": lambda n: 2,
+    "G": lambda n: 1,
+}
+
 
 # ---------------------------------------------------------------------------
 # Roots
@@ -475,85 +486,31 @@ class RootSystem:
         return [t for t in pos if t not in decomposable]
 
     def component_type(self, subset) -> SimpleType:
-        """Recognize the isomorphism type of a closed irreducible symmetric
-        subsystem from its induced Dynkin diagram."""
+        """The isomorphism type of a closed irreducible symmetric subsystem.
+
+        An irreducible reduced root system is fixed by its rank, its number
+        of roots and its number of short simple roots; only B2 and C2 share
+        all three, and the family order names them B2.  Raises ValueError on
+        an empty or reducible subset.
+        """
         simples = self.base(subset)
-        assert simples
-        cmat = [[self.cartan_int(a, b) for b in simples] for a in simples]
-        return _classify_diagram(simples, cmat, self)
-
-
-def _classify_diagram(simples, cmat, rs) -> SimpleType:
-    n = len(simples)
-    if n == 1:
-        return SimpleType("A", 1)
-    edges = {}
-    adj = {i: [] for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if cmat[i][j]:
-                edges[(i, j)] = cmat[i][j] * cmat[j][i]
-                adj[i].append(j)
-                adj[j].append(i)
-    assert len(edges) == n - 1, "subsystem diagram must be a tree"
-    weights = sorted(edges.values())
-    if weights[-1] == 3:
-        assert n == 2
-        return SimpleType("G", 2)
-    if weights[-1] == 2:
-        # path with one double edge: B, C, or F4
-        assert all(len(v) <= 2 for v in adj.values())
-        (i, j), = [e for e, w in edges.items() if w == 2]
-        # side sizes when the double edge is cut
-        def side_size(start, banned):
-            seen = {banned, start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            return len(seen) - 1
-        size_i = side_size(i, j)
-        size_j = side_size(j, i)
-        # cmat[i][j] == -2 means alpha_j is the short one
-        if cmat[i][j] == -2:
-            s_long, s_short = size_i, size_j
-        else:
-            s_long, s_short = size_j, size_i
-        if n == 2:
-            return SimpleType("B", 2)
-        if s_long == n - 1:
-            return SimpleType("B", n)
-        if s_short == n - 1:
-            return SimpleType("C", n)
-        assert (s_long, s_short) == (2, 2) and n == 4
-        return SimpleType("F", 4)
-    # simply laced
-    degs = sorted(len(v) for v in adj.values())
-    if degs[-1] <= 2:
-        return SimpleType("A", n)
-    branch = [i for i in range(n) if len(adj[i]) == 3]
-    assert len(branch) == 1, "diagram is not of finite type"
-    b = branch[0]
-    legs = []
-    for start in adj[b]:
-        length = 1
-        prev, cur = b, start
-        while True:
-            nxts = [x for x in adj[cur] if x != prev]
-            if not nxts:
-                break
-            assert len(nxts) == 1
-            prev, cur = cur, nxts[0]
-            length += 1
-        legs.append(length)
-    legs.sort()
-    if legs[0] == 1 and legs[1] == 1:
-        return SimpleType("D", n)
-    assert legs[:2] == [1, 2] and legs[2] in (2, 3, 4)
-    return SimpleType("E", n)
+        if len(self.irreducible_components(
+                simples + [-a for a in simples])) != 1:
+            raise ValueError("subset is empty or reducible")
+        n = len(simples)
+        norms = [sum(map(mul, a.coords, self._weights[a])) for a in simples]
+        short = len(norms) - norms.count(max(norms))
+        count = len(set(subset))
+        for f in FAMILIES:
+            try:
+                t = simple_type(f, n)
+            except ValueError:
+                continue
+            if (_ROOT_COUNTS[f](n) == count
+                    and _SHORT_SIMPLES[f](n) == short):
+                return t
+        raise ValueError("no simple type of rank %d has %d roots and %d "
+                         "short simple roots" % (n, count, short))
 
 
 @lru_cache(maxsize=None)

@@ -238,6 +238,41 @@ def test_cartan_split_checks_raise_under_optimize():
             "central slice of the complement has dimension 0, expected 1 3"
 
 
+def test_foreign_inputs_raise_under_optimize():
+    """An element or a rotation of another basis, a root that is neither in
+    the complement nor in the subalgebra, and a basis built over another
+    root system than its stem are refused, also under -O.  Under -O the
+    first used to project to {} and the rotation to fail with a KeyError."""
+    script = ("import stemhc.hcstruct as h\n"
+              "from stemhc.chevalley import make_basis\n"
+              "from stemhc.pairs import make_pair_spec\n"
+              "from stemhc.rootsystems import Root, build_cached, parse_shape\n"
+              "from stemhc.stem import stem_of\n"
+              "def attempt(make):\n"
+              "    try:\n"
+              "        make()\n"
+              "    except (AssertionError, ValueError) as exc:\n"
+              "        print(type(exc).__name__, exc)\n"
+              "pb = h.PBasis(make_pair_spec('A2'))\n"
+              "b2 = make_basis(parse_shape('B2'))\n"
+              "attempt(lambda: pb.project_coords(b2.E(Root(0, (1, 2)))))\n"
+              "a = pb.dp_plus[0]\n"
+              "pb.dp_set = set()\n"
+              "attempt(lambda: pb.decompose(pb.cb.E(a)))\n"
+              "attempt(lambda: h.root_rotation(pb.cb, a).compose(\n"
+              "    h.root_rotation(b2, Root(0, (1, 0)))))\n"
+              "build_cached.cache_clear()\n"
+              "stem_of.cache_clear()\n"
+              "attempt(lambda: h.PBasis(make_pair_spec('A2')))\n")
+    want = ["ValueError element of another Chevalley basis",
+            "ValueError unknown root 0:(0,1)",
+            "ValueError rotations of different Chevalley bases",
+            "AssertionError the basis and the stem hold different root "
+            "systems"]
+    for flags in ((), ("-O",)):
+        assert run_python(script, *flags).splitlines() == want
+
+
 # c^m x (one simple factor) and A2-A7: central tori on both sides of the pair
 TORUS_SWEEP = (["c^%d x %s" % (m, t) for m in range(1, 6)
                 for t in ("A1", "A3", "B2", "C3", "G2")]

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -387,6 +388,76 @@ def test_component_type_of_proper_subsystems():
     rsg = rs_of(SimpleType("G", 2))
     longg = {r for r in rsg.roots if rsg.norm2(r) == 6}
     assert rsg.component_type(longg) == SimpleType("A", 2)
+
+
+
+def admitted_types(max_rank):
+    for f in rootsystems.FAMILIES:
+        for n in range(1, max_rank + 1):
+            try:
+                yield simple_type(f, n)
+            except ValueError:
+                pass
+
+
+def test_counts_separate_the_types():
+    """Rank, root count and short simple roots, read off each built system,
+    agree with the tables; the tables give distinct triples to rank 100
+    apart from B2 = C2."""
+    for t in admitted_types(10):
+        rs = rs_of(t)
+        norms = [sum(a * b for a, b in zip(r.coords, rs._weights[r]))
+                 for r in rs.simple_roots(0)]
+        short = sum(1 for x in norms if x < max(norms))
+        assert len(rs.roots) == rootsystems._ROOT_COUNTS[t.family](t.rank)
+        assert short == rootsystems._SHORT_SIMPLES[t.family](t.rank), t
+    seen = {}
+    for t in admitted_types(100):
+        key = (t.rank, rootsystems._ROOT_COUNTS[t.family](t.rank),
+               rootsystems._SHORT_SIMPLES[t.family](t.rank))
+        seen.setdefault(key, []).append(str(t))
+    shared = [names for names in seen.values() if len(names) > 1]
+    assert shared == [["B2", "C2"]]
+
+
+def test_component_type_refuses_reducible_and_empty_subsets():
+    """The whole of A1 x A1, the long roots of B2 (an A1 x A1) and the
+    empty set have no simple type, also under `python -O`."""
+    rs = RootSystem(parse_shape("A1 x A1"))
+    rsb = rs_of(SimpleType("B", 2))
+    longs = [r for r in rsb.roots if rsb.norm2(r) == 2]
+    assert len(longs) == 4
+    for system, subset in ((rs, rs.roots), (rsb, longs), (rs, [])):
+        with pytest.raises(ValueError, match="empty or reducible"):
+            system.component_type(subset)
+    script = ("from stemhc.rootsystems import RootSystem, parse_shape\n"
+              "rs = RootSystem(parse_shape('A1 x A1'))\n"
+              "rsb = RootSystem(parse_shape('B2'))\n"
+              "longs = [r for r in rsb.roots if rsb.norm2(r) == 2]\n"
+              "for system, subset in ((rs, rs.roots), (rsb, longs), "
+              "(rs, [])):\n"
+              "    try:\n"
+              "        print(system.component_type(subset))\n"
+              "    except ValueError as exc:\n"
+              "        print(type(exc).__name__, exc)\n")
+    assert optimized_stdout(script).splitlines() == [
+        "ValueError subset is empty or reducible"] * 3
+
+
+def test_no_assert_statements_in_the_library():
+    """Invariants hold under `python -O`: no module of the package relies on
+    an `assert` statement."""
+    pkg = os.path.dirname(os.path.abspath(stemhc.__file__))
+    found = []
+    for root, _, names in os.walk(pkg):
+        for name in sorted(n for n in names if n.endswith(".py")):
+            path = os.path.join(root, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            found += ["%s:%d" % (os.path.relpath(path, pkg), node.lineno)
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_reducedness_and_pairing():
