@@ -21,6 +21,10 @@ sha256 per ATLAS_TYPES type over the sorted `n_const`, `hroot`, `killing_h`
 and `killing_e` of its basis, each number with its type.  The subsystem
 types: `component_type` of the whole root system, of every theta_g and of
 every irreducible component of every Delta_k, for each ATLAS_TYPES type.
+The exact values: one sha256 per built structure over every entry of its
+`i_matrix` and `j_matrix`, and one per ROTATION_TYPES type and phase over
+every entry of `root_rotation(...).cols` for every stem root, so a diff
+shows whether a change kept the exact scalars and not just the verdicts.
 """
 
 import hashlib
@@ -28,8 +32,8 @@ import hashlib
 from stemhc.chevalley import make_basis
 from stemhc.classify import audit_type, enumerate_hc_spaces
 from stemhc.cli import SELFTEST_BUILDS
-from stemhc.hcstruct import (build_structure, verify_rotation,
-                             verify_rotation_spans)
+from stemhc.hcstruct import (build_structure, root_rotation,
+                             verify_rotation, verify_rotation_spans)
 from stemhc.pairs import (PairSpec, check_pair, complement_data,
                           delta_k, enumerate_substems, make_pair_spec)
 from stemhc.rootsystems import parse_shape
@@ -80,6 +84,16 @@ def typed(v):
     return (type(v).__name__, str(v))
 
 
+def entries_digest(matrices):
+    """sha256 over `str` of every entry of these dense matrices, in order."""
+    digest = hashlib.sha256()
+    for m in matrices:
+        for row in m:
+            digest.update(("|".join(map(str, row)) + "\n").encode())
+        digest.update(b"--\n")
+    return digest.hexdigest()
+
+
 def show_chevalley_data():
     for text in ATLAS_TYPES:
         cb = make_basis(parse_shape(text))
@@ -118,11 +132,16 @@ def main():
         for name, rho in PHASES:
             hc = build_structure(spec, phases=rho)
             show("%s @%s |" % (label, name), hc.verify_all())
+            print("%s @%s I, J digest |" % (label, name),
+                  entries_digest((hc.i_matrix, hc.j_matrix)))
             bases.append(("%s @%s |" % (label, name), hc.pbasis))
     for text in ROTATION_TYPES:
         cb = make_basis(parse_shape(text))
         st = stem_of(parse_shape(text))
         for name, rho in PHASES:
+            print("%s rotation digest @%s |" % (text, name),
+                  entries_digest(root_rotation(cb, g, rho).cols
+                                 for g in st.elements))
             for g in st.elements:
                 show("%s rotation %s @%s |" % (text, g, name),
                      verify_rotation(cb, st, g, rho=rho))

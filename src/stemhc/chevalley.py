@@ -10,7 +10,8 @@ Which pairs of roots add to a root is read from the root system's table
 `RootSystem.sums`, a -> {b: a+b} over the pairs whose sum is a root and
 b = -a -> None; the basis checks that each such pair has a constant.  The
 bracket reads this table, and `combine` forms every linear combination; both
-drop zero coefficients once, at the end.
+store a key's first term as it is, not added to zero, and drop zero
+coefficients once, at the end.
 
 An element stores its Cartan part and its root part sparsely, as dicts of
 nonzero coefficients, so operations touch only the slots an element uses.
@@ -101,7 +102,8 @@ def _added(u: dict, v: dict) -> dict:
     """The sum of two sparse coefficient dicts, without zero entries."""
     out = dict(u)
     for k, c in v.items():
-        out[k] = out.get(k, ZERO) + c
+        prev = out.get(k)
+        out[k] = c if prev is None else prev + c
     return {k: c for k, c in out.items() if c}
 
 
@@ -267,7 +269,8 @@ class ChevalleyBasis:
         for j, v in cartan.items():
             p = pairing.get(j)
             if p:
-                acc = acc + v * p
+                t = v * p
+                acc = t if acc is ZERO else acc + t
         return acc
 
     def bracket(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -286,19 +289,27 @@ class ChevalleyBasis:
                     coef = ca * cb2
                     for j, m in enumerate(self.hroot[a]):
                         if m:
-                            h[j] = h.get(j, ZERO) + coef * m
+                            t = coef * m
+                            prev = h.get(j)
+                            h[j] = t if prev is None else prev + t
                 else:
-                    e[s] = e.get(s, ZERO) + ca * cb2 * self.n_const[(a, b)]
+                    t = ca * cb2 * self.n_const[(a, b)]
+                    prev = e.get(s)
+                    e[s] = t if prev is None else prev + t
         if x.cartan:
             for b, cb2 in y.e.items():
                 w = self.eval_root(b, x.cartan)
                 if w:
-                    e[b] = e.get(b, ZERO) + w * cb2
+                    t = w * cb2
+                    prev = e.get(b)
+                    e[b] = t if prev is None else prev + t
         if y.cartan:
             for a, ca in x.e.items():
                 w = self.eval_root(a, y.cartan)
                 if w:
-                    e[a] = e.get(a, ZERO) - w * ca
+                    t = w * ca
+                    prev = e.get(a)
+                    e[a] = -t if prev is None else prev - t
         return AlgebraElement(self, {j: c for j, c in h.items() if c},
                               {r: c for r, c in e.items() if c})
 
@@ -310,9 +321,13 @@ class ChevalleyBasis:
             if x.cb is not self:
                 raise ValueError("element from another basis")
             for r, v in x.e.items():
-                e[r] = e.get(r, ZERO) + c * v
+                t = c * v
+                prev = e.get(r)
+                e[r] = t if prev is None else prev + t
             for j, v in x.cartan.items():
-                h[j] = h.get(j, ZERO) + c * v
+                t = c * v
+                prev = h.get(j)
+                h[j] = t if prev is None else prev + t
         return AlgebraElement(self, {j: v for j, v in h.items() if v},
                               {r: v for r, v in e.items() if v})
 

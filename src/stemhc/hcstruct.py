@@ -271,8 +271,14 @@ class PBasis:
                 raise ValueError("unknown root %s" % (r,))
         k_h = [ZERO] * self.n_k
         if x.cartan:
-            cf = [sum((c * row[j] for j, c in x.cartan.items() if row[j]),
-                      ZERO) for row in self.h_inverse]
+            cf = []
+            for row in self.h_inverse:
+                acc = ZERO
+                for j, c in x.cartan.items():
+                    if row[j]:
+                        t = c * row[j]
+                        acc = t if acc is ZERO else acc + t
+                cf.append(acc)
             k_h = cf[:self.n_k]
             nk = self.n_k
             for t in range(self.num_p):
@@ -315,7 +321,9 @@ def _apply_cols(cols, coords):
     out = {}
     for j, c in coords.items():
         for i, v in cols[j].items():
-            out[i] = out.get(i, ZERO) + v * c
+            t = v * c
+            prev = out.get(i)
+            out[i] = t if prev is None else prev + t
     return {i: v for i, v in out.items() if v}
 
 
@@ -1042,17 +1050,15 @@ def verify_eigenspace_transport(hc: HCStructure) -> CheckReport:
     # the product is invertible, so the images of a basis of k (of p) span
     # k (p) iff none has a part in p (in k)
     kbasis = [x for _, x in subalgebra_basis(pb)]
-    bad = []
-    if any(pb.decompose(prod.apply(x)).coords for x in kbasis):
-        bad.append("subalgebra span moved")
+    leaks = sum(1 for x in kbasis if pb.decompose(prod.apply(x)).coords)
     rep.record("product rotation preserves the subalgebra",
-               max(len(kbasis), 1), bad)
+               max(len(kbasis), 1), ["subalgebra span moved"] if leaks else [],
+               leaks)
 
     moved = [pb.decompose(prod.apply(v)) for v in pb.vectors]
-    bad = []
-    if not all(d.in_p for d in moved):
-        bad.append("complement span moved")
-    rep.record("product rotation preserves the complement", len(moved), bad)
+    leaks = sum(1 for d in moved if not d.in_p)
+    rep.record("product rotation preserves the complement", len(moved),
+               ["complement span moved"] if leaks else [], leaks)
 
     # the untwisted polarization: positive root vectors with P (resp.
     # negatives with Q), plus the matching central eigenvectors, which the

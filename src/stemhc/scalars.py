@@ -125,7 +125,24 @@ class TowerScalar:
         return _raw(-self._n0, -self._n1, -self._n2, -self._n3, self._d)
 
     def __mul__(self, other):
-        if other.__class__ is not TowerScalar:
+        cls = other.__class__
+        if cls is not TowerScalar:
+            # integer and rational factors scale the fields directly
+            if isinstance(other, int):
+                if other == 1:
+                    return self
+                if other == -1:
+                    return -self
+                if not other:
+                    return ZERO
+                return _make(self._n0 * other, self._n1 * other,
+                             self._n2 * other, self._n3 * other, self._d)
+            if cls is Fraction:
+                p, q = other.numerator, other.denominator
+                if not p:
+                    return ZERO
+                return _make(self._n0 * p, self._n1 * p, self._n2 * p,
+                             self._n3 * p, self._d * q)
             other = TowerScalar.of(other)
         a0, a1, a2, a3 = self._n0, self._n1, self._n2, self._n3
         b0, b1, b2, b3 = other._n0, other._n1, other._n2, other._n3

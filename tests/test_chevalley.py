@@ -343,6 +343,68 @@ def test_combine_matches_the_chain():
         cb.combine([(ONE, cb_of(SimpleType("A", 2)).zero())])
 
 
+def dense(x):
+    """x as a list of coordinates in `basis_keys` order, its Cartan part
+    read off the dense view `h`."""
+    cb = x.cb
+    out = [ZERO] * len(cb.basis_keys)
+    for r, c in x.e.items():
+        out[cb.key_index[("e", r)]] = c
+    for j, c in enumerate(x.h):
+        out[cb.key_index[("h", j)]] = c
+    return out
+
+
+def dense_bracket(cb, x, y):
+    """[x, y] by bilinearity: x_i y_j [b_i, b_j] summed into a dense list
+    from ZERO, one basis pair per bracket call."""
+    basis = [cb.basis_element(k) for k in cb.basis_keys]
+    out = [ZERO] * len(basis)
+    for i, xi in enumerate(dense(x)):
+        for j, yj in enumerate(dense(y)):
+            if xi and yj:
+                for k, v in enumerate(dense(cb.bracket(basis[i], basis[j]))):
+                    out[k] = out[k] + xi * yj * v
+    return out
+
+
+@pytest.mark.parametrize("text", ["A2", "G2", "c^2 x A2"])
+def test_sums_match_a_dense_accumulation(text):
+    """`bracket` and `combine` on random elements against dense sums that
+    start from ZERO, with coefficients that cancel and int factors."""
+    cb = make_basis(parse_shape(text))
+    rng = random.Random(15)
+    for _ in range(12):
+        x, y, z = (random_element(cb, rng, rng.randint(0, 3))
+                   for _ in range(3))
+        got = cb.bracket(x, y)
+        assert dense(got) == dense_bracket(cb, x, y)
+        assert all(got.e.values()) and all(got.cartan.values())
+        terms = [(TowerScalar(rng.randint(-2, 2), Fraction(1, 3)), x),
+                 (rng.randint(-3, 3), y), (ONE, z), (-1, x), (-2, y)]
+        want = [ZERO] * len(cb.basis_keys)
+        for c, w in terms:
+            want = [acc + c * v for acc, v in zip(want, dense(w))]
+        got = cb.combine(terms)
+        assert dense(got) == want
+        assert all(got.e.values()) and all(got.cartan.values())
+
+
+def test_eval_root_of_a_cancelling_cartan_part_is_zero():
+    """alpha(h) whose contributions cancel, and alpha of an empty Cartan
+    part, is the canonical zero."""
+    cb = make_basis(parse_shape("G2"))
+    both = [a for a in cb.rs.roots if len(cb.pairings[a]) == 2]
+    assert len(both) >= 6
+    for alpha in both:
+        (j0, p0), (j1, p1) = sorted(cb.pairings[alpha].items())
+        s = TowerScalar(Fraction(2, 3), 1, Fraction(-1, 5), 0)
+        got = cb.eval_root(alpha, {j0: s * p1, j1: -s * p0})
+        assert (got._n0, got._n1, got._n2, got._n3, got._d) == \
+            (0, 0, 0, 0, 1)
+        assert cb.eval_root(alpha, {}) is ZERO
+
+
 coefficients = st.one_of(st.just(ZERO), scalars)
 
 

@@ -770,22 +770,23 @@ def test_transport_fails_on_a_broken_two_cycle(shape, substem, broken):
             "transported span differs from the %s eigenspace" % sign]
 
 
-@pytest.mark.parametrize("leak", ["subalgebra", "complement"])
-def test_transport_catches_an_image_that_leaves_its_summand(monkeypatch,
-                                                            leak):
-    """The product rotation with the image of a subalgebra root vector
-    given a complement part, or the reverse; a leak out of the complement
-    is reported, not raised."""
+def transport_leaks(monkeypatch, leak, n):
+    """The failing transport items on A3 substem 2 at zeta8 when the product
+    rotation gives n subalgebra root-vector images a complement part
+    (leak="subalgebra"), or n complement root-vector images a subalgebra
+    part, and the one item expected to fail."""
     hc = build("A3", (2,), phases=EIGHTH_ROOT)
     pb = hc.pbasis
-    r, a = min(pb.dk_set, key=Root.key), pb.dp_plus[0]
-    key, extra = (r, a) if leak == "subalgebra" else (a, r)
+    ks = sorted(pb.dk_set, key=Root.key)[:n]
+    ps = [pb.dp_plus[0], -pb.dp_plus[0]][:n]
+    keys, extra = (ks, ps[0]) if leak == "subalgebra" else (ps, ks[0])
     product = hcstruct.rotation_product
 
     def leaky(cb, gammas, phases=None):
         prod = product(cb, gammas, phases)
-        k = cb.key_index[("e", key)]
-        prod.images[k] = prod.images[k] + cb.E(extra)
+        for key in keys:
+            k = cb.key_index[("e", key)]
+            prod.images[k] = prod.images[k] + cb.E(extra)
         return prod
 
     monkeypatch.setattr(hcstruct, "rotation_product", leaky)
@@ -793,12 +794,30 @@ def test_transport_catches_an_image_that_leaves_its_summand(monkeypatch,
     want = {"subalgebra": {
         "name": "product rotation preserves the subalgebra",
         "checked": len(subalgebra_basis(pb)), "ok": False,
-        "violations": ["subalgebra span moved"], "violation_count": 1},
+        "violations": ["subalgebra span moved"], "violation_count": n},
         "complement": {
         "name": "product rotation preserves the complement",
         "checked": len(pb.labels), "ok": False,
-        "violations": ["complement span moved"], "violation_count": 1}}
-    assert [it for it in items if not it["ok"]] == [want[leak]]
+        "violations": ["complement span moved"], "violation_count": n}}
+    return [it for it in items if not it["ok"]], want[leak]
+
+
+@pytest.mark.parametrize("leak", ["subalgebra", "complement"])
+def test_transport_catches_an_image_that_leaves_its_summand(monkeypatch,
+                                                            leak):
+    """The product rotation with the image of a subalgebra root vector
+    given a complement part, or the reverse; a leak out of the complement
+    is reported, not raised."""
+    failing, want = transport_leaks(monkeypatch, leak, 1)
+    assert failing == [want]
+
+
+@pytest.mark.parametrize("leak", ["subalgebra", "complement"])
+def test_transport_counts_every_leaking_image(monkeypatch, leak):
+    """Two images leak out of their summand; the item counts both under its
+    one description."""
+    failing, want = transport_leaks(monkeypatch, leak, 2)
+    assert failing == [want]
 
 
 @pytest.mark.parametrize("moved", ["wing", "stem"])

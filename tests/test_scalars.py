@@ -241,6 +241,26 @@ def test_mixed_operands_on_both_sides(a, f, k):
     assert (a == k) == (ra == rk)
 
 
+# fields (6, -4, 0, 15) / 18: a factor must be reduced against d > 1
+MIXED = TowerScalar(Fraction(1, 3), Fraction(-2, 9), 0, Fraction(5, 6))
+
+
+@pytest.mark.parametrize("x", [ZERO, ONE, EIGHTH_ROOT, MIXED],
+                         ids=["zero", "one", "zeta8", "mixed"])
+@pytest.mark.parametrize("k", [0, 1, -1, 2, -6, True, Fraction(0),
+                               Fraction(-3, 4), Fraction(6, 4)],
+                         ids=repr)
+def test_int_and_fraction_factors_scale_the_fields(x, k):
+    """x * k and k * x for an int or Fraction k are the canonical product
+    with TowerScalar.of(k), on both sides, whether or not k coerces."""
+    want = fields(x * TowerScalar.of(k))
+    for got in (x * k, k * x):
+        assert isinstance(got, TowerScalar)
+        assert canonical(got)
+        assert fields(got) == want
+        assert ref(got) == ref(x) * RefScalar(k)
+
+
 def test_one_representation_per_value():
     half = TowerScalar(Fraction(2, 4))
     assert fields(half) == fields(TowerScalar(Fraction(1, 2))) == (1, 0, 0, 0, 2)
