@@ -1,12 +1,12 @@
 """Compare two checkouts on one benchmark workload, in alternating pairs.
 
-    python3 scripts/bench_ab.py --parent ../old --change . \\
-        --workload rotations --seeds 1-10 --seconds 20
+    python3 scripts/bench_ab.py --parent ../old --change . --workload rotations
 
-For every seed it runs `python3 perfbench/run.py --workload W --seed S
---seconds N --trace 0` once in each checkout, from that checkout's root:
-odd seeds run the parent first and even seeds the change first, so a drift
-of the machine over time falls on both sides alike.  It then prints
+For every seed S in 1-10 it runs `python3 perfbench/run.py --workload W
+--seed S --seconds N --trace 0` once in each checkout, from that checkout's
+root, where N is `run_seconds` from the change's BENCHMARK.json.  Odd seeds
+run the parent first and even seeds the change first, so a drift of the
+machine over time falls on both sides alike.  It then prints
 one JSON object in the `workloads` shape of the BENCH_*.json files: per
 end-to-end metric the parent's and the change's median, quartiles and runs,
 how many pairs the change won and lost, the change of the median in percent
@@ -23,6 +23,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+SEEDS = range(1, 11)
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -79,28 +81,20 @@ def summarize(pairs, end_to_end):
     return out
 
 
-def seed_range(text):
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path)
     parser.add_argument("--change", required=True, type=Path)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", default="1-10", type=seed_range,
-                        help="an inclusive range such as 1-10")
-    parser.add_argument("--seconds", default=20, type=int)
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     pairs = []
-    for seed in args.seeds:
+    for seed in SEEDS:
         sides = {}
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
             sides[side] = run_once(getattr(args, side), args.workload, seed,
-                                   args.seconds)
+                                   bench["run_seconds"])
             print("seed %d %s: %s" % (seed, side, json.dumps(sides[side])),
                   file=sys.stderr)
         pairs.append((sides["parent"], sides["change"]))

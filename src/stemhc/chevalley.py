@@ -10,8 +10,7 @@ Which pairs of roots add to a root is read from the root system's table
 `RootSystem.sums`, a -> {b: a+b} over the pairs whose sum is a root and
 b = -a -> None; the basis checks that each such pair has a constant.  The
 bracket reads this table, and `combine` forms every linear combination; both
-store a key's first term as it is, not added to zero, and drop zero
-coefficients once, at the end.
+drop zero coefficients once, at the end.
 
 An element stores its Cartan part and its root part sparsely, as dicts of
 nonzero coefficients, so operations touch only the slots an element uses.
@@ -102,8 +101,7 @@ def _added(u: dict, v: dict) -> dict:
     """The sum of two sparse coefficient dicts, without zero entries."""
     out = dict(u)
     for k, c in v.items():
-        prev = out.get(k)
-        out[k] = c if prev is None else prev + c
+        out[k] = out.get(k, ZERO) + c
     return {k: c for k, c in out.items() if c}
 
 
@@ -269,8 +267,7 @@ class ChevalleyBasis:
         for j, v in cartan.items():
             p = pairing.get(j)
             if p:
-                t = v * p
-                acc = t if acc is ZERO else acc + t
+                acc = acc + v * p
         return acc
 
     def bracket(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -289,27 +286,19 @@ class ChevalleyBasis:
                     coef = ca * cb2
                     for j, m in enumerate(self.hroot[a]):
                         if m:
-                            t = coef * m
-                            prev = h.get(j)
-                            h[j] = t if prev is None else prev + t
+                            h[j] = h.get(j, ZERO) + coef * m
                 else:
-                    t = ca * cb2 * self.n_const[(a, b)]
-                    prev = e.get(s)
-                    e[s] = t if prev is None else prev + t
+                    e[s] = e.get(s, ZERO) + ca * cb2 * self.n_const[(a, b)]
         if x.cartan:
             for b, cb2 in y.e.items():
                 w = self.eval_root(b, x.cartan)
                 if w:
-                    t = w * cb2
-                    prev = e.get(b)
-                    e[b] = t if prev is None else prev + t
+                    e[b] = e.get(b, ZERO) + w * cb2
         if y.cartan:
             for a, ca in x.e.items():
                 w = self.eval_root(a, y.cartan)
                 if w:
-                    t = w * ca
-                    prev = e.get(a)
-                    e[a] = -t if prev is None else prev - t
+                    e[a] = e.get(a, ZERO) - w * ca
         return AlgebraElement(self, {j: c for j, c in h.items() if c},
                               {r: c for r, c in e.items() if c})
 
@@ -321,13 +310,9 @@ class ChevalleyBasis:
             if x.cb is not self:
                 raise ValueError("element from another basis")
             for r, v in x.e.items():
-                t = c * v
-                prev = e.get(r)
-                e[r] = t if prev is None else prev + t
+                e[r] = e.get(r, ZERO) + c * v
             for j, v in x.cartan.items():
-                t = c * v
-                prev = h.get(j)
-                h[j] = t if prev is None else prev + t
+                h[j] = h.get(j, ZERO) + c * v
         return AlgebraElement(self, {j: v for j, v in h.items() if v},
                               {r: v for r, v in e.items() if v})
 

@@ -271,14 +271,8 @@ class PBasis:
                 raise ValueError("unknown root %s" % (r,))
         k_h = [ZERO] * self.n_k
         if x.cartan:
-            cf = []
-            for row in self.h_inverse:
-                acc = ZERO
-                for j, c in x.cartan.items():
-                    if row[j]:
-                        t = c * row[j]
-                        acc = t if acc is ZERO else acc + t
-                cf.append(acc)
+            cf = [sum((c * row[j] for j, c in x.cartan.items() if row[j]),
+                      ZERO) for row in self.h_inverse]
             k_h = cf[:self.n_k]
             nk = self.n_k
             for t in range(self.num_p):
@@ -321,9 +315,7 @@ def _apply_cols(cols, coords):
     out = {}
     for j, c in coords.items():
         for i, v in cols[j].items():
-            t = v * c
-            prev = out.get(i)
-            out[i] = t if prev is None else prev + t
+            out[i] = out.get(i, ZERO) + v * c
     return {i: v for i, v in out.items() if v}
 
 

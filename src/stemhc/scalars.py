@@ -93,6 +93,10 @@ class TowerScalar:
     def __add__(self, other):
         if other.__class__ is not TowerScalar:
             other = TowerScalar.of(other)
+        if self is ZERO:
+            # the first term of a sparse sum d.get(k, ZERO) + t: t is
+            # already canonical, so there is nothing to add or reduce
+            return other
         ad = self._d
         bd = other._d
         if ad == bd:
@@ -108,6 +112,8 @@ class TowerScalar:
     def __sub__(self, other):
         if other.__class__ is not TowerScalar:
             other = TowerScalar.of(other)
+        if self is ZERO:
+            return -other
         ad = self._d
         bd = other._d
         if ad == bd:
@@ -125,9 +131,8 @@ class TowerScalar:
         return _raw(-self._n0, -self._n1, -self._n2, -self._n3, self._d)
 
     def __mul__(self, other):
-        cls = other.__class__
-        if cls is not TowerScalar:
-            # integer and rational factors scale the fields directly
+        if other.__class__ is not TowerScalar:
+            # an integer factor scales the fields directly
             if isinstance(other, int):
                 if other == 1:
                     return self
@@ -137,12 +142,6 @@ class TowerScalar:
                     return ZERO
                 return _make(self._n0 * other, self._n1 * other,
                              self._n2 * other, self._n3 * other, self._d)
-            if cls is Fraction:
-                p, q = other.numerator, other.denominator
-                if not p:
-                    return ZERO
-                return _make(self._n0 * p, self._n1 * p, self._n2 * p,
-                             self._n3 * p, self._d * q)
             other = TowerScalar.of(other)
         a0, a1, a2, a3 = self._n0, self._n1, self._n2, self._n3
         b0, b1, b2, b3 = other._n0, other._n1, other._n2, other._n3

@@ -59,17 +59,16 @@ def test_summary_of_fabricated_pairs():
     assert rate["within_bound"]
 
 
-def test_summary_needs_two_pairs_and_seeds_parse():
+def test_summary_needs_two_pairs():
     with pytest.raises(ValueError):
         bench_ab.summarize([(line(1, 1, 1), line(1, 1, 1))], END_TO_END)
-    assert bench_ab.seed_range("1-10") == list(range(1, 11))
-    assert bench_ab.seed_range("3") == [3]
 
 
 def test_odd_seeds_run_the_parent_first(monkeypatch, tmp_path, capsys):
+    """Seeds 1-10, each run as long as the change's BENCHMARK.json says."""
     (tmp_path / "BENCHMARK.json").write_text(
-        '{"end_to_end": [{"name": "wall_ref", "better": "lower", '
-        '"bound": 0.15}]}')
+        '{"run_seconds": 5, "end_to_end": [{"name": "wall_ref", '
+        '"better": "lower", "bound": 0.15}]}')
     calls = []
 
     def fake_run(checkout, workload, seed, seconds):
@@ -79,11 +78,11 @@ def test_odd_seeds_run_the_parent_first(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(bench_ab, "run_once", fake_run)
     parent, change = tmp_path / "old", tmp_path
     bench_ab.main(["--parent", str(parent), "--change", str(change),
-                   "--workload", "rotations", "--seeds", "1-3",
-                   "--seconds", "5"])
-    assert [c[0] for c in calls] == ["old", tmp_path.name, tmp_path.name,
-                                     "old", "old", tmp_path.name]
-    assert {c[1:] for c in calls} == {("rotations", s, 5) for s in (1, 2, 3)}
-    assert [c[2] for c in calls] == [1, 1, 2, 2, 3, 3]
+                   "--workload", "rotations"])
+    new = tmp_path.name
+    assert [c[0] for c in calls] == ["old", new, new, "old"] * 5
+    assert [c[2] for c in calls] == [s for s in range(1, 11) for _ in "ab"]
+    assert {c[1:] for c in calls} == {("rotations", s, 5)
+                                      for s in range(1, 11)}
     out = capsys.readouterr().out
-    assert '"change_wins": 3' in out
+    assert '"change_wins": 10' in out

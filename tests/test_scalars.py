@@ -261,6 +261,22 @@ def test_int_and_fraction_factors_scale_the_fields(x, k):
         assert ref(got) == ref(x) * RefScalar(k)
 
 
+@pytest.mark.parametrize("x", [ZERO, ONE, EIGHTH_ROOT, MIXED, 0, -6,
+                               Fraction(6, 4)], ids=repr)
+def test_a_sum_from_zero_is_its_first_term(x):
+    """ZERO + x, x + ZERO and ZERO - x, the first step of every sparse sum,
+    are x and -x in canonical form, for a scalar, int or Fraction x; a
+    scalar x comes back as it is."""
+    t = TowerScalar.of(x)
+    if isinstance(x, TowerScalar):
+        assert ZERO + x is x
+    for got, want in ((ZERO + x, t), (x + ZERO, t), (ZERO - x, -t)):
+        assert isinstance(got, TowerScalar)
+        assert canonical(got)
+        assert fields(got) == fields(want)
+    assert ref(ZERO - x) == -ref(t)
+
+
 def test_one_representation_per_value():
     half = TowerScalar(Fraction(2, 4))
     assert fields(half) == fields(TowerScalar(Fraction(1, 2))) == (1, 0, 0, 0, 2)
