@@ -45,8 +45,6 @@ def audit_type(shape) -> list:
     (which gives back the algebra itself), semisimple subalgebras only."""
     if isinstance(shape, str):
         shape = parse_shape(shape)
-    if isinstance(shape, SimpleType):
-        shape = ReductiveShape(0, (shape,))
     if shape.center_dim or len(shape.simples) != 1:
         raise ValueError("the audit runs on one simple type at a time")
     st = stem_of(shape)
@@ -69,8 +67,6 @@ def sign_claims_hold(shape) -> tuple:
     (ok, rows, violations)."""
     if isinstance(shape, str):
         shape = parse_shape(shape)
-    if isinstance(shape, SimpleType):
-        shape = ReductiveShape(0, (shape,))
     rows = audit_type(shape)
     t = shape.simples[0]
     bad = []
@@ -154,10 +150,6 @@ class SpaceFactor:
 
     def key(self):
         return (self.dim, self.n, self.k)
-
-
-def factor_dimension(n, k) -> int:
-    return SpaceFactor(n, k).dim
 
 
 @dataclass(frozen=True)

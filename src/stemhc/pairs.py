@@ -222,13 +222,11 @@ class ComplementData:
                 "dim_j_p": self.dim_j_p, "dim_p": self.dim_p}
 
 
-def complement_data(spec: PairSpec, force=False) -> ComplementData:
-    """Dimension split of the complement; requires an accepted spec unless
-    force is given (the split must still be realizable)."""
+def complement_data(spec: PairSpec) -> ComplementData:
+    """Dimension split of the complement of an accepted spec."""
     report = check_pair(spec)
-    if not report.verdict and not force:
-        raise ValueError("pair fails the criterion (%s); pass force=True "
-                         "to size the complement anyway"
+    if not report.verdict:
+        raise ValueError("pair fails the criterion (%s)"
                          % ", ".join(report.reasons))
     stem = spec.stem()
     sub = spec.substem()
@@ -248,6 +246,8 @@ def complement_data(spec: PairSpec, force=False) -> ComplementData:
     dim_o_k = report.rank_k - len(sub.members)
     dim_o_p = dim_center - dim_o_k
     dim_j_p = dim_o_p - num_p
+    # dim_j_p is the deficiency and dim_p = dim_j_p (mod 4), so an accepted
+    # spec passes both of these
     if dim_j_p < 0:
         raise ValueError("central part of the complement is too small "
                          "to pair every free stem root")

@@ -62,11 +62,3 @@ class CheckReport:
             status = "ok" if it.ok else "FAIL(%d)" % it.violation_count
             lines.append("%-40s %6d checks  %s" % (it.name, it.checked, status))
         return "\n".join(lines)
-
-    def raise_on_failure(self):
-        if not self.ok:
-            bad = [it for it in self.items if not it.ok]
-            msgs = []
-            for it in bad:
-                msgs.append("%s: %s" % (it.name, "; ".join(it.violations[:3])))
-            raise AssertionError("verification failed: " + " | ".join(msgs))

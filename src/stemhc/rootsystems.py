@@ -351,9 +351,6 @@ class RootSystem:
 
     # -- basic queries --------------------------------------------------------
 
-    def is_root(self, r) -> bool:
-        return r in self.root_set
-
     def simple_roots(self, ci):
         n = self.shape.simples[ci].rank
         return [Root(ci, tuple(1 if j == i else 0 for j in range(n)))
@@ -373,9 +370,6 @@ class RootSystem:
             return Fraction(0)
         return Fraction(sum(map(mul, a.coords, self._weights[b])),
                         self._scales[a.comp])
-
-    def norm2(self, a: Root) -> Fraction:
-        return self.sym_form(a, a)
 
     def cartan_int(self, alpha: Root, beta: Root) -> int:
         """alpha(H_beta) = 2 (alpha, beta) / (beta, beta); 0 across components."""

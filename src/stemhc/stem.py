@@ -139,22 +139,9 @@ def stem_of(shape: ReductiveShape) -> Stem:
     return compute_stem(build_cached(shape))
 
 
-def phi_plus(stem: Stem, zeta: Root):
-    """Wings of any positive root (cached for stem roots)."""
-    if zeta in stem.phi:
-        return set(stem.phi[zeta])
-    return phi_plus_set(stem.rs, zeta)
-
-
-def srank(x) -> int:
+def srank(shape: ReductiveShape) -> int:
     """Twice the stem size; 0 for abelian shapes.  Additive over factors."""
-    if isinstance(x, Stem):
-        return x.srank
-    if isinstance(x, RootSystem):
-        return 2 * len(compute_stem(x).elements)
-    if isinstance(x, ReductiveShape):
-        return stem_of(x).srank
-    raise TypeError("srank expects a shape, root system, or stem")
+    return stem_of(shape).srank
 
 
 def verify_stem_properties(stem: Stem) -> CheckReport:

@@ -94,10 +94,11 @@ def test_integer_data_match_fraction_formulas(text):
                 continue
             n = cb.n_const[(a, b)]
             assert type(n) is int
-            assert cb.n_const[(b, -c)] == n * rs.norm2(a) / rs.norm2(c)
-            assert cb.n_const[(-c, a)] == n * rs.norm2(b) / rs.norm2(c)
+            nc = rs.sym_form(c, c)
+            assert cb.n_const[(b, -c)] == n * rs.sym_form(a, a) / nc
+            assert cb.n_const[(-c, a)] == n * rs.sym_form(b, b) / nc
     for r in rs.roots:
-        dr = rs.norm2(r) / 2
+        dr = rs.sym_form(r, r) / 2
         want = [Fraction(0)] * cb.total_rank
         for i, m in enumerate(r.coords):
             want[cb.offsets[r.comp] + i] = m * rs.dvecs[r.comp][i] / dr
@@ -573,11 +574,11 @@ def test_killing_numbers_match_dual_coxeter(text):
         want_h[j][j] = Fraction(1)
     for ci, t in enumerate(sh.simples):
         theta = rs.highest_roots({r for r in rs.roots if r.comp == ci})[0]
-        n2t = rs.norm2(theta)
+        n2t = rs.sym_form(theta, theta)
         hv = dual_coxeter(t)
         for a in rs.positives:
             if a.comp == ci:
-                expected = Fraction(2 * hv) * n2t / rs.norm2(a)
+                expected = Fraction(2 * hv) * n2t / rs.sym_form(a, a)
                 assert cb.killing_e[a] == expected
         off = cb.offsets[ci]
         simples = rs.simple_roots(ci)
@@ -585,7 +586,7 @@ def test_killing_numbers_match_dual_coxeter(text):
             for j, aj in enumerate(simples):
                 want_h[off + i][off + j] = (
                     Fraction(2 * hv) * 2 * rs.sym_form(ai, aj) * n2t
-                    / (rs.norm2(ai) * rs.norm2(aj)))
+                    / (rs.sym_form(ai, ai) * rs.sym_form(aj, aj)))
     assert cb.killing_h == want_h
 
 

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from stemhc.classify import (
-    HCSpace, SpaceFactor, audit_type, enumerate_hc_spaces, factor_dimension,
+    HCSpace, SpaceFactor, audit_type, enumerate_hc_spaces,
     recognize_semisimple_pair, sign_claims_hold, _all_factors,
 )
 from stemhc.pairs import PairSpec, check_pair, enumerate_substems
@@ -75,7 +75,7 @@ def test_every_space_reaches_deficiency_zero():
 def test_factor_dimension_formula():
     for n in range(2, 12):
         for k in range(2, (n + 2) // 2 + 1):
-            d = factor_dimension(n, k)
+            d = SpaceFactor(n, k).dim
             assert d == (n + 1) ** 2 - (n + 3 - 2 * k) ** 2
             assert d % 4 == 0 and d > 0
 
@@ -86,16 +86,13 @@ def test_space_factor_rejects_out_of_range_parameters():
     for n, k in [(2, 3), (1, 2), (2, 1), (5, 5)]:
         with pytest.raises(ValueError, match="n = %d, k = %d" % (n, k)):
             SpaceFactor(n, k)
-    with pytest.raises(ValueError):
-        factor_dimension(1, 2)
-    script = ("from stemhc.classify import SpaceFactor, factor_dimension\n"
+    script = ("from stemhc.classify import SpaceFactor\n"
               "for args in [(2, 3), (1, 2)]:\n"
-              "    for make in (SpaceFactor, factor_dimension):\n"
-              "        try:\n"
-              "            print(make(*args))\n"
-              "        except ValueError as exc:\n"
-              "            print(type(exc).__name__)\n")
-    assert optimized_stdout(script).split() == ["ValueError"] * 4
+              "    try:\n"
+              "        print(SpaceFactor(*args))\n"
+              "    except ValueError as exc:\n"
+              "        print(type(exc).__name__)\n")
+    assert optimized_stdout(script).split() == ["ValueError"] * 2
 
 
 def test_full_group_factors_are_deduplicated():

@@ -1,5 +1,6 @@
 """The command line contract: outputs, exit codes, JSON round trips."""
 
+import dataclasses
 import json
 
 from click.testing import CliRunner
@@ -107,6 +108,62 @@ def test_build_rejections():
     assert run("build", "--g", "B3", "--substem", "2").exit_code == 1
     assert run("build", "--g", "A2", "--rho", "2").exit_code == 2
     assert run("build", "--g", "A2", "--rho", "i,i").exit_code == 2
+
+
+def test_unparsable_phase_and_non_simple_audit_are_usage_errors():
+    res = run("build", "--g", "A2", "--rho", "one")
+    assert res.exit_code == 2
+    assert "bad scalar term 'one'" in res.output
+    res = run("audit", "--type", "A2 x A2")
+    assert res.exit_code == 2
+    assert "one simple type at a time" in res.output
+
+
+def test_audit_exits_1_on_a_sign_violation(monkeypatch):
+    # every deficiency one higher: B3 rows must all be negative, and the
+    # one at -1 no longer is
+    from stemhc import classify
+
+    audit_type = classify.audit_type
+    monkeypatch.setattr(classify, "audit_type", lambda shape: [
+        dataclasses.replace(r, deficiency=r.deficiency + 1)
+        for r in audit_type(shape)])
+    res = run("audit", "--type", "B3")
+    assert res.exit_code == 1
+    assert "signs: FAIL" in res.output
+    assert "violation: B3 (2, 3): deficiency 0, expected < 0" in res.output
+
+
+def test_build_exits_1_when_a_check_fails(monkeypatch):
+    # -J is still a complex structure anticommuting with I, but it sends
+    # X_gamma to -W
+    from stemhc import hcstruct
+
+    build_j = hcstruct.build_J
+    monkeypatch.setattr(hcstruct, "build_J", lambda pb: [
+        {i: -v for i, v in col.items()} for col in build_j(pb)])
+    res = run("build", "--g", "A2", "--verify", "fast")
+    assert res.exit_code == 1
+    assert "verification: FAIL" in res.output
+
+
+def test_selftest_exits_1_when_a_type_fails(monkeypatch):
+    from stemhc import cli
+
+    real = cli.verify_special_sign_identity
+
+    def failing_on_g2(cb, st):
+        rep = real(cb, st)
+        if str(st.rs.shape) == "G2":
+            rep.record("forged failure", 1, ["forged"])
+        return rep
+
+    monkeypatch.setattr(cli, "verify_special_sign_identity", failing_on_g2)
+    res = run("selftest", "--max-rank", "1")
+    assert res.exit_code == 1
+    lines = res.output.splitlines()
+    assert "G2   FAIL" in lines and "A1   ok" in lines
+    assert "selftest ok" not in res.output
 
 
 def test_pair_and_build_check_the_pair_once(monkeypatch):

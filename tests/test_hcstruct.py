@@ -1,5 +1,6 @@
 """The adapted basis, both complex structures, and the root rotations."""
 
+import copy
 import os
 import subprocess
 import sys
@@ -37,9 +38,9 @@ ACCEPTED = [
 ]
 
 
-def build(shape, substem=(), o_k_dim=0, phases=None, force=False):
+def build(shape, substem=(), o_k_dim=0, phases=None):
     spec = make_pair_spec(shape, substem, o_k_dim)
-    return build_structure(spec, phases=phases, force=force)
+    return build_structure(spec, phases=phases)
 
 
 def sparse_cols(m):
@@ -342,34 +343,25 @@ def test_w_and_z_elements():
 
 def test_phase_normalization_and_errors():
     spec = make_pair_spec("A2")
-    assert PBasis(spec, phases="i").phases[stem_of(spec.shape).elements[0]] == I
+    th = stem_of(spec.shape).elements[0]
+    assert PBasis(spec, phases=TowerScalar.parse("i")).phases[th] == I
     assert PBasis(spec, phases=PYTH).phases.popitem()[1] == PYTH
     with pytest.raises(ValueError):
         PBasis(spec, phases=2)
     with pytest.raises(ValueError):
-        PBasis(spec, phases="1+i")
+        PBasis(spec, phases=TowerScalar.parse("1+i"))
     with pytest.raises(ValueError):
         PBasis(spec, phases=[ONE, I])
-    th = stem_of(spec.shape).elements[0]
     with pytest.raises(ValueError):
         PBasis(spec, phases={Root(0, (1, 0)): ONE})
-    assert PBasis(spec, phases={th: "1/2sqrt2 + 1/2isqrt2"}).phases[th] \
-        == EIGHTH_ROOT
+    rho = TowerScalar.parse("1/2sqrt2 + 1/2isqrt2")
+    assert PBasis(spec, phases={th: rho}).phases[th] == EIGHTH_ROOT
 
 
-def test_rejected_pair_needs_force():
-    spec = make_pair_spec("A3")
-    with pytest.raises(ValueError):
-        build_structure(spec)
-    # forcing is still impossible here: the leftover center is not 4-divisible
-    with pytest.raises(ValueError):
-        build_structure(spec, force=True)
-
-
-def test_forced_full_substem_is_zero_complement():
-    hc = build("A2", (1,), force=True)
-    assert hc.pbasis.labels == []
-    assert hc.verify_all().ok
+def test_rejected_pair_builds_nothing():
+    for text, substem in (("A3", ()), ("A2", (1,))):
+        with pytest.raises(ValueError, match="fails the criterion"):
+            build(text, substem)
 
 
 # --------------------------------------------------------- structure values
@@ -678,6 +670,28 @@ def test_rotation_spans_take_one_phase_per_root_in_order():
         rotation_product(cb, st.elements, (I, I, I))
 
 
+@pytest.mark.parametrize("phases", [{Root(0, (1, 0, 0)): I},
+                                    TowerScalar.parse("1+i")],
+                         ids=["non-stem-root", "non-unit"])
+def test_rotation_entry_points_refuse_phases_the_basis_refuses(phases):
+    """A phase for a root outside the stem, or one off the unit circle, is
+    refused by the rotation entry points with the adapted basis's message.
+    On A3 substem 2 the free stem root is the first stem root, so the
+    messages agree word for word."""
+    spec = make_pair_spec("A3", (2,))
+    cb, st = make_basis(spec.shape), stem_of(spec.shape)
+    g = st.elements[0]
+    with pytest.raises(ValueError) as want:
+        PBasis(spec, phases=phases)
+    for call in (lambda: rotation_product(cb, st.elements, phases),
+                 lambda: verify_rotation_spans(cb, st, phases),
+                 lambda: root_rotation(cb, g, phases),
+                 lambda: verify_rotation(cb, st, g, phases)):
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == str(want.value)
+
+
 def test_zero_partner_vectors_pad_small_kernels():
     cb = make_basis(parse_shape("B2"))
     st = stem_of(parse_shape("B2"))
@@ -946,3 +960,88 @@ def test_failure_counts_every_wrong_entry():
     assert want > sample
     assert item.violation_count == want
     assert len(item.violations) == sample
+
+
+def negated_on(cols, labels, pb):
+    """cols with the columns of these labels negated."""
+    idx = {pb.index[lab] for lab in labels}
+    return [{i: -v for i, v in col.items()} if j in idx else col
+            for j, col in enumerate(cols)]
+
+
+def failed_item(rep, name):
+    it = next(it for it in rep.items if it.name == name)
+    assert it.violation_count == len(it.violations)
+    return it
+
+
+@pytest.mark.parametrize("op,want", [("j", "J Z_%s is not Y"),
+                                     ("i", "I W_%s is not Z")], ids=["J", "I"])
+def test_compact_generator_check_names_each_broken_image(op, want):
+    """I or J negated on the pair P, Q of the first free stem root of
+    SU(3) x SU(3): J X is still W, but J Z is -Y (or I W is -Z), and only
+    at that root."""
+    hc = build("A2 x A2")
+    pb = hc.pbasis
+    pq = [("p", 0), ("q", 0)]
+    if op == "j":
+        broken = HCStructure(pb, hc.i_cols, negated_on(hc.j_cols, pq, pb),
+                             hc.tau_cols)
+    else:
+        broken = HCStructure(pb, negated_on(hc.i_cols, pq, pb), hc.j_cols,
+                             hc.tau_cols)
+    it = failed_item(verify_operator_identities(broken),
+                     "compact generators rotate as claimed")
+    assert it.checked == 6
+    assert it.violations == [want % (pb.gamma_p[0],)]
+
+
+def with_subalgebra_root(hc, root):
+    """hc over a copy of its basis that lists one complement root among the
+    subalgebra roots, so E_root joins the acting subalgebra basis while
+    every vector still decomposes as before."""
+    pb = copy.copy(hc.pbasis)
+    pb.dk_set = pb.dk_set | {root}
+    return HCStructure(pb, hc.i_cols, hc.j_cols, hc.tau_cols)
+
+
+@pytest.mark.parametrize("shape,substem,root,name,text,targets", [
+    # [E_c, E_-c] = H_c has a part along the coroot of k, and
+    # [E_c, E_-(0,1,1)] is a multiple of E_-(0,1,0), a root vector of k
+    ("A3", (2,), (0, 0, 1), "subalgebra brackets stay inside the complement",
+     "%s moves %s outside the complement",
+     [("e", (0, 0, -1)), ("e", (0, -1, -1))]),
+    # E_(0,1) takes E_(1,0) to the stem root vector and E_-(0,1) into the
+    # Cartan part: one violation each, however many labels the image hits
+    ("A2", (), (0, 1), "the action preserves each free wing block",
+     "%s maps %s outside its wing block", [("e", (1, 0)), ("e", (0, -1))]),
+    ("A2", (), (0, 1), "the action kills the free sl2 and central directions",
+     "%s acts on %s", [("e", (-1, -1)), ("p", 0), ("q", 0)]),
+], ids=["leak", "wing-block", "kill"])
+def test_equivariance_names_each_failed_case(shape, substem, root, name,
+                                             text, targets):
+    hc = build(shape, substem)
+    r = Root(0, root)
+    it = failed_item(verify_equivariance(with_subalgebra_root(hc, r)), name)
+    labels = [(k, Root(0, v) if k == "e" else v) for k, v in targets]
+    assert it.violations == [text % (("e", r), lab) for lab in labels]
+
+
+def test_integrability_names_a_wrong_eigenspace_dimension():
+    """I with i on both u_0 and u_1 of SU(3) x T^4 still squares to -1 and,
+    as the u directions are central, still closes under brackets; only the
+    eigenspace dimensions are wrong."""
+    hc = build("c^4 x A2")
+    pb = hc.pbasis
+    cols = list(hc.i_cols)
+    for s in (0, 1):
+        u = pb.index[("u", s)]
+        cols[u] = {u: I}
+    rep = verify_integrability(HCStructure(pb, cols, hc.j_cols, hc.tau_cols))
+    for sign, dim in (("+i", 7), ("-i", 5)):
+        it = failed_item(rep, "first structure: %s eigenspace closes under "
+                              "the projected bracket" % sign)
+        assert it.violations == ["eigenspace dimension %d of 12" % dim]
+    assert [it.name for it in rep.items if not it.ok] == [
+        "first structure: +i eigenspace closes under the projected bracket",
+        "first structure: -i eigenspace closes under the projected bracket"]

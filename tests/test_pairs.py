@@ -223,21 +223,13 @@ def test_complement_with_center():
     assert cd.dim_p == 12
 
 
-def test_complement_requires_verdict_or_force():
-    s = spec("A3", [1])
-    with pytest.raises(ValueError):
-        complement_data(s)
-    cd = complement_data(s, force=True)
-    assert cd.dim_p == 0 and cd.gamma_p == ()
-
-
-def test_complement_force_cannot_fake_a_basis():
-    # two free stem roots but no central directions at all
-    with pytest.raises(ValueError):
-        complement_data(spec("B2"), force=True)
-    # leftover central block of odd dimension
-    with pytest.raises(ValueError):
-        complement_data(spec("E6", [2]), force=True)
+def test_complement_requires_verdict():
+    for s, reasons in ((spec("A3", [1]), "DIM_NOT_POSITIVE"),
+                       (spec("B2"), "DIM_NOT_MOD4, DEFICIENCY_NEGATIVE"),
+                       (spec("E6", [2]), "DIM_NOT_MOD4, DEFICIENCY_NEGATIVE")):
+        with pytest.raises(ValueError) as exc:
+            complement_data(s)
+        assert str(exc.value) == "pair fails the criterion (%s)" % reasons
 
 
 def test_complement_dims_sweep():
@@ -284,7 +276,8 @@ def test_gmg2_on_accepted_pairs():
             if not check_pair(s).verdict:
                 continue
             hits += 1
-            gmg2_check(s).raise_on_failure()
+            rep = gmg2_check(s)
+            assert rep.ok, rep.summary()
     assert hits >= 8
 
 
@@ -293,7 +286,8 @@ def test_gmg2_holds_for_every_substem():
     for text in ["B2", "B3", "C3", "D4", "G2", "F4", "E6"]:
         st = stem_of(shape(text))
         for sub in enumerate_substems(st):
-            gmg2_check(sub).raise_on_failure()
+            rep = gmg2_check(sub)
+            assert rep.ok, rep.summary()
 
 
 def test_gmg2_detects_interaction():

@@ -147,7 +147,7 @@ def test_cartan_int_vs_root_string(t):
             for nlift in range(p, q + 1):
                 v = Root(a.comp, tuple(x + nlift * y
                                        for x, y in zip(a.coords, b.coords)))
-                assert rs.is_root(v)
+                assert v in rs.root_set
 
 
 def test_root_string_errors():
@@ -355,7 +355,7 @@ def test_base_of_proper_subsystems():
     # inside B3 the long roots {+-e_i +- e_j} form a D3 = A3, whose simple
     # roots are not all simple in B3
     rs = rs_of(SimpleType("B", 3))
-    longs = {r for r in rs.roots if rs.norm2(r) == 2}
+    longs = {r for r in rs.roots if rs.sym_form(r, r) == 2}
     base = rs.base(longs)
     assert len(base) == 3 and base == sorted(base, key=Root.key)
     assert all(r in longs and r.positive for r in base)
@@ -382,11 +382,11 @@ def test_component_type_of_proper_subsystems():
     assert rs.component_type({a1, a2, a12, -a1, -a2, -a12}) == SimpleType("A", 2)
     # inside B3: the long subsystem {+-e_i +- e_j} is a D3 ~ A3
     rsb = rs_of(SimpleType("B", 3))
-    longs = {r for r in rsb.roots if rsb.norm2(r) == 2}
+    longs = {r for r in rsb.roots if rsb.sym_form(r, r) == 2}
     assert rsb.component_type(longs) == SimpleType("A", 3)
     # inside G2: the long roots form an A2
     rsg = rs_of(SimpleType("G", 2))
-    longg = {r for r in rsg.roots if rsg.norm2(r) == 6}
+    longg = {r for r in rsg.roots if rsg.sym_form(r, r) == 6}
     assert rsg.component_type(longg) == SimpleType("A", 2)
 
 
@@ -425,7 +425,7 @@ def test_component_type_refuses_reducible_and_empty_subsets():
     empty set have no simple type, also under `python -O`."""
     rs = RootSystem(parse_shape("A1 x A1"))
     rsb = rs_of(SimpleType("B", 2))
-    longs = [r for r in rsb.roots if rsb.norm2(r) == 2]
+    longs = [r for r in rsb.roots if rsb.sym_form(r, r) == 2]
     assert len(longs) == 4
     for system, subset in ((rs, rs.roots), (rsb, longs), (rs, [])):
         with pytest.raises(ValueError, match="empty or reducible"):
@@ -433,7 +433,7 @@ def test_component_type_refuses_reducible_and_empty_subsets():
     script = ("from stemhc.rootsystems import RootSystem, parse_shape\n"
               "rs = RootSystem(parse_shape('A1 x A1'))\n"
               "rsb = RootSystem(parse_shape('B2'))\n"
-              "longs = [r for r in rsb.roots if rsb.norm2(r) == 2]\n"
+              "longs = [r for r in rsb.roots if rsb.sym_form(r, r) == 2]\n"
               "for system, subset in ((rs, rs.roots), (rsb, longs), "
               "(rs, [])):\n"
               "    try:\n"
@@ -463,7 +463,7 @@ def test_no_assert_statements_in_the_library():
 def test_reducedness_and_pairing():
     rs = rs_of(SimpleType("G", 2))
     for r in rs.positives:
-        assert not rs.is_root(Root(0, tuple(2 * c for c in r.coords)))
+        assert Root(0, tuple(2 * c for c in r.coords)) not in rs.root_set
     a1, a2 = rs.simple_roots(0)
     assert rs.pairing(a2, 0) == -3
     assert rs.pairing(a1, 1) == -1

@@ -8,7 +8,7 @@ from stemhc.rootsystems import (
     Root, RootSystem, SimpleType, parse_shape, root_sub, root_sum, shape,
 )
 from stemhc.stem import (
-    all_partition_stems, compute_stem, hasse_export, phi_plus, phi_plus_set,
+    all_partition_stems, compute_stem, hasse_export, phi_plus_set,
     srank, stem_of, verify_stem_properties,
 )
 import euclid_oracle as eo
@@ -162,7 +162,7 @@ def test_phi_plus_d4_example():
     st = stem_of(shape(t))
     g = st.elements[0]
     assert eo.to_euclid(t, g.coords) == unit(4, [(0, 1), (1, 1)])
-    wings = {eo.to_euclid(t, b.coords) for b in phi_plus(st, g)}
+    wings = {eo.to_euclid(t, b.coords) for b in phi_plus_set(st.rs, g)}
     want = set()
     for i in (0, 1):
         for j in (2, 3):
@@ -176,9 +176,9 @@ def test_phi_plus_requires_positive_root():
     st = stem_of(shape(SimpleType("A", 2)))
     rs = st.rs
     with pytest.raises(ValueError):
-        phi_plus(st, -rs.positives[0])
+        phi_plus_set(rs, -rs.positives[0])
     with pytest.raises(ValueError):
-        phi_plus(st, Root(0, (5, 5)))
+        phi_plus_set(rs, Root(0, (5, 5)))
 
 
 @pytest.mark.parametrize("text", TABLE_SHAPES)
