@@ -25,6 +25,9 @@ The exact values: one sha256 per built structure over every entry of its
 `i_matrix` and `j_matrix`, and one per ROTATION_TYPES type and phase over
 every entry of `root_rotation(...).cols` for every stem root, so a diff
 shows whether a change kept the exact scalars and not just the verdicts.
+The largest cases, last: `verify_rotation` on every stem root of each
+LARGE_ROTATION_TYPES type and `verify_all` on SU(17)/SU(15), the largest
+complement here (dim p = 64), all at zeta8.
 """
 
 import hashlib
@@ -46,6 +49,7 @@ ROTATION_TYPES = ("B4", "C4", "D4", "F4", "G2", "A7", "D6", "E6")
 TORUS_BUILDS = (("c^1 x A1", (), 0), ("c^1 x C3", (2, 3), 0),
                 ("c^2 x A3", (2,), 2), ("c^2 x A5", (), 1),
                 ("c^1 x B2", (2,), 0), ("A6", (3,), 0))
+LARGE_ROTATION_TYPES = ("E7", "E8")
 # every simple type of rank <= 8
 ATLAS_TYPES = (["A%d" % n for n in range(1, 9)]
                + ["B%d" % n for n in range(2, 9)]
@@ -121,6 +125,17 @@ def show_subsystem_types():
                   [str(rs.component_type(c)) for c in comps])
 
 
+def show_large_cases():
+    for text in LARGE_ROTATION_TYPES:
+        cb = make_basis(parse_shape(text))
+        st = stem_of(parse_shape(text))
+        for g in st.elements:
+            show("%s rotation %s @zeta8 |" % (text, g),
+                 verify_rotation(cb, st, g, rho=EIGHTH_ROOT))
+    hc = build_structure(make_pair_spec("A16", (2,), 0), phases=EIGHTH_ROOT)
+    show("A16 [2] 0 @zeta8 |", hc.verify_all())
+
+
 def main():
     builds = list(SELFTEST_BUILDS) + list(TORUS_BUILDS)
     specs = [("%s %s %d" % (text, list(sub), ok_dim),
@@ -150,6 +165,7 @@ def main():
     show_pair_layer(bases)
     show_chevalley_data()
     show_subsystem_types()
+    show_large_cases()
 
 
 if __name__ == "__main__":

@@ -11,11 +11,13 @@ import pytest
 import stemhc
 from stemhc import hcstruct, linalg
 from stemhc.chevalley import make_basis
+from stemhc.cli import SELFTEST_BUILDS
 from stemhc.hcstruct import (
     HCStructure, PBasis, _apply_cols, _compose_cols, _dense_view,
-    _eigenvectors, _rotation_poly, build_structure, compact_basis, eigenspace,
-    root_coupling_matrix, root_rotation, rotation_float_error,
-    rotation_product, stem_central_kernel, stem_z_vectors, subalgebra_basis,
+    _eigenvectors, _rotation_poly, algebra_generators, build_structure,
+    compact_basis, eigenspace, g_coords, root_coupling_matrix, root_rotation,
+    rotation_float_error, rotation_product, stem_central_kernel,
+    stem_z_vectors, subalgebra_basis, subalgebra_generators,
     verify_eigenspace_transport, verify_equivariance, verify_integrability,
     verify_operator_identities, verify_root_coupling, verify_rotation,
     verify_rotation_spans, verify_wing_restriction,
@@ -1045,3 +1047,261 @@ def test_integrability_names_a_wrong_eigenspace_dimension():
     assert [it.name for it in rep.items if not it.ok] == [
         "first structure: +i eigenspace closes under the projected bracket",
         "first structure: -i eigenspace closes under the projected bracket"]
+
+
+# ----------------------------------------------------- proofs by generation
+
+
+# every simple type of rank <= 8
+ATLAS_TYPES = (["A%d" % n for n in range(1, 9)]
+               + ["B%d" % n for n in range(2, 9)]
+               + ["C%d" % n for n in range(2, 9)]
+               + ["D%d" % n for n in range(4, 9)]
+               + ["E6", "E7", "E8", "F4", "G2"])
+# pairs whose subalgebra holds central directions, or whose g has a torus
+TORUS_BUILDS = (("c^1 x A1", (), 0), ("c^1 x C3", (2, 3), 0),
+                ("c^2 x A3", (2,), 2), ("c^2 x A5", (), 1),
+                ("c^1 x B2", (2,), 0), ("A6", (3,), 0))
+
+
+def lie_closure(cb, gens):
+    """A spanning set of the subalgebra the elements gens generate.  That
+    subalgebra is spanned by the brackets [g1, [g2, ..., [gk-1, gk]]] of
+    generators; each such bracket is a multiple of a kept element, as the
+    bracket of every generator with every kept element is visited."""
+    def ray(x):
+        terms = sorted([(cb.key_index[("e", r)], c) for r, c in x.e.items()]
+                       + [(cb.key_index[("h", j)], c)
+                          for j, c in x.cartan.items()])
+        first = terms[0][1]
+        return tuple((k, c / first) for k, c in terms)
+
+    kept, seen, todo = [], set(), list(gens)
+    while todo:
+        x = todo.pop()
+        if x.is_zero() or ray(x) in seen:
+            continue
+        seen.add(ray(x))
+        kept.append(x)
+        todo += [cb.bracket(g, x) for g in gens]
+    return kept
+
+
+def span_dim(cb, elements):
+    """The rank oracle: the dimension of the span of these elements."""
+    return Span([g_coords(cb, x) for x in elements], len(cb.basis_keys)).dim
+
+
+GENERATION_SHAPES = ATLAS_TYPES + ["c^2 x A3 x B2", "c^1 x F4 x A1"]
+
+
+@pytest.mark.parametrize("text", GENERATION_SHAPES)
+def test_algebra_generators_generate_the_algebra(text):
+    cb = make_basis(parse_shape(text))
+    gens = [cb.basis_element(k) for k in algebra_generators(cb)]
+    assert span_dim(cb, lie_closure(cb, gens)) == len(cb.basis_keys)
+
+
+def spec_id(spec):
+    return "%s %s %d" % (spec.shape, list(spec.substem_indices), spec.o_k_dim)
+
+
+def generation_pairs():
+    specs = [make_pair_spec(*b) for b in SELFTEST_BUILDS + list(TORUS_BUILDS)]
+    return list({spec_id(s): s for s in specs + accepted_torus_pairs()}
+                .values())
+
+
+@pytest.mark.parametrize("spec", generation_pairs(), ids=spec_id)
+def test_subalgebra_generators_generate_the_subalgebra(spec):
+    """The closure spans k: it lies in the span of the basis of k and has
+    its dimension."""
+    pb = PBasis(spec)
+    cb = pb.cb
+    kbasis = [x for _, x in subalgebra_basis(pb)]
+    closure = lie_closure(cb, [x for _, x in subalgebra_generators(pb)])
+    assert span_dim(cb, closure) == span_dim(cb, closure + kbasis) \
+        == len(kbasis)
+
+
+def test_closure_misses_a_left_out_simple_root():
+    """The oracle is not vacuous: with one simple root left out of the
+    generators, the closure spans less than the algebra, or than k."""
+    for text in GENERATION_SHAPES:
+        cb = make_basis(parse_shape(text))
+        a = cb.rs.simple_roots(0)[-1]
+        gens = [cb.basis_element(k) for k in algebra_generators(cb)
+                if k not in (("e", a), ("e", -a))]
+        assert span_dim(cb, lie_closure(cb, gens)) < len(cb.basis_keys), text
+    for spec in generation_pairs():
+        pb = PBasis(spec)
+        if not pb.dk_set:
+            continue
+        a = pb.cb.rs.base(pb.dk_set)[0]
+        gens = [x for name, x in subalgebra_generators(pb)
+                if name not in (("e", a), ("e", -a))]
+        assert span_dim(pb.cb, lie_closure(pb.cb, gens)) \
+            < len(subalgebra_basis(pb)), spec
+
+
+def corrupted_rotation(monkeypatch, gamma, corrupt):
+    """Make every rotation at gamma that verify_rotation builds pass its
+    images through corrupt(cb, images) first."""
+    rotation = hcstruct.root_rotation
+
+    def corrupted(cb, g, rho=ONE):
+        rot = rotation(cb, g, rho)
+        if g == gamma:
+            rot.images = corrupt(cb, list(rot.images))
+        return rot
+
+    monkeypatch.setattr(hcstruct, "root_rotation", corrupted)
+    return rotation
+
+
+def all_pairs_items(cb, st, gamma, rho):
+    """The bracket, conjugation and commutation items of verify_rotation at
+    gamma, from the rotations `hcstruct.root_rotation` builds now, checked
+    on every pair, every basis vector and whole compositions."""
+    rot = hcstruct.root_rotation(cb, gamma, rho)
+    keys = cb.basis_keys
+    n = len(keys)
+    basis = [cb.basis_element(k) for k in keys]
+    images = rot.images
+    bad = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rot.apply(cb.bracket(basis[a], basis[b])) != \
+                    cb.bracket(images[a], images[b]):
+                bad.append("bracket of %s, %s not respected"
+                           % (keys[a], keys[b]))
+    items = [("rotation respects every bracket", n * (n - 1) // 2, bad)]
+    bad = ["conjugation slips past the rotation at %s" % (keys[a],)
+           for a in range(n)
+           if rot.apply(cb.tau(basis[a])) != cb.tau(images[a])]
+    items.append(("rotation commutes with the compact conjugation", n, bad))
+    others = [d for d in st.elements if d != gamma]
+    bad = []
+    for d in others:
+        other = hcstruct.root_rotation(cb, d, rho)
+        if rot.compose(other) != other.compose(rot):
+            bad.append("rotations at %s and %s do not commute" % (gamma, d))
+    items.append(("stem rotations commute pairwise", max(len(others), 1),
+                  bad))
+    return [{"name": name, "checked": checked, "ok": not bad,
+             "violations": bad, "violation_count": len(bad)}
+            for name, checked, bad in items]
+
+
+def scaled_image(root, factor):
+    """A corruption: the image of E_root times factor."""
+    def corrupt(cb, images):
+        k = cb.key_index[("e", root)]
+        images[k] = images[k].scale(factor)
+        return images
+    return corrupt
+
+
+def added_image(root, extra):
+    """A corruption: the image of E_root plus E_extra."""
+    def corrupt(cb, images):
+        k = cb.key_index[("e", root)]
+        images[k] = images[k] + cb.E(extra)
+        return images
+    return corrupt
+
+
+def graded(cb, images):
+    """A corruption that keeps an automorphism: the rotation after the
+    grading E_a -> 2^height(a) E_a, which does not commute with tau."""
+    return [img.scale(Fraction(2) ** key[1].height) if key[0] == "e" else img
+            for key, img in zip(cb.basis_keys, images)]
+
+
+@pytest.mark.parametrize("text,t,bent,corruption,failing", [
+    ("A4", 0, 0, "highest", [0, 1]), ("A4", 1, 1, "highest", [0, 1, 2]),
+    ("E6", 1, 1, "highest", [0, 1, 2]), ("c^1 x B3", 0, 0, "highest", [0, 1]),
+    ("A4", 1, 1, "tau", [0, 1, 2]), ("D4", 2, 2, "tau", [0, 1, 2]),
+    ("A4", 0, 0, "graded", [1, 2]), ("c^1 x B3", 1, 1, "graded", [1, 2]),
+    ("D4", 1, 2, "other", [2])])
+def test_rotation_proofs_fall_back_to_every_pair(monkeypatch, text, t, bent,
+                                                  corruption, failing):
+    """Stem rotation number `bent` corrupted: its image of the highest root
+    vector theta, which is no generator, scaled by 2, or by i where the
+    rotation fixes that vector, so that it slips past tau only at +-theta;
+    the rotation after a grading, an automorphism that slips past tau
+    everywhere; or its image of a vector that it and rotation t both fix
+    gaining E_gamma_t, so the two stop commuting only there.  Each item of
+    rotation t equals its check over every pair, vector and composition,
+    and the items in `failing` fail."""
+    cb = make_basis(parse_shape(text))
+    st = stem_of(parse_shape(text))
+    gamma = st.elements[t]
+    theta = max(cb.rs.positives, key=lambda r: r.height)
+    last = st.elements[-1]
+    assert ("e", theta) not in algebra_generators(cb)
+    corrupt = {"highest": scaled_image(theta, 2), "tau": scaled_image(theta, I),
+               "graded": graded, "other": added_image(last, gamma)}[corruption]
+    rotation = corrupted_rotation(monkeypatch, st.elements[bent], corrupt)
+    got = [it.to_dict()
+           for it in verify_rotation(cb, st, gamma, rho=EIGHTH_ROOT).items[:3]]
+    assert got == all_pairs_items(cb, st, gamma, EIGHTH_ROOT)
+    assert [k for k, it in enumerate(got) if not it["ok"]] == failing
+    if corruption == "tau":
+        assert rotation(cb, gamma).images[cb.key_index[("e", theta)]] \
+            == cb.E(theta)
+        assert got[1]["violations"] == [
+            "conjugation slips past the rotation at %s" % (("e", r),)
+            for r in sorted((theta, -theta), key=Root.key)]
+    if corruption == "other":
+        k = cb.key_index[("e", last)]
+        assert rotation(cb, gamma).images[k] == cb.E(last)
+        assert rotation(cb, st.elements[bent]).images[k] == cb.E(last)
+
+
+def test_equivariance_falls_back_when_j_breaks_at_a_non_simple_root():
+    """On A4 with substem 2, a J negated on one complement vector that the
+    non-simple root vector of k moves: the commutation item
+    equals its check over the whole basis of k, entry by entry, with more
+    failed entries than the generators alone show."""
+    hc = build("A4", (2,))
+    pb = hc.pbasis
+    cb = pb.cb
+    n = len(pb.labels)
+    beta = max(pb.dk_set, key=lambda r: (r.height, r.key()))
+    assert beta not in cb.rs.base(pb.dk_set)
+    lab = next(lab for lab, v in zip(pb.labels, pb.vectors)
+               if pb.decompose(cb.bracket(cb.E(beta), v)).coords)
+    broken = HCStructure(pb, hc.i_cols, negated_on(hc.j_cols, [lab], pb),
+                         hc.tau_cols)
+    j = [[broken.j_cols[c].get(r, ZERO) for c in range(n)] for r in range(n)]
+
+    def wrong_entries(x):
+        ad = [[ZERO] * n for _ in range(n)]
+        for c, v in enumerate(pb.vectors):
+            for r, val in pb.decompose(cb.bracket(x, v)).coords.items():
+                ad[r][c] = val
+        out = []
+        for r in range(n):
+            for c in range(n):
+                lhs = sum((j[r][k] * ad[k][c] for k in range(n)), ZERO)
+                rhs = sum((ad[r][k] * j[k][c] for k in range(n)), ZERO)
+                if lhs != rhs:
+                    out.append("entry (%s <- %s): %s != %s"
+                               % (pb.labels[r], pb.labels[c], lhs, rhs))
+        return out
+
+    wrong = {name: wrong_entries(x) for name, x in subalgebra_basis(pb)}
+    assert wrong[("e", beta)]
+    on_generators = sum(len(wrong[name])
+                        for name, _ in subalgebra_generators(pb))
+    total = sum(map(len, wrong.values()))
+    assert total > on_generators
+    item = next(it for it in verify_equivariance(broken).items
+                if it.name == "second structure commutes with the "
+                              "subalgebra action")
+    assert item.to_dict() == {
+        "name": "second structure commutes with the subalgebra action",
+        "checked": len(wrong) * n * n, "ok": False,
+        "violations": [w for ws in wrong.values() for w in ws[:3]],
+        "violation_count": total}
