@@ -28,6 +28,12 @@ shows whether a change kept the exact scalars and not just the verdicts.
 The largest cases, last: `verify_rotation` on every stem root of each
 LARGE_ROTATION_TYPES type and `verify_all` on SU(17)/SU(15), the largest
 complement here (dim p = 64), all at zeta8.
+The phase errors, after them: the exception type and text that each phase
+entry point (`PBasis`, `root_rotation`, `rotation_product`,
+`verify_rotation`, `verify_rotation_spans` and `ChevalleyBasis.X`, on A3
+with substem 2) raises on the phases 2 and 0, a dict key outside the stem
+and a list of the wrong length, and that `TowerScalar.parse` raises on the
+texts "2/0" and "x".
 """
 
 import hashlib
@@ -35,12 +41,13 @@ import hashlib
 from stemhc.chevalley import make_basis
 from stemhc.classify import audit_type, enumerate_hc_spaces
 from stemhc.cli import SELFTEST_BUILDS
-from stemhc.hcstruct import (build_structure, root_rotation,
-                             verify_rotation, verify_rotation_spans)
+from stemhc.hcstruct import (PBasis, build_structure, root_rotation,
+                             rotation_product, verify_rotation,
+                             verify_rotation_spans)
 from stemhc.pairs import (PairSpec, check_pair, complement_data,
                           delta_k, enumerate_substems, make_pair_spec)
-from stemhc.rootsystems import parse_shape
-from stemhc.scalars import EIGHTH_ROOT, I, ONE
+from stemhc.rootsystems import Root, parse_shape
+from stemhc.scalars import EIGHTH_ROOT, I, ONE, TowerScalar
 from stemhc.stem import stem_of
 
 PHASES = (("1", ONE), ("i", I), ("zeta8", EIGHTH_ROOT))
@@ -136,6 +143,34 @@ def show_large_cases():
     show("A16 [2] 0 @zeta8 |", hc.verify_all())
 
 
+def show_phase_errors():
+    spec = make_pair_spec("A3", (2,), 0)
+    cb, st = make_basis(spec.shape), stem_of(spec.shape)
+    g = st.elements[0]
+    entry_points = (
+        ("PBasis", lambda rho: PBasis(spec, phases=rho)),
+        ("root_rotation", lambda rho: root_rotation(cb, g, rho)),
+        ("rotation_product",
+         lambda rho: rotation_product(cb, st.elements, rho)),
+        ("verify_rotation", lambda rho: verify_rotation(cb, st, g, rho)),
+        ("verify_rotation_spans",
+         lambda rho: verify_rotation_spans(cb, st, rho)),
+        ("ChevalleyBasis.X", lambda rho: cb.X(g, rho)))
+    bad = (("2", 2), ("0", 0), ("non-stem key", {Root(0, (1, 0, 0)): ONE}),
+           ("three phases", [ONE, ONE, ONE]))
+    calls = [(name, label, call, rho) for name, call in entry_points
+             for label, rho in bad]
+    calls += [("TowerScalar.parse", repr(text), TowerScalar.parse, text)
+              for text in ("2/0", "x")]
+    for name, label, call, arg in calls:
+        try:
+            call(arg)
+            outcome = "no error"
+        except Exception as exc:
+            outcome = "%s: %s" % (type(exc).__name__, exc)
+        print("phase error | %s %s |" % (name, label), outcome)
+
+
 def main():
     builds = list(SELFTEST_BUILDS) + list(TORUS_BUILDS)
     specs = [("%s %s %d" % (text, list(sub), ok_dim),
@@ -166,6 +201,7 @@ def main():
     show_chevalley_data()
     show_subsystem_types()
     show_large_cases()
+    show_phase_errors()
 
 
 if __name__ == "__main__":

@@ -89,11 +89,13 @@ class AlgebraElement:
         return " + ".join(parts) if parts else "0"
 
 
-def _unit_phase(rho) -> TowerScalar:
-    """rho as a TowerScalar; ValueError unless it has modulus one."""
+def _unit_phase(rho, root=None) -> TowerScalar:
+    """rho as a TowerScalar; ValueError, naming the root when one is given,
+    unless it has modulus one."""
     rho = TowerScalar.of(rho)
     if not rho.is_unit_modulus():
-        raise ValueError("phase is not unit modulus: %s" % (rho,))
+        where = "" if root is None else " for %s" % (root,)
+        raise ValueError("phase%s is not unit modulus: %s" % (where, rho))
     return rho
 
 

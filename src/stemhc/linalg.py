@@ -130,20 +130,8 @@ def mat_vec(matrix, vec):
 
 
 def mat_mul(a, b):
-    zero, _ = _zero_one(a[0][0])
-    n, k, m = len(a), len(b), len(b[0])
-    bt = [[b[i][j] for i in range(k)] for j in range(m)]
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = zero
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = acc + x * y
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    bt = list(zip(*b))
+    return [mat_vec(bt, row) for row in a]
 
 
 def invert(matrix):

@@ -110,22 +110,10 @@ class TowerScalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if other.__class__ is not TowerScalar:
-            other = TowerScalar.of(other)
-        if self is ZERO:
-            return -other
-        ad = self._d
-        bd = other._d
-        if ad == bd:
-            return _make(self._n0 - other._n0, self._n1 - other._n1,
-                         self._n2 - other._n2, self._n3 - other._n3, ad)
-        return _make(self._n0 * bd - other._n0 * ad,
-                     self._n1 * bd - other._n1 * ad,
-                     self._n2 * bd - other._n2 * ad,
-                     self._n3 * bd - other._n3 * ad, ad * bd)
+        return self + -TowerScalar.of(other)
 
     def __rsub__(self, other):
-        return TowerScalar.of(other).__sub__(self)
+        return -self + other
 
     def __neg__(self):
         return _raw(-self._n0, -self._n1, -self._n2, -self._n3, self._d)
@@ -215,7 +203,11 @@ class TowerScalar:
                 and self._d == other._d)
 
     def __hash__(self):
-        return hash(self.coords())
+        # equal values hash equally: a rational value as its Fraction (so
+        # also as its int), any other value by its canonical integers
+        if self._n1 or self._n2 or self._n3:
+            return hash((self._n0, self._n1, self._n2, self._n3, self._d))
+        return hash(Fraction(self._n0, self._d))
 
     def is_unit_modulus(self) -> bool:
         """True iff s * conj(s) == 1."""
@@ -257,8 +249,9 @@ class TowerScalar:
     def __repr__(self):
         return "TowerScalar(%s)" % str(self)
 
+    # a denominator has a nonzero digit, so "2/0" is a bad term
     _TERM = re.compile(
-        r"^([+-]?)(\d+(?:/\d+)?)?(i√2|i\*?sqrt2|isqrt2|√2|sqrt2|i)?$"
+        r"^([+-]?)(\d+(?:/0*[1-9]\d*)?)?(i√2|i\*?sqrt2|isqrt2|√2|sqrt2|i)?$"
     )
 
     @staticmethod

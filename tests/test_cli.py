@@ -114,6 +114,9 @@ def test_unparsable_phase_and_non_simple_audit_are_usage_errors():
     res = run("build", "--g", "A2", "--rho", "one")
     assert res.exit_code == 2
     assert "bad scalar term 'one'" in res.output
+    res = run("build", "--g", "A2", "--rho", "1/0i")
+    assert res.exit_code == 2
+    assert "Error: bad scalar term '1/0i' in '1/0i'" in res.output
     res = run("audit", "--type", "A2 x A2")
     assert res.exit_code == 2
     assert "one simple type at a time" in res.output

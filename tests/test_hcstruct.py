@@ -26,7 +26,8 @@ from stemhc.linalg import Span
 from stemhc.pairs import PairSpec, check_pair, enumerate_substems, \
     make_pair_spec
 from stemhc.rootsystems import Root, parse_shape, root_sub
-from stemhc.scalars import EIGHTH_ROOT, HALF, I, ONE, TowerScalar, ZERO
+from stemhc.reporting import CheckReport
+from stemhc.scalars import EIGHTH_ROOT, HALF, I, ONE, SQRT2, TowerScalar, ZERO
 from stemhc.stem import stem_of
 
 PYTH = TowerScalar(Fraction(3, 5), Fraction(4, 5))  # a non-dyadic unit phase
@@ -431,8 +432,8 @@ def test_compact_generator_images():
 
 def test_coupling_report_and_closed_form():
     hc = build("A4", (2,), phases=I)
-    coup, rep = verify_root_coupling(hc)
-    assert rep.ok
+    assert verify_root_coupling(hc).ok
+    coup = root_coupling_matrix(hc)
     pb = hc.pbasis
     gset = set(pb.gamma_p)
     for (a, b) in coup:
@@ -467,12 +468,12 @@ def test_verifiers_catch_a_corrupted_operator():
     m[r][c] = -m[r][c]
     bad = HCStructure(pb, good.i_cols, sparse_cols(m), good.tau_cols)
     assert not verify_operator_identities(bad).ok
-    assert not verify_root_coupling(bad)[1].ok
+    assert not verify_root_coupling(bad).ok
     assert not verify_wing_restriction(bad).ok
     m2 = [row[:] for row in good.j_matrix]
     m2[pb.index[("e", -pb.gamma_p[0])]][pb.index[("e", pb.gamma_p[0])]] = ONE
     bad2 = HCStructure(pb, good.i_cols, sparse_cols(m2), good.tau_cols)
-    assert not verify_root_coupling(bad2)[1].ok
+    assert not verify_root_coupling(bad2).ok
 
 
 def test_mirror_check_catches_a_sign_on_the_conjugation():
@@ -692,6 +693,44 @@ def test_rotation_entry_points_refuse_phases_the_basis_refuses(phases):
         with pytest.raises(ValueError) as got:
             call()
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("rho,unit", [
+    (ONE, True), (I, True), (EIGHTH_ROOT, True), (PYTH, True),
+    (ZERO, False), (TowerScalar(2), False), (SQRT2, False)],
+    ids=["1", "i", "zeta8", "3+4i over 5", "0", "2", "sqrt2"])
+def test_basis_and_phase_map_share_one_unit_check(rho, unit):
+    """`ChevalleyBasis.X` and `_phase_map` accept the same phases, and
+    refuse the same ones, each with its own message."""
+    cb = make_basis(parse_shape("A2"))
+    g = cb.rs.positives[-1]
+    if unit:
+        assert cb.X(g, rho).e[g] == rho * HALF
+        assert hcstruct._phase_map([g], rho) == {g: rho}
+        return
+    with pytest.raises(ValueError) as exc:
+        cb.X(g, rho)
+    assert str(exc.value) == "phase is not unit modulus: %s" % (rho,)
+    with pytest.raises(ValueError) as exc:
+        hcstruct._phase_map([g], rho)
+    assert str(exc.value) == "phase for %s is not unit modulus: %s" % (g, rho)
+
+
+def test_every_verifier_returns_only_its_report():
+    """Each public verifier returns a CheckReport, and nothing with it."""
+    names = sorted(n for n in dir(hcstruct) if n.startswith("verify_"))
+    on_rotations = ["verify_rotation", "verify_rotation_spans"]
+    hc = build("A4", (2,))
+    cb, st = make_basis(parse_shape("B2")), stem_of(parse_shape("B2"))
+    results = {n: getattr(hcstruct, n)(hc) for n in names
+               if n not in on_rotations}
+    results["verify_rotation"] = verify_rotation(cb, st, st.elements[0])
+    results["verify_rotation_spans"] = verify_rotation_spans(cb, st)
+    results["verify_all"] = hc.verify_all()
+    assert sorted(results) == sorted(names + ["verify_all"])
+    for name, rep in results.items():
+        assert type(rep) is CheckReport, name
+        assert rep.ok, rep.summary()
 
 
 def test_zero_partner_vectors_pad_small_kernels():

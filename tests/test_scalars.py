@@ -99,6 +99,15 @@ def test_parse_ascii_spellings():
         TowerScalar.parse("1+j")
 
 
+@pytest.mark.parametrize("text,term", [("2/0", "2/0"), ("1/0i", "1/0i"),
+                                       ("1 - 3/00sqrt2", "-3/00sqrt2")])
+def test_zero_denominator_is_a_bad_term(text, term):
+    with pytest.raises(ValueError) as exc:
+        TowerScalar.parse(text)
+    assert str(exc.value) == "bad scalar term %r in %r" % (term, text)
+    assert TowerScalar.parse("1/05i") == TowerScalar(0, Fraction(1, 5))
+
+
 def test_rational_views():
     assert TowerScalar(Fraction(7, 3)).as_fraction() == Fraction(7, 3)
     assert TowerScalar(5).is_rational()
@@ -288,9 +297,28 @@ def test_one_representation_per_value():
     assert fields(I - I) == fields(ZERO)
     x = TowerScalar(Fraction(1, 3), 0, Fraction(-5, 7), 2)
     for s in (x, half, ZERO, EIGHTH_ROOT, x * x.inv(), x - x):
-        assert hash(s) == hash(s.coords())
+        assert hash(s) == hash(TowerScalar(*s.coords()))
+        if s.is_rational():
+            assert hash(s) == hash(s.as_fraction())
     assert x * x.inv() == ONE and fields(x * x.inv()) == fields(ONE)
     assert all(type(c) is Fraction for c in x.coords())
+
+
+@given(mixed, mixed)
+def test_equal_values_hash_equally(a, b):
+    same = (a + b) - b
+    assert same == a and hash(same) == hash(a)
+    if a.is_rational():
+        f = a.as_fraction()
+        assert a == f and hash(a) == hash(f)
+        if f.denominator == 1:
+            assert a == int(f) and hash(a) == hash(int(f))
+
+
+def test_a_set_holds_one_copy_of_each_value():
+    assert len({1, TowerScalar(1), ONE}) == 1
+    assert len({Fraction(1, 2), TowerScalar(Fraction(1, 2))}) == 1
+    assert len({0, ZERO, I - I, I, -I, Fraction(2, 2)}) == 4
 
 
 def test_irrational_norm_raises_arithmetic_error(monkeypatch):
