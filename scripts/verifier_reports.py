@@ -25,6 +25,9 @@ The exact values: one sha256 per built structure over every entry of its
 `i_matrix` and `j_matrix`, and one per ROTATION_TYPES type and phase over
 every entry of `root_rotation(...).cols` for every stem root, so a diff
 shows whether a change kept the exact scalars and not just the verdicts.
+The same digest at zeta8 over every root, not only the stem roots, of each
+ALL_ROOT_TYPES type: the rotations at short roots, and at roots with longer
+strings through them, follow chains of (ad X)^k that no stem root's does.
 The largest cases, last: `verify_rotation` on every stem root of each
 LARGE_ROTATION_TYPES type and `verify_all` on SU(17)/SU(15), the largest
 complement here (dim p = 64), all at zeta8.
@@ -57,6 +60,7 @@ TORUS_BUILDS = (("c^1 x A1", (), 0), ("c^1 x C3", (2, 3), 0),
                 ("c^2 x A3", (2,), 2), ("c^2 x A5", (), 1),
                 ("c^1 x B2", (2,), 0), ("A6", (3,), 0))
 LARGE_ROTATION_TYPES = ("E7", "E8")
+ALL_ROOT_TYPES = ("G2", "B3", "C3", "F4")
 # every simple type of rank <= 8
 ATLAS_TYPES = (["A%d" % n for n in range(1, 9)]
                + ["B%d" % n for n in range(2, 9)]
@@ -132,6 +136,15 @@ def show_subsystem_types():
                   [str(rs.component_type(c)) for c in comps])
 
 
+def show_all_root_rotations():
+    for text in ALL_ROOT_TYPES:
+        cb = make_basis(parse_shape(text))
+        roots = sorted(cb.rs.roots, key=Root.key)
+        print("%s all-roots rotation digest @zeta8 |" % text,
+              entries_digest(root_rotation(cb, g, EIGHTH_ROOT).cols
+                             for g in roots))
+
+
 def show_large_cases():
     for text in LARGE_ROTATION_TYPES:
         cb = make_basis(parse_shape(text))
@@ -197,6 +210,7 @@ def main():
                      verify_rotation(cb, st, g, rho=rho))
             show("%s spans @%s |" % (text, name),
                  verify_rotation_spans(cb, st, rho))
+    show_all_root_rotations()
     show_pair_layer(bases)
     show_chevalley_data()
     show_subsystem_types()

@@ -718,6 +718,7 @@ def verify_root_coupling(hc: HCStructure) -> CheckReport:
     rep = CheckReport()
     bad = []
     checked = 0
+    denoms = {}
     for a in pb.dp_plus:
         for b in pb.dp_plus:
             checked += 1
@@ -737,10 +738,11 @@ def verify_root_coupling(hc: HCStructure) -> CheckReport:
                            % (a, b, v, want))
                 continue
             # the closed form through the stem root image: the coefficient
-            # equals N(g,-b) / conj(g(J E_g))
-            jg = hc.apply_j(pb.cb.E(g))
-            denom = pb.cb.eval_root(g, jg.cartan).conj()
-            if v * denom != TowerScalar.of(pb.cb.n_const[(g, -b)]):
+            # equals N(g,-b) / conj(g(J E_g)), a denominator made once per g
+            if g not in denoms:
+                jg = hc.apply_j(pb.cb.E(g))
+                denoms[g] = pb.cb.eval_root(g, jg.cartan).conj()
+            if v * denoms[g] != TowerScalar.of(pb.cb.n_const[(g, -b)]):
                 bad.append("closed form fails at (%s, %s)" % (a, b))
     rep.record("root coupling is supported exactly on free stem sums",
                checked, bad)
@@ -791,6 +793,33 @@ def _rotation_poly():
         rows.append(row)
     vals = [eighth_root_power(k) for k in range(-3, 4)]
     return tuple(mat_vec(invert(rows), vals))
+
+
+@lru_cache(maxsize=None)
+def _folded_poly(m, lam):
+    """The two coefficients that stand for the terms of degree m-2 and up of
+    the rotation polynomial on a chain w_k = (ad X)^k w with
+    w_m = lam w_(m-2): there w_(m-2+2t) = lam^t w_(m-2) and
+    w_(m-1+2t) = lam^t w_(m-1)."""
+    poly = _rotation_poly()
+    out = []
+    for start in (m - 2, m - 1):
+        acc, power = ZERO, ONE
+        for c in poly[start::2]:
+            acc = acc + c * power
+            power = power * lam
+        out.append(acc)
+    return tuple(out)
+
+
+def _lag2_ratio(w: AlgebraElement, u: AlgebraElement):
+    """lam with w == lam u, for a nonzero u, or None if there is none."""
+    if w.e.keys() != u.e.keys() or w.cartan.keys() != u.cartan.keys():
+        return None
+    part = "e" if u.e else "cartan"
+    key, c = next(iter(getattr(u, part).items()))
+    lam = getattr(w, part)[key] / c
+    return lam if w == u.scale(lam) else None
 
 
 def g_coords(cb: ChevalleyBasis, x: AlgebraElement):
@@ -846,21 +875,35 @@ class RootRotation:
 
 
 def root_rotation(cb: ChevalleyBasis, gamma: Root, rho=ONE) -> RootRotation:
+    """exp((pi/2) ad X_gamma) at the phase rho, as p(ad X_gamma) for the
+    degree-6 `_rotation_poly` p, applied to each basis vector w along its
+    chain w_k = (ad X)^k w.  The chain stops at its first zero term, or at
+    its first term w_m = lam w_(m-2), which `_folded_poly(m, lam)` folds in."""
     if gamma not in cb.rs.root_set:
         raise ValueError("not a root: %s" % (gamma,))
     poly = _rotation_poly()
     x = cb.X(gamma, _phase_map([gamma], rho)[gamma])
     images = []
     for key in cb.basis_keys:
-        w = cb.basis_element(key)
-        terms = [(poly[0], w)]
-        for c in poly[1:]:
-            w = cb.bracket(x, w)
+        chain = [cb.basis_element(key)]
+        lam = None
+        while len(chain) < len(poly):
+            w = cb.bracket(x, chain[-1])
             if w.is_zero():
                 break
-            if c:
-                terms.append((c, w))
-        images.append(cb.combine(terms))
+            # lag 2: once w_m = lam w_(m-2), applying ad X gives
+            # w_(m+1) = lam w_(m-1), and so on by linearity, so every later
+            # term is a power of lam times w_(m-2) or w_(m-1).  Most chains
+            # stop by m = 3: (ad X)^2 = -1/4 on a root string of length two,
+            # and (ad X)^3 = -ad X on the sl2 of gamma.
+            if len(chain) >= 2:
+                lam = _lag2_ratio(w, chain[-2])
+                if lam is not None:
+                    break
+            chain.append(w)
+        m = len(chain)
+        coeffs = poly if lam is None else poly[:m - 2] + _folded_poly(m, lam)
+        images.append(cb.combine((c, w) for c, w in zip(coeffs, chain) if c))
     return RootRotation(cb, images)
 
 
@@ -897,11 +940,13 @@ def rotation_product(cb: ChevalleyBasis, gammas, phases=None) -> RootRotation:
 
 def algebra_generators(cb: ChevalleyBasis):
     """Basis keys of generators of the full algebra: E_a and E_-a for the
-    simple roots a of each component, then every Cartan basis vector, which
-    also covers the center that no root vector generates."""
+    simple roots a of each component, which generate the semisimple part
+    (Serre), then the central Cartan vectors, which no root vector
+    generates.  [E_a, E_-a] = H_a gives the simple coroots, the rest of the
+    Cartan basis."""
     keys = [("e", r) for ci in range(len(cb.rs.shape.simples))
             for a in cb.rs.simple_roots(ci) for r in (a, -a)]
-    return keys + [("h", j) for j in range(cb.total_rank)]
+    return keys + [("h", j) for j in range(cb.semisimple_rank, cb.total_rank)]
 
 
 def verify_rotation(cb: ChevalleyBasis, stem, gamma: Root,

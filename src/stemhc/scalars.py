@@ -163,6 +163,11 @@ class TowerScalar:
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
         if not self:
             raise ZeroDivisionError("inverse of zero TowerScalar")
+        if not (self._n1 or self._n2 or self._n3):
+            # d / n0 is already in lowest terms; the sign goes on top
+            if self._n0 > 0:
+                return _raw(self._d, 0, 0, 0, self._n0)
+            return _raw(-self._d, 0, 0, 0, -self._n0)
         # product of the three nontrivial Galois conjugates, divided by the
         # rational norm s * conj_i(s) * conj_s2(s) * conj_i(conj_s2(s))
         ci = self.conj()                      # i -> -i

@@ -442,6 +442,25 @@ def test_coupling_report_and_closed_form():
         assert any(g.comp == s[0] and g.coords == s[1] for g in gset)
 
 
+def test_coupling_applies_j_once_per_free_stem_root(monkeypatch):
+    """The closed form's denominator depends only on the stem root g, so
+    J(E_g) is made once per g, not once per coupled pair (30 on SU(17)/SU(15),
+    which has one free stem root)."""
+    hc = build("A16", (2,), phases=EIGHTH_ROOT)
+    calls = []
+    apply_j = HCStructure.apply_j
+
+    def counted(self, x):
+        calls.append(x)
+        return apply_j(self, x)
+
+    monkeypatch.setattr(HCStructure, "apply_j", counted)
+    rep = verify_root_coupling(hc)
+    assert rep.ok and rep.items[0].checked == len(hc.pbasis.dp_plus) ** 2
+    assert len(hc.pbasis.gamma_p) == 1
+    assert len(calls) <= len(hc.pbasis.gamma_p)
+
+
 # ---------------------------------------------------------- the full battery
 
 
@@ -631,6 +650,27 @@ def test_eighth_power_is_the_identity():
                 powers.append(rot.compose(powers[-1]))
             assert [p == identity for p in powers] == [False] * 7 + [True], \
                 "%s %s" % (text, g)
+
+
+@pytest.mark.parametrize("text", ["G2", "B3", "C3", "F4", "c^1 x B2"])
+def test_folded_rotation_equals_the_degree_six_polynomial(text):
+    """On every root, short ones and those with long strings included, the
+    folded chains give the images of sum c_k (ad X)^k w over k <= 6."""
+    cb = make_basis(parse_shape(text))
+    poly = _rotation_poly()
+    for g in sorted(cb.rs.roots, key=Root.key):
+        for rho in (ONE, EIGHTH_ROOT, PYTH):
+            x = cb.X(g, rho)
+            want = []
+            for key in cb.basis_keys:
+                chain = [cb.basis_element(key)]
+                for _ in poly[1:]:
+                    chain.append(cb.bracket(x, chain[-1]))
+                want.append(cb.combine(zip(poly, chain)))
+            assert root_rotation(cb, g, rho).images == want, (g, rho)
+    # the eigenvalues of (ad X)^2 are -k^2/4 for |k| <= 3: the chains stop
+    # at a handful of (m, lam), the same for every root and phase
+    assert hcstruct._folded_poly.cache_info().currsize <= 4
 
 
 def test_rotation_matches_float_exponential():
@@ -1183,6 +1223,18 @@ def test_closure_misses_a_left_out_simple_root():
             < len(subalgebra_basis(pb)), spec
 
 
+def test_generators_hold_only_the_central_cartan_slots():
+    """[E_a, E_-a] = H_a gives the simple coroots, so only the center needs
+    its own Cartan generators."""
+    for text in ATLAS_TYPES:
+        cb = make_basis(parse_shape(text))
+        assert not [k for k in algebra_generators(cb) if k[0] == "h"], text
+    cb = make_basis(parse_shape("c^2 x A3 x B2"))
+    assert cb.semisimple_rank == 5
+    assert [k for k in algebra_generators(cb) if k[0] == "h"] == \
+        [("h", 5), ("h", 6)]
+
+
 def corrupted_rotation(monkeypatch, gamma, corrupt):
     """Make every rotation at gamma that verify_rotation builds pass its
     images through corrupt(cb, images) first."""
@@ -1232,10 +1284,11 @@ def all_pairs_items(cb, st, gamma, rho):
             for name, checked, bad in items]
 
 
-def scaled_image(root, factor):
-    """A corruption: the image of E_root times factor."""
+def scaled_image(key, factor):
+    """A corruption: the image of the basis vector with this key times
+    factor."""
     def corrupt(cb, images):
-        k = cb.key_index[("e", root)]
+        k = cb.key_index[key]
         images[k] = images[k].scale(factor)
         return images
     return corrupt
@@ -1262,25 +1315,30 @@ def graded(cb, images):
     ("E6", 1, 1, "highest", [0, 1, 2]), ("c^1 x B3", 0, 0, "highest", [0, 1]),
     ("A4", 1, 1, "tau", [0, 1, 2]), ("D4", 2, 2, "tau", [0, 1, 2]),
     ("A4", 0, 0, "graded", [1, 2]), ("c^1 x B3", 1, 1, "graded", [1, 2]),
-    ("D4", 1, 2, "other", [2])])
+    ("D4", 1, 2, "other", [2]), ("A4", 1, 1, "cartan", [0, 2]),
+    ("c^1 x B3", 0, 0, "cartan", [0, 2])])
 def test_rotation_proofs_fall_back_to_every_pair(monkeypatch, text, t, bent,
                                                   corruption, failing):
     """Stem rotation number `bent` corrupted: its image of the highest root
     vector theta, which is no generator, scaled by 2, or by i where the
     rotation fixes that vector, so that it slips past tau only at +-theta;
     the rotation after a grading, an automorphism that slips past tau
-    everywhere; or its image of a vector that it and rotation t both fix
-    gaining E_gamma_t, so the two stop commuting only there.  Each item of
-    rotation t equals its check over every pair, vector and composition,
-    and the items in `failing` fail."""
+    everywhere; its image of a vector that it and rotation t both fix
+    gaining E_gamma_t, so the two stop commuting only there; or its image
+    of the semisimple Cartan vector H_0, which is no generator either,
+    scaled by 2.  Each item of rotation t equals its check over every pair,
+    vector and composition, and the items in `failing` fail."""
     cb = make_basis(parse_shape(text))
     st = stem_of(parse_shape(text))
     gamma = st.elements[t]
     theta = max(cb.rs.positives, key=lambda r: r.height)
     last = st.elements[-1]
     assert ("e", theta) not in algebra_generators(cb)
-    corrupt = {"highest": scaled_image(theta, 2), "tau": scaled_image(theta, I),
-               "graded": graded, "other": added_image(last, gamma)}[corruption]
+    assert ("h", 0) not in algebra_generators(cb)
+    corrupt = {"highest": scaled_image(("e", theta), 2),
+               "tau": scaled_image(("e", theta), I),
+               "graded": graded, "other": added_image(last, gamma),
+               "cartan": scaled_image(("h", 0), 2)}[corruption]
     rotation = corrupted_rotation(monkeypatch, st.elements[bent], corrupt)
     got = [it.to_dict()
            for it in verify_rotation(cb, st, gamma, rho=EIGHTH_ROOT).items[:3]]
