@@ -28,6 +28,8 @@ shows whether a change kept the exact scalars and not just the verdicts.
 The same digest at zeta8 over every root, not only the stem roots, of each
 ALL_ROOT_TYPES type: the rotations at short roots, and at roots with longer
 strings through them, follow chains of (ad X)^k that no stem root's does.
+Then the same digest at each of the ODD_PHASES, made twice in a row, so that
+the second call reads whatever the first one left in a cache.
 The largest cases, last: `verify_rotation` on every stem root of each
 LARGE_ROTATION_TYPES type and `verify_all` on SU(17)/SU(15), the largest
 complement here (dim p = 64), all at zeta8.
@@ -40,6 +42,7 @@ texts "2/0" and "x".
 """
 
 import hashlib
+from fractions import Fraction
 
 from stemhc.chevalley import make_basis
 from stemhc.classify import audit_type, enumerate_hc_spaces
@@ -61,6 +64,11 @@ TORUS_BUILDS = (("c^1 x A1", (), 0), ("c^1 x C3", (2, 3), 0),
                 ("c^1 x B2", (2,), 0), ("A6", (3,), 0))
 LARGE_ROTATION_TYPES = ("E7", "E8")
 ALL_ROOT_TYPES = ("G2", "B3", "C3", "F4")
+# unit phases with odd primes in their denominators, the second with sqrt2
+ODD_PHASES = (("(3+4i)/5", TowerScalar(Fraction(3, 5), Fraction(4, 5))),
+              ("zeta8^3 (-5+12i)/13",
+               EIGHTH_ROOT * EIGHTH_ROOT * EIGHTH_ROOT
+               * TowerScalar(Fraction(-5, 13), Fraction(12, 13))))
 # every simple type of rank <= 8
 ATLAS_TYPES = (["A%d" % n for n in range(1, 9)]
                + ["B%d" % n for n in range(2, 9)]
@@ -143,6 +151,12 @@ def show_all_root_rotations():
         print("%s all-roots rotation digest @zeta8 |" % text,
               entries_digest(root_rotation(cb, g, EIGHTH_ROOT).cols
                              for g in roots))
+        for name, rho in ODD_PHASES:
+            for call in ("first", "second"):
+                print("%s all-roots rotation digest @%s, %s call |"
+                      % (text, name, call),
+                      entries_digest(root_rotation(cb, g, rho).cols
+                                     for g in roots))
 
 
 def show_large_cases():

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 
 from .rootsystems import ReductiveShape, Root, RootSystem, build_cached
@@ -142,6 +142,9 @@ class ChevalleyBasis:
         K = self._killing_h_matrix()
         self.killing_h = [[Fraction(x) for x in row] for row in K]
         self.killing_e = {r: self._killing_e(K, r) for r in rs.positives}
+        # exp((pi/2) ad X_gamma) at the phase one by root gamma, each built
+        # once and rephased by `hcstruct.root_rotation`
+        self.rotations = {}
 
     # -- structure constants --------------------------------------------------
 
@@ -234,6 +237,12 @@ class ChevalleyBasis:
 
     def H_of_root(self, root):
         return self.H_vec(self.hroot[root])
+
+    @cached_property
+    def basis(self) -> tuple:
+        """The basis vectors in `basis_keys` order, made once and shared, as
+        no operation changes an element in place."""
+        return tuple(map(self.basis_element, self.basis_keys))
 
     def basis_element(self, key):
         kind, val = key

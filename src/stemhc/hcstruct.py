@@ -874,18 +874,20 @@ class RootRotation:
         return self.cb is other.cb and self.images == other.images
 
 
-def root_rotation(cb: ChevalleyBasis, gamma: Root, rho=ONE) -> RootRotation:
-    """exp((pi/2) ad X_gamma) at the phase rho, as p(ad X_gamma) for the
-    degree-6 `_rotation_poly` p, applied to each basis vector w along its
-    chain w_k = (ad X)^k w.  The chain stops at its first zero term, or at
-    its first term w_m = lam w_(m-2), which `_folded_poly(m, lam)` folds in."""
-    if gamma not in cb.rs.root_set:
-        raise ValueError("not a root: %s" % (gamma,))
+def _phase_one_rotation(cb: ChevalleyBasis, gamma: Root):
+    """exp((pi/2) ad X(gamma, 1)) as its moved images, {basis index:
+    (cartan, e)}, each part a tuple of (slot or root, coefficient, j) with
+    the entry's gamma-grade j: beta - alpha = j gamma for the entry at beta
+    of the image of the basis vector at alpha, a Cartan slot counting as the
+    root 0.  Each image is p(ad X) w for the degree-6 `_rotation_poly` p,
+    along the chain w_k = (ad X)^k w of its basis vector w.  The chain stops
+    at its first zero term, or at its first term w_m = lam w_(m-2), which
+    `_folded_poly(m, lam)` folds in."""
     poly = _rotation_poly()
-    x = cb.X(gamma, _phase_map([gamma], rho)[gamma])
-    images = []
-    for key in cb.basis_keys:
-        chain = [cb.basis_element(key)]
+    x = cb.X(gamma)
+    moved = {}
+    for k, (kind, key) in enumerate(cb.basis_keys):
+        chain = [cb.basis[k]]
         lam = None
         while len(chain) < len(poly):
             w = cb.bracket(x, chain[-1])
@@ -903,7 +905,44 @@ def root_rotation(cb: ChevalleyBasis, gamma: Root, rho=ONE) -> RootRotation:
             chain.append(w)
         m = len(chain)
         coeffs = poly if lam is None else poly[:m - 2] + _folded_poly(m, lam)
-        images.append(cb.combine((c, w) for c, w in zip(coeffs, chain) if c))
+        image = cb.combine((c, w) for c, w in zip(coeffs, chain) if c)
+        if image == chain[0]:
+            continue
+        # <beta - alpha, gamma^vee> = 2j
+        base = cb.rs.cartan_int(key, gamma) if kind == "e" else 0
+        moved[k] = (tuple((slot, c, -base // 2)
+                          for slot, c in image.cartan.items()),
+                    tuple((r, c, (cb.rs.cartan_int(r, gamma) - base) // 2)
+                          for r, c in image.e.items()))
+    return moved
+
+
+def root_rotation(cb: ChevalleyBasis, gamma: Root, rho=ONE) -> RootRotation:
+    """exp((pi/2) ad X_gamma) at the phase rho, rephased from the rotation
+    at the phase one, which `_phase_one_rotation` builds once per basis and
+    root.  Ad(exp(s H_gamma)) scales E_beta by e^(s <beta, gamma^vee>) and
+    fixes the Cartan, so with e^(2s) = rho it sends X(gamma, 1) =
+    (E_gamma - E_-gamma)/2 to (rho E_gamma - rho^-1 E_-gamma)/2 =
+    X(gamma, rho), as rho^-1 = conj(rho) on the unit circle.  So rot_rho =
+    Ad rot_1 Ad^-1, and an entry of grade j (beta - alpha = j gamma) scales by
+    e^(s <j gamma, gamma^vee>) = e^(2sj) = rho^j: the square root cancels,
+    and everything stays in Q(i, sqrt2).  The images list is new on every
+    call; a vector the rotation fixes maps to the shared basis vector."""
+    if gamma not in cb.rs.root_set:
+        raise ValueError("not a root: %s" % (gamma,))
+    rho = _phase_map([gamma], rho)[gamma]
+    moved = cb.rotations.get(gamma)
+    if moved is None:
+        moved = cb.rotations[gamma] = _phase_one_rotation(cb, gamma)
+    # rho^j at index j for |j| <= 3, negative indices from the end
+    squared = rho * rho
+    powers = [ONE, rho, squared, squared * rho]
+    powers += [p.conj() for p in reversed(powers[1:])]
+    images = list(cb.basis)
+    for k, (cartan, e) in moved.items():
+        images[k] = AlgebraElement(
+            cb, {slot: c * powers[j] if j else c for slot, c, j in cartan},
+            {r: c * powers[j] if j else c for r, c, j in e})
     return RootRotation(cb, images)
 
 
@@ -932,20 +971,26 @@ def _phase_map(gammas, phases):
 def rotation_product(cb: ChevalleyBasis, gammas, phases=None) -> RootRotation:
     """Composition of the stem rotations (they commute, so order is moot)."""
     phases = _phase_map(gammas, phases)
-    prod = RootRotation(cb, [cb.basis_element(k) for k in cb.basis_keys])
+    prod = RootRotation(cb, list(cb.basis))
     for g in gammas:
         prod = root_rotation(cb, g, phases[g]).compose(prod)
     return prod
 
 
 def algebra_generators(cb: ChevalleyBasis):
-    """Basis keys of generators of the full algebra: E_a and E_-a for the
-    simple roots a of each component, which generate the semisimple part
-    (Serre), then the central Cartan vectors, which no root vector
-    generates.  [E_a, E_-a] = H_a gives the simple coroots, the rest of the
-    Cartan basis."""
-    keys = [("e", r) for ci in range(len(cb.rs.shape.simples))
-            for a in cb.rs.simple_roots(ci) for r in (a, -a)]
+    """Basis keys of generators of the full algebra: E_a for the simple
+    roots a of each simple component and E_-theta for its highest root
+    theta, then the central Cartan vectors, which no root vector generates.
+    The subalgebra these generate holds n+, which the E_a generate, and
+    E_-theta.  The adjoint module of a simple component is irreducible with
+    the lowest weight vector E_-theta, so U(n+) E_-theta, the span of the
+    iterated brackets of positive root vectors with E_-theta, is the whole
+    component."""
+    keys = []
+    for ci in range(len(cb.rs.shape.simples)):
+        theta = max((r for r in cb.rs.positives if r.comp == ci),
+                    key=lambda r: r.height)
+        keys += [("e", a) for a in cb.rs.simple_roots(ci)] + [("e", -theta)]
     return keys + [("h", j) for j in range(cb.semisimple_rank, cb.total_rank)]
 
 
@@ -958,7 +1003,7 @@ def verify_rotation(cb: ChevalleyBasis, stem, gamma: Root,
     rep = CheckReport()
     keys = cb.basis_keys
     n = len(keys)
-    basis = [cb.basis_element(k) for k in keys]
+    basis = cb.basis
     images = rot.images
     gens = [cb.key_index[k] for k in algebra_generators(cb)]
 

@@ -212,6 +212,8 @@ class TowerScalar:
         # also as its int), any other value by its canonical integers
         if self._n1 or self._n2 or self._n3:
             return hash((self._n0, self._n1, self._n2, self._n3, self._d))
+        if self._d == 1:
+            return hash(self._n0)
         return hash(Fraction(self._n0, self._d))
 
     def is_unit_modulus(self) -> bool:

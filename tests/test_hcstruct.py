@@ -10,7 +10,7 @@ import pytest
 
 import stemhc
 from stemhc import hcstruct, linalg
-from stemhc.chevalley import make_basis
+from stemhc.chevalley import ChevalleyBasis, make_basis
 from stemhc.cli import SELFTEST_BUILDS
 from stemhc.hcstruct import (
     HCStructure, PBasis, _apply_cols, _compose_cols, _dense_view,
@@ -25,7 +25,7 @@ from stemhc.hcstruct import (
 from stemhc.linalg import Span
 from stemhc.pairs import PairSpec, check_pair, enumerate_substems, \
     make_pair_spec
-from stemhc.rootsystems import Root, parse_shape, root_sub
+from stemhc.rootsystems import Root, build_cached, parse_shape, root_sub
 from stemhc.reporting import CheckReport
 from stemhc.scalars import EIGHTH_ROOT, HALF, I, ONE, SQRT2, TowerScalar, ZERO
 from stemhc.stem import stem_of
@@ -652,14 +652,22 @@ def test_eighth_power_is_the_identity():
                 "%s %s" % (text, g)
 
 
-@pytest.mark.parametrize("text", ["G2", "B3", "C3", "F4", "c^1 x B2"])
+# exp(i 3pi/4) (-5 + 12i)/13: a unit phase with sqrt2, i and an odd prime in
+# its denominator
+TWISTED = EIGHTH_ROOT * EIGHTH_ROOT * EIGHTH_ROOT \
+    * TowerScalar(Fraction(-5, 13), Fraction(12, 13))
+
+
+@pytest.mark.parametrize("text",
+                         ["G2", "B3", "C3", "F4", "c^1 x B2", "A2 x B2"])
 def test_folded_rotation_equals_the_degree_six_polynomial(text):
-    """On every root, short ones and those with long strings included, the
-    folded chains give the images of sum c_k (ad X)^k w over k <= 6."""
+    """On every root, short ones and those with long strings included, at
+    every phase, the rotation rephased from the phase one gives the images
+    of sum c_k (ad X_rho)^k w over k <= 6."""
     cb = make_basis(parse_shape(text))
     poly = _rotation_poly()
     for g in sorted(cb.rs.roots, key=Root.key):
-        for rho in (ONE, EIGHTH_ROOT, PYTH):
+        for rho in (ONE, I, EIGHTH_ROOT, PYTH, TWISTED):
             x = cb.X(g, rho)
             want = []
             for key in cb.basis_keys:
@@ -671,6 +679,41 @@ def test_folded_rotation_equals_the_degree_six_polynomial(text):
     # the eigenvalues of (ad X)^2 are -k^2/4 for |k| <= 3: the chains stop
     # at a handful of (m, lam), the same for every root and phase
     assert hcstruct._folded_poly.cache_info().currsize <= 4
+    grades = {j for moved in cb.rotations.values()
+              for cartan, e in moved.values() for _, _, j in cartan + e}
+    assert grades <= set(range(-3, 4))
+    if text == "G2":
+        assert {-3, 3} <= grades
+
+
+def test_rotation_is_built_once_per_basis_and_root(monkeypatch):
+    """A fresh basis builds each rotation at its first call; a call at
+    another phase only rephases, with no bracket, and the images list a call
+    returns is its own."""
+    cb = ChevalleyBasis(build_cached(parse_shape("B3")))
+    brackets = []
+    bracket = cb.bracket
+
+    def counted(x, y):
+        brackets.append(1)
+        return bracket(x, y)
+
+    monkeypatch.setattr(cb, "bracket", counted)
+    g = max(cb.rs.positives, key=lambda r: r.height)
+    first = root_rotation(cb, g, PYTH)
+    assert brackets and list(cb.rotations) == [g]
+    del brackets[:]
+    twisted = root_rotation(cb, g, TWISTED)
+    assert not brackets
+    assert root_rotation(cb, g, ONE) == root_rotation(cb, g)
+    assert not brackets
+    want = list(twisted.images)
+    k = cb.key_index[("e", g)]
+    first.images[k] = cb.zero()
+    twisted.images[k] = cb.zero()
+    twisted.images[cb.key_index[("h", 0)]] = cb.E(g)
+    assert root_rotation(cb, g, TWISTED).images == want
+    assert root_rotation(cb, g, PYTH).images[k] != cb.zero()
 
 
 def test_rotation_matches_float_exponential():
@@ -1204,14 +1247,21 @@ def test_subalgebra_generators_generate_the_subalgebra(spec):
 
 
 def test_closure_misses_a_left_out_simple_root():
-    """The oracle is not vacuous: with one simple root left out of the
-    generators, the closure spans less than the algebra, or than k."""
+    """The oracle is not vacuous: with one simple root, or the lowest root
+    of one component, left out of the generators, the closure spans less
+    than the algebra, or than k."""
     for text in GENERATION_SHAPES:
         cb = make_basis(parse_shape(text))
         a = cb.rs.simple_roots(0)[-1]
-        gens = [cb.basis_element(k) for k in algebra_generators(cb)
-                if k not in (("e", a), ("e", -a))]
-        assert span_dim(cb, lie_closure(cb, gens)) < len(cb.basis_keys), text
+        ci = len(cb.rs.shape.simples) - 1
+        theta = max((r for r in cb.rs.positives if r.comp == ci),
+                    key=lambda r: r.height)
+        for left_out in (("e", a), ("e", -theta)):
+            assert left_out in algebra_generators(cb)
+            gens = [cb.basis_element(k) for k in algebra_generators(cb)
+                    if k != left_out]
+            assert span_dim(cb, lie_closure(cb, gens)) \
+                < len(cb.basis_keys), (text, left_out)
     for spec in generation_pairs():
         pb = PBasis(spec)
         if not pb.dk_set:
@@ -1316,7 +1366,8 @@ def graded(cb, images):
     ("A4", 1, 1, "tau", [0, 1, 2]), ("D4", 2, 2, "tau", [0, 1, 2]),
     ("A4", 0, 0, "graded", [1, 2]), ("c^1 x B3", 1, 1, "graded", [1, 2]),
     ("D4", 1, 2, "other", [2]), ("A4", 1, 1, "cartan", [0, 2]),
-    ("c^1 x B3", 0, 0, "cartan", [0, 2])])
+    ("c^1 x B3", 0, 0, "cartan", [0, 2]), ("A4", 0, 0, "lowered", [0, 1, 2]),
+    ("c^1 x B3", 1, 1, "lowered", [0, 1, 2])])
 def test_rotation_proofs_fall_back_to_every_pair(monkeypatch, text, t, bent,
                                                   corruption, failing):
     """Stem rotation number `bent` corrupted: its image of the highest root
@@ -1326,19 +1377,25 @@ def test_rotation_proofs_fall_back_to_every_pair(monkeypatch, text, t, bent,
     everywhere; its image of a vector that it and rotation t both fix
     gaining E_gamma_t, so the two stop commuting only there; or its image
     of the semisimple Cartan vector H_0, which is no generator either,
-    scaled by 2.  Each item of rotation t equals its check over every pair,
-    vector and composition, and the items in `failing` fail."""
+    scaled by 2; or its image of E_-a for a simple root a, which is no
+    generator either, as E_-theta stands in for the E_-a, scaled by 2.  Each
+    item of rotation t equals its check over every pair, vector and
+    composition, and the items in `failing` fail."""
     cb = make_basis(parse_shape(text))
     st = stem_of(parse_shape(text))
     gamma = st.elements[t]
     theta = max(cb.rs.positives, key=lambda r: r.height)
+    simple = cb.rs.simple_roots(0)[0]
     last = st.elements[-1]
     assert ("e", theta) not in algebra_generators(cb)
+    assert ("e", -theta) in algebra_generators(cb)
+    assert ("e", -simple) not in algebra_generators(cb)
     assert ("h", 0) not in algebra_generators(cb)
     corrupt = {"highest": scaled_image(("e", theta), 2),
                "tau": scaled_image(("e", theta), I),
                "graded": graded, "other": added_image(last, gamma),
-               "cartan": scaled_image(("h", 0), 2)}[corruption]
+               "cartan": scaled_image(("h", 0), 2),
+               "lowered": scaled_image(("e", -simple), 2)}[corruption]
     rotation = corrupted_rotation(monkeypatch, st.elements[bent], corrupt)
     got = [it.to_dict()
            for it in verify_rotation(cb, st, gamma, rho=EIGHTH_ROOT).items[:3]]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stemhc.scalars import (
-    TowerScalar, ZERO, ONE, I, SQRT2, EIGHTH_ROOT, eighth_root_power,
+    HALF, TowerScalar, ZERO, ONE, I, SQRT2, EIGHTH_ROOT, eighth_root_power,
 )
 
 
@@ -296,7 +296,8 @@ def test_one_representation_per_value():
     assert TowerScalar(Fraction(1, 2)) != ONE
     assert fields(I - I) == fields(ZERO)
     x = TowerScalar(Fraction(1, 3), 0, Fraction(-5, 7), 2)
-    for s in (x, half, ZERO, EIGHTH_ROOT, x * x.inv(), x - x):
+    for s in (x, half, ZERO, EIGHTH_ROOT, x * x.inv(), x - x, -ONE, HALF,
+              TowerScalar(Fraction(-1, 4))):
         assert hash(s) == hash(TowerScalar(*s.coords()))
         if s.is_rational():
             assert hash(s) == hash(s.as_fraction())
