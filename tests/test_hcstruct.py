@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import stemhc
 from stemhc import hcstruct, linalg
 from stemhc.chevalley import ChevalleyBasis, make_basis
+from stemhc.classify import enumerate_hc_spaces
 from stemhc.cli import SELFTEST_BUILDS
 from stemhc.hcstruct import (
     HCStructure, PBasis, _apply_cols, _compose_cols, _dense_view,
@@ -333,6 +335,16 @@ def test_complement_torus_is_the_orthogonal_central_slice():
     assert shapes_seen == {(False, False), (True, False), (False, True),
                            (True, True)}
 
+
+
+def test_every_accepted_torus_pair_verifies():
+    """The structure on every accepted pair of TORUS_SWEEP passes the whole
+    battery: the pairs with central directions in g, in k, or in both."""
+    specs = accepted_torus_pairs()
+    assert len(specs) == 74
+    failed = [spec_id(s) for s in specs
+              if not build_structure(s).verify_all().ok]
+    assert failed == []
 
 def test_w_and_z_elements():
     pb = build("A4", (2,)).pbasis
@@ -1459,3 +1471,151 @@ def test_equivariance_falls_back_when_j_breaks_at_a_non_simple_root():
         "checked": len(wrong) * n * n, "ok": False,
         "violations": [w for ws in wrong.values() for w in ws[:3]],
         "violation_count": total}
+
+
+
+# ------------------------------------------------- torsion on a J-half
+
+
+def torsion_items(hc):
+    """The two torsion items over every pair of the compact basis, each
+    N(x, y) = [Jx, Jy]_p - [x, y]_p - J [Jx, y]_p - J [x, Jy]_p formed from
+    four projections, with J applied through `apply_i` and `apply_j`."""
+    pb = hc.pbasis
+    basis = compact_basis(pb)
+    n = len(basis)
+    br = pb.cb.bracket
+
+    def proj(x):
+        return pb.assemble(pb.project_coords(x))
+
+    items = []
+    for opname, op in (("first", hc.apply_i), ("second", hc.apply_j)):
+        bad = []
+        for a in range(n):
+            for b in range(a + 1, n):
+                (na, x), (nb, y) = basis[a], basis[b]
+                jx, jy = op(x), op(y)
+                torsion = (proj(br(jx, jy)) - proj(br(x, y))
+                           - op(proj(br(jx, y))) - op(proj(br(x, jy))))
+                if not torsion.is_zero():
+                    bad.append("torsion of %s, %s is not zero" % (na, nb))
+        items.append({"name": "%s structure: real torsion vanishes on the "
+                              "compact basis" % opname,
+                      "checked": n * (n - 1) // 2, "ok": not bad,
+                      "violations": bad, "violation_count": len(bad)})
+    return items
+
+
+def all_pairs_report(monkeypatch, hc):
+    """verify_integrability(hc) with no J-half picked, so that its torsion
+    items come from the loop over all pairs, as dicts; the torsion items
+    equal the four-projection oracle's."""
+    with monkeypatch.context() as m:
+        m.setattr(hcstruct, "_j_half", lambda coords, j_coords: [])
+        items = [it.to_dict() for it in verify_integrability(hc).items]
+    assert items[4:] == torsion_items(hc)
+    return items
+
+
+def j_half_holds(hc, cols):
+    """Whether the picked half of the compact basis is a J-half for cols:
+    2m = n, and the x_i with the J x_i have full rank."""
+    pb = hc.pbasis
+    coords = [pb.coords_strict(x) for _, x in compact_basis(pb)]
+    j_coords = [_apply_cols(cols, c) for c in coords]
+    half = hcstruct._j_half(coords, j_coords)
+    n = len(coords)
+    vectors = [v for k in half for v in (coords[k], j_coords[k])]
+    return 2 * len(half) == n and Span(
+        [[v.get(i, ZERO) for i in range(n)] for v in vectors], n).dim == n
+
+
+TORSION_PAIRS = (
+    [pytest.param(s.to_pair_spec(), id=s.describe())
+     for s in enumerate_hc_spaces(24)]
+    + [pytest.param(make_pair_spec(*b), id=" ".join(map(str, b)))
+       for b in TORUS_BUILDS])
+
+
+@pytest.mark.parametrize("spec", TORSION_PAIRS)
+def test_j_half_report_equals_the_all_pairs_report(monkeypatch, spec):
+    """On every space to dim 24 and every TORUS_BUILDS pair, both structures
+    have a J-half, and the report proved on it is the all-pairs report."""
+    hc = build_structure(spec, phases=EIGHTH_ROOT)
+    assert j_half_holds(hc, hc.i_cols) and j_half_holds(hc, hc.j_cols)
+    got = [it.to_dict() for it in verify_integrability(hc).items]
+    assert got == all_pairs_report(monkeypatch, hc)
+    assert all(it["ok"] for it in got)
+
+
+def with_j(hc, cols):
+    return HCStructure(hc.pbasis, hc.i_cols, cols, hc.tau_cols)
+
+
+def squares_to_minus_one(hc):
+    return next(it for it in verify_operator_identities(hc).items
+                if it.name.startswith("second structure squares")).ok
+
+
+@pytest.mark.parametrize("shape,substem", [
+    ("A2", ()), ("A4", (2,)), ("c^4 x A2", ())])
+def test_torsion_falls_back_on_a_conjugated_j(monkeypatch, shape, substem):
+    """J conjugated by the scaling of the stem root vector's label by 2
+    still squares to -1, but its torsion fails, also at pairs outside the
+    J-half: the report lists them all, as the all-pairs loop does."""
+    hc = build(shape, substem)
+    pb = hc.pbasis
+    d = [ONE] * len(pb.labels)
+    d[pb.index[("e", pb.gamma_p[0])]] = ONE + ONE
+    broken = with_j(hc, [{i: v * d[i] / d[j] for i, v in col.items()}
+                         for j, col in enumerate(hc.j_cols)])
+    assert squares_to_minus_one(broken)
+    assert j_half_holds(broken, broken.j_cols)
+    got = [it.to_dict() for it in verify_integrability(broken).items]
+    assert got == all_pairs_report(monkeypatch, broken)
+    coords = [pb.coords_strict(x) for _, x in compact_basis(pb)]
+    half = hcstruct._j_half(coords, [_apply_cols(broken.j_cols, c)
+                                     for c in coords])
+    names = [name for name, _ in compact_basis(pb)]
+    inside = {"torsion of %s, %s is not zero" % (names[a], names[b])
+              for a, b in combinations(half, 2)}
+    torsion = got[5]
+    assert not torsion["ok"]
+    assert set(torsion["violations"]) & inside
+    assert set(torsion["violations"]) - inside
+
+
+def test_torsion_falls_back_when_j_does_not_square_to_minus_one(monkeypatch):
+    """J with the column of P scaled by 2 squares to -2 at P and Q.  Its
+    torsion vanishes on every pair of the half picked for it, yet fails on
+    35 pairs; the J^2 = -1 check sends it to the all-pairs loop."""
+    hc = build("A4", (2,))
+    pb = hc.pbasis
+    p = pb.index[("p", 0)]
+    broken = with_j(hc, [{i: v * 2 for i, v in col.items()} if j == p
+                         else col for j, col in enumerate(hc.j_cols)])
+    assert not squares_to_minus_one(broken)
+    with monkeypatch.context() as m:
+        m.setattr(hcstruct, "_compose_cols",
+                  lambda a, b: [{j: -ONE} for j in range(len(b))])
+        assert verify_integrability(broken).items[5].ok
+    got = [it.to_dict() for it in verify_integrability(broken).items]
+    assert got == all_pairs_report(monkeypatch, broken)
+    assert got[5]["violation_count"] == 35
+
+
+@pytest.mark.parametrize("picker", ["repeated", "short"])
+def test_torsion_rejects_a_picked_half_that_spans_too_little(monkeypatch,
+                                                              picker):
+    """A picker that returns one vector m times, or one vector alone, on a
+    J whose torsion fails: every pair of either half vanishes, so without
+    the independence and the 2m = n checks the item would pass."""
+    hc = negated_two_cycle(build("A3", (2,)))
+    n = len(hc.pbasis.labels)
+    half = {"repeated": [0] * (n // 2), "short": [0]}[picker]
+    want = all_pairs_report(monkeypatch, hc)
+    monkeypatch.setattr(hcstruct, "_j_half", lambda coords, j_coords: half)
+    got = [it.to_dict() for it in verify_integrability(hc).items]
+    assert got == want
+    assert not want[5]["ok"] and want[5]["violation_count"] == 12
