@@ -39,6 +39,10 @@ entry point (`PBasis`, `root_rotation`, `rotation_product`,
 with substem 2) raises on the phases 2 and 0, a dict key outside the stem
 and a list of the wrong length, and that `TowerScalar.parse` raises on the
 texts "2/0" and "x".
+The failure paths, last: the integrability items of every single-column
+mutant of I and of J (the column times 2, negated, times i, and the
+conjugation by the scaling of its label by 2) at every label of each
+MUTANT_BUILDS pair, at phase 1.
 """
 
 import hashlib
@@ -47,13 +51,14 @@ from fractions import Fraction
 from stemhc.chevalley import make_basis
 from stemhc.classify import audit_type, enumerate_hc_spaces
 from stemhc.cli import SELFTEST_BUILDS
-from stemhc.hcstruct import (PBasis, build_structure, root_rotation,
-                             rotation_product, verify_rotation,
+from stemhc.hcstruct import (HCStructure, PBasis, build_structure,
+                             root_rotation, rotation_product,
+                             verify_integrability, verify_rotation,
                              verify_rotation_spans)
 from stemhc.pairs import (PairSpec, check_pair, complement_data,
                           delta_k, enumerate_substems, make_pair_spec)
 from stemhc.rootsystems import Root, parse_shape
-from stemhc.scalars import EIGHTH_ROOT, I, ONE, TowerScalar
+from stemhc.scalars import EIGHTH_ROOT, HALF, I, ONE, TowerScalar
 from stemhc.stem import stem_of
 
 PHASES = (("1", ONE), ("i", I), ("zeta8", EIGHTH_ROOT))
@@ -63,6 +68,9 @@ TORUS_BUILDS = (("c^1 x A1", (), 0), ("c^1 x C3", (2, 3), 0),
                 ("c^2 x A3", (2,), 2), ("c^2 x A5", (), 1),
                 ("c^1 x B2", (2,), 0), ("A6", (3,), 0))
 LARGE_ROTATION_TYPES = ("E7", "E8")
+# pairs whose structures are mutated one column at a time
+MUTANT_BUILDS = (("A2", (), 0), ("A3", (2,), 0), ("A4", (2,), 0),
+                 ("c^4 x A2", (), 0), ("c^1 x C3", (2, 3), 0))
 ALL_ROOT_TYPES = ("G2", "B3", "C3", "F4")
 # unit phases with odd primes in their denominators, the second with sqrt2
 ODD_PHASES = (("(3+4i)/5", TowerScalar(Fraction(3, 5), Fraction(4, 5))),
@@ -198,6 +206,35 @@ def show_phase_errors():
         print("phase error | %s %s |" % (name, label), outcome)
 
 
+def column_mutants(cols, j):
+    """(name, columns) of the four single-column mutants at label j."""
+    def at_j(c):
+        return [{i: v * c for i, v in col.items()} if k == j else col
+                for k, col in enumerate(cols)]
+
+    # D cols D^-1 with D = 2 at label j: row j doubles, column j halves
+    conjugated = [{i: v * (HALF if k == j else ONE) * (2 if i == j else ONE)
+                   for i, v in col.items()} for k, col in enumerate(cols)]
+    return (("x2", at_j(2)), ("negated", at_j(-ONE)), ("xi", at_j(I)),
+            ("conjugated", conjugated))
+
+
+def show_mutants():
+    for text, sub, ok_dim in MUTANT_BUILDS:
+        hc = build_structure(make_pair_spec(text, sub, ok_dim))
+        for j, lab in enumerate(hc.pbasis.labels):
+            for opname in ("I", "J"):
+                cols = hc.i_cols if opname == "I" else hc.j_cols
+                for name, mutant in column_mutants(cols, j):
+                    i_cols, j_cols = ((mutant, hc.j_cols) if opname == "I"
+                                      else (hc.i_cols, mutant))
+                    broken = HCStructure(hc.pbasis, i_cols, j_cols,
+                                         hc.tau_cols)
+                    show("%s %s %d mutant %s %s at %d %s %s |"
+                         % ((text, list(sub), ok_dim, opname, name, j) + lab),
+                         verify_integrability(broken))
+
+
 def main():
     builds = list(SELFTEST_BUILDS) + list(TORUS_BUILDS)
     specs = [("%s %s %d" % (text, list(sub), ok_dim),
@@ -230,6 +267,7 @@ def main():
     show_subsystem_types()
     show_large_cases()
     show_phase_errors()
+    show_mutants()
 
 
 if __name__ == "__main__":

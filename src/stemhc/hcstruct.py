@@ -20,6 +20,7 @@ the rotations against scipy's expm.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -647,59 +648,52 @@ def compact_basis(pb: PBasis):
     return out
 
 
-def _independent(rows, v) -> bool:
-    """Whether the sparse vector v is independent of the echelon rows, a
-    list of (pivot, row) with each row 1 at its pivot and 0 at the pivots
-    of the rows before it; if so, v joins them, reduced."""
-    v = dict(v)
-    for p, row in rows:
-        c = v.get(p)
-        if c:
-            for i, r in row.items():
-                w = v.get(i, ZERO) - c * r
-                if w:
-                    v[i] = w
-                else:
-                    del v[i]
-    if not v:
-        return False
-    p = min(v)
-    inv = v[p].inv()
-    rows.append((p, {i: c * inv for i, c in v.items()}))
-    return True
+def _independent_eigenvectors(cols, vecs, lam) -> bool:
+    """Whether each sparse vector v satisfies cols v = lam v and has its own
+    pivot, a coordinate where v is nonzero and every other vector of the
+    list is zero, which makes the list independent."""
+    count = Counter(i for v in vecs for i, c in v.items() if c)
+    return all(_apply_cols(cols, v) == {i: lam * c for i, c in v.items()}
+               and any(c and count[i] == 1 for i, c in v.items())
+               for v in vecs)
 
 
-def _is_basis(vectors, n) -> bool:
-    """Whether these sparse vectors are a basis of an n-dimensional space."""
-    rows = []
-    return len(vectors) == n and all(_independent(rows, v) for v in vectors)
-
-
-def _j_half(coords, j_coords):
-    """In basis order, the indices k whose vector is independent of the
-    vectors and J images picked before it: a J-half of the basis when those
-    J images come out independent too, which the caller checks."""
-    rows, half = [], []
-    for k, (x, jx) in enumerate(zip(coords, j_coords)):
-        if _independent(rows, x):
-            half.append(k)
-            _independent(rows, jx)
-    return half
+def _torsion_violations(pb: PBasis, cols):
+    """The pairs of the compact basis on which the real torsion of the
+    structure with these columns does not vanish, each named."""
+    basis = compact_basis(pb)
+    images = [pb.assemble(_apply_cols(cols, pb.coords_strict(x)))
+              for _, x in basis]
+    br = pb.cb.bracket
+    bad = []
+    for a, b in combinations(range(len(basis)), 2):
+        (na, xa), (nb, xb) = basis[a], basis[b]
+        ja, jb = images[a], images[b]
+        # by linearity of the projection P and of J, the torsion is
+        # N(x, y) = P([Jx, Jy] - [x, y]) - J P([Jx, y] + [x, Jy])
+        lhs = pb.project_coords(br(ja, jb) - br(xa, xb))
+        cross = pb.project_coords(br(ja, xb) + br(xa, jb))
+        if lhs != _apply_cols(cols, cross):
+            bad.append("torsion of %s, %s is not zero" % (na, nb))
+    return bad
 
 
 def verify_integrability(hc: HCStructure) -> CheckReport:
     """Eigenspace bracket closure plus the direct real torsion expression.
 
     An identity on all pairs of basis vectors takes one of three proof
-    paths: generators (`verify_rotation`, `verify_equivariance`), a J-half
-    (the torsion here: the pairs inside a half of the compact basis that J
-    completes to a basis prove all n(n-1)/2 pairs), or all pairs, the loop
+    paths: generators (`verify_rotation`, `verify_equivariance`),
+    eigenspaces (the torsion here: it vanishes once both eigenspace closure
+    items hold on eigenvectors that form a basis), or all pairs, the loop
     the other two fall back to when their precondition or a case fails, so
     that a failure lists every violation."""
     pb = hc.pbasis
     n = len(pb.labels)
     rep = CheckReport()
-    for opname, cols in (("first", hc.i_cols), ("second", hc.j_cols)):
+    structures = (("first", hc.i_cols), ("second", hc.j_cols))
+    split = []
+    for opname, cols in structures:
+        closed = True
         for sign, signname in ((1, "+i"), (-1, "-i")):
             lam = I if sign > 0 else -I
             vecs = _eigenvectors(cols, sign)
@@ -720,45 +714,27 @@ def verify_integrability(hc: HCStructure) -> CheckReport:
             rep.record("%s structure: %s eigenspace closes under the "
                        "projected bracket" % (opname, signname),
                        checked + 1, bad)
-    basis = compact_basis(pb)
-    names = [name for name, _ in basis]
-    coords = [pb.coords_strict(x) for _, x in basis]
-    minus_one = [{j: -ONE} for j in range(n)]
-    br = pb.cb.bracket
-    for opname, cols in (("first", hc.i_cols), ("second", hc.j_cols)):
-        j_coords = [_apply_cols(cols, c) for c in coords]
-        images = [pb.assemble(c) for c in j_coords]
-
-        def vanishes(a, b):
-            # by linearity of the projection P and of J, the torsion is
-            # N(x, y) = P([Jx, Jy] - [x, y]) - J P([Jx, y] + [x, Jy])
-            xa, xb = basis[a][1], basis[b][1]
-            ja, jb = images[a], images[b]
-            lhs = pb.project_coords(br(ja, jb) - br(xa, xb))
-            cross = pb.project_coords(br(ja, xb) + br(xa, jb))
-            return lhs == _apply_cols(cols, cross)
-
-        # Proof on a J-half, J being either structure.  With J^2 = -1,
-        # expanding N(Jx, y) by the linearity of P and J gives
-        #   N(Jx, y) = -P([Jx, y] + [x, Jy]) - J P([Jx, Jy] - [x, y])
-        #            = -J N(x, y),
-        # and N(y, x) = -N(x, y) as the bracket is antisymmetric.  Take
-        # x_1..x_m with {x_i, J x_i} a basis of p.  Then N(x_i, x_i) = 0,
-        # N(J x_i, x_j) = -J N(x_i, x_j), N(x_i, J x_j) = J N(x_j, x_i) and
-        # N(J x_i, J x_j) = -J N(x_i, J x_j), so N vanishes on all of p, by
-        # bilinearity, iff it vanishes on the pairs i < j of the half.  No
-        # k-invariance is used.  The precondition is checked here and not
-        # taken from the picker: J^2 = -1 on the columns, and the x_i with
-        # the J x_i a basis of p.  If it fails, or a half pair fails, the
+            closed = (closed and not bad
+                      and _independent_eigenvectors(cols, vecs, lam))
+        split.append(closed)
+    for (opname, cols), proved in zip(structures, split):
+        # Proof from the two closure items, J being either structure: the
+        # algebraic Newlander-Nirenberg equivalence.  Extend the torsion
+        #   N(x, y) = P([Jx, Jy] - [x, y]) - J P([Jx, y] + [x, Jy])
+        # complex-bilinearly to p.  For Jv = iv and Jw = -iw both
+        # [Jv, Jw] - [v, w] and [Jv, w] + [v, Jw] are zero, so N(v, w) = 0.
+        # For v, w in the +i eigenspace V+,
+        #   N(v, w) = -2 P[v, w] - 2i J P[v, w] = -2(1 + iJ) P[v, w],
+        # which is zero iff J P[v, w] = i P[v, w]: what the +i item checks
+        # on the pairs a <= b of its list (N is antisymmetric).  On V- it
+        # is -2(1 - iJ) P[v, w] in the same way.  So N vanishes on p once
+        # both items hold and V+ + V- = p.  That is checked here and not
+        # taken from `_eigenvectors`: each list has n/2 vectors (part of
+        # its item), each an eigenvector with its own pivot, so each list
+        # is independent, and as i != -i the two make a basis of p.
+        # Neither J^2 = -1 nor k-invariance is used.  If a part fails, the
         # loop over all pairs names every broken pair.
-        half = _j_half(coords, j_coords)
-        proved = (_compose_cols(cols, cols) == minus_one
-                  and _is_basis([v for k in half
-                                 for v in (coords[k], j_coords[k])], n)
-                  and all(vanishes(a, b) for a, b in combinations(half, 2)))
-        bad = [] if proved else [
-            "torsion of %s, %s is not zero" % (names[a], names[b])
-            for a, b in combinations(range(n), 2) if not vanishes(a, b)]
+        bad = [] if proved else _torsion_violations(pb, cols)
         rep.record("%s structure: real torsion vanishes on the compact basis"
                    % opname, n * (n - 1) // 2, bad)
     return rep

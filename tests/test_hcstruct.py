@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -1474,7 +1473,7 @@ def test_equivariance_falls_back_when_j_breaks_at_a_non_simple_root():
 
 
 
-# ------------------------------------------------- torsion on a J-half
+# --------------------------------------- torsion from the eigenspace closures
 
 
 def torsion_items(hc):
@@ -1508,27 +1507,34 @@ def torsion_items(hc):
 
 
 def all_pairs_report(monkeypatch, hc):
-    """verify_integrability(hc) with no J-half picked, so that its torsion
-    items come from the loop over all pairs, as dicts; the torsion items
-    equal the four-projection oracle's."""
+    """verify_integrability(hc) with no eigenvector list trusted as a
+    basis, so that its torsion items come from the loop over all pairs, as
+    dicts; the torsion items equal the four-projection oracle's."""
     with monkeypatch.context() as m:
-        m.setattr(hcstruct, "_j_half", lambda coords, j_coords: [])
+        m.setattr(hcstruct, "_independent_eigenvectors",
+                  lambda cols, vecs, lam: False)
         items = [it.to_dict() for it in verify_integrability(hc).items]
     assert items[4:] == torsion_items(hc)
     return items
 
 
-def j_half_holds(hc, cols):
-    """Whether the picked half of the compact basis is a J-half for cols:
-    2m = n, and the x_i with the J x_i have full rank."""
-    pb = hc.pbasis
-    coords = [pb.coords_strict(x) for _, x in compact_basis(pb)]
-    j_coords = [_apply_cols(cols, c) for c in coords]
-    half = hcstruct._j_half(coords, j_coords)
-    n = len(coords)
-    vectors = [v for k in half for v in (coords[k], j_coords[k])]
-    return 2 * len(half) == n and Span(
-        [[v.get(i, ZERO) for i in range(n)] for v in vectors], n).dim == n
+def is_eigenvector(cols, v, lam):
+    return _apply_cols(cols, v) == {i: lam * c for i, c in v.items()}
+
+
+def eigenbasis_holds(hc, cols):
+    """Whether the +i and -i eigenvector lists of cols (each half of an
+    eigenbasis) are n/2 eigenvectors each and together have full rank."""
+    n = len(hc.pbasis.labels)
+    vectors = []
+    for sign, lam in ((1, I), (-1, -I)):
+        vecs = _eigenvectors(cols, sign)
+        if 2 * len(vecs) != n or not all(is_eigenvector(cols, v, lam)
+                                         for v in vecs):
+            return False
+        vectors += vecs
+    return Span([[v.get(i, ZERO) for i in range(n)] for v in vectors],
+                n).dim == n
 
 
 TORSION_PAIRS = (
@@ -1540,13 +1546,33 @@ TORSION_PAIRS = (
 
 @pytest.mark.parametrize("spec", TORSION_PAIRS)
 def test_j_half_report_equals_the_all_pairs_report(monkeypatch, spec):
-    """On every space to dim 24 and every TORUS_BUILDS pair, both structures
-    have a J-half, and the report proved on it is the all-pairs report."""
+    """On every space to dim 24 and every TORUS_BUILDS pair, the two
+    eigenvector lists of each structure make a basis, and the report that
+    proves the torsion from the closure items is the all-pairs report."""
     hc = build_structure(spec, phases=EIGHTH_ROOT)
-    assert j_half_holds(hc, hc.i_cols) and j_half_holds(hc, hc.j_cols)
+    assert eigenbasis_holds(hc, hc.i_cols) and eigenbasis_holds(hc, hc.j_cols)
     got = [it.to_dict() for it in verify_integrability(hc).items]
     assert got == all_pairs_report(monkeypatch, hc)
     assert all(it["ok"] for it in got)
+
+
+def test_integrability_makes_only_the_closure_brackets(monkeypatch):
+    """On a passing structure the torsion items follow from the closure
+    items: verify_integrability brackets the m(m+1)/2 pairs a <= b of each
+    of the four eigenvector lists, m = n/2, and no torsion pair."""
+    hc = build("A4", (2,), phases=EIGHTH_ROOT)
+    cb = hc.pbasis.cb
+    bracket = cb.bracket
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return bracket(x, y)
+
+    monkeypatch.setattr(cb, "bracket", counted)
+    assert verify_integrability(hc).ok
+    m = len(hc.pbasis.labels) // 2
+    assert len(calls) == 4 * m * (m + 1) // 2
 
 
 def with_j(hc, cols):
@@ -1562,8 +1588,9 @@ def squares_to_minus_one(hc):
     ("A2", ()), ("A4", (2,)), ("c^4 x A2", ())])
 def test_torsion_falls_back_on_a_conjugated_j(monkeypatch, shape, substem):
     """J conjugated by the scaling of the stem root vector's label by 2
-    still squares to -1, but its torsion fails, also at pairs outside the
-    J-half: the report lists them all, as the all-pairs loop does."""
+    still squares to -1 and still has an eigenbasis, but its eigenspaces
+    no longer close and its torsion fails: the report lists every broken
+    pair, as the all-pairs loop does."""
     hc = build(shape, substem)
     pb = hc.pbasis
     d = [ONE] * len(pb.labels)
@@ -1571,51 +1598,87 @@ def test_torsion_falls_back_on_a_conjugated_j(monkeypatch, shape, substem):
     broken = with_j(hc, [{i: v * d[i] / d[j] for i, v in col.items()}
                          for j, col in enumerate(hc.j_cols)])
     assert squares_to_minus_one(broken)
-    assert j_half_holds(broken, broken.j_cols)
+    assert eigenbasis_holds(broken, broken.j_cols)
     got = [it.to_dict() for it in verify_integrability(broken).items]
     assert got == all_pairs_report(monkeypatch, broken)
-    coords = [pb.coords_strict(x) for _, x in compact_basis(pb)]
-    half = hcstruct._j_half(coords, [_apply_cols(broken.j_cols, c)
-                                     for c in coords])
-    names = [name for name, _ in compact_basis(pb)]
-    inside = {"torsion of %s, %s is not zero" % (names[a], names[b])
-              for a, b in combinations(half, 2)}
-    torsion = got[5]
-    assert not torsion["ok"]
-    assert set(torsion["violations"]) & inside
-    assert set(torsion["violations"]) - inside
+    assert not got[2]["ok"] and not got[3]["ok"]
+    assert not got[5]["ok"]
 
 
 def test_torsion_falls_back_when_j_does_not_square_to_minus_one(monkeypatch):
-    """J with the column of P scaled by 2 squares to -2 at P and Q.  Its
-    torsion vanishes on every pair of the half picked for it, yet fails on
-    35 pairs; the J^2 = -1 check sends it to the all-pairs loop."""
+    """J with the column of P scaled by 2 squares to -2 at P and Q, so it
+    has no eigenvector there: each eigenspace of the second structure has
+    dimension 7 of 16, its closure item says so, and that sends the
+    torsion to the all-pairs loop, which finds 35 failing pairs."""
     hc = build("A4", (2,))
     pb = hc.pbasis
     p = pb.index[("p", 0)]
     broken = with_j(hc, [{i: v * 2 for i, v in col.items()} if j == p
                          else col for j, col in enumerate(hc.j_cols)])
     assert not squares_to_minus_one(broken)
-    with monkeypatch.context() as m:
-        m.setattr(hcstruct, "_compose_cols",
-                  lambda a, b: [{j: -ONE} for j in range(len(b))])
-        assert verify_integrability(broken).items[5].ok
     got = [it.to_dict() for it in verify_integrability(broken).items]
+    for item in got[2:4]:
+        assert item["violations"][0] == "eigenspace dimension 7 of 16"
     assert got == all_pairs_report(monkeypatch, broken)
     assert got[5]["violation_count"] == 35
 
 
-@pytest.mark.parametrize("picker", ["repeated", "short"])
+def closing_non_eigenvectors(hc, sign):
+    """n/2 vectors, each with its own pivot, on which the (sign * i) closure
+    item of hc's second structure J passes, though not all of them are
+    eigenvectors: the eigenvectors outside the failing brackets and one
+    vector z with (J - lam) P[z, v] = 0 for each of them ([z, z] = 0), in
+    reduced echelon form."""
+    pb = hc.pbasis
+    n = len(pb.labels)
+    lam = I if sign > 0 else -I
+
+    def off(x, y):
+        w = pb.project_coords(pb.cb.bracket(pb.assemble(x), pb.assemble(y)))
+        jw = _apply_cols(hc.j_cols, w)
+        return [jw.get(i, ZERO) - lam * w.get(i, ZERO) for i in range(n)]
+
+    vecs = _eigenvectors(hc.j_cols, sign)
+    failing = [{a, b} for a in range(len(vecs)) for b in range(a, len(vecs))
+               if any(off(vecs[a], vecs[b]))]
+    (k,) = set.intersection(*failing)
+    rest = vecs[:k] + vecs[k + 1:]
+    images = [[off({t: ONE}, v) for t in range(n)] for v in rest]
+    system = [[img[t][i] for t in range(n)] for img in images
+              for i in range(n)]
+    dense = [[v.get(i, ZERO) for i in range(n)] for v in rest]
+    for z in linalg.kernel_basis(system, n):
+        rows = linalg.rref(dense + [z])[0]
+        if len(rows) == n // 2:
+            return [{i: c for i, c in enumerate(row) if c} for row in rows]
+    raise AssertionError("no vector closes with the others")
+
+
+@pytest.mark.parametrize("picker", ["repeated", "short", "not eigenvectors"])
 def test_torsion_rejects_a_picked_half_that_spans_too_little(monkeypatch,
                                                               picker):
-    """A picker that returns one vector m times, or one vector alone, on a
-    J whose torsion fails: every pair of either half vanishes, so without
-    the independence and the 2m = n checks the item would pass."""
+    """Eigenvector lists patched in for a J whose torsion fails, each of
+    them passing both closure items and every part of the precondition but
+    one: one eigenvector n/2 times (no own pivots), one eigenvector alone
+    (too few), or n/2 vectors with own pivots that are not all
+    eigenvectors.  Without that part the torsion item would pass."""
     hc = negated_two_cycle(build("A3", (2,)))
     n = len(hc.pbasis.labels)
-    half = {"repeated": [0] * (n // 2), "short": [0]}[picker]
+    real = hcstruct._eigenvectors
+    if picker == "not eigenvectors":
+        lists = {sign: closing_non_eigenvectors(hc, sign) for sign in (1, -1)}
+        assert not all(is_eigenvector(hc.j_cols, v, lam)
+                       for sign, lam in ((1, I), (-1, -I))
+                       for v in lists[sign])
+    else:
+        copies = {"repeated": n // 2, "short": 1}[picker]
+        lists = {sign: [real(hc.j_cols, sign)[0]] * copies
+                 for sign in (1, -1)}
     want = all_pairs_report(monkeypatch, hc)
-    monkeypatch.setattr(hcstruct, "_j_half", lambda coords, j_coords: half)
+    monkeypatch.setattr(hcstruct, "_eigenvectors", lambda cols, sign:
+                        lists[sign] if cols is hc.j_cols else real(cols, sign))
     got = [it.to_dict() for it in verify_integrability(hc).items]
-    assert got == want
+    short = ["eigenspace dimension 1 of %d" % n] if picker == "short" else []
+    assert [it["violations"] for it in got[2:4]] == [short, short]
+    assert got[4:] == want[4:]
     assert not want[5]["ok"] and want[5]["violation_count"] == 12
