@@ -42,12 +42,18 @@ texts "2/0" and "x".
 The failure paths, last: the integrability items of every single-column
 mutant of I and of J (the column times 2, negated, times i, and the
 conjugation by the scaling of its label by 2) at every label of each
-MUTANT_BUILDS pair, at phase 1.
+MUTANT_BUILDS pair, at phase 1.  Then every `verify_rotation` item, at
+every stem root, of every rotation mutant of each ROTATION_MUTANT_TYPES
+type at zeta8: one stem rotation, as the library builds it for every
+check, with its image of the first basis vector it fixes, or of the first
+one it moves, times 2, plus the next basis vector, or zero.
 """
 
 import hashlib
+from contextlib import contextmanager
 from fractions import Fraction
 
+from stemhc import hcstruct
 from stemhc.chevalley import make_basis
 from stemhc.classify import audit_type, enumerate_hc_spaces
 from stemhc.cli import SELFTEST_BUILDS
@@ -72,6 +78,8 @@ LARGE_ROTATION_TYPES = ("E7", "E8")
 MUTANT_BUILDS = (("A2", (), 0), ("A3", (2,), 0), ("A4", (2,), 0),
                  ("c^4 x A2", (), 0), ("c^1 x C3", (2, 3), 0))
 ALL_ROOT_TYPES = ("G2", "B3", "C3", "F4")
+# types whose stem rotations are mutated one image at a time
+ROTATION_MUTANT_TYPES = ("A4", "D4", "c^1 x B3")
 # unit phases with odd primes in their denominators, the second with sqrt2
 ODD_PHASES = (("(3+4i)/5", TowerScalar(Fraction(3, 5), Fraction(4, 5))),
               ("zeta8^3 (-5+12i)/13",
@@ -235,6 +243,56 @@ def show_mutants():
                          verify_integrability(broken))
 
 
+def rotation_mutants(cb, rot):
+    """(where, name, k, image) of the mutants of rot: its image of the first
+    basis vector it fixes, and of the first one it moves, times 2, plus the
+    next basis vector, or zero."""
+    n = len(rot.images)
+    moves = [rot.images[k] != cb.basis[k] for k in range(n)]
+    for where, k in (("fixed", moves.index(False)),
+                     ("moved", moves.index(True))):
+        image = rot.images[k]
+        for name, mutant in (("x2", image.scale(2)),
+                             ("plus next", image + cb.basis[(k + 1) % n]),
+                             ("zeroed", cb.zero())):
+            yield where, name, k, mutant
+
+
+@contextmanager
+def bent_rotation(gamma, k, image):
+    """Every rotation at gamma that the library builds meanwhile, with its
+    image of basis vector k replaced by image."""
+    real = hcstruct.root_rotation
+
+    def bent(cb, g, rho=ONE):
+        rot = real(cb, g, rho)
+        if g == gamma:
+            rot.images[k] = image
+        return rot
+
+    hcstruct.root_rotation = bent
+    try:
+        yield
+    finally:
+        hcstruct.root_rotation = real
+
+
+def show_rotation_mutants():
+    for text in ROTATION_MUTANT_TYPES:
+        cb = make_basis(parse_shape(text))
+        st = stem_of(parse_shape(text))
+        for bent in st.elements:
+            rot = root_rotation(cb, bent, EIGHTH_ROOT)
+            for where, name, k, image in rotation_mutants(cb, rot):
+                with bent_rotation(bent, k, image):
+                    for g in st.elements:
+                        show("%s rotation %s mutant %s at %s %s %s, "
+                             "verified at %s @zeta8 |"
+                             % ((text, bent, name, where) + cb.basis_keys[k]
+                                + (g,)),
+                             verify_rotation(cb, st, g, rho=EIGHTH_ROOT))
+
+
 def main():
     builds = list(SELFTEST_BUILDS) + list(TORUS_BUILDS)
     specs = [("%s %s %d" % (text, list(sub), ok_dim),
@@ -268,6 +326,7 @@ def main():
     show_large_cases()
     show_phase_errors()
     show_mutants()
+    show_rotation_mutants()
 
 
 if __name__ == "__main__":

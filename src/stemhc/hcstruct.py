@@ -887,7 +887,9 @@ def _in_span(x: AlgebraElement, targets) -> bool:
 class RootRotation:
     """An automorphism of the full algebra, such as exp((pi/2) ad X_gamma),
     held by the images of the canonical basis vectors, in `cb.basis_keys`
-    order; `cols` is a dense column-major view."""
+    order; `cols` is a dense column-major view.  A rotation fixes many
+    basis vectors, and a fixed vector's image is the shared basis vector
+    itself, so the rotation is the identity plus its moved columns."""
 
     def __init__(self, cb, images):
         self.cb = cb
@@ -897,15 +899,41 @@ class RootRotation:
     def cols(self):
         return [g_coords(self.cb, v) for v in self.images]
 
+    def fixes(self, k) -> bool:
+        """Whether basis vector k is fixed: its image is the shared basis
+        vector, tested by object.  An image that only equals it, as in a
+        corrupted images list, counts as moved, which costs work but never
+        a wrong answer."""
+        return self.images[k] is self.cb.basis[k]
+
     def apply_coords(self, terms) -> AlgebraElement:
         """The image of the sum of c * (basis vector k) over the (k, c)
-        pairs of the list terms."""
+        pairs of the list terms, nonzero coefficients on distinct vectors.
+        A fixed term keeps its coefficient; only the moved terms are
+        multiplied through their images."""
+        cb, images = self.cb, self.images
+        h, e, moved = {}, {}, []
+        for k, c in terms:
+            if self.fixes(k):
+                kind, key = cb.basis_keys[k]
+                (e if kind == "e" else h)[key] = c
+            else:
+                moved.append((k, c))
+        if not moved:
+            return AlgebraElement(cb, h, e)
         if len(terms) == 1:
             # a multiple of one basis vector, such as the bracket N_ab
             # E_(a+b) of two root vectors: its stored image, scaled
-            ((k, c),) = terms
-            return self.images[k].scale(c)
-        return self.cb.combine((c, self.images[k]) for k, c in terms)
+            ((k, c),) = moved
+            return images[k] if c == ONE else images[k].scale(c)
+        for k, c in moved:
+            img = images[k]
+            for r, v in img.e.items():
+                e[r] = e.get(r, ZERO) + c * v
+            for j, v in img.cartan.items():
+                h[j] = h.get(j, ZERO) + c * v
+        return AlgebraElement(cb, {j: v for j, v in h.items() if v},
+                              {r: v for r, v in e.items() if v})
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         index = self.cb.key_index
@@ -916,7 +944,10 @@ class RootRotation:
     def compose(self, other: "RootRotation") -> "RootRotation":
         if other.cb is not self.cb:
             raise ValueError("rotations of different Chevalley bases")
-        return RootRotation(self.cb, [self.apply(v) for v in other.images])
+        # where other fixes e_k, the composition sends it to self e_k
+        return RootRotation(self.cb, [
+            self.images[k] if other.fixes(k) else self.apply(v)
+            for k, v in enumerate(other.images)])
 
     def __eq__(self, other):
         if not isinstance(other, RootRotation):
@@ -1089,15 +1120,18 @@ def verify_rotation(cb: ChevalleyBasis, stem, gamma: Root,
         for a in range(n) if not commutes_with_tau(a)]
     rep.record("rotation commutes with the compact conjugation", n, bad)
 
-    # a basis vector that neither rotation moves is fixed by both
-    # compositions, so they agree everywhere iff they agree on the vectors
-    # either rotation moves
+    # With rot = 1 + R and other = 1 + O, rot other - other rot = RO - OR
+    # exactly.  It vanishes on a basis vector that neither rotation moves,
+    # so the rotations commute iff R O e_k = O R e_k on the moved columns of
+    # either.  There rot(other e_k) and other(rot e_k) share the part
+    # e_k + O e_k + R e_k, so comparing them compares R O e_k with O R e_k,
+    # and `apply` multiplies only through the moved terms.
     bad = []
     others = [d for d in stem.elements if d != gamma]
-    moved = {k for k in range(n) if images[k] != basis[k]}
     for d in others:
         other = root_rotation(cb, d, rho)
-        either = moved | {k for k in range(n) if other.images[k] != basis[k]}
+        either = [k for k in range(n)
+                  if not (rot.fixes(k) and other.fixes(k))]
         if any(rot.apply(other.images[k]) != other.apply(images[k])
                for k in either):
             bad.append("rotations at %s and %s do not commute" % (gamma, d))

@@ -201,16 +201,6 @@ def check_pair(spec: PairSpec) -> PairReport:
                       tuple(reasons), not reasons)
 
 
-def _complement_counts(report: PairReport, sub: Substem):
-    """(num_p, dim_h_p, dim_o_p) of the pair this report was made for: the
-    free stem roots, the Cartan directions lost to p and the central
-    directions inside p."""
-    num_p = len(sub.stem.elements) - len(sub.members)
-    dim_center = report.rank_g - len(sub.stem.elements)
-    dim_o_k = report.rank_k - len(sub.members)
-    return num_p, report.rank_g - report.rank_k, dim_center - dim_o_k
-
-
 @dataclass(frozen=True)
 class ComplementData:
     spec: PairSpec
@@ -250,7 +240,12 @@ def complement_data(spec: PairSpec) -> ComplementData:
         blocks |= set(stem.phi[g])
     if set(dp_plus) != blocks:
         raise AssertionError("complement roots mismatch wing blocks")
-    num_p, dim_h_p, dim_o_p = _complement_counts(report, sub)
+    # the free stem roots, the Cartan directions lost to p and the central
+    # directions inside p (those of g less those of k)
+    num_p = len(stem.elements) - len(sub.members)
+    dim_h_p = report.rank_g - report.rank_k
+    dim_o_p = (report.rank_g - len(stem.elements)) \
+        - (report.rank_k - len(sub.members))
     dim_j_p = dim_o_p - num_p
     # dim_j_p is the deficiency and dim_p = dim_j_p (mod 4), so an accepted
     # spec passes both of these
@@ -272,17 +267,6 @@ def complement_data(spec: PairSpec) -> ComplementData:
         raise AssertionError("the forms of the deficiency disagree")
     return ComplementData(spec, gamma_p, tuple(dp_plus), dim_h_p, dim_o_p,
                           num_p, num_p, dim_j_p, dim_p, report)
-
-
-def edm1_equalities(spec: PairSpec):
-    """The deficiency and its two complement-side forms; all three agree for
-    any spec (it is an arithmetic identity)."""
-    report = check_pair(spec)
-    num_p, dim_h_p, dim_o_p = _complement_counts(report, spec.substem())
-    triple = (report.deficiency, dim_h_p - 2 * num_p, dim_o_p - num_p)
-    return {"deficiency": triple[0], "via_h_p": triple[1],
-            "via_o_p": triple[2],
-            "equal": triple[0] == triple[1] == triple[2]}
 
 
 def gmg2_check(spec) -> CheckReport:

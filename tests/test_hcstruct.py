@@ -2,6 +2,7 @@
 
 import copy
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 
 import stemhc
 from stemhc import hcstruct, linalg
-from stemhc.chevalley import ChevalleyBasis, make_basis
+from stemhc.chevalley import AlgebraElement, ChevalleyBasis, make_basis
 from stemhc.classify import enumerate_hc_spaces
 from stemhc.cli import SELFTEST_BUILDS
 from stemhc.hcstruct import (
@@ -1332,17 +1333,25 @@ def all_pairs_items(cb, st, gamma, rho):
            for a in range(n)
            if rot.apply(cb.tau(basis[a])) != cb.tau(images[a])]
     items.append(("rotation commutes with the compact conjugation", n, bad))
+    return [{"name": name, "checked": checked, "ok": not bad,
+             "violations": bad, "violation_count": len(bad)}
+            for name, checked, bad in items] \
+        + [whole_compositions_item(cb, st, gamma, rho)]
+
+
+def whole_compositions_item(cb, st, gamma, rho):
+    """The commutation item of verify_rotation at gamma, from the rotations
+    `hcstruct.root_rotation` builds now, checked on whole compositions."""
+    rot = hcstruct.root_rotation(cb, gamma, rho)
     others = [d for d in st.elements if d != gamma]
     bad = []
     for d in others:
         other = hcstruct.root_rotation(cb, d, rho)
         if rot.compose(other) != other.compose(rot):
             bad.append("rotations at %s and %s do not commute" % (gamma, d))
-    items.append(("stem rotations commute pairwise", max(len(others), 1),
-                  bad))
-    return [{"name": name, "checked": checked, "ok": not bad,
-             "violations": bad, "violation_count": len(bad)}
-            for name, checked, bad in items]
+    return {"name": "stem rotations commute pairwise",
+            "checked": max(len(others), 1), "ok": not bad, "violations": bad,
+            "violation_count": len(bad)}
 
 
 def scaled_image(key, factor):
@@ -1422,6 +1431,169 @@ def test_rotation_proofs_fall_back_to_every_pair(monkeypatch, text, t, bent,
         k = cb.key_index[("e", last)]
         assert rotation(cb, gamma).images[k] == cb.E(last)
         assert rotation(cb, st.elements[bent]).images[k] == cb.E(last)
+
+
+# ------------------------------- rotations as the identity plus moved columns
+
+
+SPARSE_ROTATION_TYPES = ("B4", "C4", "D4", "F4", "G2", "A7", "D6", "E6",
+                         "c^1 x B3")
+COEFFICIENTS = (ONE, -ONE, I, TowerScalar(3), PYTH, SQRT2 * HALF)
+
+
+def fixed_and_moved(cb, rot):
+    """The basis indices whose image is the shared basis vector itself, and
+    the others."""
+    fixed = [k for k, v in enumerate(rot.images) if v is cb.basis[k]]
+    return fixed, [k for k in range(len(rot.images)) if k not in fixed]
+
+
+def element_of(cb, coords):
+    """The element with these dense coordinates, in `basis_keys` order."""
+    parts = {"e": {}, "h": {}}
+    for (kind, key), c in zip(cb.basis_keys, coords):
+        if c:
+            parts[kind][key] = c
+    return AlgebraElement(cb, parts["h"], parts["e"])
+
+
+def dense_times(cols, coords):
+    """The square matrix with the dense columns cols times the vector
+    coords: the sum of coords[i] times column i."""
+    out = [ZERO] * len(cols)
+    for i, c in enumerate(coords):
+        if c:
+            for r, a in enumerate(cols[i]):
+                if a:
+                    out[r] = out[r] + c * a
+    return out
+
+
+def sparse_coords(rng, n, fixed, moved):
+    """Dense coordinate vectors of sparse elements: the first fixed and the
+    first moved vector alone, with the coefficient one and with 3, and
+    random elements of 2-5 terms drawn from the fixed vectors, the moved
+    ones, and both."""
+    terms = [[(k, c)] for k in (fixed[0], moved[0]) for c in (ONE, 3)]
+    for pool in (fixed, moved, fixed + moved):
+        for _ in range(3):
+            ks = rng.sample(pool, min(len(pool), rng.randint(2, 5)))
+            terms.append([(k, rng.choice(COEFFICIENTS)) for k in ks])
+    out = []
+    for ts in terms:
+        coords = [ZERO] * n
+        for k, c in ts:
+            coords[k] = TowerScalar.of(c)
+        out.append(coords)
+    return out
+
+
+def rotation_variants(cb, rot):
+    """rot, and rot with the image of its first fixed vector replaced by an
+    equal but distinct copy of that vector, and by twice it."""
+    k = fixed_and_moved(cb, rot)[0][0]
+    twin = cb.basis_element(cb.basis_keys[k])
+    assert twin == cb.basis[k] and twin is not cb.basis[k]
+    out = [rot]
+    for image in (twin, cb.basis[k].scale(2)):
+        images = list(rot.images)
+        images[k] = image
+        out.append(hcstruct.RootRotation(cb, images))
+    return out
+
+
+@pytest.mark.parametrize("text", SPARSE_ROTATION_TYPES)
+def test_sparse_rotation_equals_its_dense_matrix(text):
+    """On every stem rotation at zeta8 and at a Pythagorean phase, and on
+    its variants with a fixed vector's image replaced by an equal copy or a
+    scaled copy, `apply` is the product of the dense matrix of `cols` with
+    sparse elements, and `compose` the matrix product, either way round
+    with the next stem rotation and with itself."""
+    cb = make_basis(parse_shape(text))
+    st = stem_of(parse_shape(text))
+    n = len(cb.basis_keys)
+    rng = random.Random(text)
+    for rho in (EIGHTH_ROOT, PYTH):
+        rots = [root_rotation(cb, g, rho) for g in st.elements]
+        for t, rot in enumerate(rots):
+            fixed, moved = fixed_and_moved(cb, rot)
+            assert fixed and moved
+            following = rots[(t + 1) % len(rots)]
+            for variant in rotation_variants(cb, rot):
+                cols = variant.cols
+                for coords in sparse_coords(rng, n, fixed, moved):
+                    assert variant.apply(element_of(cb, coords)) == \
+                        element_of(cb, dense_times(cols, coords)), (text, t)
+                for a, b in ((variant, following), (following, variant),
+                             (variant, variant)):
+                    got = a.compose(b)
+                    a_cols = a.cols
+                    assert [element_of(cb, c) for c in got.cols] == [
+                        element_of(cb, dense_times(a_cols, c))
+                        for c in b.cols], (text, t)
+
+
+def test_apply_multiplies_only_through_the_moved_terms(monkeypatch):
+    """An element on vectors the rotation fixes maps to itself with no
+    scalar multiplication, one term or many; one moved term among them
+    costs one multiplication per entry of its image, or none with the
+    coefficient one."""
+    cb = make_basis(parse_shape("D4"))
+    rot = root_rotation(cb, stem_of(parse_shape("D4")).elements[0], PYTH)
+    n = len(cb.basis_keys)
+    fixed, moved = fixed_and_moved(cb, rot)
+    on_fixed = [ZERO] * n
+    for k, c in zip(fixed, (TowerScalar(3), PYTH, I, ONE)):
+        on_fixed[k] = c
+    x = element_of(cb, on_fixed)
+    one_term = cb.basis[fixed[0]].scale(3)
+    m = moved[0]
+    mixed = x + cb.basis[m].scale(3)
+    calls = []
+    mul = TowerScalar.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(TowerScalar, "__mul__", counted)
+    assert rot.apply(x) == x and rot.apply(one_term) == one_term
+    assert not calls
+    assert rot.apply(cb.basis[m]) is rot.images[m]
+    assert not calls
+    got = rot.apply(mixed)
+    assert len(calls) == len(rot.images[m].e) + len(rot.images[m].cartan)
+    monkeypatch.undo()
+    assert got == x + rot.images[m].scale(3)
+
+
+@pytest.mark.parametrize("text", ["A4", "D4", "E6"])
+def test_commutation_item_equals_the_whole_compositions(monkeypatch, text):
+    """On every stem root the commutation item, which compares R O e_k with
+    O R e_k over the moved columns of either rotation, equals the check of
+    the whole compositions.  So it does with the next stem rotation's image
+    of a root vector that rotation t fixes and that one moves gaining
+    E_gamma_t: the item fails and names that pair alone."""
+    cb = make_basis(parse_shape(text))
+    st = stem_of(parse_shape(text))
+    for t, gamma in enumerate(st.elements):
+        got = verify_rotation(cb, st, gamma, rho=EIGHTH_ROOT).items[2]
+        assert got.ok
+        assert got.to_dict() == whole_compositions_item(cb, st, gamma,
+                                                        EIGHTH_ROOT)
+        d = st.elements[(t + 1) % len(st.elements)]
+        rot = root_rotation(cb, gamma, EIGHTH_ROOT)
+        other = root_rotation(cb, d, EIGHTH_ROOT)
+        root = next(key[1] for k, key in enumerate(cb.basis_keys)
+                    if key[0] == "e" and rot.images[k] is cb.basis[k]
+                    and other.images[k] is not cb.basis[k])
+        with monkeypatch.context() as m:
+            corrupted_rotation(m, d, added_image(root, gamma))
+            got = verify_rotation(cb, st, gamma, rho=EIGHTH_ROOT).items[2]
+            assert got.to_dict() == whole_compositions_item(cb, st, gamma,
+                                                            EIGHTH_ROOT)
+        assert got.violations == ["rotations at %s and %s do not commute"
+                                  % (gamma, d)], (text, gamma)
 
 
 def test_equivariance_falls_back_when_j_breaks_at_a_non_simple_root():

