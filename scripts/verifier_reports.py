@@ -267,7 +267,7 @@ def bent_rotation(gamma, k, image):
     def bent(cb, g, rho=ONE):
         rot = real(cb, g, rho)
         if g == gamma:
-            rot.images[k] = image
+            rot.moved[k] = image
         return rot
 
     hcstruct.root_rotation = bent

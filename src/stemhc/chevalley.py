@@ -77,9 +77,6 @@ class AlgebraElement:
         return (self.cb is other.cb and self.cartan == other.cartan
                 and self.e == other.e)
 
-    def coeff(self, root) -> TowerScalar:
-        return self.e.get(root, ZERO)
-
     def __str__(self):
         parts = []
         for r in sorted(self.e, key=Root.key):

@@ -886,48 +886,48 @@ def _in_span(x: AlgebraElement, targets) -> bool:
 
 class RootRotation:
     """An automorphism of the full algebra, such as exp((pi/2) ad X_gamma),
-    held by the images of the canonical basis vectors, in `cb.basis_keys`
-    order; `cols` is a dense column-major view.  A rotation fixes many
-    basis vectors, and a fixed vector's image is the shared basis vector
-    itself, so the rotation is the identity plus its moved columns."""
+    held by its moved images, `moved` = {basis index: image}, in
+    `cb.basis_keys` order: every other basis vector is fixed, so the
+    rotation is the identity plus its moved columns.  `images` and `cols`
+    are views of the whole map, the dense one column-major."""
 
-    def __init__(self, cb, images):
+    def __init__(self, cb, moved):
         self.cb = cb
-        self.images = images
+        self.moved = moved
+
+    def image(self, k) -> AlgebraElement:
+        return self.moved.get(k, self.cb.basis[k])
+
+    @property
+    def images(self):
+        return tuple(map(self.image, range(len(self.cb.basis))))
 
     @property
     def cols(self):
         return [g_coords(self.cb, v) for v in self.images]
-
-    def fixes(self, k) -> bool:
-        """Whether basis vector k is fixed: its image is the shared basis
-        vector, tested by object.  An image that only equals it, as in a
-        corrupted images list, counts as moved, which costs work but never
-        a wrong answer."""
-        return self.images[k] is self.cb.basis[k]
 
     def apply_coords(self, terms) -> AlgebraElement:
         """The image of the sum of c * (basis vector k) over the (k, c)
         pairs of the list terms, nonzero coefficients on distinct vectors.
         A fixed term keeps its coefficient; only the moved terms are
         multiplied through their images."""
-        cb, images = self.cb, self.images
-        h, e, moved = {}, {}, []
+        cb, moved = self.cb, self.moved
+        h, e, hit = {}, {}, []
         for k, c in terms:
-            if self.fixes(k):
+            if k in moved:
+                hit.append((k, c))
+            else:
                 kind, key = cb.basis_keys[k]
                 (e if kind == "e" else h)[key] = c
-            else:
-                moved.append((k, c))
-        if not moved:
+        if not hit:
             return AlgebraElement(cb, h, e)
         if len(terms) == 1:
             # a multiple of one basis vector, such as the bracket N_ab
             # E_(a+b) of two root vectors: its stored image, scaled
-            ((k, c),) = moved
-            return images[k] if c == ONE else images[k].scale(c)
-        for k, c in moved:
-            img = images[k]
+            ((k, c),) = hit
+            return moved[k] if c == ONE else moved[k].scale(c)
+        for k, c in hit:
+            img = moved[k]
             for r, v in img.e.items():
                 e[r] = e.get(r, ZERO) + c * v
             for j, v in img.cartan.items():
@@ -944,15 +944,16 @@ class RootRotation:
     def compose(self, other: "RootRotation") -> "RootRotation":
         if other.cb is not self.cb:
             raise ValueError("rotations of different Chevalley bases")
-        # where other fixes e_k, the composition sends it to self e_k
-        return RootRotation(self.cb, [
-            self.images[k] if other.fixes(k) else self.apply(v)
-            for k, v in enumerate(other.images)])
+        moved = dict(self.moved)
+        moved.update((k, self.apply(v)) for k, v in other.moved.items())
+        return RootRotation(self.cb, moved)
 
     def __eq__(self, other):
         if not isinstance(other, RootRotation):
             return NotImplemented
-        return self.cb is other.cb and self.images == other.images
+        return self.cb is other.cb and all(
+            self.image(k) == other.image(k)
+            for k in self.moved.keys() | other.moved.keys())
 
 
 def _phase_one_rotation(cb: ChevalleyBasis, gamma: Root):
@@ -1007,8 +1008,8 @@ def root_rotation(cb: ChevalleyBasis, gamma: Root, rho=ONE) -> RootRotation:
     X(gamma, rho), as rho^-1 = conj(rho) on the unit circle.  So rot_rho =
     Ad rot_1 Ad^-1, and an entry of grade j (beta - alpha = j gamma) scales by
     e^(s <j gamma, gamma^vee>) = e^(2sj) = rho^j: the square root cancels,
-    and everything stays in Q(i, sqrt2).  The images list is new on every
-    call; a vector the rotation fixes maps to the shared basis vector."""
+    and everything stays in Q(i, sqrt2).  The moved dict is new on every
+    call."""
     if gamma not in cb.rs.root_set:
         raise ValueError("not a root: %s" % (gamma,))
     rho = _phase_map([gamma], rho)[gamma]
@@ -1019,12 +1020,11 @@ def root_rotation(cb: ChevalleyBasis, gamma: Root, rho=ONE) -> RootRotation:
     squared = rho * rho
     powers = [ONE, rho, squared, squared * rho]
     powers += [p.conj() for p in reversed(powers[1:])]
-    images = list(cb.basis)
-    for k, (cartan, e) in moved.items():
-        images[k] = AlgebraElement(
+    return RootRotation(cb, {
+        k: AlgebraElement(
             cb, {slot: c * powers[j] if j else c for slot, c, j in cartan},
             {r: c * powers[j] if j else c for r, c, j in e})
-    return RootRotation(cb, images)
+        for k, (cartan, e) in moved.items()})
 
 
 def _phase_map(gammas, phases):
@@ -1052,7 +1052,7 @@ def _phase_map(gammas, phases):
 def rotation_product(cb: ChevalleyBasis, gammas, phases=None) -> RootRotation:
     """Composition of the stem rotations (they commute, so order is moot)."""
     phases = _phase_map(gammas, phases)
-    prod = RootRotation(cb, list(cb.basis))
+    prod = RootRotation(cb, {})
     for g in gammas:
         prod = root_rotation(cb, g, phases[g]).compose(prod)
     return prod
@@ -1085,12 +1085,15 @@ def verify_rotation(cb: ChevalleyBasis, stem, gamma: Root,
     keys = cb.basis_keys
     n = len(keys)
     basis = cb.basis
-    images = rot.images
     gens = [cb.key_index[k] for k in algebra_generators(cb)]
 
     def respected(a, b):
-        lhs = rot.apply(cb.bracket(basis[a], basis[b]))
-        return lhs == cb.bracket(images[a], images[b])
+        bracket = cb.bracket(basis[a], basis[b])
+        if a in rot.moved or b in rot.moved:
+            return rot.apply(bracket) == cb.bracket(rot.image(a),
+                                                    rot.image(b))
+        # rot fixes a and b, so [rot a, rot b] is the bracket itself
+        return rot.apply(bracket) == bracket
 
     # Proof by generation.  S = {x : rot[x, y] = [rot x, rot y] for every y}
     # is a subspace, and a subalgebra: for x, x' in S, Jacobi in g and then
@@ -1108,7 +1111,7 @@ def verify_rotation(cb: ChevalleyBasis, stem, gamma: Root,
     rep.record("rotation respects every bracket", n * (n - 1) // 2, bad)
 
     def commutes_with_tau(a):
-        return rot.apply(cb.tau(basis[a])) == cb.tau(images[a])
+        return rot.apply(cb.tau(basis[a])) == cb.tau(rot.image(a))
 
     # tau is an antilinear automorphism (`test_tau_properties` checks it),
     # so once rot is an automorphism, rot tau and tau rot are antilinear
@@ -1120,20 +1123,11 @@ def verify_rotation(cb: ChevalleyBasis, stem, gamma: Root,
         for a in range(n) if not commutes_with_tau(a)]
     rep.record("rotation commutes with the compact conjugation", n, bad)
 
-    # With rot = 1 + R and other = 1 + O, rot other - other rot = RO - OR
-    # exactly.  It vanishes on a basis vector that neither rotation moves,
-    # so the rotations commute iff R O e_k = O R e_k on the moved columns of
-    # either.  There rot(other e_k) and other(rot e_k) share the part
-    # e_k + O e_k + R e_k, so comparing them compares R O e_k with O R e_k,
-    # and `apply` multiplies only through the moved terms.
     bad = []
     others = [d for d in stem.elements if d != gamma]
     for d in others:
         other = root_rotation(cb, d, rho)
-        either = [k for k in range(n)
-                  if not (rot.fixes(k) and other.fixes(k))]
-        if any(rot.apply(other.images[k]) != other.apply(images[k])
-               for k in either):
+        if rot.compose(other) != other.compose(rot):
             bad.append("rotations at %s and %s do not commute" % (gamma, d))
     rep.record("stem rotations commute pairwise", max(len(others), 1), bad)
 

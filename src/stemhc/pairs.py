@@ -43,9 +43,6 @@ class Substem:
     def __len__(self):
         return len(self.members)
 
-    def __contains__(self, g):
-        return g in self.members
-
     def __eq__(self, other):
         return (isinstance(other, Substem) and other.stem is self.stem
                 and other.members == self.members)

@@ -687,7 +687,7 @@ def test_folded_rotation_equals_the_degree_six_polynomial(text):
                 for _ in poly[1:]:
                     chain.append(cb.bracket(x, chain[-1]))
                 want.append(cb.combine(zip(poly, chain)))
-            assert root_rotation(cb, g, rho).images == want, (g, rho)
+            assert root_rotation(cb, g, rho).images == tuple(want), (g, rho)
     # the eigenvalues of (ad X)^2 are -k^2/4 for |k| <= 3: the chains stop
     # at a handful of (m, lam), the same for every root and phase
     assert hcstruct._folded_poly.cache_info().currsize <= 4
@@ -700,7 +700,7 @@ def test_folded_rotation_equals_the_degree_six_polynomial(text):
 
 def test_rotation_is_built_once_per_basis_and_root(monkeypatch):
     """A fresh basis builds each rotation at its first call; a call at
-    another phase only rephases, with no bracket, and the images list a call
+    another phase only rephases, with no bracket, and the moved dict a call
     returns is its own."""
     cb = ChevalleyBasis(build_cached(parse_shape("B3")))
     brackets = []
@@ -719,11 +719,11 @@ def test_rotation_is_built_once_per_basis_and_root(monkeypatch):
     assert not brackets
     assert root_rotation(cb, g, ONE) == root_rotation(cb, g)
     assert not brackets
-    want = list(twisted.images)
+    want = twisted.images
     k = cb.key_index[("e", g)]
-    first.images[k] = cb.zero()
-    twisted.images[k] = cb.zero()
-    twisted.images[cb.key_index[("h", 0)]] = cb.E(g)
+    first.moved[k] = cb.zero()
+    twisted.moved[k] = cb.zero()
+    twisted.moved[cb.key_index[("h", 0)]] = cb.E(g)
     assert root_rotation(cb, g, TWISTED).images == want
     assert root_rotation(cb, g, PYTH).images[k] != cb.zero()
 
@@ -936,7 +936,7 @@ def transport_leaks(monkeypatch, leak, n):
         prod = product(cb, gammas, phases)
         for key in keys:
             k = cb.key_index[("e", key)]
-            prod.images[k] = prod.images[k] + cb.E(extra)
+            prod.moved[k] = prod.image(k) + cb.E(extra)
         return prod
 
     monkeypatch.setattr(hcstruct, "rotation_product", leaky)
@@ -987,7 +987,7 @@ def test_rotation_checks_catch_an_image_outside_its_block(monkeypatch, moved):
         rot = rotation(cb, gamma, rho)
         if gamma == g:
             k = cb.key_index[key]
-            rot.images[k] = rot.images[k] + extra
+            rot.moved[k] = rot.image(k) + extra
         return rot
 
     monkeypatch.setattr(hcstruct, "root_rotation", pushed)
@@ -1298,14 +1298,14 @@ def test_generators_hold_only_the_central_cartan_slots():
 
 
 def corrupted_rotation(monkeypatch, gamma, corrupt):
-    """Make every rotation at gamma that verify_rotation builds pass its
-    images through corrupt(cb, images) first."""
+    """Make every rotation at gamma that verify_rotation builds pass
+    through corrupt(cb, rot) first, which writes into its moved images."""
     rotation = hcstruct.root_rotation
 
     def corrupted(cb, g, rho=ONE):
         rot = rotation(cb, g, rho)
         if g == gamma:
-            rot.images = corrupt(cb, list(rot.images))
+            corrupt(cb, rot)
         return rot
 
     monkeypatch.setattr(hcstruct, "root_rotation", corrupted)
@@ -1357,27 +1357,26 @@ def whole_compositions_item(cb, st, gamma, rho):
 def scaled_image(key, factor):
     """A corruption: the image of the basis vector with this key times
     factor."""
-    def corrupt(cb, images):
+    def corrupt(cb, rot):
         k = cb.key_index[key]
-        images[k] = images[k].scale(factor)
-        return images
+        rot.moved[k] = rot.image(k).scale(factor)
     return corrupt
 
 
 def added_image(root, extra):
     """A corruption: the image of E_root plus E_extra."""
-    def corrupt(cb, images):
+    def corrupt(cb, rot):
         k = cb.key_index[("e", root)]
-        images[k] = images[k] + cb.E(extra)
-        return images
+        rot.moved[k] = rot.image(k) + cb.E(extra)
     return corrupt
 
 
-def graded(cb, images):
+def graded(cb, rot):
     """A corruption that keeps an automorphism: the rotation after the
     grading E_a -> 2^height(a) E_a, which does not commute with tau."""
-    return [img.scale(Fraction(2) ** key[1].height) if key[0] == "e" else img
-            for key, img in zip(cb.basis_keys, images)]
+    for k, (kind, key) in enumerate(cb.basis_keys):
+        if kind == "e":
+            rot.moved[k] = rot.image(k).scale(Fraction(2) ** key.height)
 
 
 @pytest.mark.parametrize("text,t,bent,corruption,failing", [
@@ -1442,10 +1441,9 @@ COEFFICIENTS = (ONE, -ONE, I, TowerScalar(3), PYTH, SQRT2 * HALF)
 
 
 def fixed_and_moved(cb, rot):
-    """The basis indices whose image is the shared basis vector itself, and
-    the others."""
-    fixed = [k for k, v in enumerate(rot.images) if v is cb.basis[k]]
-    return fixed, [k for k in range(len(rot.images)) if k not in fixed]
+    """The basis indices the rotation fixes, and the ones it moves."""
+    fixed = [k for k in range(len(cb.basis)) if k not in rot.moved]
+    return fixed, sorted(rot.moved)
 
 
 def element_of(cb, coords):
@@ -1489,24 +1487,21 @@ def sparse_coords(rng, n, fixed, moved):
 
 
 def rotation_variants(cb, rot):
-    """rot, and rot with the image of its first fixed vector replaced by an
-    equal but distinct copy of that vector, and by twice it."""
+    """rot, and rot with its first fixed vector moved onto an equal but
+    distinct copy of that vector, so that the moved set is too large, and
+    onto twice it."""
     k = fixed_and_moved(cb, rot)[0][0]
     twin = cb.basis_element(cb.basis_keys[k])
     assert twin == cb.basis[k] and twin is not cb.basis[k]
-    out = [rot]
-    for image in (twin, cb.basis[k].scale(2)):
-        images = list(rot.images)
-        images[k] = image
-        out.append(hcstruct.RootRotation(cb, images))
-    return out
+    return [rot] + [hcstruct.RootRotation(cb, {**rot.moved, k: image})
+                    for image in (twin, cb.basis[k].scale(2))]
 
 
 @pytest.mark.parametrize("text", SPARSE_ROTATION_TYPES)
 def test_sparse_rotation_equals_its_dense_matrix(text):
     """On every stem rotation at zeta8 and at a Pythagorean phase, and on
-    its variants with a fixed vector's image replaced by an equal copy or a
-    scaled copy, `apply` is the product of the dense matrix of `cols` with
+    its variants with a fixed vector moved onto an equal copy or a scaled
+    copy, `apply` is the product of the dense matrix of `cols` with
     sparse elements, and `compose` the matrix product, either way round
     with the next stem rotation and with itself."""
     cb = make_basis(parse_shape(text))
@@ -1567,11 +1562,62 @@ def test_apply_multiplies_only_through_the_moved_terms(monkeypatch):
     assert got == x + rot.images[m].scale(3)
 
 
+def test_empty_moved_set_is_the_identity():
+    """A rotation that moves nothing maps every element to itself, and
+    composing with it either way round gives the other rotation."""
+    cb = make_basis(parse_shape("D4"))
+    rot = root_rotation(cb, stem_of(parse_shape("D4")).elements[0], PYTH)
+    identity = hcstruct.RootRotation(cb, {})
+    rng = random.Random("identity")
+    n = len(cb.basis_keys)
+    for _ in range(10):
+        coords = [ZERO] * n
+        for k in rng.sample(range(n), rng.randint(1, 5)):
+            coords[k] = TowerScalar.of(rng.choice(COEFFICIENTS))
+        x = element_of(cb, coords)
+        assert identity.apply(x) == x
+    assert identity.compose(rot) == rot and rot.compose(identity) == rot
+    assert identity.compose(identity).moved == {}
+
+
+def test_a_moved_entry_equal_to_its_basis_vector_is_fixed():
+    """A rotation whose only moved entry is its own basis vector is the
+    identity; one whose only entry is twice it is not."""
+    cb = make_basis(parse_shape("A2"))
+    identity = hcstruct.RootRotation(cb, {})
+    for k, key in enumerate(cb.basis_keys):
+        same = hcstruct.RootRotation(cb, {k: cb.basis_element(key)})
+        assert same == identity and identity == same
+        assert hcstruct.RootRotation(cb, {k: cb.basis[k].scale(2)}) \
+            != identity
+
+
+def test_images_view_is_read_only():
+    """A write into the whole-map view raises instead of passing silently:
+    the rotation is its moved dict."""
+    cb = make_basis(parse_shape("A2"))
+    rot = root_rotation(cb, stem_of(parse_shape("A2")).elements[0])
+    with pytest.raises(TypeError):
+        rot.images[0] = cb.zero()
+
+
+@pytest.mark.parametrize("text", ["D4", "c^1 x B3"])
+def test_composition_moves_the_union_of_the_moved_keys(text):
+    """The moved keys of a.compose(b) are those of a and of b together, for
+    every pair of stem rotations, each with itself included."""
+    cb = make_basis(parse_shape(text))
+    rots = [root_rotation(cb, g, EIGHTH_ROOT)
+            for g in stem_of(parse_shape(text)).elements]
+    for a in rots:
+        for b in rots:
+            assert set(a.compose(b).moved) == set(a.moved) | set(b.moved)
+
+
 @pytest.mark.parametrize("text", ["A4", "D4", "E6"])
 def test_commutation_item_equals_the_whole_compositions(monkeypatch, text):
-    """On every stem root the commutation item, which compares R O e_k with
-    O R e_k over the moved columns of either rotation, equals the check of
-    the whole compositions.  So it does with the next stem rotation's image
+    """On every stem root the commutation item, which compares the two
+    compositions over the moved columns of either rotation, equals the check
+    of the whole compositions.  So it does with the next stem rotation's image
     of a root vector that rotation t fixes and that one moves gaining
     E_gamma_t: the item fails and names that pair alone."""
     cb = make_basis(parse_shape(text))
@@ -1585,8 +1631,8 @@ def test_commutation_item_equals_the_whole_compositions(monkeypatch, text):
         rot = root_rotation(cb, gamma, EIGHTH_ROOT)
         other = root_rotation(cb, d, EIGHTH_ROOT)
         root = next(key[1] for k, key in enumerate(cb.basis_keys)
-                    if key[0] == "e" and rot.images[k] is cb.basis[k]
-                    and other.images[k] is not cb.basis[k])
+                    if key[0] == "e" and k not in rot.moved
+                    and k in other.moved)
         with monkeypatch.context() as m:
             corrupted_rotation(m, d, added_image(root, gamma))
             got = verify_rotation(cb, st, gamma, rho=EIGHTH_ROOT).items[2]
