@@ -14,8 +14,7 @@ rotation holds the image of each basis vector of the full algebra as an
 AlgebraElement.  A rotation is invertible, so it sends independent vectors to
 as many independent images, which span a target of that dimension iff each
 lies in it: every subspace check is a sparse membership test.  All checks are
-exact; the only floating point in the file is the optional cross-check of
-the rotations against scipy's expm.
+exact.
 """
 
 from __future__ import annotations
@@ -1279,25 +1278,3 @@ def verify_eigenspace_transport(hc: HCStructure) -> CheckReport:
         rep.record("rotated polarization equals the %s eigenspace of the "
                    "second structure" % signname, len(vecs), bad)
     return rep
-
-
-def rotation_float_error(cb: ChevalleyBasis, gamma: Root, rho=ONE) -> float:
-    """Entrywise gap between the dense view of the exact rotation and a
-    floating evaluation of the exponential it interpolates."""
-    import math
-
-    import numpy as np
-    from scipy.linalg import expm
-
-    rot = root_rotation(cb, gamma, rho)
-    n = len(cb.basis_keys)
-    x = cb.X(gamma, rho)
-    ad = np.zeros((n, n), dtype=complex)
-    for j, key in enumerate(cb.basis_keys):
-        col = g_coords(cb, cb.bracket(x, cb.basis_element(key)))
-        for i in range(n):
-            ad[i, j] = complex(col[i])
-    approx = expm((math.pi / 2) * ad)
-    exact = np.array([[complex(rot.cols[j][i]) for j in range(n)]
-                      for i in range(n)])
-    return float(np.max(np.abs(approx - exact)))

@@ -11,8 +11,7 @@ from fractions import Fraction
 from stemhc.chevalley import make_basis
 from stemhc.classify import audit_type, enumerate_hc_spaces, sign_claims_hold
 from stemhc.hcstruct import (
-    build_structure, rotation_float_error, verify_rotation,
-    verify_rotation_spans,
+    build_structure, verify_rotation, verify_rotation_spans,
 )
 from stemhc.pairs import check_pair, make_pair_spec
 from stemhc.rootsystems import SimpleType, build_cached, parse_shape, shape
@@ -20,6 +19,7 @@ from stemhc.scalars import EIGHTH_ROOT, I, ONE
 from stemhc.stem import all_partition_stems, srank, stem_of
 
 import euclid_oracle as eo
+from matrix_oracle import rotation_float_error
 
 
 def unit(n, entries):

@@ -18,7 +18,7 @@ from stemhc.hcstruct import (
     HCStructure, PBasis, _apply_cols, _compose_cols, _dense_view,
     _eigenvectors, _rotation_poly, algebra_generators, build_structure,
     compact_basis, eigenspace, g_coords, root_coupling_matrix, root_rotation,
-    rotation_float_error, rotation_product, stem_central_kernel,
+    rotation_product, stem_central_kernel,
     stem_z_vectors, subalgebra_basis, subalgebra_generators,
     verify_eigenspace_transport, verify_equivariance, verify_integrability,
     verify_operator_identities, verify_root_coupling, verify_rotation,
@@ -31,6 +31,8 @@ from stemhc.rootsystems import Root, build_cached, parse_shape, root_sub
 from stemhc.reporting import CheckReport
 from stemhc.scalars import EIGHTH_ROOT, HALF, I, ONE, SQRT2, TowerScalar, ZERO
 from stemhc.stem import stem_of
+
+from matrix_oracle import rotation_float_error
 
 PYTH = TowerScalar(Fraction(3, 5), Fraction(4, 5))  # a non-dyadic unit phase
 
