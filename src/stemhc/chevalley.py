@@ -149,7 +149,8 @@ class ChevalleyBasis:
         rs = self.rs
         pos = sorted((r for r in rs.positives if r.comp == ci), key=Root.key)
         order = {r: i for i, r in enumerate(pos)}
-        posset = set(pos)
+        # -a -> the position of a, for the positive roots a
+        below = {-r: i for r, i in order.items()}
         # L (r, r), an integer
         norm = {r: sum(map(mul, r.coords, rs._weights[r])) for r in pos}
         N = self.n_const
@@ -162,35 +163,39 @@ class ChevalleyBasis:
             if rem1 or rem2:
                 raise AssertionError("non-integral structure constant on "
                                      "(%s, %s)" % (a, b))
-            for (u, v), m in (((a, b), n), ((b, -c), r1), ((-c, a), r2)):
+            nc = -c
+            for (u, v), m in (((a, b), n), ((b, nc), r1), ((nc, a), r2)):
+                nu, nv = -u, -v
                 N[(u, v)] = m
                 N[(v, u)] = -m
-                N[(-u, -v)] = -m
-                N[(-v, -u)] = m
+                N[(nu, nv)] = -m
+                N[(nv, nu)] = m
 
         for c in pos:
             if c.height < 2:
                 continue
+            # c = a + b exactly when c + (-a) = b, so c's row holds them all
             specials = []
-            for a in pos:
-                b = rs.sums[c].get(-a)
-                if b in posset and order[a] < order[b]:
-                    specials.append((a, b))
+            for x, b in rs.sums[c].items():
+                i = below.get(x)
+                if i is not None and order.get(b, -1) > i:
+                    specials.append((pos[i], b))
             specials.sort(key=lambda ab: order[ab[0]])
             if not specials:
                 raise AssertionError("non-simple root %s with no "
                                      "decomposition" % (c,))
             a0, b0 = specials[0]
             set_triple(a0, b0, 1 - rs.root_string(b0, a0)[0])
+            na0 = -a0
             for x, y in specials[1:]:
                 t = 0
-                xm = rs.sums[x].get(-a0)
+                xm = rs.sums[x].get(na0)
                 if xm is not None:
-                    t += N[(-a0, x)] * N[(xm, y)]
-                ym = rs.sums[y].get(-a0)
+                    t += N[(na0, x)] * N[(xm, y)]
+                ym = rs.sums[y].get(na0)
                 if ym is not None:
-                    t += N[(y, -a0)] * N[(ym, x)]
-                denom = N[(c, -a0)]
+                    t += N[(y, na0)] * N[(ym, x)]
+                denom = N[(c, na0)]
                 if t % denom:
                     raise AssertionError("Jacobi forces a non-integral "
                                          "constant on (%s, %s)" % (x, y))

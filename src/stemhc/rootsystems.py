@@ -7,16 +7,21 @@ follow the standard Bourbaki numbering.
 
 Root addition is decided once, here: `RootSystem.sums` maps each root a to
 {b: a+b} over the roots b of its component whose sum with a is a root, and
-b = -a to None.  Closure, root strings, highest roots, subsystem bases and
-types read this table, and so do the stem, pair, Chevalley and structure
-modules; `root_sum` and `root_sub` only generate the positive roots.
+b = -a to None.  Root strings read this table, and so do the stem, pair,
+Chevalley and structure modules; `root_sum` and `root_sub` only generate the
+positive roots.  The same loop fills the table's index form: the roots are
+numbered as `RootSystem.roots` orders them, the P positive roots in
+`Root.key` order and then their opposites in the same order, so roots[i]
+and roots[i + P] are opposite.  Closure, components, highest roots and
+subsystem bases, which the stem peeling runs again and again, work on these
+indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
 from typing import NamedTuple
@@ -243,6 +248,14 @@ class Root(NamedTuple):
 _OPPOSITES = {}
 
 
+def _bits(m):
+    """The positions of the set bits of the integer m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
 def root_sum(a: Root, b: Root):
     """Coordinate sum; None when the roots live in different components."""
     if a.comp != b.comp:
@@ -276,15 +289,16 @@ class RootSystem:
                           for r in self.positives)
         self.roots = tuple(self.positives) + negatives
         self.root_set = frozenset(self.roots)
+        # roots[i] and roots[i + P] are opposite, with P positive roots
+        self._npos = P = len(negatives)
+        self.index = {r: i for i, r in enumerate(self.roots)}
         _OPPOSITES.update(zip(self.positives, negatives))
         _OPPOSITES.update(zip(negatives, self.positives))
         # alpha(H_j) for every root alpha and simple coroot H_j of its component
-        self._pairings = {}
-        for r in self.roots:
-            C = self.cartans[r.comp]
-            n = len(C)
-            self._pairings[r] = tuple(
-                sum(r.coords[i] * C[i][j] for i in range(n)) for j in range(n))
+        columns = [tuple(zip(*C)) for C in self.cartans]
+        self._pairings = {
+            r: tuple(sum(map(mul, r.coords, col)) for col in columns[r.comp])
+            for r in self.roots}
         # L * d_j * alpha(H_j), with L = _scales[comp] the common denominator
         # of the d_j of alpha's component: beta . w_alpha = L (beta, alpha)
         self._scales = [lcm(*(dj.denominator for dj in d)) for d in self.dvecs]
@@ -298,21 +312,32 @@ class RootSystem:
         # root (the stored Root of self.roots), and b = -a -> None.  A root
         # is coded as one integer in a base wide enough that the code of a
         # sum of two roots is the sum of their codes and no two sums collide.
+        # The index rows hold the same sums by index, each pair once, as
+        # a + b = b + a: _sum_rows[i] is the flat tuple (j, k, j', k', ...)
+        # of the roots[i] + roots[j] = roots[k] with j > i, in the order of
+        # j, so a positive root's row meets the positive roots first.
         self.sums = {}
+        self._sum_rows = [()] * (2 * P)
+        roots = self.roots
         for ci in range(len(shape.simples)):
-            roots = [r for r in self.roots if r.comp == ci]
-            base = 4 * max(max(r.coords) for r in roots) + 1
-            codes = [sum(c * base ** i for i, c in enumerate(r.coords))
-                     for r in roots]
-            at = dict(zip(codes, roots))
-            for a, ca in zip(roots, codes):
-                row = self.sums[a] = {}
-                for b, cb in zip(roots, codes):
+            ids = [i for i, r in enumerate(roots) if r.comp == ci]
+            base = 4 * max(max(roots[i].coords) for i in ids) + 1
+            codes = [sum(c * base ** k for k, c in enumerate(roots[i].coords))
+                     for i in ids]
+            at = dict(zip(codes, ids))
+            for i, ca in zip(ids, codes):
+                row = self.sums[roots[i]] = {}
+                irow = []
+                for j, cb in zip(ids, codes):
                     s = ca + cb
-                    if s in at:
-                        row[b] = at[s]
+                    k = at.get(s)
+                    if k is not None:
+                        row[roots[j]] = roots[k]
+                        if j > i:
+                            irow += (j, k)
                     elif not s:
-                        row[b] = None
+                        row[roots[j]] = None
+                self._sum_rows[i] = tuple(irow)
         # reducedness: 2*alpha is never a root
         for r in self.positives:
             if Root(r.comp, tuple(2 * c for c in r.coords)) in self.root_set:
@@ -407,17 +432,51 @@ class RootSystem:
         return (p, q)
 
     # -- subsets ---------------------------------------------------------------
+    #
+    # Each takes a set of roots, maps it to indices once and then reads the
+    # index rows _sum_rows and, for components, the non-orthogonality masks
+    # _links.  A non-root raises ValueError.
+
+    def _indices(self, subset):
+        """The set of indices of subset; a ValueError names the first
+        non-root that set(subset) meets."""
+        index = self.index
+        try:
+            return set(map(index.__getitem__, subset))
+        except KeyError as exc:
+            bad = next((r for r in set(subset) if r not in index), exc.args[0])
+            raise ValueError("not a root: %s" % (bad,)) from None
+
+    @cached_property
+    def _links(self):
+        """Bitmask per positive root i: bit j set when the positive roots i
+        and j are not orthogonal.  A nonzero (a, b) makes a + b or a - b a
+        root, and a + b = s gives 2 (a, b) = (s, s) - (a, a) - (b, b), so
+        the index row of a and the norms, from the integer weights, decide
+        every pair."""
+        P = self._npos
+        norm = [sum(map(mul, r.coords, self._weights[r])) for r in self.roots]
+        links = [1 << i for i in range(P)]
+        # the rows of the positive roots meet a + b, a - b and b - a
+        for i in range(P):
+            it = iter(self._sum_rows[i])
+            n = norm[i]
+            for j, k in zip(it, it):
+                if norm[k] != n + norm[j]:
+                    j %= P
+                    links[i] |= 1 << j
+                    links[j] |= 1 << i
+        return links
 
     def is_closed(self, subset) -> bool:
         """Closed under addition of roots: a,b in S, a+b a root => a+b in S.
         Raises ValueError when S holds something that is not a root."""
-        sub = set(subset)
-        for a in sub:
-            if a not in self.sums:
-                raise ValueError("not a root: %s" % (a,))
-        for a in sub:
-            for b, s in self.sums[a].items():
-                if s is not None and b in sub and s not in sub:
+        ids = self._indices(subset)
+        rows = self._sum_rows
+        for i in ids:
+            it = iter(rows[i])
+            for j, k in zip(it, it):
+                if j in ids and k not in ids:
                     return False
         return True
 
@@ -427,57 +486,74 @@ class RootSystem:
         Returns frozensets sorted by their minimal positive root; raises when
         the subset is not symmetric.
         """
-        sub = set(subset)
-        for a in sub:
-            if -a not in sub:
-                raise ValueError("subset is not symmetric: misses %s" % (-a,))
-        unseen = {}
-        for a in sub:
-            unseen.setdefault(a.comp, set()).add(a)
+        P = self._npos
+        try:
+            mask = sum(1 << i for i in self._indices(subset))
+        except ValueError:
+            mask = -1
+        pool = mask & ((1 << P) - 1)     # the positive roots, to be grouped
+        if mask >> P != pool:
+            # the symmetry error comes first, as a non-root may lack its -a
+            sub = set(subset)
+            for a in sub:
+                if -a not in sub:
+                    raise ValueError("subset is not symmetric: misses %s"
+                                     % (-a,))
+            self._indices(sub)
+        links = self._links
+        roots = self.roots
         comps = []
-        for pool in unseen.values():
-            while pool:
-                seed = pool.pop()
-                group = [seed]
-                for b in group:          # grows while it is walked: a BFS
-                    w = self._weights[b]
-                    linked = [a for a in pool if sum(map(mul, a.coords, w))]
-                    pool.difference_update(linked)
-                    group.extend(linked)
-                comps.append(frozenset(group))
-        comps.sort(key=lambda g: min(r.key() for r in g if r.positive))
+        # seeding at the lowest index left finds the components in the order
+        # of their minimal positive roots
+        while pool:
+            seed = (pool & -pool).bit_length() - 1
+            pool ^= 1 << seed
+            group = [seed]
+            for b in group:              # grows while it is walked: a BFS
+                linked = links[b] & pool
+                pool ^= linked
+                group.extend(_bits(linked))
+            comps.append(frozenset([roots[i] for i in group]
+                                   + [roots[i + P] for i in group]))
         return comps
-
-    def highest_roots(self, subset):
-        """One highest root per irreducible component of a closed symmetric
-        subsystem, in component order."""
-        sub = set(subset)
-        sym = sub | {-a for a in sub}
-        if not self.is_closed(sym):
-            raise ValueError("subset is not closed")
-        return [self.highest_root(comp)
-                for comp in self.irreducible_components(sym)]
 
     def highest_root(self, comp):
         """The unique maximal positive root of one irreducible component (a
         set, as `irreducible_components` returns it) of a closed symmetric
         subsystem."""
-        pos = [r for r in comp if r.positive]
-        tops = [t for t in pos
-                if all(self.sums[t].get(b) not in comp for b in pos)]
+        P = self._npos
+        pos = {i for i in self._indices(comp) if i < P}
+        rows = self._sum_rows
+        tops = set(pos)
+        for i in pos:
+            it = iter(rows[i])
+            for j, k in zip(it, it):
+                if j >= P:
+                    break
+                if j in pos and k in pos:       # neither is maximal
+                    tops.discard(i)
+                    tops.discard(j)
         if len(tops) != 1:
             raise AssertionError("no unique maximal root in component")
-        return tops[0]
+        return self.roots[tops.pop()]
 
     def base(self, subset):
         """The simple roots of a closed symmetric subsystem: its positive
         roots that are not a sum of two of its positive roots, sorted by
         `Root.key`.  There are as many as the subsystem's rank."""
-        pos = sorted((r for r in subset if r.positive), key=Root.key)
-        possd = set(pos)
-        decomposable = {s for a in pos for b, s in self.sums[a].items()
-                        if b in possd}
-        return [t for t in pos if t not in decomposable]
+        P = self._npos
+        pos = sorted(i for i in self._indices(subset) if i < P)
+        posset = set(pos)
+        rows = self._sum_rows
+        decomposable = set()
+        for i in pos:
+            it = iter(rows[i])
+            for j, k in zip(it, it):
+                if j >= P:
+                    break
+                if j in posset:
+                    decomposable.add(k)
+        return [self.roots[i] for i in pos if i not in decomposable]
 
     def component_type(self, subset) -> SimpleType:
         """The isomorphism type of a closed irreducible symmetric subsystem.

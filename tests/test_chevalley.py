@@ -11,7 +11,7 @@ from stemhc.rootsystems import (
 )
 from stemhc.scalars import TowerScalar, ZERO, ONE, I, EIGHTH_ROOT
 from stemhc.stem import compute_stem
-from test_rootsystems import optimized_stdout
+from test_rootsystems import highest_roots, optimized_stdout
 from test_scalars import scalars
 
 
@@ -573,7 +573,7 @@ def test_killing_numbers_match_dual_coxeter(text):
     for j in range(cb.semisimple_rank, n):
         want_h[j][j] = Fraction(1)
     for ci, t in enumerate(sh.simples):
-        theta = rs.highest_roots({r for r in rs.roots if r.comp == ci})[0]
+        theta = highest_roots(rs, {r for r in rs.roots if r.comp == ci})[0]
         n2t = rs.sym_form(theta, theta)
         hv = dual_coxeter(t)
         for a in rs.positives:

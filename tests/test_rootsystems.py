@@ -11,8 +11,10 @@ from stemhc.rootsystems import (
     Root, RootSystem, SimpleType, build_cached, parse_shape, root_sum, shape,
     simple_type,
 )
+from stemhc.pairs import delta_k, enumerate_substems
 from stemhc.stem import compute_stem
 import euclid_oracle as eo
+import subset_oracle
 
 
 ALL_SMALL = [
@@ -187,6 +189,16 @@ def test_cartan_matrix_literals():
         [2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
 
 
+def highest_roots(rs, subset):
+    """One highest root per irreducible component of a closed symmetric
+    subsystem, in component order."""
+    sub = set(subset)
+    sym = sub | {-a for a in sub}
+    if not rs.is_closed(sym):
+        raise ValueError("subset is not closed")
+    return [rs.highest_root(comp) for comp in rs.irreducible_components(sym)]
+
+
 def test_highest_roots_of_full_systems():
     cases = {
         SimpleType("A", 3): (1, 1, 1),
@@ -199,7 +211,7 @@ def test_highest_roots_of_full_systems():
     }
     for t, coords in cases.items():
         rs = rs_of(t)
-        tops = rs.highest_roots(set(rs.roots))
+        tops = highest_roots(rs, set(rs.roots))
         assert tops == [Root(0, coords)]
 
 
@@ -215,12 +227,12 @@ def test_is_closed_and_components():
     comps = rs.irreducible_components(sub)
     assert len(comps) == 2
     # canonical component order sorts by minimal root in (height, lex) order
-    assert rs.highest_roots(sub) == [a3, a1]
+    assert highest_roots(rs, sub) == [a3, a1]
     assert not rs.is_closed({a1, a2, -a1, -a2})   # misses a1+a2
     with pytest.raises(ValueError):
         rs.irreducible_components({a1})
     with pytest.raises(ValueError):
-        rs.highest_roots({a1, a2, -a1, -a2})
+        highest_roots(rs, {a1, a2, -a1, -a2})
 
 
 def test_is_closed_rejects_a_non_root():
@@ -266,6 +278,23 @@ def test_sums_match_coordinate_addition(text):
                 assert b in row and row[b] is None
             else:
                 assert b not in row
+
+
+@pytest.mark.parametrize("text", TABLE_SHAPES)
+def test_index_rows_match_the_sum_table(text):
+    """The numbering puts the positive roots first, in `Root.key` order, and
+    the opposite of index i at i + P; the index row of i holds, by index and
+    in the order of j, the sums roots[i] + roots[j] of rs.sums with j > i."""
+    rs = RootSystem(parse_shape(text))
+    P = len(rs.positives)
+    assert list(rs.roots[:P]) == sorted(rs.positives, key=Root.key)
+    assert all(rs.index[r] == i for i, r in enumerate(rs.roots))
+    assert all(rs.roots[i + P] == -rs.roots[i] for i in range(P))
+    for i, a in enumerate(rs.roots):
+        want = [(rs.index[b], rs.index[s]) for b, s in rs.sums[a].items()
+                if s is not None and rs.index[b] > i]
+        row = rs._sum_rows[i]
+        assert list(zip(row[::2], row[1::2])) == sorted(want)
 
 
 def euclid_components(t, subset):
@@ -389,6 +418,73 @@ def test_component_type_of_proper_subsystems():
     longg = {r for r in rsg.roots if rsg.sym_form(r, r) == 6}
     assert rsg.component_type(longg) == SimpleType("A", 2)
 
+
+
+def outcome(f, *args):
+    """f(*args), or the type and text of what it raised."""
+    try:
+        return f(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def oracle_subsets(rs):
+    """Every peeling remainder, every pair of root lines and every Delta_k
+    of a substem: closed and non-closed, irreducible and not."""
+    st, remainders = peeling_remainders(rs)
+    return (remainders + line_pairs(rs)
+            + [set(delta_k(sub)) for sub in enumerate_substems(st)])
+
+
+@pytest.mark.parametrize("text", [str(t) for t in ALL_SMALL] + [
+    "E6", "A2 x B3", "B2 x B2", "c^1 x G2 x A1"])
+def test_subset_primitives_match_the_root_keyed_oracle(text):
+    """Closure, components, highest roots and bases, which run on root
+    indices, against the Root-keyed versions of `subset_oracle`; the shapes
+    with several factors make line pairs across components."""
+    rs = RootSystem(parse_shape(text))
+    for sub in oracle_subsets(rs):
+        assert rs.is_closed(sub) == subset_oracle.is_closed(rs, sub)
+        assert rs.base(sub) == subset_oracle.base(rs, sub)
+        comps = rs.irreducible_components(sub)
+        assert comps == subset_oracle.irreducible_components(rs, sub)
+        for comp in comps:
+            assert outcome(rs.highest_root, comp) == \
+                outcome(subset_oracle.highest_root, rs, comp)
+
+
+def subset_errors(make):
+    """The outcome of each refused call of the subset primitives: non-roots,
+    subsets that are not symmetric and components with no unique maximal
+    root; make(rs, subset_primitive_name) gives the callable to run."""
+    rs = RootSystem(parse_shape("A3"))
+    a1, a2, a3 = rs.simple_roots(0)
+    bogus = {Root(0, (5, 5, 5)), Root(0, (-5, -5, -5)), Root(1, (1,))}
+    cases = [("is_closed", bogus), ("is_closed", bogus | set(rs.roots)),
+             ("irreducible_components", {a1}),
+             ("irreducible_components", {a1, a2, a3, -a2}),
+             ("irreducible_components", set(rs.roots) - {-a1, -a3}),
+             ("highest_root", {a1, a2, -a1, -a2}),
+             ("highest_root", {a1, a3, -a1, -a3}),
+             ("highest_root", set())]
+    return [outcome(make(rs, name), sub) for name, sub in cases]
+
+
+def test_subset_errors_match_the_root_keyed_oracle():
+    """The same exception types and texts as the oracle, also under
+    `python -O`, which strips asserts."""
+    want = subset_errors(
+        lambda rs, name: lambda sub: getattr(subset_oracle, name)(rs, sub))
+    assert subset_errors(lambda rs, name: getattr(rs, name)) == want
+    assert all(isinstance(w, tuple) for w in want)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    script = ("import sys\n"
+              "sys.path.insert(0, %r)\n"
+              "from test_rootsystems import subset_errors\n"
+              "for out in subset_errors(lambda rs, name: getattr(rs, name)):\n"
+              "    print(*out, sep='|')\n" % tests)
+    assert optimized_stdout(script).splitlines() == [
+        "%s|%s" % w for w in want]
 
 
 def admitted_types(max_rank):

@@ -215,6 +215,28 @@ def test_verify_stem_properties(text):
     assert rep.ok, rep.summary()
 
 
+def component_stem_item(st):
+    """(checked, violations) of the component-stem item of a stem."""
+    item, = [it for it in verify_stem_properties(st).items
+             if it.name == "component stems agree with the order filter"]
+    return item.checked, item.violations
+
+
+def test_component_stem_item_under_corruption():
+    """A theta_g replaced by the component one stage deeper fails the item
+    at g alone, as re-peeling every theta_g shows; a wrong stage number
+    leaves it passing, as re-peeling never reads the stages."""
+    st = compute_stem(RootSystem(parse_shape("C4")))
+    assert component_stem_item(st) == (4, [])
+    g2, g3 = st.elements[1:3]
+    st.theta[g2] = st.theta[g3]
+    assert component_stem_item(st) == (
+        4, ["stem of component of 0:(0,2,2,1) mismatches"])
+    st = compute_stem(RootSystem(parse_shape("E6")))
+    st.stage_of[st.elements[2]] = 1
+    assert component_stem_item(st) == (4, [])
+
+
 @pytest.mark.parametrize("text", ["A1", "A2", "A3", "A4", "A5", "B2", "B3",
                                   "B4", "C2", "C3", "C4", "D4", "D5", "G2"])
 def test_partition_stem_is_unique(text):
