@@ -6,11 +6,11 @@ by height; for each non-simple positive root the minimal-first decomposition
 gets N = p+1 > 0, every other decomposition is forced by the Jacobi identity,
 and each value is propagated to the full 12-pair orbit of its root triple.
 
-Which pairs of roots add to a root is read from the root system's table
-`RootSystem.sums`, a -> {b: a+b} over the pairs whose sum is a root and
-b = -a -> None; the basis checks that each such pair has a constant.  The
-bracket reads this table, and `combine` forms every linear combination; both
-drop zero coefficients once, at the end.
+The constants are worked out on root indices, from the index rows of the
+root system's table `RootSystem.sums`, a -> {b: a+b} over the pairs whose
+sum is a root and b = -a -> None; the basis checks that each such pair has
+a constant.  The bracket reads this table, and `combine` forms every linear
+combination; both drop zero coefficients once, at the end.
 
 An element stores its Cartan part and its root part sparsely, as dicts of
 nonzero coefficients, so operations touch only the slots an element uses.
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import mul, neg
 
 from .rootsystems import ReductiveShape, Root, RootSystem, build_cached
 from .scalars import TowerScalar, ZERO, ONE, I, HALF
@@ -119,87 +119,132 @@ class ChevalleyBasis:
         self.n_const = {}
         for ci in range(len(shape.simples)):
             self._build_constants(ci)
-        for a, row in rs.sums.items():
-            for b, s in row.items():
-                if s is not None and (a, b) not in self.n_const:
-                    raise ValueError("no structure constant for (%s, %s)"
-                                     % (a, b))
-        self.hroot = {}
-        for r in rs.roots:
-            self.hroot[r] = self._coroot_coords(r)
+        # Each key set above is an ordered pair of a triple {a, b, -(a+b)}
+        # of the index rows, or of its opposite, so it is a pair of `sums`
+        # with a root sum, which the same pass filled: the constants miss
+        # such a pair exactly when they are fewer than those pairs, all of
+        # a row but its b = -a.  Only then is the table walked.
+        pairs = sum(map(len, rs.sums.values())) - len(rs.sums)
+        if len(self.n_const) != pairs:
+            for a, row in rs.sums.items():
+                for b, s in row.items():
+                    if s is not None and (a, b) not in self.n_const:
+                        raise ValueError("no structure constant for (%s, %s)"
+                                         % (a, b))
+        # H_-r = -H_r and (-r)(H_j) = -r(H_j)
+        hroot = [self._coroot_coords(r) for r in rs.positives]
+        self.hroot = dict(zip(rs.roots, hroot + [tuple(map(neg, h))
+                                                 for h in hroot]))
         # alpha(H_j) by global Cartan slot j, nonzero values only
-        self.pairings = {
-            r: {self.offsets[r.comp] + j: p
-                for j, p in enumerate(rs._pairings[r]) if p}
-            for r in rs.roots}
+        pairings = [{self.offsets[r.comp] + j: p
+                     for j, p in enumerate(rs._pairings[r]) if p}
+                    for r in rs.positives]
+        self.pairings = dict(zip(rs.roots, pairings + [
+            {j: -p for j, p in d.items()} for d in pairings]))
         # canonical ordering of the full basis, used for matrices
         self.basis_keys = [("e", r) for r in sorted(rs.roots, key=Root.key)]
         self.basis_keys += [("h", j) for j in range(self.total_rank)]
         self.key_index = {k: i for i, k in enumerate(self.basis_keys)}
-        K = self._killing_h_matrix()
-        self.killing_h = [[Fraction(x) for x in row] for row in K]
-        self.killing_e = {r: self._killing_e(K, r) for r in rs.positives}
+        self.killing_h = [[Fraction(x) for x in row]
+                          for row in self._killing_h_matrix()]
         # exp((pi/2) ad X_gamma) at the phase one by root gamma, each built
         # once and rephased by `hcstruct.root_rotation`
         self.rotations = {}
 
+    @cached_property
+    def killing_e(self) -> dict:
+        """B(E_r, E_-r) for the positive roots r, in `RootSystem.positives`
+        order; only `invariant_form` reads it."""
+        K = self._killing_h_matrix()
+        return {r: self._killing_e(K, r) for r in self.rs.positives}
+
     # -- structure constants --------------------------------------------------
 
     def _build_constants(self, ci):
+        """The constants of component ci, worked out on root indices:
+        roots[i] and roots[i + P] are opposite, and the index rows
+        `RootSystem._sum_rows` give the sums.  Once its triple is set,
+        N(u, v) for a positive u is tab[u * R + v], and N(v, u) = -N(u, v)
+        = N(-u, -v) give the rest."""
         rs = self.rs
-        pos = sorted((r for r in rs.positives if r.comp == ci), key=Root.key)
-        order = {r: i for i, r in enumerate(pos)}
-        # -a -> the position of a, for the positive roots a
-        below = {-r: i for r, i in order.items()}
-        # L (r, r), an integer
-        norm = {r: sum(map(mul, r.coords, rs._weights[r])) for r in pos}
+        roots = rs.roots
+        P = rs._npos
+        R = 2 * P
+        lo, hi = rs._spans[ci]
+        simple = range(lo, lo + rs.shape.simples[ci].rank)
+        # L (r, r), an integer, for the positive roots
+        norm = {i: sum(map(mul, roots[i].coords, rs._weights[roots[i]]))
+                for i in range(lo, hi)}
+        tab = memoryview(bytearray(P * R)).cast("b")     # signed bytes
+        # minus[s][x] = x - roots[s], for the simple roots s
+        minus = {s: {} for s in simple}
         N = self.n_const
 
-        def set_triple(a, b, n):
-            """Record N for every ordered pair built from {+-a, +-b, -+(a+b)}."""
-            c = rs.sums[a][b]
+        def set_triple(a, b, c, n):
+            """Record N for every ordered pair built from {+-a, +-b, -+c},
+            with c = a + b."""
             r1, rem1 = divmod(n * norm[a], norm[c])    # value for (b, -c)
             r2, rem2 = divmod(n * norm[b], norm[c])    # value for (-c, a)
             if rem1 or rem2:
                 raise AssertionError("non-integral structure constant on "
-                                     "(%s, %s)" % (a, b))
-            nc = -c
-            for (u, v), m in (((a, b), n), ((b, nc), r1), ((nc, a), r2)):
-                nu, nv = -u, -v
-                N[(u, v)] = m
-                N[(v, u)] = -m
-                N[(nu, nv)] = -m
-                N[(nv, nu)] = m
+                                     "(%s, %s)" % (roots[a], roots[b]))
+            tab[a * R + b] = n
+            tab[b * R + a] = -n
+            tab[b * R + c + P] = tab[c * R + b + P] = r1
+            tab[a * R + c + P] = tab[c * R + a + P] = -r2
+            ra, rb, rc = roots[a], roots[b], roots[c]
+            na, nb, nc = roots[a + P], roots[b + P], roots[c + P]
+            N[(ra, rb)] = n
+            N[(rb, ra)] = -n
+            N[(na, nb)] = -n
+            N[(nb, na)] = n
+            N[(rb, nc)] = r1
+            N[(nc, rb)] = -r1
+            N[(nb, rc)] = -r1
+            N[(rc, nb)] = r1
+            N[(nc, ra)] = r2
+            N[(ra, nc)] = -r2
+            N[(rc, na)] = -r2
+            N[(na, rc)] = r2
 
-        for c in pos:
-            if c.height < 2:
-                continue
-            # c = a + b exactly when c + (-a) = b, so c's row holds them all
-            specials = []
-            for x, b in rs.sums[c].items():
-                i = below.get(x)
-                if i is not None and order.get(b, -1) > i:
-                    specials.append((pos[i], b))
-            specials.sort(key=lambda ab: order[ab[0]])
+        # the simple roots come first in index order; every other positive
+        # root c is alpha + b for a simple alpha, so the first a of c's
+        # decompositions is simple
+        for c in range(simple.stop, hi):
+            # c = a + b, a < b positive, exactly when c + (-a) = b: the
+            # entries (a + P, b) of c's index row, in the order of a
+            it = iter(rs._sum_rows[c])
+            specials = [(j - P, k) for j, k in zip(it, it)
+                        if j >= P and j - P < k < P]
             if not specials:
                 raise AssertionError("non-simple root %s with no "
-                                     "decomposition" % (c,))
+                                     "decomposition" % (roots[c],))
+            for a, b in specials:
+                if a in minus:
+                    minus[a][c] = b
+                if b in minus:
+                    minus[b][c] = a
             a0, b0 = specials[0]
-            set_triple(a0, b0, 1 - rs.root_string(b0, a0)[0])
-            na0 = -a0
+            set_triple(a0, b0, c,
+                       1 - rs.root_string(roots[b0], roots[a0])[0])
+            # the Jacobi identity on E_x, E_y, E_-a0 for x + y = c, with
+            # N(-a0, x) = -N(x, -a0)
+            down = minus[a0]
+            na0 = a0 + P
             for x, y in specials[1:]:
                 t = 0
-                xm = rs.sums[x].get(na0)
+                xm = down.get(x)
                 if xm is not None:
-                    t += N[(na0, x)] * N[(xm, y)]
-                ym = rs.sums[y].get(na0)
+                    t -= tab[x * R + na0] * tab[xm * R + y]
+                ym = down.get(y)
                 if ym is not None:
-                    t += N[(y, na0)] * N[(ym, x)]
-                denom = N[(c, na0)]
+                    t += tab[y * R + na0] * tab[ym * R + x]
+                denom = tab[c * R + na0]
                 if t % denom:
                     raise AssertionError("Jacobi forces a non-integral "
-                                         "constant on (%s, %s)" % (x, y))
-                set_triple(x, y, -t // denom)
+                                         "constant on (%s, %s)"
+                                         % (roots[x], roots[y]))
+                set_triple(x, y, c, -t // denom)
 
     def _coroot_coords(self, r: Root):
         """H_r = sum m_i (d_i / d_r) H_i as an integer global h-vector, with

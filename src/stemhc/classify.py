@@ -83,32 +83,6 @@ def sign_claims_hold(shape) -> tuple:
     return (not bad, rows, bad)
 
 
-def recognize_semisimple_pair(spec: PairSpec) -> bool:
-    """Zero-deficiency test by shape alone: every simple factor is either
-    swallowed whole, or of type A with the substem a tail starting at depth
-    two or more (empty tails need even rank)."""
-    if spec.shape.center_dim or spec.o_k_dim:
-        raise ValueError("recognition covers semisimple pairs only")
-    st = stem_of(spec.shape)
-    sub = spec.substem()
-    for ci, t in enumerate(spec.shape.simples):
-        chain = [g for g in st.elements if g.comp == ci]
-        picked = [g in sub.members for g in chain]
-        if all(picked):
-            continue
-        if t.family != "A":
-            return False
-        if not any(picked):
-            if t.rank % 2 == 1:
-                return False
-            continue
-        # a tail gamma_k.., k >= 2 counted inside this component
-        first = picked.index(True)
-        if first == 0 or not all(picked[first:]):
-            return False
-    return True
-
-
 # ------------------------------------------------------- admissible spaces
 
 

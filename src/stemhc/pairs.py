@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .reporting import CheckReport
 from .rootsystems import ReductiveShape, Root, build_cached, parse_shape
 from .stem import Stem, stem_of
 
@@ -264,36 +263,3 @@ def complement_data(spec: PairSpec) -> ComplementData:
         raise AssertionError("the forms of the deficiency disagree")
     return ComplementData(spec, gamma_p, tuple(dp_plus), dim_h_p, dim_o_p,
                           num_p, num_p, dim_j_p, dim_p, report)
-
-
-def gmg2_check(spec) -> CheckReport:
-    """Wings of free stem roots absorb the subalgebra's roots: for gamma
-    outside the substem, beta in Delta_k and alpha in the wings of gamma,
-    alpha + beta is either outside Delta or again a wing of gamma, and
-    gamma +- beta is never a root.
-
-    Holds for every up-closed substem (the stem properties force it); kept
-    as an explicit verification entry point.  Accepts a PairSpec or a bare
-    Substem."""
-    rep = CheckReport()
-    sub = spec if isinstance(spec, Substem) else spec.substem()
-    stem = sub.stem
-    rs = stem.rs
-    dk = delta_k(sub)
-    checked = 0
-    bad = []
-    for g in sub.complement_roots():
-        wings = set(stem.phi[g]) | {-w for w in stem.phi[g]}
-        for beta in dk:
-            checked += 1
-            if rs.sums[g].get(beta) is not None:
-                bad.append("%s + %s is a root" % (g, beta))
-            for a in wings:
-                s = rs.sums[a].get(beta)
-                if s is not None:
-                    checked += 1
-                    if s not in wings:
-                        bad.append("%s + %s leaves the wings of %s"
-                                   % (a, beta, g))
-    rep.record("subalgebra roots act inside each free wing set", checked, bad)
-    return rep

@@ -8,22 +8,27 @@ follow the standard Bourbaki numbering.
 Root addition is decided once, here: `RootSystem.sums` maps each root a to
 {b: a+b} over the roots b of its component whose sum with a is a root, and
 b = -a to None.  Root strings read this table, and so do the stem, pair,
-Chevalley and structure modules; `root_sum` and `root_sub` only generate the
-positive roots.  The same loop fills the table's index form: the roots are
+Chevalley and structure modules.  The construction runs on integer codes,
+one per root, under which the code of a sum is the sum of the codes: the
+positive roots are generated along alpha_i-strings on codes, and the table
+is filled from the pairs a < b of positive roots whose sum is a root, each
+of which gives the twelve sums of the triple {a, b, -(a+b)} and its
+opposite.  The same pass fills the table's index form: the roots are
 numbered as `RootSystem.roots` orders them, the P positive roots in
 `Root.key` order and then their opposites in the same order, so roots[i]
 and roots[i + P] are opposite.  Closure, components, highest roots and
 subsystem bases, which the stem peeling runs again and again, work on these
-indices.
+indices, and so does the construction of the Chevalley constants.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from operator import mul
+from operator import add, mul, neg
 from typing import NamedTuple
 
 
@@ -248,6 +253,14 @@ class Root(NamedTuple):
 _OPPOSITES = {}
 
 
+def _interleave(js, ks):
+    """The flat tuple (j, k, j', k', ...) of two equally long lists."""
+    flat = js + ks
+    flat[::2] = js
+    flat[1::2] = ks
+    return tuple(flat)
+
+
 def _bits(m):
     """The positions of the set bits of the integer m, lowest first."""
     while m:
@@ -256,17 +269,11 @@ def _bits(m):
         m ^= low
 
 
-def root_sum(a: Root, b: Root):
-    """Coordinate sum; None when the roots live in different components."""
-    if a.comp != b.comp:
-        return None
-    return Root(a.comp, tuple(x + y for x, y in zip(a.coords, b.coords)))
-
-
-def root_sub(a: Root, b: Root):
-    if a.comp != b.comp:
-        return None
-    return Root(a.comp, tuple(x - y for x, y in zip(a.coords, b.coords)))
+# A root of a simple type has coordinates in [-6, 6] (only E8's highest root
+# reaches 6), so a sum of two roots has them in [-12, 12]: coding a root as
+# sum c_k _BASE^k makes the code of a sum the sum of the codes, and no two
+# such sums share a code.
+_BASE = 25
 
 
 class RootSystem:
@@ -285,94 +292,145 @@ class RootSystem:
                                      % (t, len(pos), expected))
             self.positives.extend(pos)
         self.positives.sort(key=Root.key)
-        negatives = tuple(Root(r.comp, tuple(-c for c in r.coords))
+        negatives = tuple(Root(r.comp, tuple(map(neg, r.coords)))
                           for r in self.positives)
-        self.roots = tuple(self.positives) + negatives
-        self.root_set = frozenset(self.roots)
+        self.roots = roots = tuple(self.positives) + negatives
+        self.root_set = frozenset(roots)
         # roots[i] and roots[i + P] are opposite, with P positive roots
         self._npos = P = len(negatives)
-        self.index = {r: i for i, r in enumerate(self.roots)}
+        self.index = {r: i for i, r in enumerate(roots)}
         _OPPOSITES.update(zip(self.positives, negatives))
         _OPPOSITES.update(zip(negatives, self.positives))
-        # alpha(H_j) for every root alpha and simple coroot H_j of its component
+        # alpha(H_j) for every root alpha and simple coroot H_j of its
+        # component, and L * d_j * alpha(H_j), with L = _scales[comp] the
+        # common denominator of the d_j of alpha's component: beta . w_alpha
+        # = L (beta, alpha); both are linear in alpha, so -alpha negates them
         columns = [tuple(zip(*C)) for C in self.cartans]
-        self._pairings = {
-            r: tuple(sum(map(mul, r.coords, col)) for col in columns[r.comp])
-            for r in self.roots}
-        # L * d_j * alpha(H_j), with L = _scales[comp] the common denominator
-        # of the d_j of alpha's component: beta . w_alpha = L (beta, alpha)
+        pairings = [tuple(sum(map(mul, r.coords, col))
+                          for col in columns[r.comp]) for r in self.positives]
+        self._pairings = dict(zip(roots, pairings + [
+            tuple(map(neg, p)) for p in pairings]))
         self._scales = [lcm(*(dj.denominator for dj in d)) for d in self.dvecs]
         # L * d_j as integers, per component
         self._ldvecs = [tuple(int(L * dj) for dj in d)
                         for L, d in zip(self._scales, self.dvecs)]
-        self._weights = {
-            r: tuple(map(mul, self._ldvecs[r.comp], self._pairings[r]))
-            for r in self.roots}
+        weights = [tuple(map(mul, self._ldvecs[r.comp], p))
+                   for r, p in zip(self.positives, pairings)]
+        self._weights = dict(zip(roots, weights + [
+            tuple(map(neg, w)) for w in weights]))
+        steps = [_BASE ** k for k in range(max(
+            (t.rank for t in shape.simples), default=0))]
+        codes = [sum(map(mul, r.coords, steps)) for r in self.positives]
+        codes += [-c for c in codes]
+        # the positive roots of component ci are roots[lo:hi], (lo, hi) =
+        # _spans[ci], as Root.key orders by component first
+        comps = [r.comp for r in self.positives]
+        self._spans = [(comps.index(ci), comps.index(ci) + comps.count(ci))
+                       for ci in range(len(shape.simples))]
+        # reducedness: 2*alpha is never a root.  The sums below rest on it:
+        # then a + b = c never has a = b, so every sum of two roots is an
+        # ordered pair of exactly one zero-sum triple {a, b, -c} or its
+        # negative, with a < b positive and c = a + b.
+        for lo, hi in self._spans:
+            known = set(codes[lo:hi])
+            for i in range(lo, hi):
+                if 2 * codes[i] in known:
+                    raise AssertionError("not reduced: twice %s is a root"
+                                         % (roots[i],))
         # a -> {b: a+b} over the b of a's component whose sum with a is a
-        # root (the stored Root of self.roots), and b = -a -> None.  A root
-        # is coded as one integer in a base wide enough that the code of a
-        # sum of two roots is the sum of their codes and no two sums collide.
-        # The index rows hold the same sums by index, each pair once, as
-        # a + b = b + a: _sum_rows[i] is the flat tuple (j, k, j', k', ...)
-        # of the roots[i] + roots[j] = roots[k] with j > i, in the order of
-        # j, so a positive root's row meets the positive roots first.
+        # root (the stored Root of self.roots), and b = -a -> None, each row
+        # in the index order of b.  The index rows hold the same sums by
+        # index, each pair once, as a + b = b + a: _sum_rows[i] is the flat
+        # tuple (j, k, j', k', ...) of the roots[i] + roots[j] = roots[k]
+        # with j > i, in the order of j, so a positive root's row meets the
+        # positive roots first.  Both are filled from the pairs a < b of
+        # positive roots whose codes add to a positive root's code.
         self.sums = {}
         self._sum_rows = [()] * (2 * P)
-        roots = self.roots
-        for ci in range(len(shape.simples)):
-            ids = [i for i, r in enumerate(roots) if r.comp == ci]
-            base = 4 * max(max(roots[i].coords) for i in ids) + 1
-            codes = [sum(c * base ** k for k, c in enumerate(roots[i].coords))
-                     for i in ids]
-            at = dict(zip(codes, ids))
-            for i, ca in zip(ids, codes):
-                row = self.sums[roots[i]] = {}
-                irow = []
-                for j, cb in zip(ids, codes):
-                    s = ca + cb
-                    k = at.get(s)
-                    if k is not None:
-                        row[roots[j]] = roots[k]
-                        if j > i:
-                            irow += (j, k)
-                    elif not s:
-                        row[roots[j]] = None
-                self._sum_rows[i] = tuple(irow)
-        # reducedness: 2*alpha is never a root
-        for r in self.positives:
-            if Root(r.comp, tuple(2 * c for c in r.coords)) in self.root_set:
-                raise AssertionError("not reduced: twice %s is a root" % (r,))
+        for lo, hi in self._spans:
+            self._fill_sums(codes, lo, hi)
 
     # -- construction --------------------------------------------------------
 
     def _generate_positives(self, ci, t: SimpleType):
+        """The positive roots of component ci, of type t, height by height:
+        a + alpha_i is a root exactly when p - a(H_i) > 0, with p the length
+        of the alpha_i-string below a.  The strings are walked on codes, and
+        each root carries its pairing vector (a(H_j))_j, to which adding
+        alpha_i adds row i of the Cartan matrix."""
         n = t.rank
-        C = cartan_matrix(t)
-        simples = [Root(ci, tuple(1 if j == i else 0 for j in range(n)))
-                   for i in range(n)]
-        known = set(simples)
-        layer = list(simples)
-        out = list(simples)
+        C = self.cartans[ci]
+        steps = [_BASE ** i for i in range(n)]
+        units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+        known = set(steps)
+        layer = list(zip(units, steps, map(tuple, C)))
+        out = list(units)
         while layer:
             nxt = []
-            for a in layer:
-                for i in range(n):
-                    ai = simples[i]
+            for coords, code, pairs in layer:
+                for i, step in enumerate(steps):
                     # p = how far the alpha_i-string continues below a
                     p = 0
-                    v = root_sub(a, ai)
+                    v = code - step
                     while v in known:
                         p += 1
-                        v = root_sub(v, ai)
-                    c = sum(a.coords[k] * C[k][i] for k in range(n))
-                    if p - c > 0:
-                        up = root_sum(a, ai)
-                        if up not in known:
-                            known.add(up)
-                            nxt.append(up)
-                            out.append(up)
+                        v -= step
+                    up = code + step
+                    if p > pairs[i] and up not in known:
+                        known.add(up)
+                        nxt.append((tuple(map(add, coords, units[i])), up,
+                                    tuple(map(add, pairs, C[i]))))
+            out += [coords for coords, _, _ in nxt]
             layer = nxt
-        return out
+        return [Root(ci, coords) for coords in out]
+
+    def _fill_sums(self, codes, lo, hi):
+        """The rows of `sums` and `_sum_rows` of one component, whose
+        positive roots are roots[lo:hi]; codes[i] is the code of roots[i].
+
+        Each pair a < b of positive roots with a + b = c a root gives the
+        sums of the triple {a, b, -c} to the rows of a, b and c; the rows of
+        the negative roots are those of the positive ones, negated."""
+        roots = self.roots
+        P = self._npos
+        R = 2 * P
+        at = dict(zip(codes[lo:hi], range(lo, hi)))
+        at.update(zip(codes[lo + P:hi + P], range(lo + P, hi + P)))
+        at[0] = R                       # a + (-a): ext[R] is None
+        ext = roots + (None,)
+        opposite = roots[P:] + roots[:P] + (None,)   # ext[i +- P]
+        known = set(codes[lo:hi])
+        # the b whose sum with the positive root a is a root or zero
+        partners = {i: [i + P] for i in range(lo, hi)}
+        for i in range(lo, hi):
+            ca = codes[i]
+            for s in known.intersection(map(ca.__add__, codes[i + 1:hi])):
+                j, k = at[s - ca], at[s]
+                partners[i] += (j, k + P)        # a + b = c, a - c = -b
+                partners[j] += (i, k + P)        # b + a = c, b - c = -a
+                partners[k] += (i + P, j + P)    # c - a = b, c - b = a
+        negative_rows = []
+        for i in range(lo, hi):
+            row = partners.pop(i)
+            row.sort()
+            ks = list(map(at.__getitem__, map(
+                codes[i].__add__, map(codes.__getitem__, row))))
+            self.sums[roots[i]] = dict(zip(map(ext.__getitem__, row),
+                                           map(ext.__getitem__, ks)))
+            # the entries with j > i but for -a, whose sum is zero
+            m = bisect_left(row, i)
+            o = bisect_left(row, i + P, m)
+            self._sum_rows[i] = _interleave(row[m:o] + row[o + 1:],
+                                            ks[m:o] + ks[o + 1:])
+            # -a + b for the b of a's row: the opposites of its negative b
+            # come first in index order, then those of its positive b
+            n = bisect_left(row, P, m)          # the first negative b
+            negative_rows.append(dict(zip(
+                map(opposite.__getitem__, row[n:] + row[:n]),
+                map(opposite.__getitem__, ks[n:] + ks[:n]))))
+            self._sum_rows[i + P] = _interleave(
+                list(map(P.__add__, row[m:n])), list(map(P.__add__, ks[m:n])))
+        self.sums.update(zip(roots[lo + P:hi + P], negative_rows))
 
     # -- basic queries --------------------------------------------------------
 

@@ -223,11 +223,6 @@ class TowerScalar:
     def is_rational(self) -> bool:
         return not (self._n1 or self._n2 or self._n3)
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not rational: %s" % self)
-        return self.c0
-
     # -- numeric views -------------------------------------------------------
 
     def __complex__(self):

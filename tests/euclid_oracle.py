@@ -101,7 +101,8 @@ def euclid_roots(t: SimpleType):
         for signs in product((1, -1), repeat=8):
             if signs.count(-1) % 2 == 0:
                 full.add(tuple(Fraction(s, 2) for s in signs))
-        assert len(full) == 240
+        if len(full) != 240:
+            raise AssertionError("E8 has %d roots, expected 240" % len(full))
         if n == 8:
             out = full
         elif n == 7:

@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from stemhc.chevalley import AlgebraElement, ChevalleyBasis, make_basis
 from stemhc.rootsystems import (
-    Root, RootSystem, SimpleType, parse_shape, root_sub, root_sum, shape,
+    Root, RootSystem, SimpleType, parse_shape, shape,
 )
 from stemhc.scalars import TowerScalar, ZERO, ONE, I, EIGHTH_ROOT
 from stemhc.stem import compute_stem
-from test_rootsystems import highest_roots, optimized_stdout
-from test_scalars import scalars
+import construction_oracle as co
+from construction_oracle import root_sub, root_sum
+from test_rootsystems import TABLE_SHAPES, highest_roots, optimized_stdout
+from test_scalars import as_fraction, scalars
 
 
 RANK_LE_4 = [
@@ -116,6 +118,36 @@ def test_integer_data_match_fraction_formulas(text):
         assert type(val) is Fraction and val == want
 
 
+# every shape whose tables a test pins, and two products with simple factors
+# of different types
+CONSTRUCTION_SHAPES = list(dict.fromkeys(
+    TABLE_SHAPES + ORACLE_SHAPES + ["A1 x A1 x A3", "c^2 x B3 x G2"]))
+
+
+@pytest.mark.parametrize("text", CONSTRUCTION_SHAPES)
+def test_construction_matches_the_root_keyed_oracle(text):
+    """The root system and basis tables against the Root-keyed construction
+    of `construction_oracle`: the same keys, in the same order, with the
+    same values, the constants ints."""
+    sh = parse_shape(text)
+    want = co.root_tables(sh)
+    rs = RootSystem(sh)
+    assert rs.positives == want["positives"]
+    assert list(rs.roots) == want["roots"]
+    assert list(rs.sums) == list(want["sums"])
+    for a, row in rs.sums.items():
+        assert list(row.items()) == list(want["sums"][a].items())
+    assert rs._sum_rows == want["sum_rows"]
+    assert list(rs._pairings.items()) == list(want["pairings"].items())
+    assert list(rs._weights.items()) == list(want["weights"].items())
+    cb = ChevalleyBasis(rs)
+    assert cb.n_const == co.structure_constants(want)
+    assert all(type(n) is int for n in cb.n_const.values())
+    assert list(cb.hroot.items()) == list(co.coroots(cb).items())
+    assert list(cb.pairings.items()) == list(co.slot_pairings(cb).items())
+    assert list(cb.killing_e.items()) == list(co.killing_e(cb).items())
+
+
 def test_integrality_checks_raise(monkeypatch):
     """A non-integral constant from a triple or from the Jacobi identity, a
     non-simple root with no decomposition and a non-integral coroot are
@@ -137,7 +169,7 @@ def test_integrality_checks_raise(monkeypatch):
     assert str(exc.value) == jacobi
     monkeypatch.undo()
     rs = RootSystem(parse_shape("A2"))
-    rs.sums[rs.positives[-1]] = {}
+    rs._sum_rows[len(rs.positives) - 1] = ()
     with pytest.raises(AssertionError) as exc:
         ChevalleyBasis(rs)
     assert str(exc.value) == special
@@ -162,7 +194,7 @@ def test_integrality_checks_raise(monkeypatch):
               "attempt(RootSystem(parse_shape('A3')))\n"
               "RootSystem.root_string = string\n"
               "rs = RootSystem(parse_shape('A2'))\n"
-              "rs.sums[rs.positives[-1]] = {}\n"
+              "rs._sum_rows[len(rs.positives) - 1] = ()\n"
               "attempt(rs)\n"
               "rs = RootSystem(parse_shape('A1'))\n"
               "rs._weights[rs.positives[0]] = (4,)\n"
@@ -599,7 +631,7 @@ def test_form_orthogonality_pattern(t):
         for b in rs.roots:
             v = cb.invariant_form(cb.E(a), cb.E(b))
             if b == -a:
-                assert v and v.is_rational() and v.as_fraction() > 0
+                assert v and v.is_rational() and as_fraction(v) > 0
             else:
                 assert not v
         h = cb.H_of_root(a)
@@ -625,7 +657,7 @@ def test_compact_vectors_have_negative_norm():
         for rho in (ONE, I, EIGHTH_ROOT):
             for v in (cb.X(g, rho), cb.Y(g, rho), cb.W(g)):
                 n = cb.invariant_form(v, v)
-                assert n.is_rational() and n.as_fraction() < 0
+                assert n.is_rational() and as_fraction(n) < 0
         x, y, w = cb.X(g), cb.Y(g), cb.W(g)
         assert not cb.invariant_form(x, y)
         assert not cb.invariant_form(x, w)

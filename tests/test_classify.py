@@ -5,13 +5,39 @@ import itertools
 import pytest
 
 from stemhc.classify import (
-    HCSpace, SpaceFactor, audit_type, enumerate_hc_spaces,
-    recognize_semisimple_pair, sign_claims_hold, _all_factors,
+    HCSpace, SpaceFactor, audit_type, enumerate_hc_spaces, sign_claims_hold,
+    _all_factors,
 )
 from stemhc.pairs import PairSpec, check_pair, enumerate_substems
 from stemhc.rootsystems import parse_shape
 from stemhc.stem import stem_of
 from test_rootsystems import optimized_stdout
+
+
+def recognize_semisimple_pair(spec: PairSpec) -> bool:
+    """Zero-deficiency test by shape alone: every simple factor is either
+    swallowed whole, or of type A with the substem a tail starting at depth
+    two or more (empty tails need even rank)."""
+    if spec.shape.center_dim or spec.o_k_dim:
+        raise ValueError("recognition covers semisimple pairs only")
+    st = stem_of(spec.shape)
+    sub = spec.substem()
+    for ci, t in enumerate(spec.shape.simples):
+        chain = [g for g in st.elements if g.comp == ci]
+        picked = [g in sub.members for g in chain]
+        if all(picked):
+            continue
+        if t.family != "A":
+            return False
+        if not any(picked):
+            if t.rank % 2 == 1:
+                return False
+            continue
+        # a tail gamma_k.., k >= 2 counted inside this component
+        first = picked.index(True)
+        if first == 0 or not all(picked[first:]):
+            return False
+    return True
 
 
 # Independent oracle for the space enumeration, straight from the group

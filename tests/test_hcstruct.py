@@ -27,11 +27,12 @@ from stemhc.hcstruct import (
 from stemhc.linalg import Span
 from stemhc.pairs import PairSpec, check_pair, enumerate_substems, \
     make_pair_spec
-from stemhc.rootsystems import Root, build_cached, parse_shape, root_sub
+from stemhc.rootsystems import Root, build_cached, parse_shape
 from stemhc.reporting import CheckReport
 from stemhc.scalars import EIGHTH_ROOT, HALF, I, ONE, SQRT2, TowerScalar, ZERO
 from stemhc.stem import stem_of
 
+from construction_oracle import root_sub
 from matrix_oracle import rotation_float_error
 
 PYTH = TowerScalar(Fraction(3, 5), Fraction(4, 5))  # a non-dyadic unit phase

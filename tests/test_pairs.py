@@ -8,9 +8,10 @@ import pytest
 from stemhc import linalg, pairs
 from stemhc.pairs import (
     PairSpec, Substem, check_pair, complement_data, delta_k,
-    enumerate_substems, gmg2_check, make_pair_spec, minimal_elements,
+    enumerate_substems, make_pair_spec, minimal_elements,
     REASON_DEFICIENCY_NEGATIVE, REASON_DIM_NOT_MOD4, REASON_DIM_NOT_POSITIVE,
 )
+from stemhc.reporting import CheckReport
 from stemhc.rootsystems import parse_shape
 from stemhc.stem import stem_of
 from test_rootsystems import optimized_stdout
@@ -278,6 +279,38 @@ def test_edm1_equalities_always_agree():
 
 
 # ----------------------------------------------------------------- gmg2
+
+
+def gmg2_check(spec) -> CheckReport:
+    """Wings of free stem roots absorb the subalgebra's roots: for gamma
+    outside the substem, beta in Delta_k and alpha in the wings of gamma,
+    alpha + beta is either outside Delta or again a wing of gamma, and
+    gamma +- beta is never a root.
+
+    Holds for every up-closed substem (the stem properties force it).
+    Accepts a PairSpec or a bare Substem."""
+    rep = CheckReport()
+    sub = spec if isinstance(spec, Substem) else spec.substem()
+    stem = sub.stem
+    rs = stem.rs
+    dk = delta_k(sub)
+    checked = 0
+    bad = []
+    for g in sub.complement_roots():
+        wings = set(stem.phi[g]) | {-w for w in stem.phi[g]}
+        for beta in dk:
+            checked += 1
+            if rs.sums[g].get(beta) is not None:
+                bad.append("%s + %s is a root" % (g, beta))
+            for a in wings:
+                s = rs.sums[a].get(beta)
+                if s is not None:
+                    checked += 1
+                    if s not in wings:
+                        bad.append("%s + %s leaves the wings of %s"
+                                   % (a, beta, g))
+    rep.record("subalgebra roots act inside each free wing set", checked, bad)
+    return rep
 
 
 def test_gmg2_on_accepted_pairs():

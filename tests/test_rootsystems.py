@@ -8,11 +8,12 @@ import pytest
 import stemhc
 from stemhc import chevalley, rootsystems, stem
 from stemhc.rootsystems import (
-    Root, RootSystem, SimpleType, build_cached, parse_shape, root_sum, shape,
+    Root, RootSystem, SimpleType, build_cached, parse_shape, shape,
     simple_type,
 )
 from stemhc.pairs import delta_k, enumerate_substems
 from stemhc.stem import compute_stem
+from construction_oracle import root_sum
 import euclid_oracle as eo
 import subset_oracle
 

@@ -5,12 +5,13 @@ import pytest
 
 from stemhc.chevalley import make_basis, verify_special_sign_identity
 from stemhc.rootsystems import (
-    Root, RootSystem, SimpleType, parse_shape, root_sub, root_sum, shape,
+    Root, RootSystem, SimpleType, parse_shape, shape,
 )
 from stemhc.stem import (
     all_partition_stems, compute_stem, hasse_export, phi_plus_set,
     srank, stem_of, verify_stem_properties,
 )
+from construction_oracle import root_sub, root_sum
 import euclid_oracle as eo
 from test_rootsystems import TABLE_SHAPES, optimized_stdout
 
