@@ -18,7 +18,10 @@ every substem of every ATLAS_TYPES type, `complement_data` on the accepted
 ones, the `audit_type` rows, and the Cartan vectors `o_k`, `z_vecs` and
 `j_vecs` of every adapted basis built above.  The Chevalley data: one
 sha256 per ATLAS_TYPES type over the sorted `n_const`, `hroot`, `killing_h`
-and `killing_e` of its basis, each number with its type.  The subsystem
+and `killing_e` of its basis, each number with its type.  The root sums:
+one sha256 per ATLAS_TYPES type over the sorted triples (a, b, a+b) of
+`RootSystem.sums` whose sum is a root, the wing set `phi_plus_set` of every
+positive root and the index rows `RootSystem._sum_rows`.  The subsystem
 types: `component_type` of the whole root system, of every theta_g and of
 every irreducible component of every Delta_k, for each ATLAS_TYPES type.
 The exact values: one sha256 per built structure over every entry of its
@@ -65,7 +68,7 @@ from stemhc.pairs import (PairSpec, check_pair, complement_data,
                           delta_k, enumerate_substems, make_pair_spec)
 from stemhc.rootsystems import Root, parse_shape
 from stemhc.scalars import EIGHTH_ROOT, HALF, I, ONE, TowerScalar
-from stemhc.stem import stem_of
+from stemhc.stem import phi_plus_set, stem_of
 
 PHASES = (("1", ONE), ("i", I), ("zeta8", EIGHTH_ROOT))
 ROTATION_TYPES = ("B4", "C4", "D4", "F4", "G2", "A7", "D6", "E6")
@@ -144,6 +147,21 @@ def show_chevalley_data():
             for key, val in items:
                 digest.update(repr((name, key, typed(val))).encode())
         print("%s chevalley data |" % text, digest.hexdigest())
+
+
+def show_sum_tables():
+    for text in ATLAS_TYPES:
+        rs = stem_of(parse_shape(text)).rs
+        digest = hashlib.sha256()
+        for triple in sorted((a, b, c) for a, row in rs.sums.items()
+                             for b, c in row.items() if c is not None):
+            digest.update(repr(("sums",) + triple).encode())
+        for zeta in rs.positives:
+            digest.update(repr(("phi", zeta,
+                                sorted(phi_plus_set(rs, zeta)))).encode())
+        for i, row in enumerate(rs._sum_rows):
+            digest.update(repr(("sum_rows", i, row)).encode())
+        print("%s sum tables |" % text, digest.hexdigest())
 
 
 def show_subsystem_types():
@@ -322,6 +340,7 @@ def main():
     show_all_root_rotations()
     show_pair_layer(bases)
     show_chevalley_data()
+    show_sum_tables()
     show_subsystem_types()
     show_large_cases()
     show_phase_errors()

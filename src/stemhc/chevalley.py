@@ -6,11 +6,13 @@ by height; for each non-simple positive root the minimal-first decomposition
 gets N = p+1 > 0, every other decomposition is forced by the Jacobi identity,
 and each value is propagated to the full 12-pair orbit of its root triple.
 
-The constants are worked out on root indices, from the index rows of the
-root system's table `RootSystem.sums`, a -> {b: a+b} over the pairs whose
-sum is a root and b = -a -> None; the basis checks that each such pair has
-a constant.  The bracket reads this table, and `combine` forms every linear
-combination; both drop zero coefficients once, at the end.
+The constants are worked out on root indices, from the decompositions
+c = a + b of each positive root that `RootSystem.decompositions` lists; the
+basis checks that each pair of the root system's table `RootSystem.sums`,
+a -> {b: a+b} over the pairs whose sum is a root, has a constant.  The
+bracket reads this table, adds [E_a, E_-a] = H_a apart from it, and
+`combine` forms every linear combination; both drop zero coefficients once,
+at the end.
 
 An element stores its Cartan part and its root part sparsely, as dicts of
 nonzero coefficients, so operations touch only the slots an element uses.
@@ -120,15 +122,14 @@ class ChevalleyBasis:
         for ci in range(len(shape.simples)):
             self._build_constants(ci)
         # Each key set above is an ordered pair of a triple {a, b, -(a+b)}
-        # of the index rows, or of its opposite, so it is a pair of `sums`
-        # with a root sum, which the same pass filled: the constants miss
-        # such a pair exactly when they are fewer than those pairs, all of
-        # a row but its b = -a.  Only then is the table walked.
-        pairs = sum(map(len, rs.sums.values())) - len(rs.sums)
-        if len(self.n_const) != pairs:
+        # of a decomposition, or of its opposite, so it is a pair of `sums`,
+        # which holds the twelve pairs of every such triple: the constants
+        # miss a pair of `sums` exactly when they are fewer than those
+        # pairs.  Only then is the table walked.
+        if len(self.n_const) != sum(map(len, rs.sums.values())):
             for a, row in rs.sums.items():
-                for b, s in row.items():
-                    if s is not None and (a, b) not in self.n_const:
+                for b in row:
+                    if (a, b) not in self.n_const:
                         raise ValueError("no structure constant for (%s, %s)"
                                          % (a, b))
         # H_-r = -H_r and (-r)(H_j) = -r(H_j)
@@ -162,19 +163,17 @@ class ChevalleyBasis:
 
     def _build_constants(self, ci):
         """The constants of component ci, worked out on root indices:
-        roots[i] and roots[i + P] are opposite, and the index rows
-        `RootSystem._sum_rows` give the sums.  Once its triple is set,
-        N(u, v) for a positive u is tab[u * R + v], and N(v, u) = -N(u, v)
-        = N(-u, -v) give the rest."""
+        roots[i] and roots[i + P] are opposite, and
+        `RootSystem.decompositions` gives the sums of positive roots.  Once
+        its triple is set, N(u, v) for a positive u is tab[u * R + v], and
+        N(v, u) = -N(u, v) = N(-u, -v) give the rest."""
         rs = self.rs
         roots = rs.roots
         P = rs._npos
         R = 2 * P
         lo, hi = rs._spans[ci]
         simple = range(lo, lo + rs.shape.simples[ci].rank)
-        # L (r, r), an integer, for the positive roots
-        norm = {i: sum(map(mul, roots[i].coords, rs._weights[roots[i]]))
-                for i in range(lo, hi)}
+        norm = rs._norms                # L (r, r), an integer
         tab = memoryview(bytearray(P * R)).cast("b")     # signed bytes
         # minus[s][x] = x - roots[s], for the simple roots s
         minus = {s: {} for s in simple}
@@ -211,11 +210,7 @@ class ChevalleyBasis:
         # root c is alpha + b for a simple alpha, so the first a of c's
         # decompositions is simple
         for c in range(simple.stop, hi):
-            # c = a + b, a < b positive, exactly when c + (-a) = b: the
-            # entries (a + P, b) of c's index row, in the order of a
-            it = iter(rs._sum_rows[c])
-            specials = [(j - P, k) for j, k in zip(it, it)
-                        if j >= P and j - P < k < P]
+            specials = rs.decompositions(c)
             if not specials:
                 raise AssertionError("non-simple root %s with no "
                                      "decomposition" % (roots[c],))
@@ -251,7 +246,7 @@ class ChevalleyBasis:
         d_i / d_r = 2 (L d_i) / (L (r, r))."""
         rs = self.rs
         ld = rs._ldvecs[r.comp]
-        lnorm = sum(map(mul, r.coords, rs._weights[r]))
+        lnorm = rs._norms[rs.index[r]]
         off = self.offsets[r.comp]
         out = [0] * self.total_rank
         for i, m in enumerate(r.coords):
@@ -332,21 +327,21 @@ class ChevalleyBasis:
         if x.cb is not self or y.cb is not self:
             raise ValueError("elements come from different bases")
         sums = self.rs.sums
+        ye = y.e
         h = {}
         e = {}
         for a, ca in x.e.items():
             row = sums[a]
-            for b, cb2 in y.e.items():
-                if b not in row:
-                    continue
-                s = row[b]
-                if s is None:             # b = -a: [E_a, E_-a] = H_a
-                    coef = ca * cb2
-                    for j, m in enumerate(self.hroot[a]):
-                        if m:
-                            h[j] = h.get(j, ZERO) + coef * m
-                else:
+            for b, cb2 in ye.items():
+                if b in row:
+                    s = row[b]
                     e[s] = e.get(s, ZERO) + ca * cb2 * self.n_const[(a, b)]
+            cb2 = ye.get(-a)
+            if cb2 is not None:           # [E_a, E_-a] = H_a
+                coef = ca * cb2
+                for j, m in enumerate(self.hroot[a]):
+                    if m:
+                        h[j] = h.get(j, ZERO) + coef * m
         if x.cartan:
             for b, cb2 in y.e.items():
                 w = self.eval_root(b, x.cartan)
@@ -357,8 +352,11 @@ class ChevalleyBasis:
                 w = self.eval_root(a, y.cartan)
                 if w:
                     e[a] = e.get(a, ZERO) - w * ca
-        return AlgebraElement(self, {j: c for j, c in h.items() if c},
-                              {r: c for r, c in e.items() if c})
+        if h:
+            h = {j: c for j, c in h.items() if c}
+        if e:
+            e = {r: c for r, c in e.items() if c}
+        return AlgebraElement(self, h, e)
 
     def combine(self, terms) -> AlgebraElement:
         """The sum of c * x over the (c, x) pairs in terms."""

@@ -6,24 +6,24 @@ classical e_i realizations as an independent oracle).  The Cartan matrices
 follow the standard Bourbaki numbering.
 
 Root addition is decided once, here: `RootSystem.sums` maps each root a to
-{b: a+b} over the roots b of its component whose sum with a is a root, and
-b = -a to None.  Root strings read this table, and so do the stem, pair,
-Chevalley and structure modules.  The construction runs on integer codes,
-one per root, under which the code of a sum is the sum of the codes: the
-positive roots are generated along alpha_i-strings on codes, and the table
-is filled from the pairs a < b of positive roots whose sum is a root, each
-of which gives the twelve sums of the triple {a, b, -(a+b)} and its
-opposite.  The same pass fills the table's index form: the roots are
-numbered as `RootSystem.roots` orders them, the P positive roots in
-`Root.key` order and then their opposites in the same order, so roots[i]
-and roots[i + P] are opposite.  Closure, components, highest roots and
-subsystem bases, which the stem peeling runs again and again, work on these
-indices, and so does the construction of the Chevalley constants.
+{b: a+b} over the roots b of its component whose sum with a is a root.
+Root strings read this table, and so do the stem, pair, Chevalley and
+structure modules.  The construction runs on integer codes, one per root,
+under which the code of a sum is the sum of the codes: the positive roots
+are generated along alpha_i-strings on codes, and each pair a < b of
+positive roots whose sum c is a root gives the twelve sums of the triples
+{a, b, -c} and {-a, -b, c}, gathered row by row in one pass.  The same pass
+fills the table's index form: the roots are numbered as `RootSystem.roots`
+orders them, the P positive roots in `Root.key` order and then their
+opposites in the same order, so roots[i] and roots[i + P] are opposite.
+Closure, components, highest roots and subsystem bases, which the stem
+peeling runs again and again, work on these indices, and so do
+`RootSystem.decompositions`, the pairs a + b = c of positive roots from
+which the stems take their wings and the Chevalley basis its constants.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -253,14 +253,6 @@ class Root(NamedTuple):
 _OPPOSITES = {}
 
 
-def _interleave(js, ks):
-    """The flat tuple (j, k, j', k', ...) of two equally long lists."""
-    flat = js + ks
-    flat[::2] = js
-    flat[1::2] = ks
-    return tuple(flat)
-
-
 def _bits(m):
     """The positions of the set bits of the integer m, lowest first."""
     while m:
@@ -318,6 +310,10 @@ class RootSystem:
                    for r, p in zip(self.positives, pairings)]
         self._weights = dict(zip(roots, weights + [
             tuple(map(neg, w)) for w in weights]))
+        # L (r, r), an integer, by index; -r has the norm of r
+        norms = [sum(map(mul, r.coords, w))
+                 for r, w in zip(self.positives, weights)]
+        self._norms = norms + norms
         steps = [_BASE ** k for k in range(max(
             (t.rank for t in shape.simples), default=0))]
         codes = [sum(map(mul, r.coords, steps)) for r in self.positives]
@@ -338,13 +334,12 @@ class RootSystem:
                     raise AssertionError("not reduced: twice %s is a root"
                                          % (roots[i],))
         # a -> {b: a+b} over the b of a's component whose sum with a is a
-        # root (the stored Root of self.roots), and b = -a -> None, each row
-        # in the index order of b.  The index rows hold the same sums by
-        # index, each pair once, as a + b = b + a: _sum_rows[i] is the flat
-        # tuple (j, k, j', k', ...) of the roots[i] + roots[j] = roots[k]
-        # with j > i, in the order of j, so a positive root's row meets the
-        # positive roots first.  Both are filled from the pairs a < b of
-        # positive roots whose codes add to a positive root's code.
+        # root (the stored Root of self.roots), each row in the index order
+        # of b.  The index rows hold the same sums by index, each pair once,
+        # as a + b = b + a: _sum_rows[i] is the flat tuple (j, k, j', k',
+        # ...) of the roots[i] + roots[j] = roots[k] with j > i, in the
+        # order of j, so a positive root's row meets the positive roots
+        # first.
         self.sums = {}
         self._sum_rows = [()] * (2 * P)
         for lo, hi in self._spans:
@@ -389,48 +384,43 @@ class RootSystem:
         positive roots are roots[lo:hi]; codes[i] is the code of roots[i].
 
         Each pair a < b of positive roots with a + b = c a root gives the
-        sums of the triple {a, b, -c} to the rows of a, b and c; the rows of
-        the negative roots are those of the positive ones, negated."""
+        twelve sums of the triples {a, b, -c} and {-a, -b, c}: each row
+        first gathers the b whose sum with it is a root, and then reads the
+        sums off the codes."""
         roots = self.roots
         P = self._npos
-        R = 2 * P
-        at = dict(zip(codes[lo:hi], range(lo, hi)))
-        at.update(zip(codes[lo + P:hi + P], range(lo + P, hi + P)))
-        at[0] = R                       # a + (-a): ext[R] is None
-        ext = roots + (None,)
-        opposite = roots[P:] + roots[:P] + (None,)   # ext[i +- P]
+        ids = [*range(lo, hi), *range(lo + P, hi + P)]
+        at = dict(zip(map(codes.__getitem__, ids), ids))
         known = set(codes[lo:hi])
-        # the b whose sum with the positive root a is a root or zero
-        partners = {i: [i + P] for i in range(lo, hi)}
-        for i in range(lo, hi):
-            ca = codes[i]
-            for s in known.intersection(map(ca.__add__, codes[i + 1:hi])):
-                j, k = at[s - ca], at[s]
-                partners[i] += (j, k + P)        # a + b = c, a - c = -b
-                partners[j] += (i, k + P)        # b + a = c, b - c = -a
-                partners[k] += (i + P, j + P)    # c - a = b, c - b = a
-        negative_rows = []
-        for i in range(lo, hi):
-            row = partners.pop(i)
+        rows = {i: [] for i in ids}
+        for a in range(lo, hi):
+            ca = codes[a]
+            for s in known.intersection(map(ca.__add__, codes[a + 1:hi])):
+                b, c = at[s - ca], at[s]
+                na, nb, nc = a + P, b + P, c + P
+                rows[a] += (b, nc)          # a + b = c, a - c = -b
+                rows[b] += (a, nc)
+                rows[c] += (na, nb)         # c - a = b, c - b = a
+                rows[na] += (nb, c)
+                rows[nb] += (na, c)
+                rows[nc] += (a, b)
+        for i in ids:
+            row = rows.pop(i)
             row.sort()
-            ks = list(map(at.__getitem__, map(
-                codes[i].__add__, map(codes.__getitem__, row))))
-            self.sums[roots[i]] = dict(zip(map(ext.__getitem__, row),
-                                           map(ext.__getitem__, ks)))
-            # the entries with j > i but for -a, whose sum is zero
-            m = bisect_left(row, i)
-            o = bisect_left(row, i + P, m)
-            self._sum_rows[i] = _interleave(row[m:o] + row[o + 1:],
-                                            ks[m:o] + ks[o + 1:])
-            # -a + b for the b of a's row: the opposites of its negative b
-            # come first in index order, then those of its positive b
-            n = bisect_left(row, P, m)          # the first negative b
-            negative_rows.append(dict(zip(
-                map(opposite.__getitem__, row[n:] + row[:n]),
-                map(opposite.__getitem__, ks[n:] + ks[:n]))))
-            self._sum_rows[i + P] = _interleave(
-                list(map(P.__add__, row[m:n])), list(map(P.__add__, ks[m:n])))
-        self.sums.update(zip(roots[lo + P:hi + P], negative_rows))
+            ks = [at[codes[i] + codes[j]] for j in row]
+            self.sums[roots[i]] = dict(zip(map(roots.__getitem__, row),
+                                           map(roots.__getitem__, ks)))
+            self._sum_rows[i] = tuple(x for j, k in zip(row, ks) if j > i
+                                      for x in (j, k))
+
+    def decompositions(self, i):
+        """The pairs (a, b) of positive root indices with a < b and
+        roots[a] + roots[b] = roots[i], in the order of a: the entries
+        (a + P, b) of the index row of i, as roots[i] - roots[a] = roots[b]
+        and a + P > i for a positive i."""
+        P = self._npos
+        it = iter(self._sum_rows[i])
+        return [(j - P, k) for j, k in zip(it, it) if j >= P and j - P < k < P]
 
     # -- basic queries --------------------------------------------------------
 
@@ -456,13 +446,13 @@ class RootSystem:
 
     def cartan_int(self, alpha: Root, beta: Root) -> int:
         """alpha(H_beta) = 2 (alpha, beta) / (beta, beta); 0 across components."""
-        if beta not in self.root_set:
+        j = self.index.get(beta)
+        if j is None:
             raise ValueError("beta is not a root: %s" % (beta,))
         if alpha.comp != beta.comp:
             return 0
-        w = self._weights[beta]
-        v, rem = divmod(2 * sum(map(mul, alpha.coords, w)),
-                        sum(map(mul, beta.coords, w)))
+        v, rem = divmod(2 * sum(map(mul, alpha.coords, self._weights[beta])),
+                        self._norms[j])
         if rem:
             raise AssertionError("2 (%s, %s) / (%s, %s) is not an integer"
                                  % (alpha, beta, beta, beta))
@@ -510,10 +500,9 @@ class RootSystem:
         """Bitmask per positive root i: bit j set when the positive roots i
         and j are not orthogonal.  A nonzero (a, b) makes a + b or a - b a
         root, and a + b = s gives 2 (a, b) = (s, s) - (a, a) - (b, b), so
-        the index row of a and the norms, from the integer weights, decide
-        every pair."""
+        the index row of a and the integer norms decide every pair."""
         P = self._npos
-        norm = [sum(map(mul, r.coords, self._weights[r])) for r in self.roots]
+        norm = self._norms
         links = [1 << i for i in range(P)]
         # the rows of the positive roots meet a + b, a - b and b - a
         for i in range(P):
@@ -626,7 +615,7 @@ class RootSystem:
                 simples + [-a for a in simples])) != 1:
             raise ValueError("subset is empty or reducible")
         n = len(simples)
-        norms = [sum(map(mul, a.coords, self._weights[a])) for a in simples]
+        norms = [self._norms[self.index[a]] for a in simples]
         short = len(norms) - norms.count(max(norms))
         count = len(set(subset))
         for f in FAMILIES:

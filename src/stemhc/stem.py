@@ -5,8 +5,9 @@ For a positive root zeta the wing set is
     Phi_zeta^+ = { beta in Delta^+ : zeta - beta in Delta^+ },
 always taken with respect to the full positive system.  The stem Gamma is what
 the peeling leaves behind as the removed highest roots; Delta^+ splits as the
-disjoint union of Gamma and all wing sets, and an exhaustive search
-(`all_partition_stems`) confirms Gamma is the only subset with that property.
+disjoint union of Gamma and all wing sets.  The wings of zeta are the roots
+of its decompositions zeta = a + b into positive roots, which
+`RootSystem.decompositions` lists.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from .rootsystems import ReductiveShape, Root, RootSystem, build_cached
 
 def phi_plus_set(rs: RootSystem, zeta: Root):
     """Wing set of a positive root, w.r.t. the full positive system."""
-    if zeta not in rs.root_set or not zeta.positive:
+    i = rs.index.get(zeta)
+    if i is None or i >= len(rs.positives):
         raise ValueError("zeta must be a positive root: %s" % (zeta,))
-    # b is a wing when zeta + (-b) is a positive root; the row meets the
-    # negative roots -b in the order of rs.positives
-    return {-c for c, s in rs.sums[zeta].items()
-            if s is not None and s.positive and not c.positive}
+    # both roots of each decomposition zeta = a + b, added in index order,
+    # as the order in which the set iterates follows it
+    roots = rs.roots
+    return {roots[j] for j in sorted(j for ab in rs.decompositions(i)
+                                     for j in ab)}
 
 
 @dataclass
@@ -104,7 +107,7 @@ def compute_stem(rs: RootSystem, subset=None) -> Stem:
         for comp in comps:
             g = rs.highest_root(comp)
             wings = phi_plus_set(rs, g)
-            if not wings <= {r for r in comp if r.positive}:
+            if not wings <= comp:
                 raise ValueError("wings of %s leave its component" % (g,))
             elements.append(g)
             theta[g] = comp
@@ -137,11 +140,6 @@ def compute_stem(rs: RootSystem, subset=None) -> Stem:
 @lru_cache(maxsize=None)
 def stem_of(shape: ReductiveShape) -> Stem:
     return compute_stem(build_cached(shape))
-
-
-def srank(shape: ReductiveShape) -> int:
-    """Twice the stem size; 0 for abelian shapes.  Additive over factors."""
-    return stem_of(shape).srank
 
 
 def verify_stem_properties(stem: Stem) -> CheckReport:
@@ -358,42 +356,6 @@ def _proved_repeel(stem: Stem, d: Root, repeel: dict):
                 for e in deeper):
         return None
     return {d}.union(*(repeel[e] for e in deeper))
-
-
-def all_partition_stems(rs: RootSystem):
-    """Every subset S of Delta^+ such that the blocks {zeta} u Phi_zeta^+,
-    zeta in S, partition Delta^+.  Exhaustive exact-cover backtracking."""
-    pos = sorted(rs.positives, key=Root.key)
-    idx = {r: i for i, r in enumerate(pos)}
-    blocks = {}
-    for z in pos:
-        m = 1 << idx[z]
-        for b in phi_plus_set(rs, z):
-            m |= 1 << idx[b]
-        blocks[z] = m
-    full = (1 << len(pos)) - 1
-    cands = [[] for _ in pos]
-    for z in pos:
-        m = blocks[z]
-        while m:
-            low = m & -m
-            cands[low.bit_length() - 1].append(z)
-            m ^= low
-    out = []
-
-    def dfs(covered, chosen):
-        if covered == full:
-            out.append(frozenset(chosen))
-            return
-        x = ~covered & full
-        i = (x & -x).bit_length() - 1
-        for z in cands[i]:
-            bz = blocks[z]
-            if not (bz & covered):
-                dfs(covered | bz, chosen + (z,))
-
-    dfs(0, ())
-    return out
 
 
 def hasse_export(stem: Stem) -> str:

@@ -96,8 +96,6 @@ def root_tables(shape):
                     row[roots[j]] = roots[k]
                     if j > i:
                         irow += (j, k)
-                elif not s:
-                    row[roots[j]] = None
             sum_rows[i] = tuple(irow)
     return {"positives": positives, "roots": roots, "sums": sums,
             "sum_rows": sum_rows, "pairings": pairings, "weights": weights}

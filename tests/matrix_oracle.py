@@ -104,8 +104,6 @@ class SuModel:
         bad = []
         for a, row in self.cb.rs.sums.items():
             for b, c in row.items():
-                if c is None:
-                    continue
                 want = self.sign[a] * self.sign[b] * self.sign[c] * self._m(a, b)
                 if self.cb.n_const.get((a, b)) != want:
                     bad.append((a, b))

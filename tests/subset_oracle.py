@@ -19,7 +19,7 @@ def is_closed(rs, subset) -> bool:
             raise ValueError("not a root: %s" % (a,))
     for a in sub:
         for b, s in rs.sums[a].items():
-            if s is not None and b in sub and s not in sub:
+            if b in sub and s not in sub:
                 return False
     return True
 

@@ -16,10 +16,12 @@ from stemhc.hcstruct import (
 from stemhc.pairs import check_pair, make_pair_spec
 from stemhc.rootsystems import SimpleType, build_cached, parse_shape, shape
 from stemhc.scalars import EIGHTH_ROOT, I, ONE
-from stemhc.stem import all_partition_stems, srank, stem_of
+from stemhc.stem import stem_of
 
 import euclid_oracle as eo
 from matrix_oracle import rotation_float_error
+from partition_oracle import all_partition_stems
+from test_stem import srank
 
 
 def unit(n, entries):

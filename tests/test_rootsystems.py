@@ -263,20 +263,22 @@ def test_is_closed_rejects_a_non_root():
 
 @pytest.mark.parametrize("text", TABLE_SHAPES)
 def test_sums_match_coordinate_addition(text):
-    """rs.sums against root_sum and root_set on every ordered pair of roots;
-    its keys and values are the very Root objects of rs.roots."""
+    """rs.sums against root_sum and root_set on every ordered pair of roots:
+    a row holds exactly the b whose sum with a is a root, so never -a and
+    never a value None; its keys and values are the very Root objects of
+    rs.roots."""
     rs = RootSystem(parse_shape(text))
     stored = {r: r for r in rs.roots}
     assert len(rs.sums) == len(rs.roots)
     for a, row in rs.sums.items():
         assert a is stored[a]
         assert all(b is stored[b] for b in row)
+        assert None not in row.values()
+        assert -a not in row
         for b in rs.roots:
             s = root_sum(a, b)
             if s in rs.root_set:
                 assert row[b] is stored[s]
-            elif b == -a:
-                assert b in row and row[b] is None
             else:
                 assert b not in row
 
@@ -293,9 +295,26 @@ def test_index_rows_match_the_sum_table(text):
     assert all(rs.roots[i + P] == -rs.roots[i] for i in range(P))
     for i, a in enumerate(rs.roots):
         want = [(rs.index[b], rs.index[s]) for b, s in rs.sums[a].items()
-                if s is not None and rs.index[b] > i]
+                if rs.index[b] > i]
         row = rs._sum_rows[i]
         assert list(zip(row[::2], row[1::2])) == sorted(want)
+
+
+@pytest.mark.parametrize("text", TABLE_SHAPES)
+def test_decompositions_match_coordinate_addition(text):
+    """decompositions(i) lists the pairs a < b of positive root indices
+    with roots[a] + roots[b] = roots[i], in the order of a, against
+    root_sum on every pair of positive roots; a negative root has none."""
+    rs = RootSystem(parse_shape(text))
+    P = len(rs.positives)
+    want = {}
+    for a in range(P):
+        for b in range(a + 1, P):
+            s = root_sum(rs.roots[a], rs.roots[b])
+            if s in rs.root_set:
+                want.setdefault(rs.index[s], []).append((a, b))
+    for i in range(2 * P):
+        assert rs.decompositions(i) == want.get(i, [])
 
 
 def euclid_components(t, subset):
@@ -588,7 +607,7 @@ def test_construction_invariants_raise(monkeypatch):
     monkeypatch.undo()
     rs = RootSystem(parse_shape("A2"))
     a1, a2 = rs.simple_roots(0)
-    rs._weights[a1] = (3, 1)
+    rs._norms[rs.index[a1]] = 3
     with pytest.raises(AssertionError) as exc:
         rs.cartan_int(a2, a1)
     assert str(exc.value) == cartan
@@ -610,7 +629,7 @@ def test_construction_invariants_raise(monkeypatch):
               "RootSystem._generate_positives = generate\n"
               "rs = RootSystem(parse_shape('A2'))\n"
               "a1, a2 = rs.simple_roots(0)\n"
-              "rs._weights[a1] = (3, 1)\n"
+              "rs._norms[rs.index[a1]] = 3\n"
               "attempt(lambda: rs.cartan_int(a2, a1))\n")
     assert optimized_stdout(script).splitlines() == [count, reduced, cartan]
 

@@ -8,12 +8,17 @@ from stemhc.rootsystems import (
     Root, RootSystem, SimpleType, parse_shape, shape,
 )
 from stemhc.stem import (
-    all_partition_stems, compute_stem, hasse_export, phi_plus_set,
-    srank, stem_of, verify_stem_properties,
+    compute_stem, hasse_export, phi_plus_set, stem_of, verify_stem_properties,
 )
 from construction_oracle import root_sub, root_sum
 import euclid_oracle as eo
+from partition_oracle import all_partition_stems
 from test_rootsystems import TABLE_SHAPES, optimized_stdout
+
+
+def srank(sh):
+    """Twice the stem size; 0 for abelian shapes.  Additive over factors."""
+    return stem_of(sh).srank
 
 
 def ev(*entries):
