@@ -343,7 +343,7 @@ class ChevalleyBasis:
                     if m:
                         h[j] = h.get(j, ZERO) + coef * m
         if x.cartan:
-            for b, cb2 in y.e.items():
+            for b, cb2 in ye.items():
                 w = self.eval_root(b, x.cartan)
                 if w:
                     e[b] = e.get(b, ZERO) + w * cb2
