@@ -24,6 +24,9 @@ one sha256 per ATLAS_TYPES type over the sorted triples (a, b, a+b) of
 positive root and the index rows `RootSystem._sum_rows`.  The subsystem
 types: `component_type` of the whole root system, of every theta_g and of
 every irreducible component of every Delta_k, for each ATLAS_TYPES type.
+The stem checks: every `verify_stem_properties` item for each ATLAS_TYPES
+type, and for the corrupted stems of each STEM_CORRUPTION_TYPES type (see
+`stem_corruptions`).
 The exact values: one sha256 per built structure over every entry of its
 `i_matrix` and `j_matrix`, and one per ROTATION_TYPES type and phase over
 every entry of `root_rotation(...).cols` for every stem root, so a diff
@@ -66,9 +69,10 @@ from stemhc.hcstruct import (HCStructure, PBasis, build_structure,
                              verify_rotation_spans)
 from stemhc.pairs import (PairSpec, check_pair, complement_data,
                           delta_k, enumerate_substems, make_pair_spec)
-from stemhc.rootsystems import Root, parse_shape
+from stemhc.rootsystems import Root, RootSystem, parse_shape
 from stemhc.scalars import EIGHTH_ROOT, HALF, I, ONE, TowerScalar
-from stemhc.stem import phi_plus_set, stem_of
+from stemhc.stem import (compute_stem, phi_plus_set, stem_of,
+                         verify_stem_properties)
 
 PHASES = (("1", ONE), ("i", I), ("zeta8", EIGHTH_ROOT))
 ROTATION_TYPES = ("B4", "C4", "D4", "F4", "G2", "A7", "D6", "E6")
@@ -88,6 +92,9 @@ ODD_PHASES = (("(3+4i)/5", TowerScalar(Fraction(3, 5), Fraction(4, 5))),
               ("zeta8^3 (-5+12i)/13",
                EIGHTH_ROOT * EIGHTH_ROOT * EIGHTH_ROOT
                * TowerScalar(Fraction(-5, 13), Fraction(12, 13))))
+# types whose stems are corrupted one wing set or component at a time
+STEM_CORRUPTION_TYPES = ("A3", "A5", "B3", "C4", "D4", "D5", "G2", "F4", "E6",
+                         "A2 x A2")
 # every simple type of rank <= 8
 ATLAS_TYPES = (["A%d" % n for n in range(1, 9)]
                + ["B%d" % n for n in range(2, 9)]
@@ -176,6 +183,49 @@ def show_subsystem_types():
             comps = rs.irreducible_components(dk) if dk else []
             print("%s delta_k %s |" % (text, list(sub.indices)),
                   [str(rs.component_type(c)) for c in comps])
+
+
+def stem_corruptions(text):
+    """(label, stem) of the corrupted stems of a type, each on a fresh root
+    system and stem, so that the cached `stem_of` stays clean.  For every
+    ordered pair (g, d) of distinct stem roots where g has wings: the lowest
+    wing of g moved into phi[d], phi[g] copied onto d, and theta[g] set to
+    theta[d].  For every g with wings: its highest wing dropped."""
+    def fresh():
+        return compute_stem(RootSystem(parse_shape(text)))
+
+    clean = fresh()
+    for g in clean.elements:
+        if not clean.phi[g]:
+            continue
+        for d in clean.elements:
+            if d == g:
+                continue
+            st = fresh()
+            low = min(st.phi[g], key=Root.key)
+            st.phi[g] = st.phi[g] - {low}
+            st.phi[d] = st.phi[d] | {low}
+            yield "%s wing %s moved to %s" % (g, low, d), st
+            st = fresh()
+            st.phi[d] = st.phi[g]
+            yield "wings of %s copied to %s" % (g, d), st
+            st = fresh()
+            st.theta[g] = st.theta[d]
+            yield "theta of %s set to theta of %s" % (g, d), st
+        st = fresh()
+        high = max(st.phi[g], key=Root.key)
+        st.phi[g] = st.phi[g] - {high}
+        yield "%s wing %s dropped" % (g, high), st
+
+
+def show_stem_checks(types, corruption_types):
+    for text in types:
+        show("%s stem checks |" % text,
+             verify_stem_properties(stem_of(parse_shape(text))))
+    for text in corruption_types:
+        for label, st in stem_corruptions(text):
+            show("%s stem checks, %s |" % (text, label),
+                 verify_stem_properties(st))
 
 
 def show_all_root_rotations():
@@ -342,6 +392,7 @@ def main():
     show_chevalley_data()
     show_sum_tables()
     show_subsystem_types()
+    show_stem_checks(ATLAS_TYPES, STEM_CORRUPTION_TYPES)
     show_large_cases()
     show_phase_errors()
     show_mutants()

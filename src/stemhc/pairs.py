@@ -59,16 +59,8 @@ def enumerate_substems(stem: Stem):
     n = len(stem.elements)
     out = []
     for mask in range(1 << n):
-        chosen = [stem.elements[i] for i in range(n) if mask >> i & 1]
-        ok = True
-        for g in chosen:
-            for d in stem.elements:
-                if stem.precedes(g, d) and d not in chosen:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        chosen = {stem.elements[i] for i in range(n) if mask >> i & 1}
+        if stem.up_closure(chosen) == chosen:
             out.append(Substem(stem, chosen))
     out.sort(key=lambda s: (len(s.indices), s.indices))
     return out
@@ -116,7 +108,11 @@ class PairSpec:
         return stem_of(self.shape)
 
     def substem(self) -> Substem:
-        return Substem(self.stem(), self.substem_indices)
+        sub = Substem(self.stem(), self.substem_indices)
+        if sub.indices != self.substem_indices:
+            raise ValueError("substem %s is not canonical, name it %s"
+                             % (self.substem_indices, sub.indices))
+        return sub
 
 
 def make_pair_spec(shape, substem=(), o_k_dim=0) -> PairSpec:

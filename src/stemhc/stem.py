@@ -51,14 +51,13 @@ class Stem:
         return g == d or self.precedes(g, d) or self.precedes(d, g)
 
     def up_closure(self, subset):
+        stem_roots = set(self.elements)
         out = set()
         for g in subset:
             if g not in self.theta:
                 raise ValueError("not a stem root: %s" % (g,))
             out.add(g)
-            for d in self.elements:
-                if self.precedes(g, d):
-                    out.add(d)
+            out |= self.theta[g] & stem_roots
         return frozenset(out)
 
     def minimal_roots(self):
@@ -115,11 +114,9 @@ def compute_stem(rs: RootSystem, subset=None) -> Stem:
             stage_of[g] = stage
             peel.append((g, wings))
         for g, wings in peel:
-            remaining.discard(g)
-            remaining.discard(-g)
-            for w in wings:
-                remaining.discard(w)
-                remaining.discard(-w)
+            for r in wings | {g}:
+                remaining.discard(r)
+                remaining.discard(-r)
         if remaining and not rs.is_closed(remaining):
             raise AssertionError("peeling remainder is not closed")
         stage += 1
@@ -128,7 +125,7 @@ def compute_stem(rs: RootSystem, subset=None) -> Stem:
     if subset is None:
         seen = {}
         for g in stem.elements:
-            for r in set([g]) | set(stem.phi[g]):
+            for r in set(stem.phi[g]) | {g}:
                 if r in seen:
                     raise AssertionError("wing blocks overlap")
                 seen[r] = g
@@ -147,63 +144,55 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
     rs = stem.rs
     rep = CheckReport()
     G = stem.elements
+    block = {g: set(stem.phi[g]) | {g} for g in G}
+    # g < d, the shallower root first; and every pair of distinct stem roots
+    ordered = [(g, d) for g in G for d in G if stem.precedes(g, d)]
+    unordered = [(g, d) for i, g in enumerate(G) for d in G[i + 1:]]
 
     # partition of the positive system
-    count = 0
     bad = []
     seen = set()
     for g in G:
-        block = {g} | set(stem.phi[g])
-        if seen & block:
+        if seen & block[g]:
             bad.append("block of %s overlaps" % (g,))
-        seen |= block
-        count += len(block)
+        seen |= block[g]
         if len(stem.phi[g]) % 2 != 0:
             bad.append("odd wing count at %s" % (g,))
     if seen != set(rs.positives):
         bad.append("blocks do not cover the positive roots")
-    rep.record("wing blocks partition the positive system", count, bad)
+    rep.record("wing blocks partition the positive system",
+               sum(map(len, block.values())), bad)
 
     # strong orthogonality of the stem
-    checked = 0
     bad = []
-    for i, g in enumerate(G):
-        for d in G[i + 1:]:
-            checked += 1
-            row = rs.sums[g]
-            if row.get(d) is not None or row.get(-d) is not None:
-                bad.append("%s, %s not strongly orthogonal" % (g, d))
-            if rs.cartan_int(g, d) != 0:
-                bad.append("%s, %s not orthogonal" % (g, d))
-    rep.record("stem roots are strongly orthogonal", checked, bad)
-
-    def wing_block(g):
-        return set(stem.phi[g]) | {g}
+    for g, d in unordered:
+        row = rs.sums[g]
+        if row.get(d) is not None or row.get(-d) is not None:
+            bad.append("%s, %s not strongly orthogonal" % (g, d))
+        if rs.cartan_int(g, d) != 0:
+            bad.append("%s, %s not orthogonal" % (g, d))
+    rep.record("stem roots are strongly orthogonal", len(unordered), bad)
 
     # comparable pairs: sums/differences fall into the shallower wing set
     checked = 0
     bad = []
-    for g in G:
-        for d in G:
-            if not stem.precedes(g, d):
-                continue
-            for a in wing_block(g):
-                for b in wing_block(d):
-                    for v in (rs.sums[a].get(b), rs.sums[a].get(-b)):
-                        if v is None:
-                            continue
-                        checked += 1
-                        vv = v if v.positive else -v
-                        if vv not in stem.phi[g]:
-                            bad.append("%s +- %s escapes wings of %s"
-                                       % (a, b, g))
+    for g, d in ordered:
+        for a in block[g]:
+            for b in block[d]:
+                for v in (rs.sums[a].get(b), rs.sums[a].get(-b)):
+                    if v is None:
+                        continue
+                    checked += 1
+                    vv = v if v.positive else -v
+                    if vv not in stem.phi[g]:
+                        bad.append("%s +- %s escapes wings of %s" % (a, b, g))
     rep.record("deeper blocks bracket into the shallower wings", checked, bad)
 
     # sums inside one block only ever produce the stem root
     checked = 0
     bad = []
     for g in G:
-        blk = sorted(wing_block(g), key=Root.key)
+        blk = sorted(block[g], key=Root.key)
         for i, a in enumerate(blk):
             for b in blk[i + 1:]:
                 s = rs.sums[a].get(b)
@@ -217,33 +206,29 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
     # deeper blocks are invisible to shallower stem roots
     checked = 0
     bad = []
-    for d in G:
-        for g in G:
-            if not stem.precedes(d, g):
-                continue
-            for a in wing_block(g):
-                checked += 1
-                row = rs.sums[a]
-                if row.get(d) is not None or row.get(-d) is not None or \
-                        rs.cartan_int(a, d) != 0:
-                    bad.append("%s sees shallower stem root %s" % (a, d))
+    for d, g in ordered:
+        for a in block[g]:
+            checked += 1
+            row = rs.sums[a]
+            if row.get(d) is not None or row.get(-d) is not None or \
+                    rs.cartan_int(a, d) != 0:
+                bad.append("%s sees shallower stem root %s" % (a, d))
     rep.record("deeper blocks are orthogonal to shallower stem roots",
                checked, bad)
 
     # incomparable stem roots: blocks never interact
     checked = 0
     bad = []
-    for i, g in enumerate(G):
-        for d in G[i + 1:]:
-            if stem.comparable(g, d):
-                continue
-            for a in wing_block(g):
-                for b in wing_block(d):
-                    checked += 1
-                    row = rs.sums[a]
-                    if row.get(b) is not None or row.get(-b) is not None:
-                        bad.append("incomparable blocks of %s, %s interact"
-                                   % (g, d))
+    for g, d in unordered:
+        if stem.comparable(g, d):
+            continue
+        for a in block[g]:
+            for b in block[d]:
+                checked += 1
+                row = rs.sums[a]
+                if row.get(b) is not None or row.get(-b) is not None:
+                    bad.append("incomparable blocks of %s, %s interact"
+                               % (g, d))
     rep.record("incomparable blocks never sum to roots", checked, bad)
 
     # wings descend through their stem root
@@ -263,13 +248,11 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
 
     # every stem root sits over some highest root of the full system
     mins = stem.minimal_roots()
-    checked = 0
     bad = []
     for g in G:
-        checked += 1
         if not any(g == m or stem.precedes(m, g) for m in mins):
             bad.append("%s dominates no maximal root" % (g,))
-    rep.record("every stem root dominates a maximal root", checked, bad)
+    rep.record("every stem root dominates a maximal root", len(G), bad)
 
     # deeper blocks are differences of shallower wings
     checked = 0
@@ -278,15 +261,11 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
     for d in G:
         wings_d = stem.phi[d]
         diffs[d] = {rs.sums[b1].get(-b2) for b1 in wings_d for b2 in wings_d}
-    for d in G:
-        for g in G:
-            if not stem.precedes(d, g):
-                continue
-            for a in wing_block(g):
-                checked += 1
-                if a not in diffs[d]:
-                    bad.append("%s is not a difference of wings of %s"
-                               % (a, d))
+    for d, g in ordered:
+        for a in block[g]:
+            checked += 1
+            if a not in diffs[d]:
+                bad.append("%s is not a difference of wings of %s" % (a, d))
     rep.record("deeper blocks are differences within shallower wings",
                checked, bad)
 
@@ -294,18 +273,16 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
     # compute_stem(rs, theta_g) takes the stem roots in theta_g.  Where the
     # peel's structure does not prove it, theta_g is re-peeled and compared,
     # so the violations and the count are those of re-peeling every theta_g.
-    checked = 0
     bad = []
     repeel = {}
     for d in reversed(G):               # deeper stem roots first
         repeel[d] = _proved_repeel(stem, d, repeel)
     for g in G:
-        expected = {d for d in G if d == g or stem.precedes(g, d)}
-        checked += 1
+        expected = stem.up_closure([g])
         if repeel[g] != expected and \
                 set(compute_stem(rs, stem.theta[g]).elements) != expected:
             bad.append("stem of component of %s mismatches" % (g,))
-    rep.record("component stems agree with the order filter", checked, bad)
+    rep.record("component stems agree with the order filter", len(G), bad)
 
     return rep
 

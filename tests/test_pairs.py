@@ -90,6 +90,11 @@ def brute_up_closed(st):
     ("D4", 9),      # one root under an antichain of three
     ("D5", 7),      # gamma1 < gamma2 < gamma4, gamma1 < gamma3
     ("A2 x A2", 4),
+    ("B4", 7),
+    ("D6", 19),
+    ("D8", 39),     # eight stem roots
+    ("E7", 20),
+    ("E8", 21),     # eight stem roots
 ])
 def test_enumerate_substems_counts(text, count):
     st = stem_of(shape(text))
@@ -365,6 +370,19 @@ def test_pair_spec_hashable_and_canonical():
     b = make_pair_spec(shape("E6"), [4, 2])
     assert a == b and hash(a) == hash(b)
     assert {a: 1}[b] == 1
+
+
+def test_pair_spec_rejects_a_substem_that_is_not_canonical():
+    """A spec names its up-closed substem by its sorted indices; a spec that
+    names it otherwise raises rather than reporting the raw tuple."""
+    for text, raw, canonical in (("A3", (1,), (1, 2)),
+                                 ("A5", (3, 2), (2, 3))):
+        s = PairSpec(shape(text), raw, 0)
+        with pytest.raises(ValueError, match=r"name it \(%d, %d\)"
+                           % canonical):
+            check_pair(s)
+        assert check_pair(PairSpec(shape(text), canonical, 0)) \
+            .to_dict()["substem"] == list(canonical)
 
 
 # the type of the peeled component theta_g at each stem root, in stem order

@@ -243,6 +243,60 @@ def test_component_stem_item_under_corruption():
     assert component_stem_item(st) == (4, [])
 
 
+def test_stem_items_under_a_moved_wing():
+    """The lowest wing of g1 moved into the block of g2, on C4: six items
+    fail, each with its exact count and violations, in order."""
+    st = compute_stem(RootSystem(parse_shape("C4")))
+    g1, g2 = st.elements[:2]
+    low = min(st.phi[g1], key=Root.key)
+    assert (str(g1), str(g2), str(low)) == \
+        ("0:(2,2,2,1)", "0:(0,2,2,1)", "0:(1,0,0,0)")
+    st.phi[g1] = st.phi[g1] - {low}
+    st.phi[g2] = st.phi[g2] | {low}
+    got = [(it.name, it.checked, it.violation_count, it.violations)
+           for it in verify_stem_properties(st).items]
+    assert got == [
+        ("wing blocks partition the positive system", 16, 2,
+         ["odd wing count at 0:(2,2,2,1)", "odd wing count at 0:(0,2,2,1)"]),
+        ("stem roots are strongly orthogonal", 6, 0, []),
+        ("deeper blocks bracket into the shallower wings", 46, 11,
+         ["0:(1,1,1,1) +- 0:(0,1,1,1) escapes wings of 0:(2,2,2,1)",
+          "0:(1,1,1,1) +- 0:(1,0,0,0) escapes wings of 0:(2,2,2,1)",
+          "0:(1,1,2,1) +- 0:(1,0,0,0) escapes wings of 0:(2,2,2,1)",
+          "0:(1,1,2,1) +- 0:(0,1,2,1) escapes wings of 0:(2,2,2,1)",
+          "0:(1,1,0,0) +- 0:(0,1,0,0) escapes wings of 0:(2,2,2,1)",
+          "0:(1,1,0,0) +- 0:(1,0,0,0) escapes wings of 0:(2,2,2,1)",
+          "0:(1,2,2,1) +- 0:(0,2,2,1) escapes wings of 0:(2,2,2,1)",
+          "0:(1,2,2,1) +- 0:(1,0,0,0) escapes wings of 0:(2,2,2,1)",
+          "0:(1,2,2,1) +- 0:(1,0,0,0) escapes wings of 0:(2,2,2,1)",
+          "0:(1,1,1,0) +- 0:(0,1,1,0) escapes wings of 0:(2,2,2,1)",
+          "0:(1,1,1,0) +- 0:(1,0,0,0) escapes wings of 0:(2,2,2,1)"]),
+        ("sums within a block land on its stem root", 10, 5,
+         ["0:(0,1,0,0) + 0:(1,0,0,0) = 0:(1,1,0,0) inside block of "
+          "0:(0,2,2,1)",
+          "0:(1,0,0,0) + 0:(0,1,1,0) = 0:(1,1,1,0) inside block of "
+          "0:(0,2,2,1)",
+          "0:(1,0,0,0) + 0:(0,1,1,1) = 0:(1,1,1,1) inside block of "
+          "0:(0,2,2,1)",
+          "0:(1,0,0,0) + 0:(0,1,2,1) = 0:(1,1,2,1) inside block of "
+          "0:(0,2,2,1)",
+          "0:(1,0,0,0) + 0:(0,2,2,1) = 0:(1,2,2,1) inside block of "
+          "0:(0,2,2,1)"]),
+        ("deeper blocks are orthogonal to shallower stem roots", 15, 1,
+         ["0:(1,0,0,0) sees shallower stem root 0:(2,2,2,1)"]),
+        ("incomparable blocks never sum to roots", 0, 0, []),
+        ("wings descend through their stem root", 12, 3,
+         ["0:(1,0,0,0) - 0:(0,2,2,1) is not a negative root",
+          "0:(1,0,0,0) + 0:(0,2,2,1) is a root",
+          "0:(1,0,0,0) pairs nonpositively with 0:(0,2,2,1)"]),
+        ("every stem root dominates a maximal root", 4, 0, []),
+        ("deeper blocks are differences within shallower wings", 15, 2,
+         ["0:(0,2,2,1) is not a difference of wings of 0:(2,2,2,1)",
+          "0:(1,0,0,0) is not a difference of wings of 0:(2,2,2,1)"]),
+        ("component stems agree with the order filter", 4, 0, []),
+    ]
+
+
 @pytest.mark.parametrize("text", ["A1", "A2", "A3", "A4", "A5", "B2", "B3",
                                   "B4", "C2", "C3", "C4", "D4", "D5", "G2"])
 def test_partition_stem_is_unique(text):

@@ -1,0 +1,39 @@
+"""A smoke run of the stem-check section of scripts/verifier_reports.py on
+two small types."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+SCRIPT = (Path(__file__).resolve().parent.parent / "scripts"
+          / "verifier_reports.py")
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("verifier_reports", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_stem_check_section_on_two_small_types(capsys):
+    vr = load_script()
+    vr.show_stem_checks(("A3", "G2"), ("A3", "G2"))
+    lines = capsys.readouterr().out.splitlines()
+    labels = {}
+    for line in lines:
+        label, _, item = line.partition(" | ")
+        labels.setdefault(label, []).append(ast.literal_eval(item))
+    # one line per item, the same ten items under every label
+    names = [item[0] for item in labels["A3 stem checks"]]
+    assert len(names) == len(set(names)) == 10
+    assert all([item[0] for item in items] == names
+               for items in labels.values())
+    clean = ("A3 stem checks", "G2 stem checks")
+    assert all(ok for label in clean for _, _, ok, _, _ in labels[label])
+    # A3 and G2 have two stem roots each, and the higher one has wings:
+    # three corruptions for the pair and one dropped wing, per type
+    corrupted = [label for label in labels if label not in clean]
+    assert len(corrupted) == 8
+    assert all(not all(ok for _, _, ok, _, _ in labels[label])
+               for label in corrupted)
