@@ -35,7 +35,10 @@ The same digest at zeta8 over every root, not only the stem roots, of each
 ALL_ROOT_TYPES type: the rotations at short roots, and at roots with longer
 strings through them, follow chains of (ad X)^k that no stem root's does.
 Then the same digest at each of the ODD_PHASES, made twice in a row, so that
-the second call reads whatever the first one left in a cache.
+the second call reads whatever the first one left in a cache.  Likewise
+every `verify_rotation` item on every stem root of each ROTATION_TYPES type
+at each of the FRESH_PHASES, on a new basis per type and phase, printed
+cold and then warm: the lines differ only in that word.
 The largest cases, last: `verify_rotation` on every stem root of each
 LARGE_ROTATION_TYPES type and `verify_all` on SU(17)/SU(15), the largest
 complement here (dim p = 64), all at zeta8.
@@ -60,7 +63,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from stemhc import hcstruct
-from stemhc.chevalley import make_basis
+from stemhc.chevalley import ChevalleyBasis, make_basis
 from stemhc.classify import audit_type, enumerate_hc_spaces
 from stemhc.cli import SELFTEST_BUILDS
 from stemhc.hcstruct import (HCStructure, PBasis, build_structure,
@@ -69,7 +72,7 @@ from stemhc.hcstruct import (HCStructure, PBasis, build_structure,
                              verify_rotation_spans)
 from stemhc.pairs import (PairSpec, check_pair, complement_data,
                           delta_k, enumerate_substems, make_pair_spec)
-from stemhc.rootsystems import Root, RootSystem, parse_shape
+from stemhc.rootsystems import Root, RootSystem, build_cached, parse_shape
 from stemhc.scalars import EIGHTH_ROOT, HALF, I, ONE, TowerScalar
 from stemhc.stem import (compute_stem, phi_plus_set, stem_of,
                          verify_stem_properties)
@@ -92,6 +95,10 @@ ODD_PHASES = (("(3+4i)/5", TowerScalar(Fraction(3, 5), Fraction(4, 5))),
               ("zeta8^3 (-5+12i)/13",
                EIGHTH_ROOT * EIGHTH_ROOT * EIGHTH_ROOT
                * TowerScalar(Fraction(-5, 13), Fraction(12, 13))))
+# unit phases that meet each rotation on a basis built for them
+FRESH_PHASES = (("-i", -I), ("(3+4i)/5", TowerScalar(Fraction(3, 5),
+                                                     Fraction(4, 5))),
+                ("zeta8^3", EIGHTH_ROOT * EIGHTH_ROOT * EIGHTH_ROOT))
 # types whose stems are corrupted one wing set or component at a time
 STEM_CORRUPTION_TYPES = ("A3", "A5", "B3", "C4", "D4", "D5", "G2", "F4", "E6",
                          "A2 x A2")
@@ -243,6 +250,24 @@ def show_all_root_rotations():
                                      for g in roots))
 
 
+def show_fresh_phase_rotations(types):
+    """Every `verify_rotation` item on every stem root of each type at each
+    FRESH_PHASES phase, on a new basis per type and phase: printed cold,
+    where the first call at each root finds nothing of that root kept on
+    the basis, and then warm, from what the cold calls left there."""
+    bases = {}
+    for call in ("cold", "warm"):
+        for text in types:
+            sh = parse_shape(text)
+            st = stem_of(sh)
+            for name, rho in FRESH_PHASES:
+                cb = bases.setdefault((text, name),
+                                      ChevalleyBasis(build_cached(sh)))
+                for g in st.elements:
+                    show("%s rotation %s @%s, %s |" % (text, g, name, call),
+                         verify_rotation(cb, st, g, rho=rho))
+
+
 def show_large_cases():
     for text in LARGE_ROTATION_TYPES:
         cb = make_basis(parse_shape(text))
@@ -388,6 +413,7 @@ def main():
             show("%s spans @%s |" % (text, name),
                  verify_rotation_spans(cb, st, rho))
     show_all_root_rotations()
+    show_fresh_phase_rotations(ROTATION_TYPES)
     show_pair_layer(bases)
     show_chevalley_data()
     show_sum_tables()

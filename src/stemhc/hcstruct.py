@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import neg, sub
 
 from .chevalley import AlgebraElement, ChevalleyBasis, _unit_phase, make_basis
 from .linalg import invert, kernel_basis, mat_vec, rref
@@ -1011,19 +1012,37 @@ def root_rotation(cb: ChevalleyBasis, gamma: Root, rho=ONE) -> RootRotation:
     call."""
     if gamma not in cb.rs.root_set:
         raise ValueError("not a root: %s" % (gamma,))
-    rho = _phase_map([gamma], rho)[gamma]
+    return _rephased(cb, gamma, _phase_map([gamma], rho)[gamma])
+
+
+def _phase_one_table(cb: ChevalleyBasis, gamma: Root):
+    """The moved images of `_phase_one_rotation` at gamma, built at the
+    first call and kept on the basis."""
     moved = cb.rotations.get(gamma)
     if moved is None:
         moved = cb.rotations[gamma] = _phase_one_rotation(cb, gamma)
-    # rho^j at index j for |j| <= 3, negative indices from the end
+    return moved
+
+
+def _grade_powers(rho):
+    """rho^j by grade j, |j| <= 3, for a unit phase rho; the int 1 stands
+    for each power that is one, as a scalar times the int 1 is the scalar
+    itself, with no arithmetic."""
     squared = rho * rho
     powers = [ONE, rho, squared, squared * rho]
-    powers += [p.conj() for p in reversed(powers[1:])]
+    powers = [p.conj() for p in reversed(powers[1:])] + powers
+    return {j: 1 if p == ONE else p for j, p in zip(range(-3, 4), powers)}
+
+
+def _rephased(cb: ChevalleyBasis, gamma: Root, rho) -> RootRotation:
+    """The phase-one table of gamma with each entry of grade j times rho^j:
+    `root_rotation` of a checked unit phase."""
+    powers = _grade_powers(rho)
     return RootRotation(cb, {
         k: AlgebraElement(
-            cb, {slot: c * powers[j] if j else c for slot, c, j in cartan},
-            {r: c * powers[j] if j else c for r, c, j in e})
-        for k, (cartan, e) in moved.items()})
+            cb, {slot: c * powers[j] for slot, c, j in cartan},
+            {r: c * powers[j] for r, c, j in e})
+        for k, (cartan, e) in _phase_one_table(cb, gamma).items()})
 
 
 def _phase_map(gammas, phases):
@@ -1074,6 +1093,145 @@ def algebra_generators(cb: ChevalleyBasis):
     return keys + [("h", j) for j in range(cb.semisimple_rank, cb.total_rank)]
 
 
+def _rephases_table(cb: ChevalleyBasis, gamma: Root, rot: RootRotation,
+                    rho) -> bool:
+    """Whether rot is the phase-one table R1 of gamma rephased to rho entry
+    by entry: rot moves exactly the basis vectors that R1 moves, and the
+    entry at beta of its image of the vector at alpha is R1's entry there
+    times rho^j, with j read off the weights, beta - alpha = j gamma (not
+    off the grades stored in the table), a Cartan slot having the weight 0.
+    Then rot = D R1 D^-1 exactly, for D = Ad(exp(s H_gamma)) with e^(2s) =
+    rho (see `root_rotation`)."""
+    table = _phase_one_table(cb, gamma)
+    if rot.moved.keys() != table.keys():
+        return False
+    g, comp = gamma.coords, gamma.comp
+    zero = (0,) * len(g)
+    # rho^j by the coordinates of j gamma
+    power_at = {tuple(j * c for c in g): p
+                for j, p in _grade_powers(rho).items()}
+    keys = cb.basis_keys
+    for k, (cartan, e) in table.items():
+        image = rot.moved[k]
+        ie = image.e
+        if len(image.cartan) != len(cartan) or len(ie) != len(e):
+            return False
+        kind, alpha = keys[k]
+        # the weight of alpha in gamma's component; a root outside it moves
+        # by no multiple of gamma, so only alpha itself may join it (j = 0)
+        a = zero if kind == "h" else \
+            alpha.coords if alpha.comp == comp else None
+        if cartan:
+            p = None if a is None else power_at.get(tuple(map(neg, a)))
+            if p is None or any(image.cartan.get(slot, ZERO) != c * p
+                                for slot, c, _ in cartan):
+                return False
+        for r, c, _ in e:
+            if r == alpha:
+                p = 1
+            elif a is None or r.comp != comp:
+                return False
+            else:
+                p = power_at.get(tuple(map(sub, r.coords, a)))
+            if p is None or ie.get(r, ZERO) != c * p:
+                return False
+    return True
+
+
+def _respects_bracket(cb: ChevalleyBasis, rot: RootRotation, a, b) -> bool:
+    """Whether rot [e_a, e_b] = [rot e_a, rot e_b] for basis vectors a, b."""
+    moved = rot.moved
+    if a in moved or b in moved:
+        bracket = cb.bracket(cb.basis[a], cb.basis[b])
+        return rot.apply(bracket) == cb.bracket(rot.image(a), rot.image(b))
+    # rot fixes a and b, so the identity reads rot [a, b] = [a, b], which
+    # holds when rot moves no basis vector of [a, b]: there is none for two
+    # Cartan vectors, nor for roots x, y with x + y neither a root nor 0; a
+    # Cartan vector and E_y give a multiple of E_y; and roots with x + y = s
+    # a root give a multiple of E_s
+    (ka, x), (kb, y) = cb.basis_keys[a], cb.basis_keys[b]
+    if ka == "h" or kb == "h":
+        return True
+    s = cb.rs.sums[x].get(y)
+    if s is None and y != -x \
+            or s is not None and cb.key_index[("e", s)] not in moved:
+        return True
+    bracket = cb.bracket(cb.basis[a], cb.basis[b])
+    return rot.apply(bracket) == bracket
+
+
+def _commutes_with_tau(cb: ChevalleyBasis, rot: RootRotation, a) -> bool:
+    return rot.apply(cb.tau(cb.basis[a])) == cb.tau(rot.image(a))
+
+
+def _generator_proofs(cb: ChevalleyBasis, rot: RootRotation):
+    """(automorphism, real): whether the proofs by generation show that rot
+    respects every bracket, and that it also commutes with tau.
+
+    Proof by generation.  S = {x : rot[x, y] = [rot x, rot y] for every y}
+    is a subspace, and a subalgebra: for x, x' in S, Jacobi in g and then in
+    the image give
+      rot[[x, x'], y] = rot[x, [x', y]] - rot[x', [x, y]]
+                      = [rot x, [rot x', rot y]] - [rot x', [rot x, rot y]]
+                      = [[rot x, rot x'], rot y] = [rot[x, x'], rot y].
+    So S is all of g once it holds the generators, and the generator rows
+    prove every pair identity.  tau is an antilinear automorphism
+    (`test_tau_properties` checks it), so once rot is an automorphism, rot
+    tau and tau rot are antilinear automorphisms; the vectors on which two
+    such maps agree form a subalgebra, so agreement on the generators is
+    agreement everywhere."""
+    gens = [cb.key_index[k] for k in algebra_generators(cb)]
+    n = len(cb.basis)
+    automorphism = all(_respects_bracket(cb, rot, a, b)
+                       for a in gens for b in range(n))
+    return automorphism, automorphism and all(
+        _commutes_with_tau(cb, rot, a) for a in gens)
+
+
+def _phase_free_violations(cb: ChevalleyBasis, gamma: Root, rot, others,
+                           other_rots):
+    """The violations of the bracket, conjugation and commutation items of
+    `verify_rotation`, checked on rot itself: each of the first two by its
+    proof by generation, and where that fails, on every pair or every basis
+    vector, which names every broken case; the third on the compositions of
+    rot with each rotation of other_rots, at the roots of others."""
+    keys = cb.basis_keys
+    n = len(keys)
+    automorphism, real = _generator_proofs(cb, rot)
+    brackets = [] if automorphism else [
+        "bracket of %s, %s not respected" % (keys[a], keys[b])
+        for a in range(n) for b in range(a + 1, n)
+        if not _respects_bracket(cb, rot, a, b)]
+    conjugation = [] if real else [
+        "conjugation slips past the rotation at %s" % (keys[a],)
+        for a in range(n) if not _commutes_with_tau(cb, rot, a)]
+    commutation = [
+        "rotations at %s and %s do not commute" % (gamma, d)
+        for d, other in zip(others, other_rots)
+        if rot.compose(other) != other.compose(rot)]
+    return brackets, conjugation, commutation
+
+
+def _phase_one_proofs(cb: ChevalleyBasis, gamma: Root, others) -> bool:
+    """Whether the bracket, conjugation and commutation items of
+    `verify_rotation` hold on the phase-one tables R1: the first two on R1
+    of gamma, by the proofs by generation there, and the third on R1 of
+    gamma with R1 of each root of others.  Each proof is made once and kept
+    on the basis, in `cb.rotation_proofs`: by root for the first two, by
+    the pair of roots for the third."""
+    proofs = cb.rotation_proofs
+    unproved = [d for d in others if frozenset((gamma, d)) not in proofs]
+    if gamma not in proofs or unproved:
+        r1 = _rephased(cb, gamma, ONE)
+        if gamma not in proofs:
+            proofs[gamma] = _generator_proofs(cb, r1)[1]
+        for d in unproved:
+            o1 = _rephased(cb, d, ONE)
+            proofs[frozenset((gamma, d))] = r1.compose(o1) == o1.compose(r1)
+    return proofs[gamma] and all(proofs[frozenset((gamma, d))]
+                                 for d in others)
+
+
 def verify_rotation(cb: ChevalleyBasis, stem, gamma: Root,
                     rho=ONE) -> CheckReport:
     """The single-rotation identities: automorphism, reality, commutation,
@@ -1081,54 +1239,36 @@ def verify_rotation(cb: ChevalleyBasis, stem, gamma: Root,
     rho = _phase_map([gamma], rho)[gamma]
     rot = root_rotation(cb, gamma, rho)
     rep = CheckReport()
-    keys = cb.basis_keys
-    n = len(keys)
+    n = len(cb.basis_keys)
     basis = cb.basis
-    gens = [cb.key_index[k] for k in algebra_generators(cb)]
-
-    def respected(a, b):
-        bracket = cb.bracket(basis[a], basis[b])
-        if a in rot.moved or b in rot.moved:
-            return rot.apply(bracket) == cb.bracket(rot.image(a),
-                                                    rot.image(b))
-        # rot fixes a and b, so [rot a, rot b] is the bracket itself
-        return rot.apply(bracket) == bracket
-
-    # Proof by generation.  S = {x : rot[x, y] = [rot x, rot y] for every y}
-    # is a subspace, and a subalgebra: for x, x' in S, Jacobi in g and then
-    # in the image give
-    #   rot[[x, x'], y] = rot[x, [x', y]] - rot[x', [x, y]]
-    #                   = [rot x, [rot x', rot y]] - [rot x', [rot x, rot y]]
-    #                   = [[rot x, rot x'], rot y] = [rot[x, x'], rot y].
-    # So S is all of g once it holds the generators, and the generator rows
-    # prove every pair identity.  If one fails, the loop over all pairs
-    # names every broken pair.
-    automorphism = all(respected(a, b) for a in gens for b in range(n))
-    bad = [] if automorphism else [
-        "bracket of %s, %s not respected" % (keys[a], keys[b])
-        for a in range(n) for b in range(a + 1, n) if not respected(a, b)]
-    rep.record("rotation respects every bracket", n * (n - 1) // 2, bad)
-
-    def commutes_with_tau(a):
-        return rot.apply(cb.tau(basis[a])) == cb.tau(rot.image(a))
-
-    # tau is an antilinear automorphism (`test_tau_properties` checks it),
-    # so once rot is an automorphism, rot tau and tau rot are antilinear
-    # automorphisms; the vectors on which two such maps agree form a
-    # subalgebra, so agreement on the generators is agreement everywhere
-    proved = automorphism and all(map(commutes_with_tau, gens))
-    bad = [] if proved else [
-        "conjugation slips past the rotation at %s" % (keys[a],)
-        for a in range(n) if not commutes_with_tau(a)]
-    rep.record("rotation commutes with the compact conjugation", n, bad)
-
-    bad = []
     others = [d for d in stem.elements if d != gamma]
-    for d in others:
-        other = root_rotation(cb, d, rho)
-        if rot.compose(other) != other.compose(rot):
-            bad.append("rotations at %s and %s do not commute" % (gamma, d))
-    rep.record("stem rotations commute pairwise", max(len(others), 1), bad)
+    other_rots = [root_rotation(cb, d, rho) for d in others]
+
+    # Proof at the phase one.  If rot passes the grade check, rot = D R1 D^-1
+    # exactly, with D = Ad(exp(s H_gamma)), e^(2s) = rho and R1 the
+    # phase-one table of gamma.  D is an automorphism, so the bracket
+    # identity carries over from R1 to rot.  |rho| = 1 puts exp(s H_gamma)
+    # in the compact torus, so D commutes with tau, and so does rot once R1
+    # does.  The grade check reads beta - alpha = j gamma for every entry of
+    # R1_gamma, so D_d = Ad(exp(t H_d)) scales each by e^(t j <gamma, d^vee>)
+    # = 1 when <gamma, d^vee> = 0: D_d commutes with R1_gamma, and likewise
+    # D_gamma with R1_d.  So D_gamma D_d conjugates both R1 onto both
+    # rotations at once, and they commute once the R1 do.  The proofs on
+    # the R1 are made once per basis and root, or pair of roots, and kept.
+    if _rephases_table(cb, gamma, rot, rho) and all(
+            not cb.rs.cartan_int(gamma, d)
+            and _rephases_table(cb, d, other, rho)
+            for d, other in zip(others, other_rots)) \
+            and _phase_one_proofs(cb, gamma, others):
+        brackets, conjugation, commutation = [], [], []
+    else:
+        brackets, conjugation, commutation = _phase_free_violations(
+            cb, gamma, rot, others, other_rots)
+    rep.record("rotation respects every bracket", n * (n - 1) // 2, brackets)
+    rep.record("rotation commutes with the compact conjugation", n,
+               conjugation)
+    rep.record("stem rotations commute pairwise", max(len(others), 1),
+               commutation)
 
     scale = SQRT2 * HALF
     bad = []

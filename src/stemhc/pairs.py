@@ -55,13 +55,19 @@ class Substem:
 
 
 def enumerate_substems(stem: Stem):
-    """All up-closed subsets, sorted by size then indices."""
-    n = len(stem.elements)
-    out = []
-    for mask in range(1 << n):
-        chosen = {stem.elements[i] for i in range(n) if mask >> i & 1}
-        if stem.up_closure(chosen) == chosen:
-            out.append(Substem(stem, chosen))
+    """All up-closed subsets, sorted by size then indices.
+
+    They are grown directly: the stem roots are taken smallest up-set first,
+    which puts every root of an up-set before the root it belongs to, and a
+    root joins each subset grown so far that holds the rest of its up-set.
+    So each up-closed subset is made exactly once, from its members in that
+    order."""
+    ups = {g: stem.up_closure([g]) for g in stem.elements}
+    grown = [frozenset()]
+    for g in sorted(stem.elements, key=lambda g: len(ups[g])):
+        rest = ups[g] - {g}
+        grown += [s | {g} for s in grown if rest <= s]
+    out = [Substem(stem, chosen) for chosen in grown]
     out.sort(key=lambda s: (len(s.indices), s.indices))
     return out
 

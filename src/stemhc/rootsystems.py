@@ -24,6 +24,7 @@ which the stems take their wings and the Chevalley basis its constants.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -410,8 +411,12 @@ class RootSystem:
             ks = [at[codes[i] + codes[j]] for j in row]
             self.sums[roots[i]] = dict(zip(map(roots.__getitem__, row),
                                            map(roots.__getitem__, ks)))
-            self._sum_rows[i] = tuple(x for j, k in zip(row, ks) if j > i
-                                      for x in (j, k))
+            # the pairs (j, k) with j > i, interleaved
+            start = bisect_right(row, i)
+            flat = [0] * (2 * (len(row) - start))
+            flat[::2] = row[start:]
+            flat[1::2] = ks[start:]
+            self._sum_rows[i] = tuple(flat)
 
     def decompositions(self, i):
         """The pairs (a, b) of positive root indices with a < b and

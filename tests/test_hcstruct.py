@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -1433,6 +1434,234 @@ def test_rotation_proofs_fall_back_to_every_pair(monkeypatch, text, t, bent,
         k = cb.key_index[("e", last)]
         assert rotation(cb, gamma).images[k] == cb.E(last)
         assert rotation(cb, st.elements[bent]).images[k] == cb.E(last)
+
+
+# ------------------------------------------- rotation proofs at the phase one
+
+# unit phases that the tests below meet on a fresh basis: -i, (3+4i)/5 and
+# zeta8^3
+FRESH_PHASES = (-I, PYTH, EIGHTH_ROOT * EIGHTH_ROOT * EIGHTH_ROOT)
+
+
+def power(rho, j):
+    """rho^j for a unit phase rho and any integer j."""
+    out = ONE
+    for _ in range(abs(j)):
+        out = out * (rho if j > 0 else rho.conj())
+    return out
+
+
+@pytest.mark.parametrize("text", ["A4", "D4", "E6", "c^1 x B3", "A2 x A2"])
+def test_rotation_items_at_fresh_phases_equal_every_pair(text):
+    """On a fresh basis per phase, the bracket, conjugation and commutation
+    items of every stem root equal their checks over every pair, vector and
+    composition, at the first call, which makes the phase-one proofs, and at
+    the second, which reads them; the whole reports agree."""
+    sh = parse_shape(text)
+    st = stem_of(sh)
+    for rho in FRESH_PHASES:
+        cb = ChevalleyBasis(build_cached(sh))
+        for g in st.elements:
+            assert g not in cb.rotation_proofs
+            cold = verify_rotation(cb, st, g, rho)
+            assert cb.rotation_proofs[g] is True
+            warm = verify_rotation(cb, st, g, rho)
+            want = all_pairs_items(cb, st, g, rho)
+            assert [it.to_dict() for it in cold.items[:3]] == want, (g, rho)
+            assert warm.to_dict() == cold.to_dict()
+            assert cold.ok, cold.summary()
+
+
+def flipped_grade(cb, gamma):
+    """A corruption of every rotation at gamma that `root_rotation` builds:
+    the first entry of odd grade j of the phase-one table, at beta in the
+    image of basis vector k, times rho^-j in place of rho^j (these differ
+    unless rho^2j = 1, which no FRESH_PHASES phase has for odd j)."""
+    k, beta, c, j = next((k, r, c, j)
+                         for k, (_, e) in sorted(cb.rotations[gamma].items())
+                         for r, c, j in e if j % 2)
+
+    def corrupt(rot, rho):
+        image = rot.moved[k]
+        e = dict(image.e)
+        e[beta] = c * power(rho, -j)
+        rot.moved[k] = AlgebraElement(cb, dict(image.cartan), e)
+    return corrupt
+
+
+def flipped_stored_grade(cb, gamma):
+    """A corruption of the phase-one table of gamma itself: its first entry
+    of odd grade j stored with the grade -j, so that `root_rotation` builds
+    that entry times rho^-j at every phase.  No rotation needs corrupting."""
+    table = cb.rotations[gamma]
+    k, i = next((k, i) for k, (_, e) in sorted(table.items())
+                for i, (_, _, j) in enumerate(e) if j % 2)
+    cartan, e = table[k]
+    r, c, j = e[i]
+    table[k] = (cartan, e[:i] + ((r, c, -j),) + e[i + 1:])
+
+
+def off_string(cb, gamma):
+    """A corruption of every rotation at gamma that `root_rotation` builds:
+    the entry at beta of its image of the first root vector E_alpha it moves
+    into another root vector, moved onto the first root outside that image
+    and outside the gamma-string through alpha."""
+    rs = cb.rs
+    table = cb.rotations[gamma]
+    k, alpha, beta = next((k, key, r) for k, (kind, key) in
+                          enumerate(cb.basis_keys)
+                          if kind == "e" and k in table
+                          for r, _, _ in table[k][1] if r != key)
+    image_roots = {r for r, _, _ in table[k][1]}
+
+    def on_string(r):
+        diff = root_sub(r, alpha)
+        return diff is not None and diff.comp == gamma.comp and any(
+            diff.coords == tuple(j * x for x in gamma.coords)
+            for j in range(-3, 4))
+
+    target = next(r for r in sorted(rs.roots, key=Root.key)
+                  if r not in image_roots and not on_string(r))
+
+    def corrupt(rot, rho):
+        image = rot.moved[k]
+        e = dict(image.e)
+        e[target] = e.pop(beta)
+        rot.moved[k] = AlgebraElement(cb, dict(image.cartan), e)
+    return corrupt
+
+
+@pytest.mark.parametrize("text", ["A4", "c^1 x B3"])
+@pytest.mark.parametrize("corruption",
+                         ["flipped", "stored grade", "off string"])
+def test_rotation_proofs_fall_back_on_a_rotation_the_grades_reject(
+        monkeypatch, text, corruption):
+    """Every rotation at the first stem root, corrupted where the grade
+    check looks: one entry times rho^-j in place of rho^j, which leaves the
+    phase one as it is, so the rotation there passes every item, either in
+    each rotation built or through the grade stored in the table; or one
+    entry moved off the gamma-string.  At each fresh phase the three items
+    equal their checks over every pair, vector and composition, and fail,
+    before the proofs at the phase one are made and after."""
+    sh = parse_shape(text)
+    st = stem_of(sh)
+    cb = ChevalleyBasis(build_cached(sh))
+    gamma = st.elements[0]
+    rotation = hcstruct.root_rotation
+    rotation(cb, gamma)     # builds the phase-one table
+    corrupt = {"flipped": flipped_grade, "stored grade": flipped_stored_grade,
+               "off string": off_string}[corruption](cb, gamma)
+
+    def corrupted(cb_, g, rho=ONE):
+        rot = rotation(cb_, g, rho)
+        if g == gamma and corrupt:
+            corrupt(rot, hcstruct._phase_map([g], rho)[g])
+        return rot
+
+    for proved in (False, True):
+        if proved:
+            assert verify_rotation(cb, st, gamma).ok
+        assert (gamma in cb.rotation_proofs) == proved
+        with monkeypatch.context() as m:
+            m.setattr(hcstruct, "root_rotation", corrupted)
+            for rho in FRESH_PHASES:
+                got = [it.to_dict() for it in
+                       verify_rotation(cb, st, gamma, rho).items[:3]]
+                assert got == all_pairs_items(cb, st, gamma, rho), rho
+                assert not all(it["ok"] for it in got), rho
+            if corruption != "off string":
+                assert corrupted(cb, gamma) == rotation(cb, gamma)
+                assert verify_rotation(cb, st, gamma).ok
+    assert cb.rotation_proofs[gamma] is True
+
+
+@pytest.mark.parametrize("text", ["A4", "c^1 x B3"])
+def test_rotation_proofs_fall_back_on_a_table_that_fails_them(text):
+    """The phase-one table of the first stem root with the entry at E_gamma
+    of its image of E_gamma times 2: every rotation built from it passes
+    the grade check, but the proof at the phase one fails, is kept as
+    failed, and every call reports what the checks over every pair, vector
+    and composition report."""
+    sh = parse_shape(text)
+    st = stem_of(sh)
+    cb = ChevalleyBasis(build_cached(sh))
+    gamma = st.elements[0]
+    root_rotation(cb, gamma)
+    k = cb.key_index[("e", gamma)]
+    cartan, e = cb.rotations[gamma][k]
+    cb.rotations[gamma][k] = (cartan, tuple((r, c * 2 if r == gamma else c, j)
+                                            for r, c, j in e))
+    for rho in FRESH_PHASES + (ONE,):
+        got = [it.to_dict()
+               for it in verify_rotation(cb, st, gamma, rho).items[:3]]
+        assert got == all_pairs_items(cb, st, gamma, rho), rho
+        assert not got[0]["ok"], rho
+        assert cb.rotation_proofs[gamma] is False
+
+
+@pytest.mark.parametrize("text", ["A4", "D4", "c^1 x B3"])
+def test_rotation_proofs_fall_back_on_a_root_that_is_not_orthogonal(text):
+    """A stem of gamma and -gamma, which are not orthogonal: the two
+    rotations commute at the phase one, as the one at -gamma is the inverse
+    of the one at gamma there, but not at a fresh phase, where the
+    commutation item fails as on the whole compositions, and the other two
+    items equal their checks over every pair and vector."""
+    sh = parse_shape(text)
+    st = stem_of(sh)
+    cb = ChevalleyBasis(build_cached(sh))
+    g = st.elements[0]
+    pair = types.SimpleNamespace(elements=[g, -g],
+                                 phi={g: st.phi[g], -g: frozenset()})
+    one, opposite = root_rotation(cb, g), root_rotation(cb, -g)
+    assert one.compose(opposite) == opposite.compose(one)
+    assert verify_rotation(cb, pair, g).items[2].ok
+    for rho in FRESH_PHASES[1:]:
+        got = [it.to_dict()
+               for it in verify_rotation(cb, pair, g, rho).items[:3]]
+        assert got == all_pairs_items(cb, pair, g, rho), rho
+        assert got[2]["violations"] == [
+            "rotations at %s and %s do not commute" % (g, -g)]
+    assert frozenset((g, -g)) not in cb.rotation_proofs
+
+
+def test_phase_one_proof_is_made_once_per_basis_and_root(monkeypatch):
+    """A fresh basis proves the bracket and conjugation items of a stem root
+    at its first `verify_rotation`, and the commutation item once per pair
+    of stem roots, whichever root comes first.  A call at another phase
+    makes no bracket and no composition, and the proofs are kept by root
+    and by pair of roots, never by phase."""
+    sh = parse_shape("D4")
+    st = stem_of(sh)
+    cb = ChevalleyBasis(build_cached(sh))
+    brackets, compositions = [], []
+    bracket = cb.bracket
+    compose = hcstruct.RootRotation.compose
+
+    def counted(x, y):
+        brackets.append(1)
+        return bracket(x, y)
+
+    def counted_compose(self, other):
+        compositions.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(cb, "bracket", counted)
+    monkeypatch.setattr(hcstruct.RootRotation, "compose", counted_compose)
+    g, d, *rest = st.elements
+    assert verify_rotation(cb, st, g, PYTH).ok
+    assert brackets and len(compositions) == 2 * (len(rest) + 1)
+    assert set(cb.rotation_proofs) == {g} | {frozenset((g, x))
+                                             for x in [d] + rest}
+    for rho in (PYTH, TWISTED, ONE):
+        del brackets[:], compositions[:]
+        assert verify_rotation(cb, st, g, rho).ok
+        assert not brackets and not compositions
+    assert verify_rotation(cb, st, d, TWISTED).ok
+    assert brackets and len(compositions) == 2 * len(rest)
+    assert set(cb.rotation_proofs) == {g, d} | {
+        frozenset(p) for p in [(g, d)] + [(x, y) for x in (g, d)
+                                          for y in rest]}
+    assert all(v is True for v in cb.rotation_proofs.values())
 
 
 # ------------------------------- rotations as the identity plus moved columns

@@ -14,6 +14,7 @@ from stemhc.pairs import (
 from stemhc.reporting import CheckReport
 from stemhc.rootsystems import parse_shape
 from stemhc.stem import stem_of
+from test_hcstruct import ATLAS_TYPES
 from test_rootsystems import optimized_stdout
 
 
@@ -107,6 +108,35 @@ def test_enumerate_substems_counts(text, count):
     # closure is idempotent and regenerated by the minimal elements
     for s in subs:
         assert Substem(st, minimal_elements(s)).members == s.members
+
+
+def filtered_substems(st):
+    """The substems as `enumerate_substems` found them before it grew them:
+    each of the 2^n subsets of the stem, kept when up-closing leaves it as
+    it is, sorted by size then indices."""
+    n = len(st.elements)
+    out = []
+    for mask in range(1 << n):
+        chosen = {st.elements[i] for i in range(n) if mask >> i & 1}
+        if st.up_closure(chosen) == chosen:
+            out.append(Substem(st, chosen))
+    out.sort(key=lambda s: (len(s.indices), s.indices))
+    return out
+
+
+# products with and without a center
+PRODUCT_SHAPES = ["A2 x A2", "c^1 x B3", "A1 x A1 x A1", "D4 x A3",
+                  "B3 x C3 x G2", "c^2 x A3 x B2", "E6 x A1"]
+
+
+def test_grown_substems_equal_the_subset_filter():
+    """Growing the up-closed subsets gives the filter's list, in its order,
+    on every atlas type and on products."""
+    for text in ATLAS_TYPES + PRODUCT_SHAPES:
+        st = stem_of(shape(text))
+        got = [(s.indices, s.members) for s in enumerate_substems(st)]
+        assert got == [(s.indices, s.members)
+                       for s in filtered_substems(st)], text
 
 
 def test_minimal_elements():

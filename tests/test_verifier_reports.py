@@ -1,5 +1,5 @@
-"""A smoke run of the stem-check section of scripts/verifier_reports.py on
-two small types."""
+"""Smoke runs of the stem-check and fresh-phase rotation sections of
+scripts/verifier_reports.py on two small types."""
 
 import ast
 import importlib.util
@@ -37,3 +37,17 @@ def test_stem_check_section_on_two_small_types(capsys):
     assert len(corrupted) == 8
     assert all(not all(ok for _, _, ok, _, _ in labels[label])
                for label in corrupted)
+
+
+def test_fresh_phase_rotation_section_prints_cold_and_warm_alike(capsys):
+    vr = load_script()
+    vr.show_fresh_phase_rotations(("A3", "G2"))
+    lines = capsys.readouterr().out.splitlines()
+    cold = [line for line in lines if ", cold |" in line]
+    warm = [line for line in lines if ", warm |" in line]
+    assert cold and len(cold) + len(warm) == len(lines)
+    assert [line.replace(", cold |", ", warm |") for line in cold] == warm
+    # eight items per call: two stem roots per type, three phases
+    assert len(cold) == 2 * 2 * 3 * 8
+    assert all(ast.literal_eval(line.partition(" | ")[2])[2]
+               for line in cold)
