@@ -17,8 +17,9 @@ whose subalgebras hold central directions.  The pair layer: `check_pair` on
 every substem of every ATLAS_TYPES type, `complement_data` on the accepted
 ones, the `audit_type` rows, and the Cartan vectors `o_k`, `z_vecs` and
 `j_vecs` of every adapted basis built above.  The Chevalley data: one
-sha256 per ATLAS_TYPES type over the sorted `n_const`, `hroot`, `killing_h`
-and `killing_e` of its basis, each number with its type.  The root sums:
+sha256 per ATLAS_TYPES type over the sorted pairs of `RootSystem.sums` with
+their constants `ChevalleyBasis.N`, `hroot`, `killing_h` and B(E_r, E_-r)
+from those two (`killing_e`), each number with its type.  The root sums:
 one sha256 per ATLAS_TYPES type over the sorted triples (a, b, a+b) of
 `RootSystem.sums` whose sum is a root, the wing set `phi_plus_set` of every
 positive root and the index rows `RootSystem._sum_rows`.  The subsystem
@@ -150,14 +151,28 @@ def entries_digest(matrices):
     return digest.hexdigest()
 
 
+def killing_e(cb):
+    """B(E_r, E_-r) = B(H_r, H_r) / 2 for the positive roots r, by
+    invariance of the trace form, as [E_r, E_-r] = H_r and r(H_r) = 2."""
+    K = cb.killing_h
+    out = {}
+    for r in cb.rs.positives:
+        h = cb.hroot[r]
+        out[r] = sum(hi * hj * K[i][j] for i, hi in enumerate(h) if hi
+                     for j, hj in enumerate(h) if hj) / 2
+    return out
+
+
 def show_chevalley_data():
     for text in ATLAS_TYPES:
         cb = make_basis(parse_shape(text))
         digest = hashlib.sha256()
-        for name, items in (("n_const", sorted(cb.n_const.items())),
+        constants = sorted(((a, b), cb.N(a, b))
+                           for a, row in cb.rs.sums.items() for b in row)
+        for name, items in (("n_const", constants),
                             ("hroot", sorted(cb.hroot.items())),
                             ("killing_h", enumerate(cb.killing_h)),
-                            ("killing_e", sorted(cb.killing_e.items()))):
+                            ("killing_e", sorted(killing_e(cb).items()))):
             for key, val in items:
                 digest.update(repr((name, key, typed(val))).encode())
         print("%s chevalley data |" % text, digest.hexdigest())

@@ -1,18 +1,21 @@
 """Chevalley bases with integer structure constants, exact brackets, the
-compact conjugation, and the invariant trace form.
+compact conjugation, and the Cartan block of the trace form.
 
 Structure-constant signs are fixed the classical way: walk the positive roots
 by height; for each non-simple positive root the minimal-first decomposition
 gets N = p+1 > 0, every other decomposition is forced by the Jacobi identity,
 and each value is propagated to the full 12-pair orbit of its root triple.
 
-The constants are worked out on root indices, from the decompositions
-c = a + b of each positive root that `RootSystem.decompositions` lists; the
-basis checks that each pair of the root system's table `RootSystem.sums`,
-a -> {b: a+b} over the pairs whose sum is a root, has a constant.  The
-bracket reads this table, adds [E_a, E_-a] = H_a apart from it, and
-`combine` forms every linear combination; both drop zero coefficients once,
-at the end.
+The constants live in one table by root index, `n_table`, worked out from the
+decompositions c = a + b of each positive root that
+`RootSystem.decompositions` lists: N(roots[i], roots[j]) is the signed byte
+in cell i * R + j, with R roots, and 0 where the two roots do not sum to a
+root.  `ChevalleyBasis.N(a, b)` reads a cell by Root, and raises KeyError on
+a 0.  The basis checks that each pair of the root system's table
+`RootSystem.sums`, a -> {b: a+b} over the pairs whose sum is a root, has a
+constant.  The bracket reads both tables, adds [E_a, E_-a] = H_a apart from
+them, and `combine` forms every linear combination; both drop zero
+coefficients once, at the end.
 
 An element stores its Cartan part and its root part sparsely, as dicts of
 nonzero coefficients, so operations touch only the slots an element uses.
@@ -118,18 +121,23 @@ class ChevalleyBasis:
         self.semisimple_rank = off
         self.total_rank = off + shape.center_dim
         self.center_dim = shape.center_dim
-        self.n_const = {}
+        # N(roots[i], roots[j]) in cell i * R + j, R = len(rs.roots), and 0
+        # where the two roots do not sum to a root; signed bytes
+        R = len(rs.roots)
+        self.n_table = memoryview(bytearray(R * R)).cast("b")
         for ci in range(len(shape.simples)):
             self._build_constants(ci)
-        # Each key set above is an ordered pair of a triple {a, b, -(a+b)}
+        # Each cell set above is an ordered pair of a triple {a, b, -(a+b)}
         # of a decomposition, or of its opposite, so it is a pair of `sums`,
-        # which holds the twelve pairs of every such triple: the constants
-        # miss a pair of `sums` exactly when they are fewer than those
-        # pairs.  Only then is the table walked.
-        if len(self.n_const) != sum(map(len, rs.sums.values())):
+        # which holds the twelve pairs of every such triple: the table
+        # misses a pair of `sums` exactly when it has fewer nonzero cells
+        # than `sums` has pairs.  Only then is `sums` walked.
+        if (len(self.n_table) - self.n_table.tobytes().count(0)
+                != sum(map(len, rs.sums.values()))):
+            index = rs.index
             for a, row in rs.sums.items():
                 for b in row:
-                    if (a, b) not in self.n_const:
+                    if not self.n_table[index[a] * R + index[b]]:
                         raise ValueError("no structure constant for (%s, %s)"
                                          % (a, b))
         # H_-r = -H_r and (-r)(H_j) = -r(H_j)
@@ -156,21 +164,13 @@ class ChevalleyBasis:
         self.rotations = {}
         self.rotation_proofs = {}
 
-    @cached_property
-    def killing_e(self) -> dict:
-        """B(E_r, E_-r) for the positive roots r, in `RootSystem.positives`
-        order; only `invariant_form` reads it."""
-        K = self._killing_h_matrix()
-        return {r: self._killing_e(K, r) for r in self.rs.positives}
-
     # -- structure constants --------------------------------------------------
 
     def _build_constants(self, ci):
-        """The constants of component ci, worked out on root indices:
-        roots[i] and roots[i + P] are opposite, and
-        `RootSystem.decompositions` gives the sums of positive roots.  Once
-        its triple is set, N(u, v) for a positive u is tab[u * R + v], and
-        N(v, u) = -N(u, v) = N(-u, -v) give the rest."""
+        """The cells of component ci, worked out on root indices: roots[i]
+        and roots[i + P] are opposite, and `RootSystem.decompositions` gives
+        the sums of positive roots.  A triple sets its twelve cells at once,
+        from N(v, u) = -N(u, v) = N(-u, -v) and the norms."""
         rs = self.rs
         roots = rs.roots
         P = rs._npos
@@ -178,10 +178,9 @@ class ChevalleyBasis:
         lo, hi = rs._spans[ci]
         simple = range(lo, lo + rs.shape.simples[ci].rank)
         norm = rs._norms                # L (r, r), an integer
-        tab = memoryview(bytearray(P * R)).cast("b")     # signed bytes
+        tab = self.n_table
         # minus[s][x] = x - roots[s], for the simple roots s
         minus = {s: {} for s in simple}
-        N = self.n_const
 
         def set_triple(a, b, c, n):
             """Record N for every ordered pair built from {+-a, +-b, -+c},
@@ -191,24 +190,13 @@ class ChevalleyBasis:
             if rem1 or rem2:
                 raise AssertionError("non-integral structure constant on "
                                      "(%s, %s)" % (roots[a], roots[b]))
-            tab[a * R + b] = n
-            tab[b * R + a] = -n
-            tab[b * R + c + P] = tab[c * R + b + P] = r1
-            tab[a * R + c + P] = tab[c * R + a + P] = -r2
-            ra, rb, rc = roots[a], roots[b], roots[c]
-            na, nb, nc = roots[a + P], roots[b + P], roots[c + P]
-            N[(ra, rb)] = n
-            N[(rb, ra)] = -n
-            N[(na, nb)] = -n
-            N[(nb, na)] = n
-            N[(rb, nc)] = r1
-            N[(nc, rb)] = -r1
-            N[(nb, rc)] = -r1
-            N[(rc, nb)] = r1
-            N[(nc, ra)] = r2
-            N[(ra, nc)] = -r2
-            N[(rc, na)] = -r2
-            N[(na, rc)] = r2
+            na, nb, nc = a + P, b + P, c + P
+            tab[a * R + b] = tab[nb * R + na] = n
+            tab[b * R + a] = tab[na * R + nb] = -n
+            tab[b * R + nc] = tab[c * R + nb] = r1
+            tab[nc * R + b] = tab[nb * R + c] = -r1
+            tab[nc * R + a] = tab[na * R + c] = r2
+            tab[a * R + nc] = tab[c * R + na] = -r2
 
         # the simple roots come first in index order; every other positive
         # root c is alpha + b for a simple alpha, so the first a of c's
@@ -273,6 +261,15 @@ class ChevalleyBasis:
         coeff = TowerScalar.of(coeff)
         return AlgebraElement(self, {}, {root: coeff} if coeff else {})
 
+    def N(self, a: Root, b: Root) -> int:
+        """The structure constant with [E_a, E_b] = N(a, b) E_(a+b);
+        KeyError unless a + b is a root."""
+        index = self.rs.index
+        n = self.n_table[index[a] * len(index) + index[b]]
+        if not n:
+            raise KeyError((a, b))
+        return n
+
     def H_vec(self, vec):
         """The Cartan element with this dense coordinate vector."""
         if len(vec) != self.total_rank:
@@ -330,17 +327,24 @@ class ChevalleyBasis:
     def bracket(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         if x.cb is not self or y.cb is not self:
             raise ValueError("elements come from different bases")
-        sums = self.rs.sums
+        rs = self.rs
+        sums = rs.sums
+        index = rs.index
+        roots = rs.roots
+        P = rs._npos
+        tab = self.n_table
         ye = y.e
         h = {}
         e = {}
         for a, ca in x.e.items():
+            i = index[a]
+            at = i * 2 * P
             row = sums[a]
             for b, cb2 in ye.items():
                 if b in row:
                     s = row[b]
-                    e[s] = e.get(s, ZERO) + ca * cb2 * self.n_const[(a, b)]
-            cb2 = ye.get(-a)
+                    e[s] = e.get(s, ZERO) + ca * cb2 * tab[at + index[b]]
+            cb2 = ye.get(roots[i - P if i >= P else i + P])
             if cb2 is not None:           # [E_a, E_-a] = H_a
                 coef = ca * cb2
                 for j, m in enumerate(self.hroot[a]):
@@ -384,25 +388,6 @@ class ChevalleyBasis:
                               {j: -c.conj() for j, c in x.cartan.items()},
                               {-a: -c.conj() for a, c in x.e.items()})
 
-    def invariant_form(self, x: AlgebraElement, y: AlgebraElement) -> TowerScalar:
-        """Killing form on the semisimple part, +identity on the center
-        (complex basis), read off the stored killing_h and killing_e."""
-        if x.cb is not self or y.cb is not self:
-            raise ValueError("elements from different bases")
-        acc = ZERO
-        for a, ca in x.e.items():
-            cb2 = y.e.get(-a)
-            if cb2:
-                pos = a if a.positive else -a
-                acc = acc + ca * cb2 * self.killing_e[pos]
-        K = self.killing_h
-        for i, xi in x.cartan.items():
-            row = K[i]
-            for j, yj in y.cartan.items():
-                if row[j]:
-                    acc = acc + xi * yj * row[j]
-        return acc
-
     # -- the trace form ----------------------------------------------------------
 
     def _killing_h_matrix(self):
@@ -425,15 +410,6 @@ class ChevalleyBasis:
             K[j][j] = 1
         return K
 
-    def _killing_e(self, K, r: Root) -> Fraction:
-        """B(E_r, E_-r) = B(H_r, H_r) / 2 by invariance of the trace form,
-        since [E_r, E_-r] = H_r and r(H_r) = 2; K is the integer
-        `_killing_h_matrix`."""
-        h = self.hroot[r]
-        return Fraction(sum(hi * hj * K[i][j]
-                            for i, hi in enumerate(h) if hi
-                            for j, hj in enumerate(h) if hj), 2)
-
 
 @lru_cache(maxsize=None)
 def make_basis(shape: ReductiveShape) -> ChevalleyBasis:
@@ -454,7 +430,7 @@ def verify_special_sign_identity(cb: ChevalleyBasis, stem) -> CheckReport:
             if b not in wings or a.key() > b.key():
                 continue
             checked += 1
-            prod = cb.n_const[(g, -a)] * cb.n_const[(g, -b)]
+            prod = cb.N(g, -a) * cb.N(g, -b)
             if prod != -1:
                 bad.append("N(%s,-%s) N(%s,-%s) = %d" % (g, a, g, b, prod))
     rep.record("wing sign products equal -1", checked, bad)

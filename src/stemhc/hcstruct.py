@@ -10,8 +10,8 @@ identity the construction is supposed to satisfy.
 
 Everything on p has one sparse form: a vector is a dict from label index to
 nonzero coordinate, and I, J, tau and ad(k) are lists of such columns.  A
-rotation holds the image of each basis vector of the full algebra as an
-AlgebraElement.  A rotation is invertible, so it sends independent vectors to
+rotation of the full algebra holds only the images of the basis vectors it
+moves, as AlgebraElements, and fixes every other one.  A rotation is invertible, so it sends independent vectors to
 as many independent images, which span a target of that dimension iff each
 lies in it: every subspace check is a sparse membership test.  All checks are
 exact.
@@ -370,7 +370,7 @@ def build_J(pb: PBasis):
         entries[(("e", g), ("q", t))] = -rho
         entries[(("e", -g), ("p", t))] = rb
         for a in sorted(pb.stem.phi[g], key=Root.key):
-            n = cb.n_const[(g, -a)]
+            n = cb.N(g, -a)
             entries[(("e", cb.rs.sums[a][-g]), ("e", a))] = I * rb * n
             entries[(("e", cb.rs.sums[g][-a]), ("e", -a))] = -(I * rho * n)
     for s in range(0, len(pb.j_vecs), 4):
@@ -776,7 +776,7 @@ def verify_root_coupling(hc: HCStructure) -> CheckReport:
                 bad.append("missing coupling at (%s, %s)" % (a, b))
                 continue
             rho = pb.phases[g]
-            want = I * rho.conj() * pb.cb.n_const[(g, -b)]
+            want = I * rho.conj() * pb.cb.N(g, -b)
             if v != want:
                 bad.append("coupling at (%s, %s) is %s, want %s"
                            % (a, b, v, want))
@@ -786,7 +786,7 @@ def verify_root_coupling(hc: HCStructure) -> CheckReport:
             if g not in denoms:
                 jg = hc.apply_j(pb.cb.E(g))
                 denoms[g] = pb.cb.eval_root(g, jg.cartan).conj()
-            if v * denoms[g] != TowerScalar.of(pb.cb.n_const[(g, -b)]):
+            if v * denoms[g] != TowerScalar.of(pb.cb.N(g, -b)):
                 bad.append("closed form fails at (%s, %s)" % (a, b))
     rep.record("root coupling is supported exactly on free stem sums",
                checked, bad)
@@ -1275,7 +1275,7 @@ def verify_rotation(cb: ChevalleyBasis, stem, gamma: Root,
     wings = sorted(stem.phi[gamma], key=Root.key)
     sums = cb.rs.sums
     for a in wings:
-        nconst = cb.n_const[(gamma, -a)]
+        nconst = cb.N(gamma, -a)
         want = (cb.E(a) + cb.E(sums[a][-gamma], nconst * rho.conj())) \
             .scale(scale)
         if rot.apply(cb.E(a)) != want:
@@ -1353,7 +1353,7 @@ def verify_rotation_spans(cb: ChevalleyBasis, stem,
         rb = phases[g].conj()
         wings = stem.phi[g]
         want = [(("e", a), cb.E(a) + cb.E(cb.rs.sums[a][-g],
-                                           cb.n_const[(g, -a)] * rb))
+                                           cb.N(g, -a) * rb))
                 for a in wings]
         if not all(_in_span(prod.apply(cb.E(a)), want) for a in wings):
             bad.append("wing span of %s" % (g,))

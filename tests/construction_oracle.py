@@ -7,16 +7,20 @@ testing every ordered pair of roots of a component, and
 `structure_constants` sets the constants triple by triple on Root-keyed
 pairs, negating with `Root.__neg__` and reading the Root-keyed table.  They
 share none of the integer codes, positive-pair triples or index arithmetic
-that the library's own construction runs on.
+that the library's own construction runs on.  `killing_e` and
+`invariant_form` give the Killing form on root vectors, which the library
+does not carry: it keeps only the Cartan block `killing_h`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import mul
 
 from stemhc.rootsystems import Root, cartan_matrix, norm_halves
+from stemhc.scalars import ZERO
 
 
 def root_sum(a: Root, b: Root):
@@ -175,9 +179,10 @@ def coroots(cb):
     return out
 
 
+@lru_cache(maxsize=None)
 def killing_e(cb):
     """B(E_r, E_-r) = B(H_r, H_r) / 2 for the positive roots r, with the
-    trace form summed over the roots."""
+    trace form summed over the roots; made once per basis."""
     rs = cb.rs
     n = cb.total_rank
     K = [[0] * n for _ in range(n)]
@@ -195,6 +200,26 @@ def killing_e(cb):
                               for i in range(n) for j in range(n)), 2)
     return out
 
+
+
+def invariant_form(cb, x, y):
+    """The Killing form on the semisimple part and the identity on the
+    center (complex basis): `killing_e` on the root vectors and the basis's
+    `killing_h` on the Cartan parts."""
+    if x.cb is not cb or y.cb is not cb:
+        raise ValueError("elements from different bases")
+    ke = killing_e(cb)
+    acc = ZERO
+    for a, ca in x.e.items():
+        cb2 = y.e.get(-a)
+        if cb2:
+            acc = acc + ca * cb2 * ke[a if a.positive else -a]
+    for i, xi in x.cartan.items():
+        row = cb.killing_h[i]
+        for j, yj in y.cartan.items():
+            if row[j]:
+                acc = acc + xi * yj * row[j]
+    return acc
 
 def slot_pairings(cb):
     """alpha(H_j) by global Cartan slot j, nonzero values only, for every

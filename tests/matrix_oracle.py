@@ -64,7 +64,7 @@ class SuModel:
                 self.sign[r] = 1
             elif sum(r.coords) > 1:
                 a, b = self._decomposition(r)
-                self.sign[r] = (cb.n_const[(a, b)] * self.sign[a]
+                self.sign[r] = (cb.N(a, b) * self.sign[a]
                                 * self.sign[b] * self._m(a, b))
         for r in list(self.sign):
             self.sign[Root(r.comp, tuple(-c for c in r.coords))] = self.sign[r]
@@ -105,7 +105,11 @@ class SuModel:
         for a, row in self.cb.rs.sums.items():
             for b, c in row.items():
                 want = self.sign[a] * self.sign[b] * self.sign[c] * self._m(a, b)
-                if self.cb.n_const.get((a, b)) != want:
+                try:
+                    n = self.cb.N(a, b)
+                except KeyError:
+                    n = None
+                if n != want:
                     bad.append((a, b))
         return bad
 

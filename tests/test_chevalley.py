@@ -30,6 +30,19 @@ def cb_of(t):
     return make_basis(shape(t))
 
 
+def constants(cb):
+    """{(a, b): N(a, b)} over the pairs of `RootSystem.sums`."""
+    return {(a, b): cb.N(a, b) for a, row in cb.rs.sums.items() for b in row}
+
+
+def table_pairs(cb):
+    """The pairs (a, b) of roots whose cell of the constant table is not 0."""
+    roots = cb.rs.roots
+    R = len(roots)
+    return {(roots[k // R], roots[k % R])
+            for k, n in enumerate(cb.n_table) if n}
+
+
 # ---------------------------------------------------------------------------
 # structure constants
 
@@ -38,7 +51,7 @@ def cb_of(t):
 def test_constant_magnitudes_are_string_lengths(t):
     cb = cb_of(t)
     rs = cb.rs
-    for (a, b), n in cb.n_const.items():
+    for (a, b), n in constants(cb).items():
         p = 0
         v = root_sub(b, a)
         while v in rs.root_set:
@@ -50,9 +63,9 @@ def test_constant_magnitudes_are_string_lengths(t):
 @pytest.mark.parametrize("t", RANK_LE_4, ids=str)
 def test_constant_antisymmetries(t):
     cb = cb_of(t)
-    for (a, b), n in cb.n_const.items():
-        assert cb.n_const[(b, a)] == -n
-        assert cb.n_const[(-a, -b)] == -n
+    for (a, b), n in constants(cb).items():
+        assert cb.N(b, a) == -n
+        assert cb.N(-a, -b) == -n
 
 
 # every simple type of rank <= 6, E6, F4 and G2 among them, and a product
@@ -83,20 +96,20 @@ def fraction_killing_h(cb):
 
 @pytest.mark.parametrize("text", ORACLE_SHAPES)
 def test_integer_data_match_fraction_formulas(text):
-    """n_const, hroot, killing_h and killing_e against the Fraction formulas
-    N(b,-c) = N(a,b) |a|^2/|c|^2, H_r = sum m_i (d_i/d_r) H_i and the traces,
-    in value and in type."""
+    """The constants, hroot, killing_h and the oracle's killing_e against
+    the Fraction formulas N(b,-c) = N(a,b) |a|^2/|c|^2, H_r = sum m_i
+    (d_i/d_r) H_i and the traces, in value and in type."""
     cb = make_basis(parse_shape(text))
     rs = cb.rs
-    assert set(cb.n_const) == {(a, b) for a, row in rs.sums.items()
+    assert table_pairs(cb) == {(a, b) for a, row in rs.sums.items()
                                for b in row}
     for a, row in rs.sums.items():
         for b, c in row.items():
-            n = cb.n_const[(a, b)]
+            n = cb.N(a, b)
             assert type(n) is int
             nc = rs.sym_form(c, c)
-            assert cb.n_const[(b, -c)] == n * rs.sym_form(a, a) / nc
-            assert cb.n_const[(-c, a)] == n * rs.sym_form(b, b) / nc
+            assert cb.N(b, -c) == n * rs.sym_form(a, a) / nc
+            assert cb.N(-c, a) == n * rs.sym_form(b, b) / nc
     for r in rs.roots:
         dr = rs.sym_form(r, r) / 2
         want = [Fraction(0)] * cb.total_rank
@@ -108,8 +121,9 @@ def test_integer_data_match_fraction_formulas(text):
     K = fraction_killing_h(cb)
     assert cb.killing_h == K
     assert all(type(x) is Fraction for row in cb.killing_h for x in row)
-    assert list(cb.killing_e) == rs.positives
-    for r, val in cb.killing_e.items():
+    killing_e = co.killing_e(cb)
+    assert list(killing_e) == rs.positives
+    for r, val in killing_e.items():
         h = cb.hroot[r]
         want = sum((h[i] * h[j] * K[i][j] for i in range(len(h))
                     for j in range(len(h))), Fraction(0)) / 2
@@ -139,11 +153,39 @@ def test_construction_matches_the_root_keyed_oracle(text):
     assert list(rs._pairings.items()) == list(want["pairings"].items())
     assert list(rs._weights.items()) == list(want["weights"].items())
     cb = ChevalleyBasis(rs)
-    assert cb.n_const == co.structure_constants(want)
-    assert all(type(n) is int for n in cb.n_const.values())
+    assert constants(cb) == co.structure_constants(want)
+    assert all(type(n) is int for n in constants(cb).values())
     assert list(cb.hroot.items()) == list(co.coroots(cb).items())
     assert list(cb.pairings.items()) == list(co.slot_pairings(cb).items())
-    assert list(cb.killing_e.items()) == list(co.killing_e(cb).items())
+    # B(H_r, H_r) = 2 B(E_r, E_-r): the basis's killing_h and hroot against
+    # the oracle's trace form on root vectors
+    for r, val in co.killing_e(cb).items():
+        h = cb.H_of_root(r)
+        assert co.invariant_form(cb, h, h) == TowerScalar.of(2 * val)
+
+
+@pytest.mark.parametrize("text", CONSTRUCTION_SHAPES)
+def test_constant_table_cells(text):
+    """N(a, b) is a nonzero int exactly on the pairs of `sums`, where it
+    reads the table's cell, with N(b, a) = N(-a, -b) = -N(a, b); every other
+    cell reads 0, and N raises KeyError there."""
+    cb = make_basis(parse_shape(text))
+    rs = cb.rs
+    roots = rs.roots
+    R = len(roots)
+    assert len(cb.n_table) == R * R
+    for i, a in enumerate(roots):
+        row = rs.sums[a]
+        for j, b in enumerate(roots):
+            cell = cb.n_table[i * R + j]
+            if b in row:
+                n = cb.N(a, b)
+                assert type(n) is int and n and n == cell
+                assert cb.N(b, a) == -n and cb.N(-a, -b) == -n
+            else:
+                assert cell == 0
+                with pytest.raises(KeyError):
+                    cb.N(a, b)
 
 
 def test_integrality_checks_raise(monkeypatch):
@@ -208,7 +250,8 @@ def test_missing_constant_raises(monkeypatch):
     which strips asserts; so is a Cartan basis key past the last slot."""
     rs = RootSystem(parse_shape("A2"))
     cb = ChevalleyBasis(rs)
-    pair = next(iter(cb.n_const))
+    a = rs.positives[0]
+    pair = (a, next(iter(rs.sums[a])))
     want = "no structure constant for (%s, %s)" % pair
     short = "need 2 Cartan coordinates, got 1"
     long = "need 2 Cartan coordinates, got 3"
@@ -230,8 +273,10 @@ def test_missing_constant_raises(monkeypatch):
     build = ChevalleyBasis._build_constants
 
     def dropping(self, ci):
+        """The build, and then the cell of `pair` set to 0."""
         build(self, ci)
-        del self.n_const[next(iter(self.n_const))]
+        index = self.rs.index
+        self.n_table[index[pair[0]] * len(index) + index[pair[1]]] = 0
 
     monkeypatch.setattr(ChevalleyBasis, "_build_constants", dropping)
     with pytest.raises(ValueError) as exc:
@@ -256,7 +301,10 @@ def test_missing_constant_raises(monkeypatch):
               "build = ChevalleyBasis._build_constants\n"
               "def dropping(self, ci):\n"
               "    build(self, ci)\n"
-              "    del self.n_const[next(iter(self.n_const))]\n"
+              "    index = self.rs.index\n"
+              "    a = self.rs.positives[0]\n"
+              "    b = next(iter(self.rs.sums[a]))\n"
+              "    self.n_table[index[a] * len(index) + index[b]] = 0\n"
               "ChevalleyBasis._build_constants = dropping\n"
               "try:\n"
               "    ChevalleyBasis(RootSystem(parse_shape('A2')))\n"
@@ -270,7 +318,7 @@ def test_missing_constant_raises(monkeypatch):
 
 
 def reference_bracket(cb, x, y):
-    """The bracket term by term from coordinate sums of roots and n_const,
+    """The bracket term by term from coordinate sums of roots and `N`,
     without the root-sum table `rs.sums`, and with alpha(h) summed over the
     dense Cartan view against the root system's pairings."""
     rs = cb.rs
@@ -288,7 +336,7 @@ def reference_bracket(cb, x, y):
             if s is None:
                 continue
             if s in rs.root_set:
-                e[s] = e.get(s, ZERO) + ca * cb2 * cb.n_const[(a, b)]
+                e[s] = e.get(s, ZERO) + ca * cb2 * cb.N(a, b)
             elif not any(s.coords):
                 h = [v + ca * cb2 * m for v, m in zip(h, cb.hroot[a])]
     for b, cb2 in y.e.items():
@@ -349,7 +397,7 @@ def test_root_products_table():
                 assert row[b] is stored[s]
             else:
                 assert b not in row
-    assert set(cb.n_const) == {(a, b) for a, row in rs.sums.items()
+    assert table_pairs(cb) == {(a, b) for a, row in rs.sums.items()
                                for b in row}
 
 
@@ -609,7 +657,7 @@ def test_killing_numbers_match_dual_coxeter(text):
         for a in rs.positives:
             if a.comp == ci:
                 expected = Fraction(2 * hv) * n2t / rs.sym_form(a, a)
-                assert cb.killing_e[a] == expected
+                assert co.killing_e(cb)[a] == expected
         off = cb.offsets[ci]
         simples = rs.simple_roots(ci)
         for i, ai in enumerate(simples):
@@ -627,13 +675,13 @@ def test_form_orthogonality_pattern(t):
     rs = cb.rs
     for a in rs.roots:
         for b in rs.roots:
-            v = cb.invariant_form(cb.E(a), cb.E(b))
+            v = co.invariant_form(cb, cb.E(a), cb.E(b))
             if b == -a:
                 assert v and v.is_rational() and as_fraction(v) > 0
             else:
                 assert not v
         h = cb.H_of_root(a)
-        assert not cb.invariant_form(cb.E(a), h)
+        assert not co.invariant_form(cb, cb.E(a), h)
 
 
 @pytest.mark.parametrize("t", [SimpleType("A", 2), SimpleType("B", 2)],
@@ -644,8 +692,8 @@ def test_form_invariance(t):
     basis = [cb.basis_element(k) for k in cb.basis_keys]
     for _ in range(60):
         x, y, z = (rng.choice(basis) for _ in range(3))
-        lhs = cb.invariant_form(cb.bracket(x, y), z)
-        rhs = cb.invariant_form(x, cb.bracket(y, z))
+        lhs = co.invariant_form(cb, cb.bracket(x, y), z)
+        rhs = co.invariant_form(cb, x, cb.bracket(y, z))
         assert lhs == rhs
 
 
@@ -654,12 +702,12 @@ def test_compact_vectors_have_negative_norm():
     for g in cb.rs.positives:
         for rho in (ONE, I, EIGHTH_ROOT):
             for v in (cb.X(g, rho), cb.Y(g, rho), cb.W(g)):
-                n = cb.invariant_form(v, v)
+                n = co.invariant_form(cb, v, v)
                 assert n.is_rational() and as_fraction(n) < 0
         x, y, w = cb.X(g), cb.Y(g), cb.W(g)
-        assert not cb.invariant_form(x, y)
-        assert not cb.invariant_form(x, w)
-        assert not cb.invariant_form(y, w)
+        assert not co.invariant_form(cb, x, y)
+        assert not co.invariant_form(cb, x, w)
+        assert not co.invariant_form(cb, y, w)
 
 
 def test_center_form_convention():
@@ -668,12 +716,12 @@ def test_center_form_convention():
     # total_rank = 3: coroot coordinate then two center coordinates
     c1 = cb.H_vec([ZERO, ONE, ZERO])
     c2 = cb.H_vec([ZERO, ZERO, ONE])
-    assert cb.invariant_form(c1, c1) == ONE
-    assert cb.invariant_form(c2, c2) == ONE
-    assert not cb.invariant_form(c1, c2)
+    assert co.invariant_form(cb, c1, c1) == ONE
+    assert co.invariant_form(cb, c2, c2) == ONE
+    assert not co.invariant_form(cb, c1, c2)
     # the compact center basis i*c_j has norm -1
     ic = c1.scale(I)
-    assert cb.invariant_form(ic, ic) == -ONE
+    assert co.invariant_form(cb, ic, ic) == -ONE
     # center commutes with everything and is tau-fixed after the i twist
     e = cb.E(cb.rs.positives[0])
     assert cb.bracket(c1, e) == cb.zero()
@@ -688,5 +736,5 @@ def test_sl2_triple_brackets():
     assert cb.bracket(E, F) == H
     assert cb.bracket(H, E) == E.scale(TowerScalar(2))
     assert cb.bracket(H, F) == F.scale(TowerScalar(-2))
-    assert cb.invariant_form(E, F) == TowerScalar(4)
-    assert cb.invariant_form(H, H) == TowerScalar(8)
+    assert co.invariant_form(cb, E, F) == TowerScalar(4)
+    assert co.invariant_form(cb, H, H) == TowerScalar(8)
