@@ -17,11 +17,11 @@ whose subalgebras hold central directions.  The pair layer: `check_pair` on
 every substem of every ATLAS_TYPES type, `complement_data` on the accepted
 ones, the `audit_type` rows, and the Cartan vectors `o_k`, `z_vecs` and
 `j_vecs` of every adapted basis built above.  The Chevalley data: one
-sha256 per ATLAS_TYPES type over the sorted pairs of `RootSystem.sums` with
-their constants `ChevalleyBasis.N`, `hroot`, `killing_h` and B(E_r, E_-r)
-from those two (`killing_e`), each number with its type.  The root sums:
-one sha256 per ATLAS_TYPES type over the sorted triples (a, b, a+b) of
-`RootSystem.sums` whose sum is a root, the wing set `phi_plus_set` of every
+sha256 per ATLAS_TYPES type over the sorted pairs of roots whose sum is a
+root (`sum_triples`) with their constants `ChevalleyBasis.N`, `hroot`,
+`killing_h` and B(E_r, E_-r) from those two (`killing_e`), each number with
+its type.  The root sums: one sha256 per ATLAS_TYPES type over the sorted
+triples (a, b, a+b) of `sum_triples`, the wing set `phi_plus_set` of every
 positive root and the index rows `RootSystem._sum_rows`.  The subsystem
 types: `component_type` of the whole root system, of every theta_g and of
 every irreducible component of every Delta_k, for each ATLAS_TYPES type.
@@ -163,12 +163,23 @@ def killing_e(cb):
     return out
 
 
+def sum_triples(rs):
+    """(a, b, a + b) over the ordered pairs of roots whose sum is a root,
+    read off the index rows `RootSystem._sum_rows` in both orders."""
+    roots = rs.roots
+    for i, row in enumerate(rs._sum_rows):
+        it = iter(row)
+        for j, k in zip(it, it):
+            yield roots[i], roots[j], roots[k]
+            yield roots[j], roots[i], roots[k]
+
+
 def show_chevalley_data():
     for text in ATLAS_TYPES:
         cb = make_basis(parse_shape(text))
         digest = hashlib.sha256()
         constants = sorted(((a, b), cb.N(a, b))
-                           for a, row in cb.rs.sums.items() for b in row)
+                           for a, b, _ in sum_triples(cb.rs))
         for name, items in (("n_const", constants),
                             ("hroot", sorted(cb.hroot.items())),
                             ("killing_h", enumerate(cb.killing_h)),
@@ -182,8 +193,7 @@ def show_sum_tables():
     for text in ATLAS_TYPES:
         rs = stem_of(parse_shape(text)).rs
         digest = hashlib.sha256()
-        for triple in sorted((a, b, c) for a, row in rs.sums.items()
-                             for b, c in row.items() if c is not None):
+        for triple in sorted(sum_triples(rs)):
             digest.update(repr(("sums",) + triple).encode())
         for zeta in rs.positives:
             digest.update(repr(("phi", zeta,

@@ -11,11 +11,12 @@ decompositions c = a + b of each positive root that
 `RootSystem.decompositions` lists: N(roots[i], roots[j]) is the signed byte
 in cell i * R + j, with R roots, and 0 where the two roots do not sum to a
 root.  `ChevalleyBasis.N(a, b)` reads a cell by Root, and raises KeyError on
-a 0.  The basis checks that each pair of the root system's table
-`RootSystem.sums`, a -> {b: a+b} over the pairs whose sum is a root, has a
-constant.  The bracket reads both tables, adds [E_a, E_-a] = H_a apart from
-them, and `combine` forms every linear combination; both drop zero
-coefficients once, at the end.
+a 0, next to `RootSystem.sum(a, b)`, which gives a + b.  The basis checks
+that each pair of the root system's index rows `_sum_rows`, the pairs whose
+sum is a root, has a constant.  The bracket reads the table and, where a
+cell is nonzero, the index of the sum off the root codes; it adds [E_a,
+E_-a] = H_a apart from the table, and `combine` forms every linear
+combination; both drop zero coefficients once, at the end.
 
 An element stores its Cartan part and its root part sparsely, as dicts of
 nonzero coefficients, so operations touch only the slots an element uses.
@@ -128,18 +129,21 @@ class ChevalleyBasis:
         for ci in range(len(shape.simples)):
             self._build_constants(ci)
         # Each cell set above is an ordered pair of a triple {a, b, -(a+b)}
-        # of a decomposition, or of its opposite, so it is a pair of `sums`,
-        # which holds the twelve pairs of every such triple: the table
-        # misses a pair of `sums` exactly when it has fewer nonzero cells
-        # than `sums` has pairs.  Only then is `sums` walked.
+        # of a decomposition, or of its opposite, so its sum is a root.  The
+        # index rows hold the two numbers (j, k) once per such pair {i, j}:
+        # the table misses a pair exactly when it has fewer nonzero cells
+        # than the rows hold numbers.  Only then are the rows walked, in
+        # both orders.
         if (len(self.n_table) - self.n_table.tobytes().count(0)
-                != sum(map(len, rs.sums.values()))):
-            index = rs.index
-            for a, row in rs.sums.items():
-                for b in row:
-                    if not self.n_table[index[a] * R + index[b]]:
-                        raise ValueError("no structure constant for (%s, %s)"
-                                         % (a, b))
+                != sum(map(len, rs._sum_rows))):
+            roots = rs.roots
+            for i, row in enumerate(rs._sum_rows):
+                for j in row[::2]:
+                    for u, v in ((i, j), (j, i)):
+                        if not self.n_table[u * R + v]:
+                            raise ValueError(
+                                "no structure constant for (%s, %s)"
+                                % (roots[u], roots[v]))
         # H_-r = -H_r and (-r)(H_j) = -r(H_j)
         hroot = [self._coroot_coords(r) for r in rs.positives]
         self.hroot = dict(zip(rs.roots, hroot + [tuple(map(neg, h))
@@ -328,9 +332,9 @@ class ChevalleyBasis:
         if x.cb is not self or y.cb is not self:
             raise ValueError("elements come from different bases")
         rs = self.rs
-        sums = rs.sums
         index = rs.index
         roots = rs.roots
+        codes = rs._codes
         P = rs._npos
         tab = self.n_table
         ye = y.e
@@ -339,11 +343,12 @@ class ChevalleyBasis:
         for a, ca in x.e.items():
             i = index[a]
             at = i * 2 * P
-            row = sums[a]
             for b, cb2 in ye.items():
-                if b in row:
-                    s = row[b]
-                    e[s] = e.get(s, ZERO) + ca * cb2 * tab[at + index[b]]
+                j = index[b]
+                n = tab[at + j]
+                if n:       # a + b is a root of a's component
+                    s = roots[rs._at[a.comp][codes[i] + codes[j]]]
+                    e[s] = e.get(s, ZERO) + ca * cb2 * n
             cb2 = ye.get(roots[i - P if i >= P else i + P])
             if cb2 is not None:           # [E_a, E_-a] = H_a
                 coef = ca * cb2
@@ -426,7 +431,7 @@ def verify_special_sign_identity(cb: ChevalleyBasis, stem) -> CheckReport:
     for g in stem.elements:
         wings = stem.phi[g]
         for a in wings:
-            b = cb.rs.sums[g].get(-a)
+            b = cb.rs.sum(g, -a)
             if b not in wings or a.key() > b.key():
                 continue
             checked += 1

@@ -11,10 +11,10 @@ identity the construction is supposed to satisfy.
 Everything on p has one sparse form: a vector is a dict from label index to
 nonzero coordinate, and I, J, tau and ad(k) are lists of such columns.  A
 rotation of the full algebra holds only the images of the basis vectors it
-moves, as AlgebraElements, and fixes every other one.  A rotation is invertible, so it sends independent vectors to
-as many independent images, which span a target of that dimension iff each
-lies in it: every subspace check is a sparse membership test.  All checks are
-exact.
+moves, as AlgebraElements, and fixes every other one.  A rotation is
+invertible, so it sends independent vectors to as many independent images,
+which span a target of that dimension iff each lies in it: every subspace
+check is a sparse membership test.  All checks are exact.
 """
 
 from __future__ import annotations
@@ -371,8 +371,8 @@ def build_J(pb: PBasis):
         entries[(("e", -g), ("p", t))] = rb
         for a in sorted(pb.stem.phi[g], key=Root.key):
             n = cb.N(g, -a)
-            entries[(("e", cb.rs.sums[a][-g]), ("e", a))] = I * rb * n
-            entries[(("e", cb.rs.sums[g][-a]), ("e", -a))] = -(I * rho * n)
+            entries[(("e", cb.rs.sum(a, -g)), ("e", a))] = I * rb * n
+            entries[(("e", cb.rs.sum(g, -a)), ("e", -a))] = -(I * rho * n)
     for s in range(0, len(pb.j_vecs), 4):
         entries[(("u", s + 2), ("u", s))] = ONE
         entries[(("u", s + 3), ("u", s + 1))] = -ONE
@@ -766,7 +766,7 @@ def verify_root_coupling(hc: HCStructure) -> CheckReport:
     for a in pb.dp_plus:
         for b in pb.dp_plus:
             checked += 1
-            g = pb.cb.rs.sums[a].get(b)
+            g = pb.cb.rs.sum(a, b)
             v = coup.get((a, b))
             if g not in gamma_set:
                 if v is not None:
@@ -1084,12 +1084,13 @@ def algebra_generators(cb: ChevalleyBasis):
     E_-theta.  The adjoint module of a simple component is irreducible with
     the lowest weight vector E_-theta, so U(n+) E_-theta, the span of the
     iterated brackets of positive root vectors with E_-theta, is the whole
-    component."""
+    component.  Its theta is the last of its positive roots, as `Root.key`
+    sorts them by height."""
+    rs = cb.rs
     keys = []
-    for ci in range(len(cb.rs.shape.simples)):
-        theta = max((r for r in cb.rs.positives if r.comp == ci),
-                    key=lambda r: r.height)
-        keys += [("e", a) for a in cb.rs.simple_roots(ci)] + [("e", -theta)]
+    for ci, (_, hi) in enumerate(rs._spans):
+        keys += [("e", a) for a in rs.simple_roots(ci)]
+        keys.append(("e", -rs.roots[hi - 1]))
     return keys + [("h", j) for j in range(cb.semisimple_rank, cb.total_rank)]
 
 
@@ -1152,7 +1153,7 @@ def _respects_bracket(cb: ChevalleyBasis, rot: RootRotation, a, b) -> bool:
     (ka, x), (kb, y) = cb.basis_keys[a], cb.basis_keys[b]
     if ka == "h" or kb == "h":
         return True
-    s = cb.rs.sums[x].get(y)
+    s = cb.rs.sum(x, y)
     if s is None and y != -x \
             or s is not None and cb.key_index[("e", s)] not in moved:
         return True
@@ -1273,14 +1274,14 @@ def verify_rotation(cb: ChevalleyBasis, stem, gamma: Root,
     scale = SQRT2 * HALF
     bad = []
     wings = sorted(stem.phi[gamma], key=Root.key)
-    sums = cb.rs.sums
+    rs = cb.rs
     for a in wings:
         nconst = cb.N(gamma, -a)
-        want = (cb.E(a) + cb.E(sums[a][-gamma], nconst * rho.conj())) \
+        want = (cb.E(a) + cb.E(rs.sum(a, -gamma), nconst * rho.conj())) \
             .scale(scale)
         if rot.apply(cb.E(a)) != want:
             bad.append("wing image at %s" % (a,))
-        want = (cb.E(-a) + cb.E(sums[gamma][-a], nconst * rho)) \
+        want = (cb.E(-a) + cb.E(rs.sum(gamma, -a), nconst * rho)) \
             .scale(scale)
         if rot.apply(cb.E(-a)) != want:
             bad.append("wing image at %s" % (-a,))
@@ -1352,7 +1353,7 @@ def verify_rotation_spans(cb: ChevalleyBasis, stem,
     for g in stem.elements:
         rb = phases[g].conj()
         wings = stem.phi[g]
-        want = [(("e", a), cb.E(a) + cb.E(cb.rs.sums[a][-g],
+        want = [(("e", a), cb.E(a) + cb.E(cb.rs.sum(a, -g),
                                            cb.N(g, -a) * rb))
                 for a in wings]
         if not all(_in_span(prod.apply(cb.E(a)), want) for a in wings):

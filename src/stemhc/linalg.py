@@ -1,9 +1,9 @@
 """Small exact dense linear algebra over Fraction or TowerScalar entries.
 
 Only what the library needs: reduced row echelon form, kernels, square
-inversion, and products, plus the spans the tests compare.  Pivoting is first-nonzero, which
-keeps every output deterministic (a requirement for the canonical bases picked
-downstream).
+inversion, and products, plus the spans the tests compare.  Pivoting is
+first-nonzero, which keeps every output deterministic (a requirement for the
+canonical bases picked downstream).
 """
 
 from __future__ import annotations

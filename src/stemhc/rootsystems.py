@@ -5,26 +5,24 @@ component; no Euclidean embedding is ever used here (the test suite holds the
 classical e_i realizations as an independent oracle).  The Cartan matrices
 follow the standard Bourbaki numbering.
 
-Root addition is decided once, here: `RootSystem.sums` maps each root a to
-{b: a+b} over the roots b of its component whose sum with a is a root.
-Root strings read this table, and so do the stem, pair, Chevalley and
-structure modules.  The construction runs on integer codes, one per root,
-under which the code of a sum is the sum of the codes: the positive roots
-are generated along alpha_i-strings on codes, and each pair a < b of
+Root addition is decided once, here, on integer codes, one per root, under
+which the code of a sum is the sum of the codes: `RootSystem.sum(a, b)`
+reads a + b off the codes of a and b and the code -> index map of their
+component, and root strings, the stem, pair, Chevalley and structure
+modules all call it.  The positive roots are generated along alpha_i-strings
+on codes.  The roots are numbered as `RootSystem.roots` orders them, the P
+positive roots in `Root.key` order and then their opposites in the same
+order, so roots[i] and roots[i + P] are opposite.  Each pair a < b of
 positive roots whose sum c is a root gives the twelve sums of the triples
-{a, b, -c} and {-a, -b, c}, gathered row by row in one pass.  The same pass
-fills the table's index form: the roots are numbered as `RootSystem.roots`
-orders them, the P positive roots in `Root.key` order and then their
-opposites in the same order, so roots[i] and roots[i + P] are opposite.
-Closure, components, highest roots and subsystem bases, which the stem
-peeling runs again and again, work on these indices, and so do
+{a, b, -c} and {-a, -b, c}, gathered into the index rows `_sum_rows` in one
+pass.  Closure, components, highest roots and subsystem bases, which the
+stem peeling runs again and again, walk these rows, and so does
 `RootSystem.decompositions`, the pairs a + b = c of positive roots from
 which the stems take their wings and the Chevalley basis its constants.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -97,8 +95,13 @@ def shape(*simples, center_dim=0) -> ReductiveShape:
     return ReductiveShape(center_dim, tuple(simples))
 
 
+def _ascii_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
 def parse_shape(text: str) -> ReductiveShape:
-    """Parse 'c^2 x A3 x D5' style shape descriptions."""
+    """Parse 'c^2 x A3 x D5' style shape descriptions; exponents and ranks
+    are ASCII decimal numerals, with no sign."""
     center = 0
     simples = []
     s = text.strip()
@@ -112,15 +115,12 @@ def parse_shape(text: str) -> ReductiveShape:
             if token == "c":
                 center += 1
                 continue
-            if token.startswith("c^"):
-                try:
-                    center += int(token[2:])
-                except ValueError:
-                    raise ValueError("bad center factor %r" % token) from None
+            if token.startswith("c^") and _ascii_digits(token[2:]):
+                center += int(token[2:])
                 continue
             raise ValueError("bad center factor %r" % token)
         fam, num = token[0].upper(), token[1:]
-        if fam not in FAMILIES or not num.isdigit():
+        if fam not in FAMILIES or not _ascii_digits(num):
             raise ValueError("bad simple factor %r" % token)
         simples.append(simple_type(fam, int(num)))
     return ReductiveShape(center, tuple(simples))
@@ -318,7 +318,7 @@ class RootSystem:
         steps = [_BASE ** k for k in range(max(
             (t.rank for t in shape.simples), default=0))]
         codes = [sum(map(mul, r.coords, steps)) for r in self.positives]
-        codes += [-c for c in codes]
+        self._codes = codes = codes + [-c for c in codes]
         # the positive roots of component ci are roots[lo:hi], (lo, hi) =
         # _spans[ci], as Root.key orders by component first
         comps = [r.comp for r in self.positives]
@@ -334,17 +334,13 @@ class RootSystem:
                 if 2 * codes[i] in known:
                     raise AssertionError("not reduced: twice %s is a root"
                                          % (roots[i],))
-        # a -> {b: a+b} over the b of a's component whose sum with a is a
-        # root (the stored Root of self.roots), each row in the index order
-        # of b.  The index rows hold the same sums by index, each pair once,
-        # as a + b = b + a: _sum_rows[i] is the flat tuple (j, k, j', k',
-        # ...) of the roots[i] + roots[j] = roots[k] with j > i, in the
-        # order of j, so a positive root's row meets the positive roots
-        # first.
-        self.sums = {}
+        # the index rows hold the sums by index, each pair once, as a + b =
+        # b + a: _sum_rows[i] is the flat tuple (j, k, j', k', ...) of the
+        # roots[i] + roots[j] = roots[k] with j > i, in the order of j, so a
+        # positive root's row meets the positive roots first.  _at[ci] maps
+        # the code of each root of component ci to its index.
         self._sum_rows = [()] * (2 * P)
-        for lo, hi in self._spans:
-            self._fill_sums(codes, lo, hi)
+        self._at = [self._fill_sums(lo, hi) for lo, hi in self._spans]
 
     # -- construction --------------------------------------------------------
 
@@ -380,15 +376,16 @@ class RootSystem:
             layer = nxt
         return [Root(ci, coords) for coords in out]
 
-    def _fill_sums(self, codes, lo, hi):
-        """The rows of `sums` and `_sum_rows` of one component, whose
-        positive roots are roots[lo:hi]; codes[i] is the code of roots[i].
+    def _fill_sums(self, lo, hi):
+        """The rows of `_sum_rows` of one component, whose positive roots
+        are roots[lo:hi], and its code -> index map, which it returns.
 
         Each pair a < b of positive roots with a + b = c a root gives the
-        twelve sums of the triples {a, b, -c} and {-a, -b, c}: each row
-        first gathers the b whose sum with it is a root, and then reads the
-        sums off the codes."""
-        roots = self.roots
+        twelve sums of the triples {a, b, -c} and {-a, -b, c}.  As c is
+        higher than b, a < b < c < a + P < b + P < c + P, and four of those
+        sums roots[i] + roots[j] have j > i: each row first gathers its j,
+        and then reads the sums off the codes."""
+        codes = self._codes
         P = self._npos
         ids = [*range(lo, hi), *range(lo + P, hi + P)]
         at = dict(zip(map(codes.__getitem__, ids), ids))
@@ -398,25 +395,19 @@ class RootSystem:
             ca = codes[a]
             for s in known.intersection(map(ca.__add__, codes[a + 1:hi])):
                 b, c = at[s - ca], at[s]
-                na, nb, nc = a + P, b + P, c + P
-                rows[a] += (b, nc)          # a + b = c, a - c = -b
-                rows[b] += (a, nc)
-                rows[c] += (na, nb)         # c - a = b, c - b = a
-                rows[na] += (nb, c)
-                rows[nb] += (na, c)
-                rows[nc] += (a, b)
+                rows[a] += (b, c + P)       # a + b = c, a - c = -b
+                rows[b].append(c + P)       # b - c = -a
+                rows[c] += (a + P, b + P)   # c - a = b, c - b = a
+                rows[a + P].append(b + P)   # -a - b = -c
         for i in ids:
-            row = rows.pop(i)
-            row.sort()
-            ks = [at[codes[i] + codes[j]] for j in row]
-            self.sums[roots[i]] = dict(zip(map(roots.__getitem__, row),
-                                           map(roots.__getitem__, ks)))
-            # the pairs (j, k) with j > i, interleaved
-            start = bisect_right(row, i)
-            flat = [0] * (2 * (len(row) - start))
-            flat[::2] = row[start:]
-            flat[1::2] = ks[start:]
+            row = sorted(rows.pop(i))
+            # the pairs (j, k), interleaved
+            flat = [0] * (2 * len(row))
+            flat[::2] = row
+            ci = codes[i]
+            flat[1::2] = [at[ci + codes[j]] for j in row]
             self._sum_rows[i] = tuple(flat)
+        return at
 
     def decompositions(self, i):
         """The pairs (a, b) of positive root indices with a < b and
@@ -433,6 +424,16 @@ class RootSystem:
         n = self.shape.simples[ci].rank
         return [Root(ci, tuple(1 if j == i else 0 for j in range(n)))
                 for i in range(n)]
+
+    def sum(self, a: Root, b: Root):
+        """The stored root a + b, or None when a + b is not a root (b = -a
+        and roots of two components included); KeyError on a non-root."""
+        index = self.index
+        i, j = index[a], index[b]
+        if a.comp != b.comp:
+            return None
+        k = self._at[a.comp].get(self._codes[i] + self._codes[j])
+        return None if k is None else self.roots[k]
 
     def pairing(self, alpha: Root, j: int) -> int:
         """alpha(H_j) for the j-th simple coroot of alpha's component."""
@@ -473,15 +474,15 @@ class RootSystem:
         if alpha.comp != beta.comp:
             return (0, 0)
         p = 0
-        v = self.sums[alpha].get(-beta)
+        v = self.sum(alpha, -beta)
         while v is not None:
             p -= 1
-            v = self.sums[v].get(-beta)
+            v = self.sum(v, -beta)
         q = 0
-        v = self.sums[alpha].get(beta)
+        v = self.sum(alpha, beta)
         while v is not None:
             q += 1
-            v = self.sums[v].get(beta)
+            v = self.sum(v, beta)
         return (p, q)
 
     # -- subsets ---------------------------------------------------------------

@@ -166,8 +166,7 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
     # strong orthogonality of the stem
     bad = []
     for g, d in unordered:
-        row = rs.sums[g]
-        if row.get(d) is not None or row.get(-d) is not None:
+        if rs.sum(g, d) is not None or rs.sum(g, -d) is not None:
             bad.append("%s, %s not strongly orthogonal" % (g, d))
         if rs.cartan_int(g, d) != 0:
             bad.append("%s, %s not orthogonal" % (g, d))
@@ -179,7 +178,7 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
     for g, d in ordered:
         for a in block[g]:
             for b in block[d]:
-                for v in (rs.sums[a].get(b), rs.sums[a].get(-b)):
+                for v in (rs.sum(a, b), rs.sum(a, -b)):
                     if v is None:
                         continue
                     checked += 1
@@ -195,7 +194,7 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
         blk = sorted(block[g], key=Root.key)
         for i, a in enumerate(blk):
             for b in blk[i + 1:]:
-                s = rs.sums[a].get(b)
+                s = rs.sum(a, b)
                 if s is not None:
                     checked += 1
                     if s != g:
@@ -209,8 +208,7 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
     for d, g in ordered:
         for a in block[g]:
             checked += 1
-            row = rs.sums[a]
-            if row.get(d) is not None or row.get(-d) is not None or \
+            if rs.sum(a, d) is not None or rs.sum(a, -d) is not None or \
                     rs.cartan_int(a, d) != 0:
                 bad.append("%s sees shallower stem root %s" % (a, d))
     rep.record("deeper blocks are orthogonal to shallower stem roots",
@@ -225,8 +223,7 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
         for a in block[g]:
             for b in block[d]:
                 checked += 1
-                row = rs.sums[a]
-                if row.get(b) is not None or row.get(-b) is not None:
+                if rs.sum(a, b) is not None or rs.sum(a, -b) is not None:
                     bad.append("incomparable blocks of %s, %s interact"
                                % (g, d))
     rep.record("incomparable blocks never sum to roots", checked, bad)
@@ -237,10 +234,10 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
     for g in G:
         for a in stem.phi[g]:
             checked += 1
-            down = rs.sums[a].get(-g)
+            down = rs.sum(a, -g)
             if down is None or down.positive:
                 bad.append("%s - %s is not a negative root" % (a, g))
-            if rs.sums[a].get(g) is not None:
+            if rs.sum(a, g) is not None:
                 bad.append("%s + %s is a root" % (a, g))
             if rs.cartan_int(a, g) <= 0:
                 bad.append("%s pairs nonpositively with %s" % (a, g))
@@ -260,7 +257,7 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
     diffs = {}
     for d in G:
         wings_d = stem.phi[d]
-        diffs[d] = {rs.sums[b1].get(-b2) for b1 in wings_d for b2 in wings_d}
+        diffs[d] = {rs.sum(b1, -b2) for b1 in wings_d for b2 in wings_d}
     for d, g in ordered:
         for a in block[g]:
             checked += 1

@@ -102,9 +102,14 @@ class SuModel:
         constant N_ab is not s(a) s(b) s(a+b) m_ab, and every such pair
         with no constant."""
         bad = []
-        for a, row in self.cb.rs.sums.items():
-            for b, c in row.items():
-                want = self.sign[a] * self.sign[b] * self.sign[c] * self._m(a, b)
+        rs = self.cb.rs
+        for a in rs.roots:
+            for b in rs.roots:
+                c = rs.sum(a, b)
+                if c is None:
+                    continue
+                want = (self.sign[a] * self.sign[b] * self.sign[c]
+                        * self._m(a, b))
                 try:
                     n = self.cb.N(a, b)
                 except KeyError:

@@ -1,9 +1,10 @@
 """Root-keyed closure, components, highest roots and bases, as an oracle.
 
-These read only the Root-keyed table `RootSystem.sums`, the weights
-`RootSystem._weights` and `Root.positive`, with hashed Root sets throughout,
-so they share none of the index numbering, index rows or non-orthogonality
-masks that the library's own versions run on.  They raise the same errors,
+These read only coordinate addition (`construction_oracle.root_sum`) and
+the set of roots `RootSystem.root_set`, the weights `RootSystem._weights`
+and `Root.positive`, with hashed Root sets throughout, so they share none of
+the root codes, index numbering, index rows or non-orthogonality masks that
+the library's own versions run on.  They raise the same errors,
 with the same messages, as the library's versions.
 """
 
@@ -11,15 +12,18 @@ from __future__ import annotations
 
 from operator import mul
 
+from construction_oracle import root_sum
+
 
 def is_closed(rs, subset) -> bool:
     sub = set(subset)
     for a in sub:
-        if a not in rs.sums:
+        if a not in rs.root_set:
             raise ValueError("not a root: %s" % (a,))
     for a in sub:
-        for b, s in rs.sums[a].items():
-            if b in sub and s not in sub:
+        for b in sub:
+            s = root_sum(a, b)
+            if s in rs.root_set and s not in sub:
                 return False
     return True
 
@@ -49,7 +53,7 @@ def irreducible_components(rs, subset):
 
 def highest_root(rs, comp):
     pos = [r for r in comp if r.positive]
-    tops = [t for t in pos if all(rs.sums[t].get(b) not in comp for b in pos)]
+    tops = [t for t in pos if all(root_sum(t, b) not in comp for b in pos)]
     if len(tops) != 1:
         raise AssertionError("no unique maximal root in component")
     return tops[0]
@@ -57,7 +61,5 @@ def highest_root(rs, comp):
 
 def base(rs, subset):
     pos = sorted((r for r in subset if r.positive), key=lambda r: r.key())
-    possd = set(pos)
-    decomposable = {s for a in pos for b, s in rs.sums[a].items()
-                    if b in possd}
+    decomposable = {root_sum(a, b) for a in pos for b in pos} & rs.root_set
     return [t for t in pos if t not in decomposable]

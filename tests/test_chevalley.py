@@ -30,9 +30,16 @@ def cb_of(t):
     return make_basis(shape(t))
 
 
+def sum_triples(rs):
+    """(a, b, a + b) over the ordered pairs of roots whose sum is a root, by
+    `RootSystem.sum`, in the order of a and then of b."""
+    return [(a, b, c) for a in rs.roots for b in rs.roots
+            if (c := rs.sum(a, b)) is not None]
+
+
 def constants(cb):
-    """{(a, b): N(a, b)} over the pairs of `RootSystem.sums`."""
-    return {(a, b): cb.N(a, b) for a, row in cb.rs.sums.items() for b in row}
+    """{(a, b): N(a, b)} over the pairs of roots whose sum is a root."""
+    return {(a, b): cb.N(a, b) for a, b, _ in sum_triples(cb.rs)}
 
 
 def table_pairs(cb):
@@ -101,15 +108,14 @@ def test_integer_data_match_fraction_formulas(text):
     (d_i/d_r) H_i and the traces, in value and in type."""
     cb = make_basis(parse_shape(text))
     rs = cb.rs
-    assert table_pairs(cb) == {(a, b) for a, row in rs.sums.items()
-                               for b in row}
-    for a, row in rs.sums.items():
-        for b, c in row.items():
-            n = cb.N(a, b)
-            assert type(n) is int
-            nc = rs.sym_form(c, c)
-            assert cb.N(b, -c) == n * rs.sym_form(a, a) / nc
-            assert cb.N(-c, a) == n * rs.sym_form(b, b) / nc
+    triples = sum_triples(rs)
+    assert table_pairs(cb) == {(a, b) for a, b, _ in triples}
+    for a, b, c in triples:
+        n = cb.N(a, b)
+        assert type(n) is int
+        nc = rs.sym_form(c, c)
+        assert cb.N(b, -c) == n * rs.sym_form(a, a) / nc
+        assert cb.N(-c, a) == n * rs.sym_form(b, b) / nc
     for r in rs.roots:
         dr = rs.sym_form(r, r) / 2
         want = [Fraction(0)] * cb.total_rank
@@ -146,9 +152,10 @@ def test_construction_matches_the_root_keyed_oracle(text):
     rs = RootSystem(sh)
     assert rs.positives == want["positives"]
     assert list(rs.roots) == want["roots"]
-    assert list(rs.sums) == list(want["sums"])
-    for a, row in rs.sums.items():
-        assert list(row.items()) == list(want["sums"][a].items())
+    for a in rs.roots:
+        row = want["sums"][a]
+        for b in rs.roots:
+            assert rs.sum(a, b) == row.get(b)
     assert rs._sum_rows == want["sum_rows"]
     assert list(rs._pairings.items()) == list(want["pairings"].items())
     assert list(rs._weights.items()) == list(want["weights"].items())
@@ -166,19 +173,18 @@ def test_construction_matches_the_root_keyed_oracle(text):
 
 @pytest.mark.parametrize("text", CONSTRUCTION_SHAPES)
 def test_constant_table_cells(text):
-    """N(a, b) is a nonzero int exactly on the pairs of `sums`, where it
-    reads the table's cell, with N(b, a) = N(-a, -b) = -N(a, b); every other
-    cell reads 0, and N raises KeyError there."""
+    """N(a, b) is a nonzero int exactly on the pairs with a root sum, where
+    it reads the table's cell, with N(b, a) = N(-a, -b) = -N(a, b); every
+    other cell reads 0, and N raises KeyError there."""
     cb = make_basis(parse_shape(text))
     rs = cb.rs
     roots = rs.roots
     R = len(roots)
     assert len(cb.n_table) == R * R
     for i, a in enumerate(roots):
-        row = rs.sums[a]
         for j, b in enumerate(roots):
             cell = cb.n_table[i * R + j]
-            if b in row:
+            if rs.sum(a, b) is not None:
                 n = cb.N(a, b)
                 assert type(n) is int and n and n == cell
                 assert cb.N(b, a) == -n and cb.N(-a, -b) == -n
@@ -244,15 +250,18 @@ def test_integrality_checks_raise(monkeypatch):
 
 
 def test_missing_constant_raises(monkeypatch):
-    """A basis whose constants miss one pair with a root sum is refused, and
-    so are a Cartan vector of the wrong length and a compact generator X or Y
+    """A basis whose constants miss one pair with a root sum is refused, the
+    pair named in either order of the index numbering, and so are a Cartan
+    vector of the wrong length and a compact generator X or Y
     with a phase off the unit circle, zero included, also under `python -O`,
     which strips asserts; so is a Cartan basis key past the last slot."""
     rs = RootSystem(parse_shape("A2"))
     cb = ChevalleyBasis(rs)
     a = rs.positives[0]
-    pair = (a, next(iter(rs.sums[a])))
-    want = "no structure constant for (%s, %s)" % pair
+    b = next(b for b in rs.roots if rs.sum(a, b) is not None)
+    # a before b in the index numbering, and then after it
+    pairs = [(a, b), (b, a)]
+    wants = ["no structure constant for (%s, %s)" % p for p in pairs]
     short = "need 2 Cartan coordinates, got 1"
     long = "need 2 Cartan coordinates, got 3"
     for vec, msg in (([1], short), ([1, 0, 1], long)):
@@ -271,17 +280,18 @@ def test_missing_constant_raises(monkeypatch):
                                       % TowerScalar.parse(rho))
     assert cb.X(g, I) == cb.Y(g)
     build = ChevalleyBasis._build_constants
+    for pair, want in zip(pairs, wants):
 
-    def dropping(self, ci):
-        """The build, and then the cell of `pair` set to 0."""
-        build(self, ci)
-        index = self.rs.index
-        self.n_table[index[pair[0]] * len(index) + index[pair[1]]] = 0
+        def dropping(self, ci):
+            """The build, and then the cell of `pair` set to 0."""
+            build(self, ci)
+            index = self.rs.index
+            self.n_table[index[pair[0]] * len(index) + index[pair[1]]] = 0
 
-    monkeypatch.setattr(ChevalleyBasis, "_build_constants", dropping)
-    with pytest.raises(ValueError) as exc:
-        ChevalleyBasis(rs)
-    assert str(exc.value) == want
+        monkeypatch.setattr(ChevalleyBasis, "_build_constants", dropping)
+        with pytest.raises(ValueError) as exc:
+            ChevalleyBasis(rs)
+        assert str(exc.value) == want
     monkeypatch.undo()
     script = ("from stemhc.chevalley import ChevalleyBasis\n"
               "from stemhc.rootsystems import RootSystem, parse_shape\n"
@@ -299,28 +309,28 @@ def test_missing_constant_raises(monkeypatch):
               "        except ValueError as exc:\n"
               "            print(exc)\n"
               "build = ChevalleyBasis._build_constants\n"
-              "def dropping(self, ci):\n"
-              "    build(self, ci)\n"
-              "    index = self.rs.index\n"
-              "    a = self.rs.positives[0]\n"
-              "    b = next(iter(self.rs.sums[a]))\n"
-              "    self.n_table[index[a] * len(index) + index[b]] = 0\n"
-              "ChevalleyBasis._build_constants = dropping\n"
-              "try:\n"
-              "    ChevalleyBasis(RootSystem(parse_shape('A2')))\n"
-              "except ValueError as exc:\n"
-              "    print(exc)\n") % (phases,)
+              "rs = RootSystem(parse_shape('A2'))\n"
+              "i, j = 0, rs._sum_rows[0][0]\n"
+              "for u, v in ((i, j), (j, i)):\n"
+              "    def dropping(self, ci):\n"
+              "        build(self, ci)\n"
+              "        self.n_table[u * len(self.rs.roots) + v] = 0\n"
+              "    ChevalleyBasis._build_constants = dropping\n"
+              "    try:\n"
+              "        ChevalleyBasis(rs)\n"
+              "    except ValueError as exc:\n"
+              "        print(exc)\n") % (phases,)
     assert optimized_stdout(script).splitlines() == (
         [short, long]
         + ["phase is not unit modulus: %s" % TowerScalar.parse(rho)
            for rho in phases for _ in range(2)]
-        + [want])
+        + wants)
 
 
 def reference_bracket(cb, x, y):
     """The bracket term by term from coordinate sums of roots and `N`,
-    without the root-sum table `rs.sums`, and with alpha(h) summed over the
-    dense Cartan view against the root system's pairings."""
+    without `RootSystem.sum` or the root codes, and with alpha(h) summed
+    over the dense Cartan view against the root system's pairings."""
     rs = cb.rs
 
     def root_at(alpha, hvec):
@@ -382,23 +392,21 @@ def test_bracket_matches_reference(text):
 
 
 def test_root_products_table():
-    """The bracket's root-sum table, `rs.sums`, against coordinate sums: it
-    holds exactly the pairs with a root sum, b = -a not among them, and
-    those are exactly the pairs with a structure constant."""
+    """`rs.sum` against coordinate sums: a root exactly on the pairs with a
+    root sum, b = -a not among them, and those are exactly the pairs with a
+    structure constant."""
     cb = cb_of(SimpleType("B", 3))
     rs = cb.rs
     stored = {r: r for r in rs.roots}
     for a in rs.roots:
-        row = rs.sums[a]
-        assert -a not in row
+        assert rs.sum(a, -a) is None
         for b in rs.roots:
             s = root_sum(a, b)
             if s in rs.root_set:
-                assert row[b] is stored[s]
+                assert rs.sum(a, b) is stored[s]
             else:
-                assert b not in row
-    assert table_pairs(cb) == {(a, b) for a, row in rs.sums.items()
-                               for b in row}
+                assert rs.sum(a, b) is None
+    assert table_pairs(cb) == {(a, b) for a, b, _ in sum_triples(rs)}
 
 
 def test_combine_matches_the_chain():

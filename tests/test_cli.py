@@ -50,6 +50,13 @@ def test_stem_rejects_bad_shape():
     assert res.exit_code == 2
 
 
+def test_pair_rejects_signed_or_non_ascii_numbers():
+    for g in ["c^-1 x c^2 x A1", "c^\u0662 x A1", "A\u0663"]:
+        res = run("pair", "--g", g)
+        assert res.exit_code == 2, g
+        assert "bad" in res.output
+
+
 def test_audit_text_json_and_exit():
     res = run("audit", "--type", "B3")
     assert res.exit_code == 0

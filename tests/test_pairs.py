@@ -335,10 +335,10 @@ def gmg2_check(spec) -> CheckReport:
         wings = set(stem.phi[g]) | {-w for w in stem.phi[g]}
         for beta in dk:
             checked += 1
-            if rs.sums[g].get(beta) is not None:
+            if rs.sum(g, beta) is not None:
                 bad.append("%s + %s is a root" % (g, beta))
             for a in wings:
-                s = rs.sums[a].get(beta)
+                s = rs.sum(a, beta)
                 if s is not None:
                     checked += 1
                     if s not in wings:

@@ -76,7 +76,11 @@ def test_parse_shape():
     assert parse_shape("c^3").rank == 3
     assert parse_shape("0").rank == 0
     assert str(parse_shape("c^2 x A3 x D5")) == "c^2 x A3 x D5"
-    for bad in ["c^x", "A", "H4", "A3 x", "D3"]:
+    assert parse_shape("c^0 x A1") == parse_shape("A1")
+    # exponents and ranks are ASCII decimal numerals, with no sign
+    for bad in ["c^x", "A", "H4", "A3 x", "D3", "c^-1 x c^2 x A1", "c^+2",
+                "c^1_0", "c^ 2", "c^\u0662", "A\u0663", "A\u00b2", "A+3",
+                "A1_0"]:
         with pytest.raises(ValueError):
             parse_shape(bad)
 
@@ -263,39 +267,43 @@ def test_is_closed_rejects_a_non_root():
 
 @pytest.mark.parametrize("text", TABLE_SHAPES)
 def test_sums_match_coordinate_addition(text):
-    """rs.sums against root_sum and root_set on every ordered pair of roots:
-    a row holds exactly the b whose sum with a is a root, so never -a and
-    never a value None; its keys and values are the very Root objects of
-    rs.roots."""
+    """rs.sum against root_sum and root_set on every ordered pair of roots,
+    those of two components and b = -a included: the very Root object of
+    rs.roots where a + b is a root, None elsewhere, and KeyError when an
+    argument is not a root."""
     rs = RootSystem(parse_shape(text))
     stored = {r: r for r in rs.roots}
-    assert len(rs.sums) == len(rs.roots)
-    for a, row in rs.sums.items():
-        assert a is stored[a]
-        assert all(b is stored[b] for b in row)
-        assert None not in row.values()
-        assert -a not in row
+    for a in rs.roots:
+        assert rs.sum(a, -a) is None
         for b in rs.roots:
             s = root_sum(a, b)
             if s in rs.root_set:
-                assert row[b] is stored[s]
+                assert rs.sum(a, b) is stored[s]
             else:
-                assert b not in row
+                assert rs.sum(a, b) is None
+    a = rs.roots[0]
+    for bogus in (Root(a.comp, tuple(2 * c for c in a.coords)),
+                  Root(len(rs.shape.simples), a.coords)):
+        for args in ((a, bogus), (bogus, a), (bogus, bogus)):
+            with pytest.raises(KeyError):
+                rs.sum(*args)
 
 
 @pytest.mark.parametrize("text", TABLE_SHAPES)
 def test_index_rows_match_the_sum_table(text):
     """The numbering puts the positive roots first, in `Root.key` order, and
     the opposite of index i at i + P; the index row of i holds, by index and
-    in the order of j, the sums roots[i] + roots[j] of rs.sums with j > i."""
+    in the order of j, the sums roots[i] + roots[j] = rs.sum(roots[i],
+    roots[j]) with j > i."""
     rs = RootSystem(parse_shape(text))
     P = len(rs.positives)
     assert list(rs.roots[:P]) == sorted(rs.positives, key=Root.key)
     assert all(rs.index[r] == i for i, r in enumerate(rs.roots))
     assert all(rs.roots[i + P] == -rs.roots[i] for i in range(P))
     for i, a in enumerate(rs.roots):
-        want = [(rs.index[b], rs.index[s]) for b, s in rs.sums[a].items()
-                if rs.index[b] > i]
+        want = [(j, rs.index[rs.sum(a, b)])
+                for j, b in enumerate(rs.roots[i + 1:], i + 1)
+                if rs.sum(a, b) is not None]
         row = rs._sum_rows[i]
         assert list(zip(row[::2], row[1::2])) == sorted(want)
 
@@ -415,7 +423,7 @@ def test_base_of_proper_subsystems():
     while frontier:
         a = frontier.pop()
         for b in base:
-            s = rs.sums[a].get(b)
+            s = rs.sum(a, b)
             if s in longs and s not in reached:
                 reached.add(s)
                 frontier.append(s)

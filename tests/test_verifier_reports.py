@@ -1,5 +1,6 @@
 """Smoke runs of the stem-check and fresh-phase rotation sections of
-scripts/verifier_reports.py on two small types."""
+scripts/verifier_reports.py on two small types, and the digests of its
+sum-table and Chevalley-data sections on the same two, pinned."""
 
 import ast
 import importlib.util
@@ -51,3 +52,24 @@ def test_fresh_phase_rotation_section_prints_cold_and_warm_alike(capsys):
     assert len(cold) == 2 * 2 * 3 * 8
     assert all(ast.literal_eval(line.partition(" | ")[2])[2]
                for line in cold)
+
+
+def test_sum_table_and_chevalley_digests_on_two_small_types(capsys,
+                                                            monkeypatch):
+    """The root-sum and Chevalley-data digests of A3 and G2, pinned: a
+    change to how root addition or the constants are stored must print the
+    same digests."""
+    vr = load_script()
+    monkeypatch.setattr(vr, "ATLAS_TYPES", ("A3", "G2"))
+    vr.show_sum_tables()
+    vr.show_chevalley_data()
+    assert capsys.readouterr().out.splitlines() == [
+        "A3 sum tables | 74b76dd99236adbc3b20ae12fbfff4f1"
+        "10b9da3cb35afa5c10309315cef4cfe0",
+        "G2 sum tables | 0c22c8cb9b76f3d7a2ad525adf6ad900"
+        "9d459f3feaa50ead40e1bef5b184f7a4",
+        "A3 chevalley data | 05015ba8d4ec5e674bc0f80e2a33d637"
+        "f761165578cc25979d1a8f2aaf64769b",
+        "G2 chevalley data | 7a225a58690bbf87e10124cb41443e45"
+        "44bde292c9af25c90147871813f75890",
+    ]
