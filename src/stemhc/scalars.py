@@ -251,9 +251,11 @@ class TowerScalar:
     def __repr__(self):
         return "TowerScalar(%s)" % str(self)
 
-    # a denominator has a nonzero digit, so "2/0" is a bad term
+    # a denominator has a nonzero digit, so "2/0" is a bad term; digits are
+    # ASCII, and `fullmatch` takes the whole term, where "$" would also
+    # match before a final newline
     _TERM = re.compile(
-        r"^([+-]?)(\d+(?:/0*[1-9]\d*)?)?(i√2|i\*?sqrt2|isqrt2|√2|sqrt2|i)?$"
+        r"([+-]?)([0-9]+(?:/0*[1-9][0-9]*)?)?(i√2|i\*?sqrt2|isqrt2|√2|sqrt2|i)?"
     )
 
     @staticmethod
@@ -269,7 +271,7 @@ class TowerScalar:
         slot = {"": 0, "i": 1, "√2": 2, "sqrt2": 2,
                 "i√2": 3, "isqrt2": 3, "i*sqrt2": 3}
         for chunk in chunks:
-            m = TowerScalar._TERM.match(chunk)
+            m = TowerScalar._TERM.fullmatch(chunk)
             if not m or (m.group(2) is None and m.group(3) is None):
                 raise ValueError("bad scalar term %r in %r" % (chunk, text))
             sign, mag, unit = m.groups()

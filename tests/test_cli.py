@@ -124,6 +124,11 @@ def test_unparsable_phase_and_non_simple_audit_are_usage_errors():
     res = run("build", "--g", "A2", "--rho", "1/0i")
     assert res.exit_code == 2
     assert "Error: bad scalar term '1/0i' in '1/0i'" in res.output
+    # a unit phase spelled with non-ASCII digits, or with a final newline
+    for rho in ("\u0661", "\uff11", "1\n", "i,1\n"):
+        res = run("build", "--g", "A2 x A2", "--rho", rho)
+        assert res.exit_code == 2, repr(rho)
+        assert "bad scalar term" in res.output, repr(rho)
     res = run("audit", "--type", "A2 x A2")
     assert res.exit_code == 2
     assert "one simple type at a time" in res.output

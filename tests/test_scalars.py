@@ -104,6 +104,12 @@ def test_parse_ascii_spellings():
         TowerScalar.parse("q")
     with pytest.raises(ValueError):
         TowerScalar.parse("1+j")
+    # non-ASCII digits, in a numerator as in a denominator, and newlines
+    for bad in ("\u0663", "\uff11", "-\u0663", "\u0663/\u0664", "1/\u0664",
+                "1\n", "1\n+i", "\n1"):
+        with pytest.raises(ValueError) as exc:
+            TowerScalar.parse(bad)
+        assert str(exc.value).startswith("bad scalar term"), repr(bad)
 
 
 @pytest.mark.parametrize("text,term", [("2/0", "2/0"), ("1/0i", "1/0i"),
