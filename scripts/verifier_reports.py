@@ -57,15 +57,12 @@ every stem root, of every rotation mutant of each ROTATION_MUTANT_TYPES
 type at zeta8: one stem rotation, as the library builds it for every
 check, with its image of the first basis vector it fixes, or of the first
 one it moves, times 2, plus the next basis vector, or zero.
-The proof of `verify_all` at the phase one, after them: `verify_all` on the
-five worked pairs and the TORUS_BUILDS pairs at each of the FRESH_PHASES,
-printed cold, on an emptied `structure_proofs` store, where the call proves
-the battery at the phase one first, and then warm, on a new structure that
-reads the proof: the lines differ only in that word.  Then `verify_all` on
-the wing-swap mutant of each worked pair at each of the FRESH_PHASES, after
-the proof: J with rho and rho-bar swapped in its entry at (E_(g-a) <- E_-a)
-for the first free stem root g and its first wing root a, a J that is the
-pair's own at the phase one.
+The unit phases beyond 1, i and zeta8, after them: `verify_all` on the
+five worked pairs and the TORUS_BUILDS pairs at each of the FRESH_PHASES.
+Then `verify_all` on the wing-swap mutant of each worked pair at each of
+the FRESH_PHASES: J with rho and rho-bar swapped in its entry at
+(E_(g-a) <- E_-a) for the first free stem root g and its first wing root a,
+a J that is the pair's own at the phase one.
 """
 
 import hashlib
@@ -432,22 +429,17 @@ def wing_swapped(hc):
     return HCStructure(pb, hc.i_cols, cols, hc.tau_cols)
 
 
-def show_phase_one_proofs():
+def show_fresh_phases():
     builds = list(SELFTEST_BUILDS) + list(TORUS_BUILDS)
     for text, sub, ok_dim in builds:
         spec = make_pair_spec(text, sub, ok_dim)
         for name, rho in FRESH_PHASES:
-            for call in ("cold", "warm"):
-                hc = build_structure(spec, phases=rho)
-                if call == "cold":
-                    hc.cb.structure_proofs.clear()
-                show("%s %s %d @%s, %s |" % (text, list(sub), ok_dim, name,
-                                             call), hc.verify_all())
+            show("%s %s %d @%s |" % (text, list(sub), ok_dim, name),
+                 build_structure(spec, phases=rho).verify_all())
     for text, sub, ok_dim in SELFTEST_BUILDS:
         spec = make_pair_spec(text, sub, ok_dim)
         for name, rho in FRESH_PHASES:
             hc = build_structure(spec, phases=rho)
-            assert hc.verify_all().ok
             show("%s %s %d wing-swap mutant @%s |"
                  % (text, list(sub), ok_dim, name),
                  wing_swapped(hc).verify_all())
@@ -490,7 +482,7 @@ def main():
     show_phase_errors()
     show_mutants()
     show_rotation_mutants()
-    show_phase_one_proofs()
+    show_fresh_phases()
 
 
 if __name__ == "__main__":

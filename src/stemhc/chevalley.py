@@ -167,10 +167,6 @@ class ChevalleyBasis:
         # whether two commute
         self.rotations = {}
         self.rotation_proofs = {}
-        # what `HCStructure.verify_all` proves at the phase one, by (spec,
-        # include_cayley): the structure it was proved on and the names and
-        # counts of its items, or False where the proof failed
-        self.structure_proofs = {}
 
     # -- structure constants --------------------------------------------------
 

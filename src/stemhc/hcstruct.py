@@ -15,18 +15,10 @@ moves, as AlgebraElements, and fixes every other one.  A rotation is
 invertible, so it sends independent vectors to as many independent images,
 which span a target of that dimension iff each lies in it: every subspace
 check is a sparse membership test.  All checks are exact.
-
-The phases of the free stem roots move only J and the rotations, by the
-torus of the free stem.  So `HCStructure.verify_all` proves its battery
-once per basis and spec, at the phase one, and at any other unit phase it
-checks, entry by entry, that the structure is the proved one conjugated by
-that torus (`_torus_conjugate`); `verify_rotation` does the same for each
-rotation.
 """
 
 from __future__ import annotations
 
-import copy
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -215,6 +207,24 @@ class PBasis:
         m = [[cols[j][i] for j in range(len(cols))]
              for i in range(cb.total_rank)]
         self.h_inverse = invert(m)
+        # what `decompose` makes of each Cartan slot, the column of the
+        # inverse: its sparse subalgebra Cartan coefficients and its label
+        # coordinates, P = d/2 - ic and Q = -d/2 - ic from the coefficients
+        # c of H_gamma_t and d of z_t, and -i times that of each u vector
+        nk, n_p = self.n_k, self.num_p
+        self.slot_parts = []
+        for col in zip(*self.h_inverse):
+            k_h = [(r, TowerScalar.of(v)) for r, v in enumerate(col[:nk])
+                   if v]
+            coords = []
+            for t in range(n_p):
+                ic = I * col[nk + t]
+                half_d = HALF * col[nk + n_p + t]
+                coords += [(self.index[("p", t)], half_d - ic),
+                           (self.index[("q", t)], -half_d - ic)]
+            coords += [(self.index[("u", s)], -I * v)
+                       for s, v in enumerate(col[nk + 2 * n_p:])]
+            self.slot_parts.append((k_h, [(i, v) for i, v in coords if v]))
 
     def _round_trip_check(self):
         for j, v in enumerate(self.vectors):
@@ -268,17 +278,14 @@ class PBasis:
                 raise ValueError("unknown root %s" % (r,))
         k_h = [ZERO] * self.n_k
         if x.cartan:
-            cf = [sum((c * row[j] for j, c in x.cartan.items() if row[j]),
-                      ZERO) for row in self.h_inverse]
-            k_h = cf[:self.n_k]
-            nk = self.n_k
-            for t in range(self.num_p):
-                c_t = cf[nk + t]
-                d_t = cf[nk + self.num_p + t]
-                coords[self.index[("p", t)]] = d_t * HALF - I * c_t
-                coords[self.index[("q", t)]] = -(d_t * HALF) - I * c_t
-            for s in range(len(self.j_vecs)):
-                coords[self.index[("u", s)]] = -I * cf[nk + 2 * self.num_p + s]
+            # linear in the Cartan part: the sum of each slot's parts
+            parts = self.slot_parts
+            for j, c in x.cartan.items():
+                k_part, coord_part = parts[j]
+                for r, v in k_part:
+                    k_h[r] = k_h[r] + c * v
+                for i, v in coord_part:
+                    coords[i] = coords.get(i, ZERO) + c * v
             coords = {i: c for i, c in coords.items() if c}
         return PDecomposition(coords, k_e, k_h)
 
@@ -324,6 +331,11 @@ def subalgebra_generators(pb: PBasis):
 def _apply_cols(cols, coords):
     """The map with these columns applied to sparse coordinates (a dict from
     label index to nonzero entry); the image comes back in the same form."""
+    if len(coords) < 2:
+        # a multiple of one basis vector, or zero: one column, scaled
+        for j, c in coords.items():
+            return {i: p for i, v in cols[j].items() if (p := v * c)}
+        return {}
     out = {}
     for j, c in coords.items():
         for i, v in cols[j].items():
@@ -450,35 +462,15 @@ class HCStructure:
         return pb.assemble(_apply_cols(self.j_cols, pb.coords_strict(x)))
 
     def verify_all(self, include_cayley=True) -> CheckReport:
-        """The reports of the five verifiers on the structure, and of
-        `verify_eigenspace_transport` with include_cayley, in one report.
-
-        The battery is proved once per basis, spec and include_cayley, at
-        the phase one, on a twin of the first structure verified (its basis
-        data, I and tau copied, J at the phase one), and the result is kept
-        in `cb.structure_proofs`, never keyed by phase.  A structure that is
-        the twin conjugated by the torus of the free stem
-        (`_torus_conjugate`) gets new items with the proved names and
-        counts; any other structure, or any structure once the proof has
-        failed, gets the battery run on itself."""
-        key = (self.spec, include_cayley)
-        proofs = self.cb.structure_proofs
-        if key not in proofs:
-            pb = self.pbasis
-            at_one = pb.phases == dict.fromkeys(pb.gamma_p, ONE)
-            twin = _phase_one_twin(self, at_one)
-            rep = _battery(twin, include_cayley)
-            proofs[key] = (twin, rep.ok and _torus_premises(twin)
-                           and [(it.name, it.checked) for it in rep.items])
-            if at_one:
-                return rep
-        twin, items = proofs[key]
-        if items and _torus_conjugate(self, twin):
-            rep = CheckReport()
-            for name, checked in items:
-                rep.record(name, checked)
-            return rep
-        return _battery(self, include_cayley)
+        rep = CheckReport()
+        rep.extend(verify_operator_identities(self))
+        rep.extend(verify_equivariance(self))
+        rep.extend(verify_integrability(self))
+        rep.extend(verify_root_coupling(self))
+        rep.extend(verify_wing_restriction(self))
+        if include_cayley:
+            rep.extend(verify_eigenspace_transport(self))
+        return rep
 
 
 def build_structure(spec: PairSpec, phases=None) -> HCStructure:
@@ -709,19 +701,17 @@ def _torsion_violations(pb: PBasis, cols):
 def verify_integrability(hc: HCStructure) -> CheckReport:
     """Eigenspace bracket closure plus the direct real torsion expression.
 
-    An identity on all pairs of basis vectors takes one of four proof
+    An identity on all pairs of basis vectors takes one of three proof
     paths: generators (`verify_rotation`, `verify_equivariance`),
     eigenspaces (the torsion here: it vanishes once both eigenspace closure
-    items hold on eigenvectors that form a basis), the phase one (a
-    rotation, or the structure of `HCStructure.verify_all`, that is the
-    one proved at the phase one conjugated by a torus element, see
-    `verify_rotation` and `_torus_conjugate`), or all pairs, the loop the
-    others fall back to when their precondition or a case fails, so that a
-    failure lists every violation."""
+    items hold on eigenvectors that form a basis), or all pairs, the loop
+    the other two fall back to when their precondition or a case fails, so
+    that a failure lists every violation."""
     pb = hc.pbasis
     n = len(pb.labels)
     rep = CheckReport()
     structures = (("first", hc.i_cols), ("second", hc.j_cols))
+    br = pb.cb.bracket
     split = []
     for opname, cols in structures:
         closed = True
@@ -737,7 +727,10 @@ def verify_integrability(hc: HCStructure) -> CheckReport:
                 for b in range(a, len(elems)):
                     checked += 1
                     # the span of the kernel basis is all of ker(op - lam)
-                    w = pb.project_coords(pb.cb.bracket(elems[a], elems[b]))
+                    x = br(elems[a], elems[b])
+                    if not (x.e or x.cartan):
+                        continue      # 0 lies in every eigenspace
+                    w = pb.project_coords(x)
                     if _apply_cols(cols, w) != {i: lam * c
                                                 for i, c in w.items()}:
                         bad.append("bracket of vectors %d,%d leaves the %s "
@@ -1450,147 +1443,3 @@ def verify_eigenspace_transport(hc: HCStructure) -> CheckReport:
         rep.record("rotated polarization equals the %s eigenspace of the "
                    "second structure" % signname, len(vecs), bad)
     return rep
-
-
-# ---------------------------------------------------------------------------
-# The battery, proved once at the phase one
-
-
-def _battery(hc: HCStructure, include_cayley) -> CheckReport:
-    """The verifiers of `HCStructure.verify_all`, run on hc."""
-    rep = CheckReport()
-    rep.extend(verify_operator_identities(hc))
-    rep.extend(verify_equivariance(hc))
-    rep.extend(verify_integrability(hc))
-    rep.extend(verify_root_coupling(hc))
-    rep.extend(verify_wing_restriction(hc))
-    if include_cayley:
-        rep.extend(verify_eigenspace_transport(hc))
-    return rep
-
-
-def _copied(value):
-    """value with every list, dict and set in it copied, recursively; the
-    other values (roots, scalars, elements) are shared."""
-    if type(value) is list:
-        return [_copied(v) for v in value]
-    if type(value) is dict:
-        return {k: _copied(v) for k, v in value.items()}
-    if type(value) is set:
-        return set(value)
-    return value
-
-
-def _phase_one_twin(hc: HCStructure, at_one) -> HCStructure:
-    """hc at the phase one, on copies of its basis data, I and tau, which
-    later changes to hc leave alone; its J is a copy of hc's where hc is at
-    the phase one (at_one), and built at the phase one otherwise."""
-    pb = copy.copy(hc.pbasis)
-    pb.__dict__ = _copied(vars(pb))
-    pb.phases = dict.fromkeys(pb.gamma_p, ONE)
-    j_cols = _copied(hc.j_cols) if at_one else build_J(pb)
-    return HCStructure(pb, _copied(hc.i_cols), j_cols, _copied(hc.tau_cols))
-
-
-def _root_weight(cb: ChevalleyBasis, r: Root):
-    """The root r on the simple roots of every simple component."""
-    w = [0] * cb.semisimple_rank
-    off = cb.offsets[r.comp]
-    w[off:off + len(r.coords)] = r.coords
-    return tuple(w)
-
-
-def _label_weights(pb: PBasis):
-    """The weight of each label: its root for ("e", r), and 0 for the Cartan
-    labels P, Q and u."""
-    zero = (0,) * pb.cb.semisimple_rank
-    return [_root_weight(pb.cb, val) if kind == "e" else zero
-            for kind, val in pb.labels]
-
-
-def _torus_premises(hc: HCStructure) -> bool:
-    """Whether the torus acts on hc as `_torus_conjugate` needs: each basis
-    vector is a weight vector of its label's weight, I keeps every weight,
-    the conjugation matrix sends each weight to its negative, and Delta_k
-    is orthogonal to every free stem root.  The construction makes all four
-    hold; they are checked once, on the structure the battery is proved
-    on."""
-    pb = hc.pbasis
-    weights = _label_weights(pb)
-    return all(v.e.keys() == ({val} if kind == "e" else set())
-               and not (kind == "e" and v.cartan)
-               for (kind, val), v in zip(pb.labels, pb.vectors)) \
-        and all(weights[b] == weights[a]
-                for a, col in enumerate(hc.i_cols) for b in col) \
-        and all(weights[b] == tuple(map(neg, weights[a]))
-                for a, col in enumerate(hc.tau_cols) for b in col) \
-        and not any(pb.cb.rs.cartan_int(r, g)
-                    for r in pb.dk_set for g in pb.gamma_p)
-
-
-def _torus_conjugate(hc: HCStructure, twin: HCStructure) -> bool:
-    """Whether hc is the phase-one twin conjugated by the torus of the free
-    stem: the same basis data but the phases, the same I and conjugation
-    matrix, unit phases, and each entry of J at (b <- a) the twin's entry
-    times rho_t^j, with j and t read off the label weights, w_b - w_a =
-    j gamma_t (not off anything stored).
-
-    Proof at the phase one.  Let t = prod_t exp(s_t H_(gamma_t)) with
-    e^(2 s_t) = rho_t, and D = Ad(t), an automorphism of g that fixes the
-    Cartan subalgebra and scales each root vector E_beta by
-    prod_t e^(s_t <beta, gamma_t^vee>).
-    - D fixes k pointwise, as Delta_k is orthogonal to the free stem roots
-      (`_torus_premises`).  So D keeps k and p, and commutes with the
-      projection onto p along k.
-    - The basis vectors are weight vectors, so D is diagonal on the labels,
-      d_b at label b.  The entry of D J_1 D^-1 at (b <- a) is J_1's times
-      d_b / d_a, which is rho_t^j for w_b - w_a = j gamma_t, as the stem
-      roots are strongly orthogonal.  So the check proves J = D J_1 D^-1.
-    - I keeps every weight, so D commutes with I.
-    - |rho_t| = 1, so d at the weight -w is conj(d) at w, and the
-      conjugation matrix T, which negates weights, satisfies
-      D T = T conj(D).  Then J T = T conj(J) follows from J_1 T =
-      T conj(J_1).
-    - X(gamma, rho) = D X(gamma, 1) and Y(gamma, rho) = D Y(gamma, 1),
-      while W and Z are Cartan vectors that D fixes.  So J X = W, J Z = Y
-      and the restriction J = -ad(2Y) to each wing block carry over from
-      the twin, and so do J^2 = -1 and IJ = -JI.
-    - For x in k, D ad(x) D^-1 = ad(Dx) = ad(x) on p: the action commutes
-      with J once it commutes with J_1.  The other equivariance items, and
-      the items on I and T alone, do not read J or the phases.
-    - D maps the eigenspaces of J_1 onto those of J and respects the
-      projected bracket, so the closure and torsion items carry over; the
-      eigenvector lists have the same lengths.
-    - A coupling entry at (-a <- b), a + b = gamma_t, has grade -1, so it is
-      i conj(rho_t) N(gamma_t, -b) once the twin's is i N(gamma_t, -b); its
-      closed-form denominator scales by rho_t, and the product is unchanged.
-    - The product rotation at the phases is D prod_1 D^-1, by the grading
-      argument of `root_rotation` and `verify_rotation`.  D keeps k, p and
-      the untwisted polarization, so the transport items carry over.
-    Every `checked` count of a passing item is the same at every phase."""
-    pb, pb1 = hc.pbasis, twin.pbasis
-    ours, theirs = vars(pb), vars(pb1)
-    phases = pb.phases
-    if ours.keys() != theirs.keys() \
-            or any(v != theirs[k] for k, v in ours.items() if k != "phases") \
-            or hc.i_cols != twin.i_cols or hc.tau_cols != twin.tau_cols \
-            or len(hc.j_cols) != len(twin.j_cols) \
-            or phases.keys() != set(pb.gamma_p) \
-            or not all(isinstance(r, TowerScalar) and r.is_unit_modulus()
-                       for r in phases.values()):
-        return False
-    weights = _label_weights(pb)
-    power_at = {(0,) * pb.cb.semisimple_rank: 1}
-    for g in pb.gamma_p:
-        w = _root_weight(pb.cb, g)
-        for j, p in _grade_powers(phases[g]).items():
-            power_at[tuple(j * x for x in w)] = p
-    for a, (col, col1) in enumerate(zip(hc.j_cols, twin.j_cols)):
-        if col.keys() != col1.keys():
-            return False
-        wa = weights[a]
-        for b, v in col.items():
-            p = power_at.get(tuple(map(sub, weights[b], wa)))
-            if p is None or v != col1[b] * p:
-                return False
-    return True

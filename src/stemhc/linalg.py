@@ -45,17 +45,21 @@ def rref(rows):
             col += 1
             continue
         row = work.pop(pivot_row)
-        inv = row[col] ** -1 if isinstance(row[col], Fraction) else row[col].inv()
-        row = [x * inv for x in row]
+        p = row[col]
+        if p != 1:
+            inv = p ** -1 if isinstance(p, Fraction) else p.inv()
+            row = [x * inv if x else x for x in row]
+        # a zero of the pivot row leaves its column alone in every other row
+        support = [j for j in range(col, ncols) if row[j]]
         for r in work:
             f = r[col]
             if f:
-                for j in range(col, ncols):
+                for j in support:
                     r[j] = r[j] - f * row[j]
         for r in out:
             f = r[col]
             if f:
-                for j in range(col, ncols):
+                for j in support:
                     r[j] = r[j] - f * row[j]
         out.append(row)
         pivots.append(col)

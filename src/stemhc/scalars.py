@@ -133,23 +133,35 @@ class TowerScalar:
             other = TowerScalar.of(other)
         a0, a1, a2, a3 = self._n0, self._n1, self._n2, self._n3
         b0, b1, b2, b3 = other._n0, other._n1, other._n2, other._n3
+        if a2 or a3 or b2 or b3:
+            n0 = a0 * b0 - a1 * b1 + 2 * (a2 * b2 - a3 * b3)
+            n1 = a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2)
+            n2 = a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1
+            n3 = a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1
+        else:
+            # Gaussian rationals, the units among them, dominate the hot
+            # loops; the product is zero only if a factor is
+            n0 = a0 * b0 - a1 * b1
+            n1 = a0 * b1 + a1 * b0
+            if not (n0 or n1):
+                return ZERO
+            n2 = n3 = 0
         d = self._d * other._d
-        # fast paths: purely rational factors dominate the hot loops
-        if not (a1 or a2 or a3):
-            if not a0:
-                return ZERO
-            return _make(a0 * b0, a0 * b1, a0 * b2, a0 * b3, d)
-        if not (b1 or b2 or b3):
-            if not b0:
-                return ZERO
-            return _make(a0 * b0, a1 * b0, a2 * b0, a3 * b0, d)
-        return _make(
-            a0 * b0 - a1 * b1 + 2 * (a2 * b2 - a3 * b3),
-            a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2),
-            a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1,
-            a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
-            d,
-        )
+        if d != 1:
+            g = gcd(n0, n1, n2, n3, d)
+            if g != 1:
+                n0 //= g
+                n1 //= g
+                n2 //= g
+                n3 //= g
+                d //= g
+        s = _new(TowerScalar)
+        s._n0 = n0
+        s._n1 = n1
+        s._n2 = n2
+        s._n3 = n3
+        s._d = d
+        return s
 
     __rmul__ = __mul__
 

@@ -69,12 +69,6 @@ def negated_two_cycle(hc):
     return HCStructure(pb, hc.i_cols, cols, hc.tau_cols)
 
 
-def emptied(hc):
-    """hc, with the proofs that `verify_all` keeps on its basis forgotten."""
-    hc.cb.structure_proofs.clear()
-    return hc
-
-
 def run_python(script, *flags):
     """Standard output of `python <flags> -c script` with this stemhc."""
     env = dict(os.environ)
@@ -180,6 +174,49 @@ def test_decompose_stores_no_zero():
             for y in pb.vectors:
                 d = pb.decompose(pb.cb.bracket(x, y))
                 assert all(d.coords.values())
+
+
+def inverse_decompose(pb, x):
+    """(coordinates, subalgebra Cartan coefficients) of x, solved with the
+    rows of `h_inverse` as the adapted basis defines them: P = d/2 - ic and
+    Q = -d/2 - ic from the coefficients c of H_gamma_t and d of z_t, and
+    -i times the coefficient of each u vector."""
+    coords = {pb.index[("e", r)]: c for r, c in x.e.items()
+              if r in pb.dp_set}
+    cf = [sum((c * TowerScalar.of(row[j]) for j, c in x.cartan.items()),
+              ZERO) for row in pb.h_inverse]
+    nk, n_p = pb.n_k, pb.num_p
+    for t in range(n_p):
+        c, d = cf[nk + t], cf[nk + n_p + t]
+        coords[pb.index[("p", t)]] = d * HALF - I * c
+        coords[pb.index[("q", t)]] = -(d * HALF) - I * c
+    for s in range(len(pb.j_vecs)):
+        coords[pb.index[("u", s)]] = -I * cf[nk + 2 * n_p + s]
+    return {i: c for i, c in coords.items() if c}, cf[:nk]
+
+
+@pytest.mark.parametrize("shape,substem,o_k_dim", [
+    ("c^4 x A2", (), 0), ("A3", (2,), 0), ("A4", (2,), 0),
+    ("c^2 x A3", (2,), 2), ("c^1 x C3", (2, 3), 0)])
+def test_decompose_matches_the_inverse_cartan_matrix(shape, substem,
+                                                     o_k_dim):
+    """Each Cartan slot's parts, summed, give what the inverse of the
+    Cartan matrix gives on every Cartan basis vector, every basis vector of
+    the complement and random Cartan elements with tower coefficients."""
+    pb = build(shape, substem, o_k_dim).pbasis
+    cb = pb.cb
+    rng = random.Random(5)
+    scalars = [ONE, -I, HALF, SQRT2, PYTH, EIGHTH_ROOT, TowerScalar(0, 3, 1)]
+    xs = [cb.H_vec([ONE if k == j else ZERO for k in range(cb.total_rank)])
+          for j in range(cb.total_rank)]
+    xs += list(pb.vectors)
+    for _ in range(20):
+        xs.append(cb.H_vec([rng.choice(scalars + [ZERO])
+                            for _ in range(cb.total_rank)])
+                  + cb.E(pb.dp_plus[0]).scale(rng.choice(scalars)))
+    for x in xs:
+        d = pb.decompose(x)
+        assert (d.coords, d.k_h) == inverse_decompose(pb, x)
 
 
 def test_round_trip_check_holds_under_optimize(monkeypatch):
@@ -549,6 +586,23 @@ def test_sparse_apply_drops_cancelled_entries():
     cols = [{0: ONE, 1: ONE}, {0: -ONE, 1: ONE}]
     assert _apply_cols(cols, {0: ONE, 1: ONE}) == {1: TowerScalar.of(2)}
     assert _apply_cols(cols, {}) == {}
+
+
+def test_sparse_apply_matches_the_dense_product():
+    """On no, one and several entries, with zeros stored in the columns,
+    the sparse image is the dense product with its zeros dropped."""
+    rng = random.Random(3)
+    values = [ZERO, ONE, -I, HALF, PYTH, SQRT2]
+    n = 5
+    cols = [{i: rng.choice(values) for i in rng.sample(range(n), k)}
+            for k in (0, 1, 2, 3, 5)]
+    dense = _dense_view(cols)
+    for k in (0, 1, 1, 2, 5):
+        coords = {j: rng.choice(values[1:]) for j in rng.sample(range(n), k)}
+        want = {i: v for i in range(n)
+                if (v := sum((dense[i][j] * c for j, c in coords.items()),
+                             ZERO))}
+        assert _apply_cols(cols, coords) == want
 
 
 def test_eigenspaces_split_the_complement():
@@ -1021,13 +1075,11 @@ def test_rotation_checks_catch_an_image_outside_its_block(monkeypatch, moved):
 def test_verifiers_build_no_dense_span(monkeypatch):
     """Once the structures are built, the verifiers build no Span, and the
     only row reductions left are the rational kernels on the Cartan
-    subalgebra, with rows of length total_rank.  Each `verify_all` runs on
-    an emptied store of proofs, so that it runs the verifiers."""
+    subalgebra, with rows of length total_rank."""
     jobs = []
     for shape, substem in (("A4", (2,)), ("c^4 x A2", ())):
         hc = build(shape, substem, phases=EIGHTH_ROOT)
-        jobs.append((hc.cb.total_rank,
-                     lambda hc=hc: emptied(hc).verify_all()))
+        jobs.append((hc.cb.total_rank, hc.verify_all))
     cb = make_basis(parse_shape("B4"))
     st = stem_of(parse_shape("B4"))
     for g in st.elements:
@@ -2142,46 +2194,7 @@ def test_torsion_rejects_a_picked_half_that_spans_too_little(monkeypatch,
     assert not want[5]["ok"] and want[5]["violation_count"] == 12
 
 
-# ------------------------------------------ the battery proved at the phase one
-
-
-def direct_report(hc, include_cayley=True):
-    """The reports of the verifiers that `verify_all` runs, each called
-    directly on hc, in one report, as a dict."""
-    verifiers = [verify_operator_identities, verify_equivariance,
-                 verify_integrability, verify_root_coupling,
-                 verify_wing_restriction]
-    if include_cayley:
-        verifiers.append(verify_eigenspace_transport)
-    rep = CheckReport()
-    for verify in verifiers:
-        rep.extend(verify(hc))
-    return rep.to_dict()
-
-
-PARITY_PHASES = (ONE, I, EIGHTH_ROOT) + FRESH_PHASES
-
-
-@pytest.mark.parametrize("spec", TORSION_PAIRS)
-def test_verify_all_equals_the_verifiers_called_directly(spec):
-    """On every space to dim 24 and every TORUS_BUILDS pair, at each phase,
-    with and without the eigenspace transport, `verify_all` reports what the
-    verifiers called directly report: cold, on an emptied store, where it
-    proves the battery at the phase one, which holds; warm at the same
-    phase; and warm at every phase from the proof made at the last."""
-    hcs = [build_structure(spec, phases=rho) for rho in PARITY_PHASES]
-    for cayley in (True, False):
-        key = (spec, cayley)
-        want = [direct_report(hc, cayley) for hc in hcs]
-        assert all(w["ok"] for w in want)
-        for hc, w in zip(hcs, want):
-            assert emptied(hc).verify_all(cayley).to_dict() == w
-            assert list(hc.cb.structure_proofs) == [key]
-            assert hc.cb.structure_proofs[key][1]
-            assert hc.verify_all(cayley).to_dict() == w
-        for rho, w in zip(PARITY_PHASES, want):
-            again = build_structure(spec, phases=rho)
-            assert again.verify_all(cayley).to_dict() == w, rho
+# ------------------------------------------------ mutants at the fresh phases
 
 
 def wing_swapped(hc):
@@ -2221,171 +2234,60 @@ def structure_mutant(hc, kind):
 @pytest.mark.parametrize("kind", ["wing swap", "I", "tau", "vector"])
 @pytest.mark.parametrize("shape,substem", [
     ("A4", (2,)), ("A2 x A2", ()), ("c^4 x A2", ())])
-def test_a_mutant_gets_the_whole_battery(shape, substem, kind):
-    """Each mutant, at each of the FRESH_PHASES, gets the report of the
-    verifiers called directly, which fails: before the proof at the phase
-    one exists, where its own first call makes one, and after a structure
-    of the construction has made it."""
+def test_a_mutant_fails_at_every_fresh_phase(shape, substem, kind):
+    """Each mutant fails `verify_all` at each of the FRESH_PHASES, where the
+    structure it is made from passes.  The wing-swap mutant's J is the
+    construction's own at the phase one, so only a check at the phase
+    itself catches it."""
     spec = make_pair_spec(shape, substem)
     if kind == "wing swap":
         assert wing_swapped(build_structure(spec)).j_cols == \
             build_structure(spec).j_cols
-    for proved in (False, True):
-        for rho in FRESH_PHASES:
-            hc = emptied(build_structure(spec, phases=rho))
-            if proved:
-                assert hc.verify_all().ok
-                assert hc.cb.structure_proofs[(spec, True)][1]
-            broken = structure_mutant(hc, kind)
-            want = direct_report(broken)
-            assert not want["ok"]
-            assert broken.verify_all().to_dict() == want, (proved, rho)
-            assert broken.verify_all().to_dict() == want, (proved, rho)
+    for rho in FRESH_PHASES:
+        hc = build_structure(spec, phases=rho)
+        assert hc.verify_all().ok
+        assert not structure_mutant(hc, kind).verify_all().ok, rho
 
 
-@pytest.mark.parametrize("change", ["J entry", "I entry", "vector", "h_inverse"])
-def test_the_proof_keeps_its_own_copy_of_the_structure(change):
-    """At the phase one the structure proves the battery on its own data,
-    and the proof keeps copies of it: the structure changed in place after
-    the proof gets the report of the verifiers called directly."""
-    hc = emptied(build("A4", (2,)))
-    assert hc.verify_all().ok
+def closure_items(hc):
+    """The four eigenspace closure items of `verify_integrability`, as
+    dicts, from a loop that brackets every pair a <= b of each eigenvector
+    list, zero or not, and projects every bracket."""
     pb = hc.pbasis
-    if change == "J entry":
-        col = hc.j_cols[0]
-        (i,) = col
-        col[i] = -col[i]
-    elif change == "I entry":
-        hc.i_cols[0][0] = -hc.i_cols[0][0]
-    elif change == "vector":
-        k = pb.index[("p", 0)]
-        pb.vectors[k] = pb.vectors[k].scale(2)
-    else:
-        row = pb.h_inverse[-1]
-        row[0] = row[0] + 1
-    want = direct_report(hc)
-    assert not want["ok"]
-    assert hc.verify_all().to_dict() == want
+    n = len(pb.labels)
+    rep = CheckReport()
+    for opname, cols in (("first", hc.i_cols), ("second", hc.j_cols)):
+        for sign, signname, lam in ((1, "+i", I), (-1, "-i", -I)):
+            vecs = _eigenvectors(cols, sign)
+            bad = [] if 2 * len(vecs) == n else [
+                "eigenspace dimension %d of %d" % (len(vecs), n)]
+            elems = [pb.assemble(v) for v in vecs]
+            pairs = [(a, b) for a in range(len(elems))
+                     for b in range(a, len(elems))]
+            for a, b in pairs:
+                w = pb.project_coords(pb.cb.bracket(elems[a], elems[b]))
+                if not is_eigenvector(cols, w, lam):
+                    bad.append("bracket of vectors %d,%d leaves the %s "
+                               "eigenspace" % (a, b, signname))
+            rep.record("%s structure: %s eigenspace closes under the "
+                       "projected bracket" % (opname, signname),
+                       len(pairs) + 1, bad)
+    return [it.to_dict() for it in rep.items]
 
 
-def test_a_failed_proof_is_kept_and_every_call_falls_back(monkeypatch):
-    """A twin whose J at the phase one has its first entry times 2 fails
-    the battery.  The proof is kept as failed, and every later call, at the
-    phase one too, runs the verifiers on its own structure."""
-    spec = make_pair_spec("A2 x A2")
-    hc = emptied(build_structure(spec, phases=PYTH))
-    real = hcstruct.build_J
-
-    def doubled(pb):
-        cols = real(pb)
-        cols[0] = {i: v * 2 for i, v in cols[0].items()}
-        return cols
-
-    with monkeypatch.context() as m:
-        m.setattr(hcstruct, "build_J", doubled)
-        assert hc.verify_all().to_dict() == direct_report(hc)
-    entry = hc.cb.structure_proofs[(spec, True)]
-    twin, items = entry
-    assert items is False
-    assert twin.j_cols[0] != hc.j_cols[0]
-    runs = []
-    first = hcstruct.verify_operator_identities
-
-    def counted(hc):
-        runs.append(hc)
-        return first(hc)
-
-    monkeypatch.setattr(hcstruct, "verify_operator_identities", counted)
-    for rho in FRESH_PHASES + (ONE, PYTH):
-        other = build_structure(spec, phases=rho)
-        del runs[:]
-        rep = other.verify_all()
-        assert runs == [other]
-        assert rep.ok and rep.to_dict() == direct_report(other)
-        assert hc.cb.structure_proofs[(spec, True)] is entry
-
-
-def test_a_call_at_a_new_phase_makes_no_bracket(monkeypatch):
-    """The first `verify_all` on a spec proves the battery, with brackets;
-    building and verifying the structure at another phase then makes no
-    bracket, and the proof is kept by spec, never by phase."""
-    spec = make_pair_spec("A4", (2,))
-    cb = make_basis(spec.shape)
-    brackets = []
-    bracket = cb.bracket
-
-    def counted(x, y):
-        brackets.append(1)
-        return bracket(x, y)
-
-    monkeypatch.setattr(cb, "bracket", counted)
-    first = emptied(build_structure(spec, phases=PYTH))
-    assert first.verify_all().ok
-    assert brackets
-    for rho in (TWISTED, ONE, -I):
-        del brackets[:]
-        assert build_structure(spec, phases=rho).verify_all().ok
-        assert not brackets, rho
-    assert list(cb.structure_proofs) == [(spec, True)]
-
-
-def test_verify_all_returns_new_items_each_time():
-    """Two calls return equal reports with no item, and no violation list,
-    in common, so a change to one report leaves the next alone."""
-    hc = emptied(build("A3", (2,), phases=PYTH))
-    first, second = hc.verify_all(), hc.verify_all()
-    assert first.to_dict() == second.to_dict()
-    assert first is not second and first.items is not second.items
-    assert all(a is not b and a.violations is not b.violations
-               for a, b in zip(first.items, second.items))
-    first.items[0].violations.append("changed")
-    first.items.pop()
-    assert hc.verify_all().to_dict() == second.to_dict()
-
-
-def test_torus_premises_hold_on_the_construction_only():
-    """The premises of the torus argument hold on the structure as built,
-    and each fails on its own mutant: a basis vector that is no weight
-    vector, an I that moves a weight, a conjugation matrix that keeps one,
-    and a Delta_k that holds a wing root of a free stem root."""
-    hc = build("A4", (2,))
+@pytest.mark.parametrize("shape,substem", [("A2", ()), ("A4", (2,))])
+def test_closure_items_match_the_loop_over_every_pair(shape, substem):
+    """The closure items equal the loop's over every pair, on the structure
+    and on the I that puts E_-g in the +i eigenspace with E_g, for the
+    first free stem root g: the bracket of the two, H_g, has no root part,
+    and its projection leaves the eigenspace."""
+    hc = build(shape, substem, phases=PYTH)
     pb = hc.pbasis
-    g = pb.gamma_p[0]
-    a = min(pb.stem.phi[g], key=Root.key)
-    k = pb.index[("e", a)]
-    assert hcstruct._torus_premises(hc)
-    moved = copy.copy(pb)
-    moved.vectors = list(pb.vectors)
-    moved.vectors[k] = pb.vectors[k] + pb.cb.E(g)
-    i_cols = list(hc.i_cols)
-    i_cols[k] = {pb.index[("e", g)]: I}
-    tau_cols = list(hc.tau_cols)
-    tau_cols[k] = {k: -ONE}
-    for broken in (HCStructure(moved, hc.i_cols, hc.j_cols, hc.tau_cols),
-                   HCStructure(pb, i_cols, hc.j_cols, hc.tau_cols),
-                   HCStructure(pb, hc.i_cols, hc.j_cols, tau_cols),
-                   with_subalgebra_root(hc, a)):
-        assert not hcstruct._torus_premises(broken)
-
-
-@pytest.mark.parametrize("phases", ["off the unit circle", "a wing root key"])
-def test_phases_the_torus_cannot_make_get_the_battery(phases):
-    """A structure whose phases no torus element makes, with J built at
-    them: the phase 2, at which the check of J alone would pass, or a phase
-    at a wing root besides the free stem root's.  After the proof, its
-    `verify_all` raises what the verifiers called directly raise."""
-    hc = build("A4", (2,), phases=PYTH)
-    assert hc.verify_all().ok
-    pb = copy.copy(hc.pbasis)
-    g = pb.gamma_p[0]
-    if phases == "off the unit circle":
-        pb.phases = {g: TowerScalar(2)}
-    else:
-        pb.phases = dict(pb.phases)
-        pb.phases[min(pb.stem.phi[g], key=Root.key)] = ONE
-    broken = HCStructure(pb, hc.i_cols, hcstruct.build_J(pb), hc.tau_cols)
-    with pytest.raises(ValueError) as want:
-        direct_report(broken)
-    with pytest.raises(ValueError) as got:
-        broken.verify_all()
-    assert str(got.value) == str(want.value)
+    k = pb.index[("e", -pb.gamma_p[0])]
+    i_cols = [{i: -v for i, v in col.items()} if j == k else col
+              for j, col in enumerate(hc.i_cols)]
+    broken = HCStructure(pb, i_cols, hc.j_cols, hc.tau_cols)
+    for s in (hc, broken):
+        assert [it.to_dict() for it in verify_integrability(s).items[:4]] \
+            == closure_items(s)
+    assert closure_items(broken)[0]["violations"]

@@ -75,26 +75,21 @@ def test_sum_table_and_chevalley_digests_on_two_small_types(capsys,
     ]
 
 
-def test_phase_one_proof_section_prints_cold_and_warm_alike(capsys,
-                                                            monkeypatch):
-    """`verify_all` cold, on an emptied store of proofs, and warm prints the
-    same passing items; the wing-swap mutant fails at every phase."""
+def test_fresh_phase_section_passes_and_catches_the_wing_swap(capsys,
+                                                             monkeypatch):
+    """`verify_all` passes on every pair at every fresh phase, and fails on
+    each wing-swap mutant, whose J is the pair's own at the phase one."""
     vr = load_script()
     monkeypatch.setattr(vr, "SELFTEST_BUILDS", (("A2", (), 0),
                                                 ("A3", (2,), 0)))
     monkeypatch.setattr(vr, "TORUS_BUILDS", (("c^1 x A1", (), 0),))
-    vr.show_phase_one_proofs()
+    vr.show_fresh_phases()
     labels = {}
     for line in capsys.readouterr().out.splitlines():
         label, _, item = line.partition(" | ")
         labels.setdefault(label, []).append(ast.literal_eval(item))
-    cold = [label for label in labels if label.endswith(", cold")]
     mutants = [label for label in labels if "wing-swap mutant" in label]
-    # three pairs and two pairs at three phases, and a warm label per cold
-    assert len(cold) == 9 and len(mutants) == 6
-    assert len(labels) == 2 * len(cold) + len(mutants)
-    for label in cold:
-        assert labels[label] == labels[label.replace(", cold", ", warm")]
-        assert all(item[2] for item in labels[label])
-    assert all(not all(item[2] for item in labels[label])
-               for label in mutants)
+    # three pairs and two pairs at three phases
+    assert len(labels) == 9 + 6 and len(mutants) == 6
+    for label, items in labels.items():
+        assert all(item[2] for item in items) == (label not in mutants)
