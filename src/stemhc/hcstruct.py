@@ -698,6 +698,20 @@ def _torsion_violations(pb: PBasis, cols):
     return bad
 
 
+def _conjugation_mirrors(pb: PBasis, t_cols) -> bool:
+    """Whether the compact conjugation keeps k and acts on p as the
+    columns t_cols: it sends each basis vector of p to its column, with no
+    part in k, and each generator of k into k (an antilinear automorphism
+    keeps k once it keeps the generators)."""
+    cb = pb.cb
+    for v, col in zip(pb.vectors, t_cols):
+        d = pb.decompose(cb.tau(v))
+        if not d.in_p or d.coords != {i: c for i, c in col.items() if c}:
+            return False
+    return not any(pb.decompose(cb.tau(x)).coords
+                   for _, x in subalgebra_generators(pb))
+
+
 def verify_integrability(hc: HCStructure) -> CheckReport:
     """Eigenspace bracket closure plus the direct real torsion expression.
 
@@ -712,8 +726,12 @@ def verify_integrability(hc: HCStructure) -> CheckReport:
     rep = CheckReport()
     structures = (("first", hc.i_cols), ("second", hc.j_cols))
     br = pb.cb.bracket
+    t = hc.tau_cols
+    mirrored = _conjugation_mirrors(pb, t)
     split = []
     for opname, cols in structures:
+        real = mirrored and _compose_cols(cols, t) == _compose_cols(
+            t, [{i: v.conj() for i, v in col.items()} for col in cols])
         closed = True
         for sign, signname in ((1, "+i"), (-1, "-i")):
             lam = I if sign > 0 else -I
@@ -721,6 +739,28 @@ def verify_integrability(hc: HCStructure) -> CheckReport:
             bad = []
             if 2 * len(vecs) != n:
                 bad.append("eigenspace dimension %d of %d" % (len(vecs), n))
+            item = ("%s structure: %s eigenspace closes under the projected "
+                    "bracket" % (opname, signname))
+            if sign < 0 and real and closed and not bad \
+                    and _independent_eigenvectors(cols, vecs, lam):
+                # Proof by conjugation.  tau is an antilinear automorphism
+                # of g, and `_conjugation_mirrors` checked that it keeps k
+                # and sends the basis vector j of p to column j of T.  So
+                # it keeps p, commutes with the projection P along k, and
+                # P[tau v, tau w] = tau P[v, w], where tau v has the
+                # coordinates T conj(v).  The structure is real, S T =
+                # T conj(S), so S v = iv gives S T conj(v) = T conj(S v) =
+                # -i T conj(v): tau maps V+ into V-.  Each list has n/2
+                # vectors, each an eigenvector with its own pivot, so each
+                # is a basis of its eigenspace, and tau maps V+ onto V-.
+                # The +i item holds on the pairs a <= b of a basis of V+,
+                # and by antisymmetry on all pairs, so P[V+, V+] lies in
+                # V+.  Then P[V-, V-] = tau P[V+, V+] lies in tau V+ = V-:
+                # the item holds on every pair of the -i list.  If a
+                # premise fails, the loop below checks every pair.
+                m = len(vecs)
+                rep.record(item, m * (m + 1) // 2 + 1, bad)
+                continue
             elems = [pb.assemble(v) for v in vecs]
             checked = 0
             for a in range(len(elems)):
@@ -735,9 +775,7 @@ def verify_integrability(hc: HCStructure) -> CheckReport:
                                                 for i, c in w.items()}:
                         bad.append("bracket of vectors %d,%d leaves the %s "
                                    "eigenspace" % (a, b, signname))
-            rep.record("%s structure: %s eigenspace closes under the "
-                       "projected bracket" % (opname, signname),
-                       checked + 1, bad)
+            rep.record(item, checked + 1, bad)
             closed = (closed and not bad
                       and _independent_eigenvectors(cols, vecs, lam))
         split.append(closed)

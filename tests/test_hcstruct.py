@@ -18,7 +18,8 @@ from stemhc.cli import SELFTEST_BUILDS
 from stemhc.hcstruct import (
     HCStructure, PBasis, _apply_cols, _compose_cols, _dense_view,
     _eigenvectors, _rotation_poly, algebra_generators, build_structure,
-    compact_basis, eigenspace, g_coords, root_coupling_matrix, root_rotation,
+    compact_basis, conjugation_matrix, eigenspace, g_coords,
+    root_coupling_matrix, root_rotation,
     rotation_product, stem_central_kernel,
     stem_z_vectors, subalgebra_basis, subalgebra_generators,
     verify_eigenspace_transport, verify_equivariance, verify_integrability,
@@ -2066,11 +2067,17 @@ def test_j_half_report_equals_the_all_pairs_report(monkeypatch, spec):
     assert all(it["ok"] for it in got)
 
 
-def test_integrability_makes_only_the_closure_brackets(monkeypatch):
+@pytest.mark.parametrize("mirrored", [True, False])
+def test_integrability_makes_only_the_closure_brackets(monkeypatch,
+                                                       mirrored):
     """On a passing structure the torsion items follow from the closure
-    items: verify_integrability brackets the m(m+1)/2 pairs a <= b of each
-    of the four eigenvector lists, m = n/2, and no torsion pair."""
+    items, and each -i item from its +i item by conjugation:
+    verify_integrability brackets the m(m+1)/2 pairs a <= b of each +i
+    eigenvector list, m = n/2, and no -i or torsion pair.  Where the
+    conjugation is not known to mirror tau, it brackets the pairs of all
+    four lists, and the report is the same."""
     hc = build("A4", (2,), phases=EIGHTH_ROOT)
+    want = verify_integrability(hc).to_dict()
     cb = hc.pbasis.cb
     bracket = cb.bracket
     calls = []
@@ -2080,9 +2087,14 @@ def test_integrability_makes_only_the_closure_brackets(monkeypatch):
         return bracket(x, y)
 
     monkeypatch.setattr(cb, "bracket", counted)
-    assert verify_integrability(hc).ok
+    if not mirrored:
+        monkeypatch.setattr(hcstruct, "_conjugation_mirrors",
+                            lambda pb, t_cols: False)
+    rep = verify_integrability(hc)
+    assert rep.ok and rep.to_dict() == want
     m = len(hc.pbasis.labels) // 2
-    assert len(calls) == 4 * m * (m + 1) // 2
+    lists = 2 if mirrored else 4
+    assert len(calls) == lists * m * (m + 1) // 2
 
 
 def with_j(hc, cols):
@@ -2275,19 +2287,84 @@ def closure_items(hc):
     return [it.to_dict() for it in rep.items]
 
 
+def real_negated_cycles(hc):
+    """hc with J negated on the 2-cycle through E_a and on the one through
+    E_-a, for the first positive root a: J stays real, as the conjugation
+    swaps the two cycles, and squares to -1, but is not integrable."""
+    pb = hc.pbasis
+    a = pb.dp_plus[0]
+    cycle = set()
+    for r in (a, -a):
+        k = pb.index[("e", r)]
+        cycle |= {k, *hc.j_cols[k]}
+    cols = [{i: -v for i, v in col.items()} if j in cycle else col
+            for j, col in enumerate(hc.j_cols)]
+    return with_j(hc, cols)
+
+
+def is_real(hc, cols):
+    t = hc.tau_cols
+    return _compose_cols(cols, t) == _compose_cols(
+        t, [{i: v.conj() for i, v in col.items()} for col in cols])
+
+
 @pytest.mark.parametrize("shape,substem", [("A2", ()), ("A4", (2,))])
 def test_closure_items_match_the_loop_over_every_pair(shape, substem):
-    """The closure items equal the loop's over every pair, on the structure
-    and on the I that puts E_-g in the +i eigenspace with E_g, for the
-    first free stem root g: the bracket of the two, H_g, has no root part,
-    and its projection leaves the eigenspace."""
+    """The closure items equal the loop's over every pair: on the
+    structure; on the I that puts E_-g in the +i eigenspace with E_g, for
+    the first free stem root g, where the bracket of the two, H_g, has no
+    root part and its projection leaves the eigenspace; and on a real J
+    that is not integrable, where the -i item fails with the +i item and
+    is not taken from it."""
     hc = build(shape, substem, phases=PYTH)
     pb = hc.pbasis
     k = pb.index[("e", -pb.gamma_p[0])]
     i_cols = [{i: -v for i, v in col.items()} if j == k else col
               for j, col in enumerate(hc.i_cols)]
-    broken = HCStructure(pb, i_cols, hc.j_cols, hc.tau_cols)
-    for s in (hc, broken):
+    broken_i = HCStructure(pb, i_cols, hc.j_cols, hc.tau_cols)
+    broken_j = real_negated_cycles(hc)
+    assert is_real(broken_j, broken_j.j_cols)
+    for s in (hc, broken_i, broken_j):
         assert [it.to_dict() for it in verify_integrability(s).items[:4]] \
             == closure_items(s)
-    assert closure_items(broken)[0]["violations"]
+    assert closure_items(broken_i)[0]["violations"]
+    assert [it["ok"] for it in closure_items(broken_j)] == \
+        [True, True, False, False]
+
+
+def test_conjugation_mirrors_checks_each_premise(monkeypatch):
+    """The premises of the proof by conjugation hold on the construction,
+    and each fails on its own: a column of the conjugation matrix negated,
+    a basis vector whose conjugate has a part in k, and a generator of k
+    whose conjugate has a part in p."""
+    pb = build("A4", (2,)).pbasis
+    t = conjugation_matrix(pb)
+    mirrors = hcstruct._conjugation_mirrors
+    assert mirrors(pb, t)
+    assert not mirrors(pb, [{i: -v for i, v in col.items()} if j == 0
+                            else col for j, col in enumerate(t)])
+    cb = pb.cb
+    tau = cb.tau
+    k_vector = cb.E(min(pb.dk_set, key=Root.key))
+    for x, extra in ((pb.vectors[0], k_vector),
+                     (subalgebra_generators(pb)[0][1], pb.vectors[0])):
+        with monkeypatch.context() as m:
+            m.setattr(cb, "tau", lambda y, x=x, extra=extra:
+                      tau(y) + extra if y == x else tau(y))
+            assert not mirrors(pb, t)
+
+
+def test_a_minus_i_list_of_non_eigenvectors_gets_the_loop(monkeypatch):
+    """Where the -i list holds a +i eigenvector, the -i item is not taken
+    from the +i one: the loop finds the pairs that leave the eigenspace."""
+    hc = build("A4", (2,), phases=PYTH)
+    real = hcstruct._eigenvectors
+
+    def spoiled(cols, sign):
+        vecs = real(cols, sign)
+        return vecs if sign > 0 else vecs[:-1] + real(cols, 1)[:1]
+
+    monkeypatch.setattr(hcstruct, "_eigenvectors", spoiled)
+    items = verify_integrability(hc).items
+    assert items[0].ok and items[2].ok
+    assert not items[1].ok and not items[3].ok
