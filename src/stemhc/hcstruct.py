@@ -718,9 +718,10 @@ def verify_integrability(hc: HCStructure) -> CheckReport:
     An identity on all pairs of basis vectors takes one of three proof
     paths: generators (`verify_rotation`, `verify_equivariance`),
     eigenspaces (the torsion here: it vanishes once both eigenspace closure
-    items hold on eigenvectors that form a basis), or all pairs, the loop
-    the other two fall back to when their precondition or a case fails, so
-    that a failure lists every violation."""
+    items hold on eigenvectors that form a basis; and the -i closure item
+    of a real structure, the conjugate of its +i item), or all pairs, the
+    loop the other two fall back to when their precondition or a case
+    fails, so that a failure lists every violation."""
     pb = hc.pbasis
     n = len(pb.labels)
     rep = CheckReport()

@@ -584,14 +584,11 @@ def test_operator_checks_accept_explicit_zeros_in_caller_columns():
 
 
 def test_sparse_apply_drops_cancelled_entries():
+    """On no, one and several entries, with zeros stored in the columns,
+    the sparse image is the dense product with its zeros dropped."""
     cols = [{0: ONE, 1: ONE}, {0: -ONE, 1: ONE}]
     assert _apply_cols(cols, {0: ONE, 1: ONE}) == {1: TowerScalar.of(2)}
     assert _apply_cols(cols, {}) == {}
-
-
-def test_sparse_apply_matches_the_dense_product():
-    """On no, one and several entries, with zeros stored in the columns,
-    the sparse image is the dense product with its zeros dropped."""
     rng = random.Random(3)
     values = [ZERO, ONE, -I, HALF, PYTH, SQRT2]
     n = 5
@@ -2067,17 +2064,8 @@ def test_j_half_report_equals_the_all_pairs_report(monkeypatch, spec):
     assert all(it["ok"] for it in got)
 
 
-@pytest.mark.parametrize("mirrored", [True, False])
-def test_integrability_makes_only_the_closure_brackets(monkeypatch,
-                                                       mirrored):
-    """On a passing structure the torsion items follow from the closure
-    items, and each -i item from its +i item by conjugation:
-    verify_integrability brackets the m(m+1)/2 pairs a <= b of each +i
-    eigenvector list, m = n/2, and no -i or torsion pair.  Where the
-    conjugation is not known to mirror tau, it brackets the pairs of all
-    four lists, and the report is the same."""
-    hc = build("A4", (2,), phases=EIGHTH_ROOT)
-    want = verify_integrability(hc).to_dict()
+def closure_bracket_count(monkeypatch, hc):
+    """The brackets verify_integrability(hc) makes, which must pass."""
     cb = hc.pbasis.cb
     bracket = cb.bracket
     calls = []
@@ -2086,15 +2074,33 @@ def test_integrability_makes_only_the_closure_brackets(monkeypatch,
         calls.append(1)
         return bracket(x, y)
 
-    monkeypatch.setattr(cb, "bracket", counted)
-    if not mirrored:
-        monkeypatch.setattr(hcstruct, "_conjugation_mirrors",
-                            lambda pb, t_cols: False)
-    rep = verify_integrability(hc)
-    assert rep.ok and rep.to_dict() == want
+    with monkeypatch.context() as m:
+        m.setattr(cb, "bracket", counted)
+        assert verify_integrability(hc).ok
+    return len(calls)
+
+
+def test_integrability_makes_only_the_closure_brackets(monkeypatch):
+    """On a passing structure the torsion items follow from the closure
+    items, and each -i item from its +i item by conjugation:
+    verify_integrability brackets the m(m+1)/2 pairs a <= b of each +i
+    eigenvector list, m = n/2, and no -i or torsion pair."""
+    hc = build("A4", (2,), phases=EIGHTH_ROOT)
     m = len(hc.pbasis.labels) // 2
-    lists = 2 if mirrored else 4
-    assert len(calls) == lists * m * (m + 1) // 2
+    assert closure_bracket_count(monkeypatch, hc) == 2 * m * (m + 1) // 2
+
+
+def test_integrability_without_the_mirror_brackets_every_list(monkeypatch):
+    """Where the conjugation is not known to mirror tau, no -i item is
+    taken from its +i item: the pairs of all four lists are bracketed, and
+    the report is the same."""
+    hc = build("A4", (2,), phases=EIGHTH_ROOT)
+    want = verify_integrability(hc).to_dict()
+    monkeypatch.setattr(hcstruct, "_conjugation_mirrors",
+                        lambda pb, t_cols: False)
+    m = len(hc.pbasis.labels) // 2
+    assert closure_bracket_count(monkeypatch, hc) == 4 * m * (m + 1) // 2
+    assert verify_integrability(hc).to_dict() == want
 
 
 def with_j(hc, cols):
