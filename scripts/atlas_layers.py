@@ -15,8 +15,10 @@ pass comes first.
 
 It prints one JSON object: per phase the median over the passes of its
 seconds in a pass, the median pass, each phase's share of the phases' sum,
-and the machine.  No tracing wrappers run, so the phases time the library
-alone; the benchmark's `--trace 1` run counts the calls under them.
+per type the median seconds of each of its phases (`type_phase_s`, with
+every phase but `enumerate`, which runs on no one type), and the machine.
+No tracing wrappers run, so the phases time the library alone; the
+benchmark's `--trace 1` run counts the calls under them.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from workloads import (  # noqa: E402
 
 PHASES = ("root system", "stem", "stem checks", "basis", "audit", "pairs",
           "enumerate")
+TYPE_PHASES = PHASES[:-1]
 
 
 def type_pass(label, clock):
@@ -82,13 +85,17 @@ def timed(seconds, phase):
 
 
 def one_pass(types):
-    """Seconds per phase, summed over one pass."""
-    seconds = dict.fromkeys(PHASES, 0.0)
-    clock = partial(timed, seconds)
+    """Seconds per phase, summed over one pass, and per type its seconds
+    per phase, summed over its jobs."""
+    per_type = {}
     for label in types:
-        type_pass(label, clock)
-    enumerate_pass(clock)
-    return seconds
+        own = per_type.setdefault(label, dict.fromkeys(TYPE_PHASES, 0.0))
+        type_pass(label, partial(timed, own))
+    seconds = {p: sum(own[p] for own in per_type.values())
+               for p in TYPE_PHASES}
+    seconds["enumerate"] = 0.0
+    enumerate_pass(partial(timed, seconds))
+    return seconds, per_type
 
 
 def layers(types, passes):
@@ -96,7 +103,7 @@ def layers(types, passes):
     if passes < 1:
         raise ValueError("need at least one pass, got %d" % passes)
     one_pass(types)
-    runs = [one_pass(types) for _ in range(passes)]
+    runs, type_runs = zip(*(one_pass(types) for _ in range(passes)))
     median = {p: statistics.median(run[p] for run in runs) for p in PHASES}
     total = sum(median.values())
     return {
@@ -106,6 +113,9 @@ def layers(types, passes):
         "pass_s": statistics.median(sum(run.values()) for run in runs),
         "share_pct": {p: 100.0 * s / total if total else 0.0
                       for p, s in median.items()},
+        "type_phase_s": {t: {p: statistics.median(run[t][p]
+                                                  for run in type_runs)
+                             for p in TYPE_PHASES} for t in types},
         "machine": {"python": platform.python_version(),
                     "cpus": os.cpu_count(), "processor": platform.machine()},
     }

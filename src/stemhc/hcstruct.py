@@ -615,9 +615,10 @@ def _equivariance_cases(hc, elements, nk, wing_labels, sl2_labels):
     rep.record("second structure commutes with the subalgebra action",
                nk * n * n, commute_j, count_j)
     # counts one case per (element, label), like the leak item, but tests
-    # only the labels inside the free wing blocks; the labels outside every
-    # block are tested by the kill item
-    rep.record("the action preserves each free wing block", nk * n, block_bad)
+    # only the labels inside the free wing blocks, as `tested` says; the
+    # labels outside every block are tested by the kill item
+    rep.record("the action preserves each free wing block", nk * n,
+               block_bad).tested = nk * sum(map(len, wing_labels.values()))
     rep.record("the action kills the free sl2 and central directions",
                nk * len(sl2_labels), kill_bad)
     return rep

@@ -10,12 +10,14 @@ from typing import Optional
 class CheckItem:
     """One named check: how many cases ran, a description of each failed
     case (or of the first few, when a check caps them), and the true number
-    of failed cases."""
+    of failed cases.  Where `checked` counts cases that the item does not
+    itself test, `tested` is the number it does test."""
 
     name: str
     checked: int = 0
     violations: list = field(default_factory=list)
     violation_count: Optional[int] = None
+    tested: Optional[int] = None
 
     def __post_init__(self):
         if self.violation_count is None:
@@ -26,9 +28,12 @@ class CheckItem:
         return not self.violations
 
     def to_dict(self):
-        return {"name": self.name, "checked": self.checked,
-                "ok": self.ok, "violations": list(self.violations),
-                "violation_count": self.violation_count}
+        out = {"name": self.name, "checked": self.checked,
+               "ok": self.ok, "violations": list(self.violations),
+               "violation_count": self.violation_count}
+        if self.tested is not None:
+            out["tested"] = self.tested
+        return out
 
 
 @dataclass

@@ -8,17 +8,19 @@ follow the standard Bourbaki numbering.
 Root addition is decided once, here, on integer codes, one per root, under
 which the code of a sum is the sum of the codes: `RootSystem.sum(a, b)`
 reads a + b off the codes of a and b and the code -> index map of their
-component, and root strings, the stem, pair, Chevalley and structure
-modules all call it.  The positive roots are generated along alpha_i-strings
-on codes.  The roots are numbered as `RootSystem.roots` orders them, the P
-positive roots in `Root.key` order and then their opposites in the same
-order, so roots[i] and roots[i + P] are opposite.  Each pair a < b of
-positive roots whose sum c is a root gives the twelve sums of the triples
-{a, b, -c} and {-a, -b, c}, gathered into the index rows `_sum_rows` in one
-pass.  Closure, components, highest roots and subsystem bases, which the
-stem peeling runs again and again, walk these rows, and so does
-`RootSystem.decompositions`, the pairs a + b = c of positive roots from
-which the stems take their wings and the Chevalley basis its constants.
+component, and root strings, the Chevalley and structure modules call it.
+The stem checks, which add roots by the tens of thousands, read the codes
+and the maps themselves, through `RootSystem.code_tables`.  The positive
+roots are generated along alpha_i-strings on codes.  The roots are numbered
+as `RootSystem.roots` orders them, the P positive roots in `Root.key` order
+and then their opposites in the same order, so roots[i] and roots[i + P]
+are opposite.  Each pair a < b of positive roots whose sum c is a root
+gives the twelve sums of the triples {a, b, -c} and {-a, -b, c}, gathered
+into the index rows `_sum_rows` in one pass.  Closure, components, highest
+roots and subsystem bases, which the stem peeling runs again and again,
+walk these rows, and so does `RootSystem.decompositions`, the pairs
+a + b = c of positive roots from which the stems take their wings and the
+Chevalley basis its constants.
 """
 
 from __future__ import annotations
@@ -434,6 +436,16 @@ class RootSystem:
             return None
         k = self._at[a.comp].get(self._codes[i] + self._codes[j])
         return None if k is None else self.roots[k]
+
+    def code_tables(self):
+        """(codes, at), read only: codes[i] is the integer code of
+        roots[i], so that the code of -a is minus that of a and the code
+        of a sum of roots is the sum of their codes, and at[ci] maps the
+        code of each root of component ci to its index.  Two components
+        can share codes, so for roots[i] and roots[j] of component ci the
+        index of their sum is at[ci].get(codes[i] + codes[j]), and roots
+        of two components never sum to a root."""
+        return self._codes, self._at
 
     def pairing(self, alpha: Root, j: int) -> int:
         """alpha(H_j) for the j-th simple coroot of alpha's component."""

@@ -8,6 +8,13 @@ the peeling leaves behind as the removed highest roots; Delta^+ splits as the
 disjoint union of Gamma and all wing sets.  The wings of zeta are the roots
 of its decompositions zeta = a + b into positive roots, which
 `RootSystem.decompositions` lists.
+
+`verify_stem_properties` checks the facts about the stem that the
+construction relies on.  Its items run on root indices and the integer root
+codes of `RootSystem.code_tables`, never on `RootSystem.sum`; the tests hold
+the Root-keyed loops as an oracle (`tests/stem_oracle.py`), and Kostant's
+cascade, which gives the stem from the Dynkin diagram alone
+(`tests/cascade_oracle.py`).
 """
 
 from __future__ import annotations
@@ -140,11 +147,26 @@ def stem_of(shape: ReductiveShape) -> Stem:
 
 
 def verify_stem_properties(stem: Stem) -> CheckReport:
-    """Exhaustively check the structural facts the construction relies on."""
+    """Exhaustively check the structural facts the construction relies on.
+
+    The checks run on root indices and integer root codes
+    (`RootSystem.code_tables`): a + b and a - b are each one lookup of the
+    code of a plus or minus that of b in the code -> index map of the
+    component of a, once b is known to lie in that component, as two
+    components can share codes.  The blocks are walked in the order of
+    their Root sets, so the violations come in the order of a Root-keyed
+    walk, and the tests keep such a walk as an oracle."""
     rs = stem.rs
+    codes, at = rs.code_tables()
+    index = rs.index
+    roots = rs.roots
+    P = len(rs.positives)
     rep = CheckReport()
     G = stem.elements
     block = {g: set(stem.phi[g]) | {g} for g in G}
+    # each block as (index, code, component) triples, in the order of its set
+    coded = {g: [(i, codes[i], roots[i].comp)
+                 for i in map(index.__getitem__, block[g])] for g in G}
     # g < d, the shallower root first; and every pair of distinct stem roots
     ordered = [(g, d) for g in G for d in G if stem.precedes(g, d)]
     unordered = [(g, d) for i, g in enumerate(G) for d in G[i + 1:]]
@@ -166,7 +188,9 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
     # strong orthogonality of the stem
     bad = []
     for g, d in unordered:
-        if rs.sum(g, d) is not None or rs.sum(g, -d) is not None:
+        cg, cd = codes[index[g]], codes[index[d]]
+        if g.comp == d.comp and (cg + cd in at[g.comp] or
+                                 cg - cd in at[g.comp]):
             bad.append("%s, %s not strongly orthogonal" % (g, d))
         if rs.cartan_int(g, d) != 0:
             bad.append("%s, %s not orthogonal" % (g, d))
@@ -176,41 +200,48 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
     checked = 0
     bad = []
     for g, d in ordered:
-        for a in block[g]:
-            for b in block[d]:
-                for v in (rs.sum(a, b), rs.sum(a, -b)):
-                    if v is None:
+        wings = {index[r] for r in stem.phi[g]}
+        for a, ca, x in coded[g]:
+            code_at = at[x]
+            for b, cb, y in coded[d]:
+                if y != x:
+                    continue
+                for k in (code_at.get(ca + cb), code_at.get(ca - cb)):
+                    if k is None:
                         continue
                     checked += 1
-                    vv = v if v.positive else -v
-                    if vv not in stem.phi[g]:
-                        bad.append("%s +- %s escapes wings of %s" % (a, b, g))
+                    if (k if k < P else k - P) not in wings:
+                        bad.append("%s +- %s escapes wings of %s"
+                                   % (roots[a], roots[b], g))
     rep.record("deeper blocks bracket into the shallower wings", checked, bad)
 
     # sums inside one block only ever produce the stem root
     checked = 0
     bad = []
     for g in G:
-        blk = sorted(block[g], key=Root.key)
-        for i, a in enumerate(blk):
-            for b in blk[i + 1:]:
-                s = rs.sum(a, b)
+        top = index[g]
+        blk = [index[r] for r in sorted(block[g], key=Root.key)]
+        for n, a in enumerate(blk):
+            ca, x = codes[a], roots[a].comp
+            for b in blk[n + 1:]:
+                s = at[x].get(ca + codes[b]) if roots[b].comp == x else None
                 if s is not None:
                     checked += 1
-                    if s != g:
+                    if s != top:
                         bad.append("%s + %s = %s inside block of %s"
-                                   % (a, b, s, g))
+                                   % (roots[a], roots[b], roots[s], g))
     rep.record("sums within a block land on its stem root", checked, bad)
 
     # deeper blocks are invisible to shallower stem roots
     checked = 0
     bad = []
     for d, g in ordered:
-        for a in block[g]:
+        cd = codes[index[d]]
+        for a, ca, x in coded[g]:
             checked += 1
-            if rs.sum(a, d) is not None or rs.sum(a, -d) is not None or \
-                    rs.cartan_int(a, d) != 0:
-                bad.append("%s sees shallower stem root %s" % (a, d))
+            if x == d.comp and (ca + cd in at[x] or ca - cd in at[x]) or \
+                    rs.cartan_int(roots[a], d) != 0:
+                bad.append("%s sees shallower stem root %s" % (roots[a], d))
     rep.record("deeper blocks are orthogonal to shallower stem roots",
                checked, bad)
 
@@ -220,10 +251,12 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
     for g, d in unordered:
         if stem.comparable(g, d):
             continue
-        for a in block[g]:
-            for b in block[d]:
-                checked += 1
-                if rs.sum(a, b) is not None or rs.sum(a, -b) is not None:
+        other = coded[d]
+        for a, ca, x in coded[g]:
+            code_at = at[x]
+            checked += len(other)
+            for b, cb, y in other:
+                if y == x and (ca + cb in code_at or ca - cb in code_at):
                     bad.append("incomparable blocks of %s, %s interact"
                                % (g, d))
     rep.record("incomparable blocks never sum to roots", checked, bad)
@@ -232,15 +265,20 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
     checked = 0
     bad = []
     for g in G:
-        for a in stem.phi[g]:
+        cg, x = codes[index[g]], g.comp
+        for r in stem.phi[g]:
             checked += 1
-            down = rs.sum(a, -g)
-            if down is None or down.positive:
-                bad.append("%s - %s is not a negative root" % (a, g))
-            if rs.sum(a, g) is not None:
-                bad.append("%s + %s is a root" % (a, g))
-            if rs.cartan_int(a, g) <= 0:
-                bad.append("%s pairs nonpositively with %s" % (a, g))
+            a = index[r]
+            down = up = None
+            if roots[a].comp == x:
+                down = at[x].get(codes[a] - cg)
+                up = at[x].get(codes[a] + cg)
+            if down is None or down < P:
+                bad.append("%s - %s is not a negative root" % (r, g))
+            if up is not None:
+                bad.append("%s + %s is a root" % (r, g))
+            if rs.cartan_int(r, g) <= 0:
+                bad.append("%s pairs nonpositively with %s" % (r, g))
     rep.record("wings descend through their stem root", checked, bad)
 
     # every stem root sits over some highest root of the full system
@@ -251,18 +289,23 @@ def verify_stem_properties(stem: Stem) -> CheckReport:
             bad.append("%s dominates no maximal root" % (g,))
     rep.record("every stem root dominates a maximal root", len(G), bad)
 
-    # deeper blocks are differences of shallower wings
+    # deeper blocks are differences of shallower wings: a = b1 - b2 for
+    # wings b1, b2 of d exactly when a + b2 is a wing b1, in a's component
     checked = 0
     bad = []
-    diffs = {}
+    wing_codes = {}
     for d in G:
-        wings_d = stem.phi[d]
-        diffs[d] = {rs.sum(b1, -b2) for b1 in wings_d for b2 in wings_d}
+        by_comp = wing_codes[d] = {}
+        for i in map(index.__getitem__, stem.phi[d]):
+            by_comp.setdefault(roots[i].comp, set()).add(codes[i])
     for d, g in ordered:
-        for a in block[g]:
+        by_comp = wing_codes[d]
+        for a, ca, x in coded[g]:
             checked += 1
-            if a not in diffs[d]:
-                bad.append("%s is not a difference of wings of %s" % (a, d))
+            wings = by_comp.get(x, frozenset())
+            if wings.isdisjoint(map(ca.__add__, wings)):
+                bad.append("%s is not a difference of wings of %s"
+                           % (roots[a], d))
     rep.record("deeper blocks are differences within shallower wings",
                checked, bad)
 

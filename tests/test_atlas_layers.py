@@ -20,4 +20,9 @@ def test_atlas_layers_on_two_small_types():
     assert all(s > 0 for s in got["phase_s"].values())
     assert abs(sum(got["share_pct"].values()) - 100) < 1e-6
     assert got["pass_s"] > 0
+    # per type, every phase but enumerate, which runs on no one type
+    assert list(got["type_phase_s"]) == ["A2", "G2"]
+    for seconds in got["type_phase_s"].values():
+        assert list(seconds) == phases[:-1]
+        assert all(s > 0 for s in seconds.values())
     assert got["machine"]["cpus"] >= 1

@@ -1225,6 +1225,23 @@ def test_equivariance_names_each_failed_case(shape, substem, root, name,
     assert it.violations == [text % (("e", r), lab) for lab in labels]
 
 
+@pytest.mark.parametrize("shape, substem, checked, tested", [
+    ("A2", (), 8, 4), ("A3", (2,), 36, 24), ("c^4 x A2", (), 12, 4)])
+def test_wing_block_item_says_how_many_cases_it_tests(shape, substem,
+                                                      checked, tested):
+    """The wing-block item counts one case per element of a basis of k (at
+    least one) and label of p, but tests only the wing labels, two per
+    wing of each free stem root: `tested` in its dict says how many.  No
+    other item has the key."""
+    rep = verify_equivariance(build(shape, substem))
+    item, = [it for it in rep.items
+             if it.name == "the action preserves each free wing block"]
+    assert (item.checked, item.tested) == (checked, tested)
+    assert item.to_dict()["tested"] == tested
+    assert [it.name for it in rep.items if "tested" in it.to_dict()] == \
+        [item.name]
+
+
 def test_integrability_names_a_wrong_eigenspace_dimension():
     """I with i on both u_0 and u_1 of SU(3) x T^4 still squares to -1 and,
     as the u directions are central, still closes under brackets; only the

@@ -10,10 +10,14 @@ from stemhc.rootsystems import (
 from stemhc.stem import (
     compute_stem, hasse_export, phi_plus_set, stem_of, verify_stem_properties,
 )
+from cascade_oracle import nodes, shape_cascade, wing_count
 from construction_oracle import root_sub, root_sum
 import euclid_oracle as eo
 from partition_oracle import all_partition_stems
+from stem_oracle import stem_properties
+from test_hcstruct import ATLAS_TYPES
 from test_rootsystems import TABLE_SHAPES, optimized_stdout
+from test_verifier_reports import load_script
 
 
 def srank(sh):
@@ -295,6 +299,94 @@ def test_stem_items_under_a_moved_wing():
           "0:(1,0,0,0) is not a difference of wings of 0:(2,2,2,1)"]),
         ("component stems agree with the order filter", 4, 0, []),
     ]
+
+
+def item_rows(rep):
+    """Every item of a report, as (name, checked, ok, violation_count,
+    violations)."""
+    return [(it.name, it.checked, it.ok, it.violation_count, it.violations)
+            for it in rep.items]
+
+
+# the atlas types and three product shapes
+ORACLE_SHAPES = ATLAS_TYPES + ["A2 x A2", "c^1 x B3", "A3 x G2"]
+
+
+@pytest.mark.parametrize("text", ORACLE_SHAPES)
+def test_stem_checks_match_the_root_keyed_oracle(text):
+    st = stem_of(parse_shape(text))
+    assert item_rows(verify_stem_properties(st)) == \
+        item_rows(stem_properties(st))
+
+
+def test_stem_checks_match_the_oracle_on_corrupted_stems():
+    """Every item of every corrupted stem that verifier_reports.py prints,
+    the A2 x A2 ones included, whose wings or components are moved across
+    the two components, where the root codes of one component repeat
+    those of the other."""
+    vr = load_script()
+    count = 0
+    for text in vr.STEM_CORRUPTION_TYPES:
+        for label, st in vr.stem_corruptions(text):
+            assert item_rows(verify_stem_properties(st)) == \
+                item_rows(stem_properties(st)), (text, label)
+            count += 1
+    assert count == 157
+
+
+def other_corruptions():
+    """(label, stem) of corrupted stems beyond those of verifier_reports.py:
+    those of A3 x A3, whose components have stem roots one stage deeper,
+    and, on C4, the first stem root or its opposite put among the wings of
+    the second."""
+    yield from load_script().stem_corruptions("A3 x A3")
+    for sign in (1, -1):
+        st = compute_stem(RootSystem(parse_shape("C4")))
+        g1, g2 = st.elements[:2]
+        extra = g1 if sign > 0 else -g1
+        st.phi[g2] = st.phi[g2] | {extra}
+        yield "C4 %s put among the wings of %s" % (extra, g2), st
+
+
+def test_stem_checks_match_the_oracle_on_other_corrupted_stems():
+    count = 0
+    for label, st in other_corruptions():
+        got = item_rows(verify_stem_properties(st))
+        assert got == item_rows(stem_properties(st)), label
+        assert not all(ok for _, _, ok, _, _ in got), label
+        count += 1
+    assert count == 22
+
+
+def stem_tree(st, g):
+    """(component type, wing count, the sorted trees of the stem roots one
+    stage deeper inside theta_g) of a stem root g."""
+    deeper = [e for e in st.elements
+              if st.stage_of[e] == st.stage_of[g] + 1 and st.precedes(g, e)]
+    return (str(st.rs.component_type(st.theta[g])), len(st.phi[g]),
+            tuple(sorted(stem_tree(st, e) for e in deeper)))
+
+
+@pytest.mark.parametrize("text", ORACLE_SHAPES)
+def test_stem_is_the_cascade(text):
+    """The stem's stages, successor counts and srank are those of Kostant's
+    cascade, taken from the diagram types alone; so is the whole tree of
+    component types and wing counts."""
+    sh = parse_shape(text)
+    st = stem_of(sh)
+    trees = shape_cascade(sh)
+    got = [(st.stage_of[g], len(stem_tree(st, g)[2])) for g in st.elements]
+    assert sorted(got) == sorted(nodes(trees))
+    assert st.srank == 2 * len(nodes(trees))
+    assert sorted(stem_tree(st, g) for g in st.minimal_roots()) == trees
+
+
+@pytest.mark.parametrize("text", ORACLE_SHAPES)
+def test_wing_count_is_twice_the_dual_coxeter_number_less_four(text):
+    st = stem_of(parse_shape(text))
+    for g in st.elements:
+        t = st.rs.component_type(st.theta[g])
+        assert len(st.phi[g]) == wing_count(t.family, t.rank), g
 
 
 @pytest.mark.parametrize("text", ["A1", "A2", "A3", "A4", "A5", "B2", "B3",
