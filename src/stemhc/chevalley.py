@@ -161,11 +161,14 @@ class ChevalleyBasis:
         self.killing_h = [[Fraction(x) for x in row]
                           for row in self._killing_h_matrix()]
         # exp((pi/2) ad X_gamma) at the phase one by root gamma, each built
-        # once and rephased by `hcstruct.root_rotation`, and the proofs that
+        # once and rephased by `hcstruct.root_rotation`; the products of
+        # such rotations by tuple of roots, rephased by
+        # `hcstruct.rotation_product`; and the proofs that
         # `hcstruct.verify_rotation` makes on them: by root, whether one
         # respects brackets and tau, and by pair of roots (a frozenset),
         # whether two commute
         self.rotations = {}
+        self.rotation_products = {}
         self.rotation_proofs = {}
 
     # -- structure constants --------------------------------------------------

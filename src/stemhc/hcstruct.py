@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import neg, sub
+from operator import mul, neg, sub
+from typing import NamedTuple
 
 from .chevalley import AlgebraElement, ChevalleyBasis, _unit_phase, make_basis
 from .linalg import invert, kernel_basis, mat_vec, rref
@@ -621,6 +622,11 @@ def _equivariance_cases(hc, elements, nk, wing_labels, sl2_labels):
                block_bad).tested = nk * sum(map(len, wing_labels.values()))
     rep.record("the action kills the free sl2 and central directions",
                nk * len(sl2_labels), kill_bad)
+    if not elements:
+        # k has no basis, so no element of it is walked: each item keeps
+        # the count of one element as `checked`, and tests nothing
+        for it in rep.items:
+            it.tested = 0
     return rep
 
 
@@ -1020,19 +1026,70 @@ class RootRotation:
             for k in self.moved.keys() | other.moved.keys())
 
 
-def _phase_one_rotation(cb: ChevalleyBasis, gamma: Root):
-    """exp((pi/2) ad X(gamma, 1)) as its moved images, {basis index:
-    (cartan, e)}, each part a tuple of (slot or root, coefficient, j) with
-    the entry's gamma-grade j: beta - alpha = j gamma for the entry at beta
-    of the image of the basis vector at alpha, a Cartan slot counting as the
-    root 0.  Each image is p(ad X) w for the degree-6 `_rotation_poly` p,
-    along the chain w_k = (ad X)^k w of its basis vector w.  The chain stops
-    at its first zero term, or at its first term w_m = lam w_(m-2), which
-    `_folded_poly(m, lam)` folds in."""
+class GradedTable(NamedTuple):
+    """A rotation at the phase one, held to be rephased: `moved` = {basis
+    index: (cartan, e)}, each part two parallel tuples, its slots or roots
+    and their value ids, and `values`, the distinct (coefficient, grades)
+    pairs by id.  grades[t] is j_t for an entry at beta of the image of the
+    basis vector at alpha with beta - alpha = sum_t j_t gamma_t over the
+    roots gamma_t of the table, a Cartan slot counting as the root 0.  The
+    ids are ints, so a table holds few objects that the garbage collector
+    walks."""
+
+    moved: dict
+    values: tuple
+
+
+def _graded(cb: ChevalleyBasis, images, grades):
+    """The graded table of the moved images {basis index: AlgebraElement},
+    with grades(alpha, beta) the grades of an entry at beta of the image of
+    the vector at alpha, each a root or None for a Cartan slot; None if
+    grades gives None for an entry.  Few values share a grade, so a value
+    is looked up among those of its grade by comparison, hashing no
+    scalar."""
+    values, by_grades, moved = [], {}, {}
+    for k, image in images.items():
+        kind, alpha = cb.basis_keys[k]
+        alpha = alpha if kind == "e" else None
+        parts = []
+        for entries, roots in ((image.cartan, False), (image.e, True)):
+            ids = []
+            for key, c in entries.items():
+                j = grades(alpha, key if roots else None)
+                if j is None:
+                    return None
+                same = by_grades.setdefault(j, [])
+                for d, v in same:
+                    if d == c:
+                        break
+                else:
+                    v = len(values)
+                    values.append((c, j))
+                    same.append((c, v))
+                ids.append(v)
+            parts.append((tuple(entries), tuple(ids)))
+        moved[k] = tuple(parts)
+    return GradedTable(moved, tuple(values))
+
+
+def _phase_one_rotation(cb: ChevalleyBasis, gamma: Root) -> GradedTable:
+    """exp((pi/2) ad X(gamma, 1)) as a graded table, each entry with its
+    gamma-grade j, 2j = <beta - alpha, gamma^vee>.  Each image is p(ad X) w
+    for the degree-6 `_rotation_poly` p, along the chain w_k = (ad X)^k w of
+    its basis vector w.  The chain stops at its first zero term, or at its
+    first term w_m = lam w_(m-2), which `_folded_poly(m, lam)` folds in."""
     poly = _rotation_poly()
     x = cb.X(gamma)
-    moved = {}
+    rs = cb.rs
+    ends = (gamma, -gamma)
+    images = {}
     for k, (kind, key) in enumerate(cb.basis_keys):
+        # [X, H_j] = -gamma(H_j) (E_gamma + E_-gamma)/2, and [X, E_beta] = 0
+        # unless beta +- gamma is a root or 0: the rotation fixes these
+        if kind == "h" and key not in cb.pairings[gamma] \
+                or kind == "e" and key not in ends \
+                and rs.sum(key, gamma) is None and rs.sum(key, ends[1]) is None:
+            continue
         chain = [cb.basis[k]]
         lam = None
         while len(chain) < len(poly):
@@ -1052,15 +1109,14 @@ def _phase_one_rotation(cb: ChevalleyBasis, gamma: Root):
         m = len(chain)
         coeffs = poly if lam is None else poly[:m - 2] + _folded_poly(m, lam)
         image = cb.combine((c, w) for c, w in zip(coeffs, chain) if c)
-        if image == chain[0]:
-            continue
-        # <beta - alpha, gamma^vee> = 2j
-        base = cb.rs.cartan_int(key, gamma) if kind == "e" else 0
-        moved[k] = (tuple((slot, c, -base // 2)
-                          for slot, c in image.cartan.items()),
-                    tuple((r, c, (cb.rs.cartan_int(r, gamma) - base) // 2)
-                          for r, c in image.e.items()))
-    return moved
+        if image != chain[0]:
+            images[k] = image
+
+    @lru_cache(maxsize=None)
+    def pairing(r):
+        return 0 if r is None else rs.cartan_int(r, gamma)
+
+    return _graded(cb, images, lambda a, b: ((pairing(b) - pairing(a)) // 2,))
 
 
 def root_rotation(cb: ChevalleyBasis, gamma: Root, rho=ONE) -> RootRotation:
@@ -1072,20 +1128,22 @@ def root_rotation(cb: ChevalleyBasis, gamma: Root, rho=ONE) -> RootRotation:
     X(gamma, rho), as rho^-1 = conj(rho) on the unit circle.  So rot_rho =
     Ad rot_1 Ad^-1, and an entry of grade j (beta - alpha = j gamma) scales by
     e^(s <j gamma, gamma^vee>) = e^(2sj) = rho^j: the square root cancels,
-    and everything stays in Q(i, sqrt2).  The moved dict is new on every
-    call."""
+    and everything stays in Q(i, sqrt2).  Each distinct value of the table
+    is rephased once, and its entries filled in by value id.  The moved dict
+    is new on every call."""
     if gamma not in cb.rs.root_set:
         raise ValueError("not a root: %s" % (gamma,))
-    return _rephased(cb, gamma, _phase_map([gamma], rho)[gamma])
+    return _rephased(cb, _phase_one_table(cb, gamma),
+                     (_phase_map([gamma], rho)[gamma],))
 
 
-def _phase_one_table(cb: ChevalleyBasis, gamma: Root):
-    """The moved images of `_phase_one_rotation` at gamma, built at the
+def _phase_one_table(cb: ChevalleyBasis, gamma: Root) -> GradedTable:
+    """The graded table of `_phase_one_rotation` at gamma, built at the
     first call and kept on the basis."""
-    moved = cb.rotations.get(gamma)
-    if moved is None:
-        moved = cb.rotations[gamma] = _phase_one_rotation(cb, gamma)
-    return moved
+    table = cb.rotations.get(gamma)
+    if table is None:
+        table = cb.rotations[gamma] = _phase_one_rotation(cb, gamma)
+    return table
 
 
 def _grade_powers(rho):
@@ -1098,15 +1156,22 @@ def _grade_powers(rho):
     return {j: 1 if p == ONE else p for j, p in zip(range(-3, 4), powers)}
 
 
-def _rephased(cb: ChevalleyBasis, gamma: Root, rho) -> RootRotation:
-    """The phase-one table of gamma with each entry of grade j times rho^j:
-    `root_rotation` of a checked unit phase."""
-    powers = _grade_powers(rho)
+def _rephased(cb: ChevalleyBasis, table: GradedTable, phases) -> RootRotation:
+    """The graded table at these unit phases, one per root of the table:
+    each distinct value (c, grades) made once, as c prod_t rho_t^(j_t), and
+    every entry filled in by its value id."""
+    powers = [_grade_powers(rho) for rho in phases]
+    values = []
+    for c, grades in table.values:
+        for p, j in zip(powers, grades):
+            c = c * p[j]
+        values.append(c)
+    value = values.__getitem__
     return RootRotation(cb, {
-        k: AlgebraElement(
-            cb, {slot: c * powers[j] for slot, c, j in cartan},
-            {r: c * powers[j] for r, c, j in e})
-        for k, (cartan, e) in _phase_one_table(cb, gamma).items()})
+        k: AlgebraElement(cb, dict(zip(slots, map(value, slot_ids))),
+                          dict(zip(roots, map(value, root_ids))))
+        for k, ((slots, slot_ids), (roots, root_ids))
+        in table.moved.items()})
 
 
 def _phase_map(gammas, phases):
@@ -1131,9 +1196,89 @@ def _phase_map(gammas, phases):
     return {g: _unit_phase(phases.get(g, ONE), g) for g in gammas}
 
 
+def _product_grades(cb: ChevalleyBasis, gammas):
+    """grades(alpha, beta) for the product of the rotations at the distinct,
+    pairwise orthogonal roots gammas: the j_t with beta - alpha = sum_t j_t
+    gamma_t and |j_t| <= 3, or None if there are none.  Orthogonality gives
+    2 j_t = <beta - alpha, gamma_t^vee>, which is linear in beta - alpha:
+    its coordinates times <alpha_i, gamma_t^vee> over the simple roots
+    alpha_i.  The sum is then checked coordinatewise.  Weights are in
+    global coordinates, each root's own at its component's offset, and
+    each difference is solved once."""
+    rs, zero = cb.rs, (0,) * cb.semisimple_rank
+
+    def place(comp, coords):
+        off = cb.offsets[comp]
+        return zero[:off] + tuple(coords) + zero[off + len(coords):]
+
+    weights = {r: place(r.comp, r.coords) for r in rs.roots}
+    weights[None] = zero
+    spans = [weights[g] for g in gammas]
+    duals = [place(g.comp, [rs.cartan_int(a, g)
+                            for a in rs.simple_roots(g.comp)])
+             for g in gammas]
+    solved = {}
+
+    def solve(diff):
+        out, rest = [], diff
+        for span, dual in zip(spans, duals):
+            j, odd = divmod(sum(map(mul, diff, dual)), 2)
+            if odd or abs(j) > 3:
+                return None
+            out.append(j)
+            rest = tuple(x - j * c for x, c in zip(rest, span))
+        return None if any(rest) else tuple(out)
+
+    def grades(alpha, beta):
+        diff = tuple(map(sub, weights[beta], weights[alpha]))
+        if diff not in solved:
+            solved[diff] = solve(diff)
+        return solved[diff]
+    return grades
+
+
+def _product_table(cb: ChevalleyBasis, gammas):
+    """The graded table of the product of the phase-one rotations at the
+    roots gammas, composed in the order of `rotation_product`, built at the
+    first call and kept on the basis by the tuple of roots; None, and
+    nothing kept, unless the roots are distinct and pairwise orthogonal and
+    every entry has its grades (`_product_grades`)."""
+    key = tuple(gammas)
+    table = cb.rotation_products.get(key)
+    rs = cb.rs
+    if table is None and len(set(key)) == len(key) \
+            and all(g in rs.root_set for g in key) \
+            and not any(rs.cartan_int(g, d) for g, d in combinations(key, 2)):
+        prod = RootRotation(cb, {})
+        for g in key:
+            prod = _rephased(cb, _phase_one_table(cb, g), (ONE,)).compose(prod)
+        table = _graded(cb, prod.moved, _product_grades(cb, key))
+        if table is not None:
+            cb.rotation_products[key] = table
+    return table
+
+
 def rotation_product(cb: ChevalleyBasis, gammas, phases=None) -> RootRotation:
-    """Composition of the stem rotations (they commute, so order is moot)."""
+    """Composition of the stem rotations (they commute, so order is moot),
+    rephased from their product at the phase one, `_product_table`.
+
+    With D_t = Ad(exp(s_t H_gamma_t)) and e^(2 s_t) = rho_t, the rotation at
+    gamma_t is D_t R1_t D_t^-1 (see `root_rotation`).  Every entry of R1_t
+    has beta - alpha = j gamma_t, so D_s, s != t, scales it by
+    e^(s_s j <gamma_t, gamma_s^vee>) = 1 when the roots are orthogonal: D_s
+    fixes R1_t.  Then with D = prod_t D_t the product is
+      prod_t D_t R1_t D_t^-1 = prod_t D R1_t D^-1 = D (prod_t R1_t) D^-1,
+    and D scales the entry at beta of the image of the vector at alpha by
+    prod_t e^(s_t <beta - alpha, gamma_t^vee>) = prod_t rho_t^(j_t) once
+    beta - alpha = sum_u j_u gamma_u, as orthogonality then gives
+    <beta - alpha, gamma_t^vee> = 2 j_t; the table checks that sum on every
+    entry.  Repeated or non-orthogonal roots, or an entry without such
+    grades, leave no table: the rotations at the phases are composed."""
+    gammas = list(gammas)
     phases = _phase_map(gammas, phases)
+    table = _product_table(cb, gammas)
+    if table is not None:
+        return _rephased(cb, table, [phases[g] for g in gammas])
     prod = RootRotation(cb, {})
     for g in gammas:
         prod = root_rotation(cb, g, phases[g]).compose(prod)
@@ -1162,43 +1307,46 @@ def _rephases_table(cb: ChevalleyBasis, gamma: Root, rot: RootRotation,
                     rho) -> bool:
     """Whether rot is the phase-one table R1 of gamma rephased to rho entry
     by entry: rot moves exactly the basis vectors that R1 moves, and the
-    entry at beta of its image of the vector at alpha is R1's entry there
-    times rho^j, with j read off the weights, beta - alpha = j gamma (not
-    off the grades stored in the table), a Cartan slot having the weight 0.
-    Then rot = D R1 D^-1 exactly, for D = Ad(exp(s H_gamma)) with e^(2s) =
-    rho (see `root_rotation`)."""
+    entry at beta of its image of the vector at alpha is R1's there times
+    rho^j, with j read off the weights, beta - alpha = j gamma, a Cartan
+    slot having the weight 0.  Each entry's j is compared with the grade
+    stored for its value id, and the entry with c rho^j made from that
+    value (c, (j,)), so no stored grade is taken unchecked.  Then rot =
+    D R1 D^-1 exactly, for D = Ad(exp(s H_gamma)) with e^(2s) = rho (see
+    `root_rotation`)."""
     table = _phase_one_table(cb, gamma)
-    if rot.moved.keys() != table.keys():
+    if rot.moved.keys() != table.moved.keys():
         return False
     g, comp = gamma.coords, gamma.comp
     zero = (0,) * len(g)
-    # rho^j by the coordinates of j gamma
-    power_at = {tuple(j * c for c in g): p
-                for j, p in _grade_powers(rho).items()}
+    # j by the coordinates of j gamma, and (j, c rho^j) by value id
+    grade_at = {tuple(j * c for c in g): j for j in range(-3, 4)}
+    powers = _grade_powers(rho)
+    values = [(j, c * powers[j]) for c, (j,) in table.values]
     keys = cb.basis_keys
-    for k, (cartan, e) in table.items():
+    for k, (cartan, e) in table.moved.items():
         image = rot.moved[k]
-        ie = image.e
-        if len(image.cartan) != len(cartan) or len(ie) != len(e):
+        ic, ie = image.cartan, image.e
+        if len(ic) != len(cartan[0]) or len(ie) != len(e[0]):
             return False
         kind, alpha = keys[k]
         # the weight of alpha in gamma's component; a root outside it moves
         # by no multiple of gamma, so only alpha itself may join it (j = 0)
         a = zero if kind == "h" else \
             alpha.coords if alpha.comp == comp else None
-        if cartan:
-            p = None if a is None else power_at.get(tuple(map(neg, a)))
-            if p is None or any(image.cartan.get(slot, ZERO) != c * p
-                                for slot, c, _ in cartan):
+        if cartan[0]:
+            j = None if a is None else grade_at.get(tuple(map(neg, a)))
+            if any(values[v] != (j, ic.get(slot, ZERO))
+                   for slot, v in zip(*cartan)):
                 return False
-        for r, c, _ in e:
+        for r, v in zip(*e):
             if r == alpha:
-                p = 1
+                j = 0
             elif a is None or r.comp != comp:
                 return False
             else:
-                p = power_at.get(tuple(map(sub, r.coords, a)))
-            if p is None or ie.get(r, ZERO) != c * p:
+                j = grade_at.get(tuple(map(sub, r.coords, a)))
+            if values[v] != (j, ie.get(r, ZERO)):
                 return False
     return True
 
@@ -1287,11 +1435,11 @@ def _phase_one_proofs(cb: ChevalleyBasis, gamma: Root, others) -> bool:
     proofs = cb.rotation_proofs
     unproved = [d for d in others if frozenset((gamma, d)) not in proofs]
     if gamma not in proofs or unproved:
-        r1 = _rephased(cb, gamma, ONE)
+        r1 = _rephased(cb, _phase_one_table(cb, gamma), (ONE,))
         if gamma not in proofs:
             proofs[gamma] = _generator_proofs(cb, r1)[1]
         for d in unproved:
-            o1 = _rephased(cb, d, ONE)
+            o1 = _rephased(cb, _phase_one_table(cb, d), (ONE,))
             proofs[frozenset((gamma, d))] = r1.compose(o1) == o1.compose(r1)
     return proofs[gamma] and all(proofs[frozenset((gamma, d))]
                                  for d in others)

@@ -753,8 +753,10 @@ def test_folded_rotation_equals_the_degree_six_polynomial(text):
     # the eigenvalues of (ad X)^2 are -k^2/4 for |k| <= 3: the chains stop
     # at a handful of (m, lam), the same for every root and phase
     assert hcstruct._folded_poly.cache_info().currsize <= 4
-    grades = {j for moved in cb.rotations.values()
-              for cartan, e in moved.values() for _, _, j in cartan + e}
+    grades = {table.values[v][1][0] for table in cb.rotations.values()
+              for cartan, e in table.moved.values() for v in cartan[1] + e[1]}
+    assert all(len(set(table.values)) == len(table.values)
+               for table in cb.rotations.values())
     assert grades <= set(range(-3, 4))
     if text == "G2":
         assert {-3, 3} <= grades
@@ -1034,9 +1036,9 @@ def test_transport_counts_every_leaking_image(monkeypatch, leak):
 
 @pytest.mark.parametrize("moved", ["wing", "stem"])
 def test_rotation_checks_catch_an_image_outside_its_block(monkeypatch, moved):
-    """The first stem rotation of A4 with one image pushed out of its block:
-    a wing vector of the second stem root gains E_gamma, or E_gamma gains
-    that wing vector."""
+    """The first stem rotation of A4 with one image pushed out of its block,
+    and the product rotation likewise: a wing vector of the second stem
+    root gains E_gamma, or E_gamma gains that wing vector."""
     cb = make_basis(parse_shape("A4"))
     st = stem_of(parse_shape("A4"))
     g, d = st.elements
@@ -1052,7 +1054,16 @@ def test_rotation_checks_catch_an_image_outside_its_block(monkeypatch, moved):
             rot.moved[k] = rot.image(k) + extra
         return rot
 
+    product = hcstruct.rotation_product
+
+    def pushed_product(cb, gammas, phases=None):
+        prod = product(cb, gammas, phases)
+        k = cb.key_index[key]
+        prod.moved[k] = prod.image(k) + extra
+        return prod
+
     monkeypatch.setattr(hcstruct, "root_rotation", pushed)
+    monkeypatch.setattr(hcstruct, "rotation_product", pushed_product)
     block = verify_rotation(cb, st, g, rho=EIGHTH_ROOT).items[-1]
     assert block.to_dict() == {
         "name": "other wing blocks and the own sl2 stay setwise invariant",
@@ -1226,20 +1237,38 @@ def test_equivariance_names_each_failed_case(shape, substem, root, name,
 
 
 @pytest.mark.parametrize("shape, substem, checked, tested", [
-    ("A2", (), 8, 4), ("A3", (2,), 36, 24), ("c^4 x A2", (), 12, 4)])
+    ("A2", (), 8, 0), ("A3", (2,), 36, 24), ("c^4 x A2", (), 12, 0)])
 def test_wing_block_item_says_how_many_cases_it_tests(shape, substem,
                                                       checked, tested):
     """The wing-block item counts one case per element of a basis of k (at
     least one) and label of p, but tests only the wing labels, two per
-    wing of each free stem root: `tested` in its dict says how many.  No
-    other item has the key."""
+    wing of each free stem root, of each element of k walked: `tested` in
+    its dict says how many.  Where k has a basis no other item has the
+    key."""
     rep = verify_equivariance(build(shape, substem))
     item, = [it for it in rep.items
              if it.name == "the action preserves each free wing block"]
     assert (item.checked, item.tested) == (checked, tested)
     assert item.to_dict()["tested"] == tested
-    assert [it.name for it in rep.items if "tested" in it.to_dict()] == \
-        [item.name]
+    if tested:
+        assert [it.name for it in rep.items
+                if "tested" in it.to_dict()] == [item.name]
+
+
+@pytest.mark.parametrize("shape, checked", [
+    ("A2", [8, 64, 64, 8, 4]), ("c^4 x A2", [12, 144, 144, 12, 8])])
+def test_equivariance_tests_nothing_where_k_has_no_basis(shape, checked):
+    """Where k has no basis no element of it is walked: each of the five
+    items keeps the count of one element as `checked`, and says in its
+    dict that it tests 0 cases; the text summary has no such column."""
+    hc = build(shape)
+    assert subalgebra_basis(hc.pbasis) == [] == \
+        subalgebra_generators(hc.pbasis)
+    rep = verify_equivariance(hc)
+    assert [it.checked for it in rep.items] == checked
+    assert [it.tested for it in rep.items] == [0] * 5
+    assert all(it.to_dict()["tested"] == 0 for it in rep.items)
+    assert rep.ok and "tested" not in rep.summary()
 
 
 def test_integrability_names_a_wrong_eigenspace_dimension():
@@ -1547,14 +1576,20 @@ def test_rotation_items_at_fresh_phases_equal_every_pair(text):
             assert cold.ok, cold.summary()
 
 
+def first_odd_entry(cb, gamma):
+    """(k, beta, c, j) of the first entry of odd grade j of the phase-one
+    table of gamma: the entry c at beta of the image of basis vector k."""
+    table = cb.rotations[gamma]
+    return next((k, r, c, j) for k, (_, e) in sorted(table.moved.items())
+                for r, v in zip(*e) for c, (j,) in [table.values[v]] if j % 2)
+
+
 def flipped_grade(cb, gamma):
     """A corruption of every rotation at gamma that `root_rotation` builds:
     the first entry of odd grade j of the phase-one table, at beta in the
     image of basis vector k, times rho^-j in place of rho^j (these differ
     unless rho^2j = 1, which no FRESH_PHASES phase has for odd j)."""
-    k, beta, c, j = next((k, r, c, j)
-                         for k, (_, e) in sorted(cb.rotations[gamma].items())
-                         for r, c, j in e if j % 2)
+    k, beta, c, j = first_odd_entry(cb, gamma)
 
     def corrupt(rot, rho):
         image = rot.moved[k]
@@ -1564,16 +1599,25 @@ def flipped_grade(cb, gamma):
     return corrupt
 
 
+def refreshed(cb, gamma, k, beta, value):
+    """Point the entry at beta of image k of the phase-one table of gamma at
+    a fresh value id that holds value, (coefficient, grades), and leave the
+    ids it shared alone, so that the change reaches that one entry."""
+    table = cb.rotations[gamma]
+    cartan, (roots, ids) = table.moved[k]
+    fresh = len(table.values)
+    table.moved[k] = (cartan, (roots, tuple(fresh if r == beta else v
+                                            for r, v in zip(roots, ids))))
+    cb.rotations[gamma] = table._replace(values=table.values + (value,))
+
+
 def flipped_stored_grade(cb, gamma):
     """A corruption of the phase-one table of gamma itself: its first entry
-    of odd grade j stored with the grade -j, so that `root_rotation` builds
-    that entry times rho^-j at every phase.  No rotation needs corrupting."""
-    table = cb.rotations[gamma]
-    k, i = next((k, i) for k, (_, e) in sorted(table.items())
-                for i, (_, _, j) in enumerate(e) if j % 2)
-    cartan, e = table[k]
-    r, c, j = e[i]
-    table[k] = (cartan, e[:i] + ((r, c, -j),) + e[i + 1:])
+    of odd grade j stored with the grade -j, under a fresh value id, so
+    that `root_rotation` builds that entry times rho^-j at every phase.  No
+    rotation needs corrupting."""
+    k, beta, c, j = first_odd_entry(cb, gamma)
+    refreshed(cb, gamma, k, beta, (c, (-j,)))
 
 
 def off_string(cb, gamma):
@@ -1585,9 +1629,9 @@ def off_string(cb, gamma):
     table = cb.rotations[gamma]
     k, alpha, beta = next((k, key, r) for k, (kind, key) in
                           enumerate(cb.basis_keys)
-                          if kind == "e" and k in table
-                          for r, _, _ in table[k][1] if r != key)
-    image_roots = {r for r, _, _ in table[k][1]}
+                          if kind == "e" and k in table.moved
+                          for r in table.moved[k][1][0] if r != key)
+    image_roots = set(table.moved[k][1][0])
 
     def on_string(r):
         diff = root_sub(r, alpha)
@@ -1617,7 +1661,10 @@ def test_rotation_proofs_fall_back_on_a_rotation_the_grades_reject(
     each rotation built or through the grade stored in the table; or one
     entry moved off the gamma-string.  At each fresh phase the three items
     equal their checks over every pair, vector and composition, and fail,
-    before the proofs at the phase one are made and after."""
+    before the proofs at the phase one are made and after.  The grade check
+    compares the stored grade with the one read off the weights, so it
+    rejects the flipped stored grade at the phase one too, and no call of
+    `verify_rotation` makes the proofs; they are made here instead."""
     sh = parse_shape(text)
     st = stem_of(sh)
     cb = ChevalleyBasis(build_cached(sh))
@@ -1636,6 +1683,11 @@ def test_rotation_proofs_fall_back_on_a_rotation_the_grades_reject(
     for proved in (False, True):
         if proved:
             assert verify_rotation(cb, st, gamma).ok
+            if corruption == "stored grade":
+                assert gamma not in cb.rotation_proofs
+                assert not hcstruct._rephases_table(
+                    cb, gamma, rotation(cb, gamma), ONE)
+                assert hcstruct._phase_one_proofs(cb, gamma, st.elements[1:])
         assert (gamma in cb.rotation_proofs) == proved
         with monkeypatch.context() as m:
             m.setattr(hcstruct, "root_rotation", corrupted)
@@ -1662,10 +1714,11 @@ def test_rotation_proofs_fall_back_on_a_table_that_fails_them(text):
     cb = ChevalleyBasis(build_cached(sh))
     gamma = st.elements[0]
     root_rotation(cb, gamma)
+    table = cb.rotations[gamma]
     k = cb.key_index[("e", gamma)]
-    cartan, e = cb.rotations[gamma][k]
-    cb.rotations[gamma][k] = (cartan, tuple((r, c * 2 if r == gamma else c, j)
-                                            for r, c, j in e))
+    (c, grades), = [table.values[v] for r, v in zip(*table.moved[k][1])
+                    if r == gamma]
+    refreshed(cb, gamma, k, gamma, (c * 2, grades))
     for rho in FRESH_PHASES + (ONE,):
         got = [it.to_dict()
                for it in verify_rotation(cb, st, gamma, rho).items[:3]]
@@ -1737,6 +1790,151 @@ def test_phase_one_proof_is_made_once_per_basis_and_root(monkeypatch):
         frozenset(p) for p in [(g, d)] + [(x, y) for x in (g, d)
                                           for y in rest]}
     assert all(v is True for v in cb.rotation_proofs.values())
+
+
+# ------------------------------ the stem product from one phase-one table
+
+PRODUCT_TYPES = ("B4", "C4", "D4", "F4", "G2", "A7", "D6", "E6", "c^1 x B3",
+                 "A2 x B2", "A3", "A4")
+
+
+def composed(cb, gammas, phases):
+    """The rotations at gammas, each its phase-one table rephased by
+    `_rephased`, composed in the order of `rotation_product`."""
+    phases = hcstruct._phase_map(gammas, phases)
+    prod = hcstruct.RootRotation(cb, {})
+    for g in gammas:
+        rot = hcstruct._rephased(cb, hcstruct._phase_one_table(cb, g),
+                                 (phases[g],))
+        prod = rot.compose(prod)
+    return prod
+
+
+@pytest.mark.parametrize("text", PRODUCT_TYPES)
+def test_product_table_equals_the_composed_rotations(text):
+    """At five phases, as a full phase map (a different phase per root), a
+    map of one root and a broadcast scalar, the stem product rephased from
+    its phase-one table moves the keys that the composition of the
+    rephased rotations moves, and equals it; one table is kept, by the
+    tuple of stem roots."""
+    sh = parse_shape(text)
+    cb = ChevalleyBasis(build_cached(sh))
+    gammas = list(stem_of(sh).elements)
+    for rho in (ONE, I, EIGHTH_ROOT, PYTH, TWISTED):
+        maps = {"full": {g: power(I, t) * rho for t, g in enumerate(gammas)},
+                "one root": {gammas[-1]: rho}, "broadcast": rho}
+        for name, phases in maps.items():
+            got = rotation_product(cb, gammas, phases)
+            want = composed(cb, gammas, phases)
+            assert got.moved.keys() == want.moved.keys(), (rho, name)
+            assert got == want, (rho, name)
+    assert list(cb.rotation_products) == [tuple(gammas)]
+
+
+@pytest.mark.parametrize("text", ["A4", "D4", "c^1 x B3"])
+def test_product_of_repeated_or_opposite_roots_is_composed(monkeypatch,
+                                                            text):
+    """Roots that repeat, or gamma with -gamma, which is not orthogonal to
+    it, have no product table: `rotation_product` composes the rotations
+    at the phases, one composition per root, and matches their
+    composition."""
+    sh = parse_shape(text)
+    cb = ChevalleyBasis(build_cached(sh))
+    g, d = stem_of(sh).elements[:2]
+    compositions = []
+    compose = hcstruct.RootRotation.compose
+
+    def counted_compose(self, other):
+        compositions.append(1)
+        return compose(self, other)
+
+    for gammas in ([g, -g], [g, g], [g, d, g]):
+        assert hcstruct._product_table(cb, gammas) is None
+        for rho in FRESH_PHASES:
+            with monkeypatch.context() as m:
+                m.setattr(hcstruct.RootRotation, "compose", counted_compose)
+                del compositions[:]
+                got = rotation_product(cb, gammas, rho)
+                assert len(compositions) == len(gammas)
+            want = composed(cb, gammas, rho)
+            assert got.moved.keys() == want.moved.keys(), (gammas, rho)
+            assert got == want, (gammas, rho)
+    assert cb.rotation_products == {}
+
+
+@pytest.mark.parametrize("text", ["A3", "A4", "A5"])
+def test_product_with_an_entry_off_its_grades_is_composed(text):
+    """The phase-one table of the first stem root with the entry at beta of
+    its image of a root vector E_alpha moved onto another root r: the first
+    such (alpha, r) in basis order, with beta != alpha the first root of
+    that image, where every <r - alpha, gamma_t^vee> is even and at most 6
+    in size, but r - alpha is not the sum of the j_t gamma_t these give.
+    Only the coordinatewise check rejects the product's entry there, so no
+    product table is built or kept, and `rotation_product` is the
+    composition of the rotations at the phases.  The stem roots of these
+    types span less than the root space, so there is such an r."""
+    sh = parse_shape(text)
+    cb = ChevalleyBasis(build_cached(sh))
+    gammas = list(stem_of(sh).elements)
+    table = hcstruct._phase_one_table(cb, gammas[0])
+    assert len({g.comp for g in gammas}) == 1
+
+    def off_grades(alpha, r):
+        twice = [cb.rs.cartan_int(r, g) - cb.rs.cartan_int(alpha, g)
+                 for g in gammas]
+        diff = root_sub(r, alpha)
+        return diff is not None and all(t % 2 == 0 and abs(t) <= 6
+                                        for t in twice) \
+            and diff.coords != tuple(sum(t // 2 * c for t, c in zip(twice, cs))
+                                     for cs in zip(*(g.coords for g in gammas)))
+
+    k, alpha, target = next(
+        (k, key, r) for k, (kind, key) in enumerate(cb.basis_keys)
+        if kind == "e" and k in table.moved
+        and any(b != key for b in table.moved[k][1][0])
+        for r in sorted(cb.rs.roots, key=Root.key)
+        if r not in table.moved[k][1][0] and off_grades(key, r))
+    cartan, (roots, ids) = table.moved[k]
+    beta = next(b for b in roots if b != alpha)
+    table.moved[k] = (cartan, (tuple(target if r == beta else r
+                                     for r in roots), ids))
+    assert hcstruct._product_table(cb, gammas) is None
+    for rho in FRESH_PHASES:
+        assert rotation_product(cb, gammas, rho) == \
+            composed(cb, gammas, rho), rho
+    assert cb.rotation_products == {}
+
+
+def test_product_table_is_built_once_per_basis_and_roots(monkeypatch):
+    """On a fresh basis, `verify_rotation_spans` at three phases builds one
+    product table, composing the phase-one rotations at its first call
+    only; the table is kept by the tuple of stem roots, never by phase,
+    and at the phase one it is the composition there."""
+    sh = parse_shape("D4")
+    st = stem_of(sh)
+    cb = ChevalleyBasis(build_cached(sh))
+    compositions = []
+    compose = hcstruct.RootRotation.compose
+
+    def counted_compose(self, other):
+        compositions.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(hcstruct.RootRotation, "compose", counted_compose)
+    key = tuple(st.elements)
+    assert verify_rotation_spans(cb, st, PYTH).ok
+    assert len(compositions) == len(key)
+    assert list(cb.rotation_products) == [key]
+    table = cb.rotation_products[key]
+    for rho in (TWISTED, ONE):
+        del compositions[:]
+        assert verify_rotation_spans(cb, st, rho).ok
+        assert not compositions
+        assert list(cb.rotation_products) == [key]
+        assert cb.rotation_products[key] is table
+    monkeypatch.undo()
+    assert hcstruct._rephased(cb, table, [ONE] * len(key)) == \
+        composed(cb, key, ONE)
 
 
 # ------------------------------- rotations as the identity plus moved columns
