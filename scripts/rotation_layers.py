@@ -14,7 +14,8 @@ comes first.
 
 It prints one JSON object: per layer the median over the passes of its
 seconds in a pass, the median pass, each layer's share of the layers' sum,
-per type the median seconds of each layer (`type_layer_s`), and the
+per type the median seconds of each layer (`type_layer_s`) and the number
+of rotation tables its basis holds after the passes (`tables`), and the
 machine.  No tracing wrappers run, so the layers time the library alone.
 """
 
@@ -41,11 +42,12 @@ LAYERS = ("root_rotation", "verify_rotation", "verify_rotation_spans",
 
 
 def type_calls(label, rng):
-    """Per layer, the calls of one type as a function of no argument."""
+    """The basis of one type, and per layer its calls as a function of no
+    argument."""
     sh = rootsystems.parse_shape(label)
     cb, st = chevalley.make_basis(sh), stem.stem_of(sh)
     phases = {g: unit_phase(rng) for g in st.elements}
-    return {
+    return cb, {
         "root_rotation": lambda: [hcstruct.root_rotation(cb, g, phases[g])
                                   for g in st.elements],
         "verify_rotation": lambda: [
@@ -75,7 +77,9 @@ def layers(types, passes, seed=1):
     if passes < 1:
         raise ValueError("need at least one pass, got %d" % passes)
     rng = random.Random(seed)
-    calls = {label: type_calls(label, rng) for label in types}
+    bases, calls = {}, {}
+    for label in types:
+        bases[label], calls[label] = type_calls(label, rng)
     one_pass(calls)
     runs = [one_pass(calls) for _ in range(passes)]
     type_layer = {t: {layer: statistics.median(run[t][layer] for run in runs)
@@ -94,6 +98,7 @@ def layers(types, passes, seed=1):
         "share_pct": {layer: 100.0 * s / total if total else 0.0
                       for layer, s in median.items()},
         "type_layer_s": type_layer,
+        "tables": {t: len(bases[t].rotation_tables) for t in types},
         "machine": {"python": platform.python_version(),
                     "cpus": os.cpu_count(), "processor": platform.machine()},
     }

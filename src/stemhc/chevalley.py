@@ -160,15 +160,13 @@ class ChevalleyBasis:
         self.key_index = {k: i for i, k in enumerate(self.basis_keys)}
         self.killing_h = [[Fraction(x) for x in row]
                           for row in self._killing_h_matrix()]
-        # exp((pi/2) ad X_gamma) at the phase one by root gamma, each built
-        # once and rephased by `hcstruct.root_rotation`; the products of
-        # such rotations by tuple of roots, rephased by
-        # `hcstruct.rotation_product`; and the proofs that
+        # the rotations exp((pi/2) ad X_gamma) at the phase one and their
+        # products by tuple of roots, rephased by `hcstruct.root_rotation`
+        # and `hcstruct.rotation_product`; and the proofs that
         # `hcstruct.verify_rotation` makes on them: by root, whether one
         # respects brackets and tau, and by pair of roots (a frozenset),
         # whether two commute
-        self.rotations = {}
-        self.rotation_products = {}
+        self.rotation_tables = {}
         self.rotation_proofs = {}
 
     # -- structure constants --------------------------------------------------

@@ -500,14 +500,9 @@ def verify_operator_identities(hc: HCStructure) -> CheckReport:
     rep.record("conjugation matrix is an involution", n * n,
                *_matrix_mismatches(pb, _compose_cols(t, t),
                                    [{j: ONE} for j in range(n)]))
-    bad = []
-    for j, lab in enumerate(pb.labels):
-        img = pb.cb.tau(pb.vectors[j])
-        d = pb.decompose(img)
-        if not d.in_p or any(d.coords.get(i, ZERO) != t[j].get(i, ZERO)
-                             for i in d.coords.keys() | t[j].keys()):
-            bad.append("conjugate of %s disagrees with the matrix" % (lab,))
-    rep.record("conjugation matrix mirrors the compact conjugation", n, bad)
+    rep.record("conjugation matrix mirrors the compact conjugation", n,
+               ["conjugate of %s disagrees with the matrix" % (lab,)
+                for lab in _unmirrored_labels(pb, t)])
     for opname, cols in (("first", i_cols), ("second", j_cols)):
         conj = [{i: v.conj() for i, v in col.items()} for col in cols]
         rep.record("%s structure is real for the compact form" % opname,
@@ -705,18 +700,25 @@ def _torsion_violations(pb: PBasis, cols):
     return bad
 
 
+def _unmirrored_labels(pb: PBasis, t_cols):
+    """The labels of p whose conjugate under the compact conjugation has a
+    part in k or other coordinates than its column of t_cols."""
+    out = []
+    for lab, v, col in zip(pb.labels, pb.vectors, t_cols):
+        d = pb.decompose(pb.cb.tau(v))
+        if not d.in_p or d.coords != {i: c for i, c in col.items() if c}:
+            out.append(lab)
+    return out
+
+
 def _conjugation_mirrors(pb: PBasis, t_cols) -> bool:
     """Whether the compact conjugation keeps k and acts on p as the
     columns t_cols: it sends each basis vector of p to its column, with no
     part in k, and each generator of k into k (an antilinear automorphism
     keeps k once it keeps the generators)."""
-    cb = pb.cb
-    for v, col in zip(pb.vectors, t_cols):
-        d = pb.decompose(cb.tau(v))
-        if not d.in_p or d.coords != {i: c for i, c in col.items() if c}:
-            return False
-    return not any(pb.decompose(cb.tau(x)).coords
-                   for _, x in subalgebra_generators(pb))
+    return not _unmirrored_labels(pb, t_cols) and not any(
+        pb.decompose(pb.cb.tau(x)).coords
+        for _, x in subalgebra_generators(pb))
 
 
 def verify_integrability(hc: HCStructure) -> CheckReport:
@@ -1072,12 +1074,12 @@ def _graded(cb: ChevalleyBasis, images, grades):
     return GradedTable(moved, tuple(values))
 
 
-def _phase_one_rotation(cb: ChevalleyBasis, gamma: Root) -> GradedTable:
-    """exp((pi/2) ad X(gamma, 1)) as a graded table, each entry with its
-    gamma-grade j, 2j = <beta - alpha, gamma^vee>.  Each image is p(ad X) w
-    for the degree-6 `_rotation_poly` p, along the chain w_k = (ad X)^k w of
-    its basis vector w.  The chain stops at its first zero term, or at its
-    first term w_m = lam w_(m-2), which `_folded_poly(m, lam)` folds in."""
+def _phase_one_images(cb: ChevalleyBasis, gamma: Root):
+    """exp((pi/2) ad X(gamma, 1)) by its moved images {basis index: image}.
+    Each image is p(ad X) w for the degree-6 `_rotation_poly` p, along the
+    chain w_k = (ad X)^k w of its basis vector w.  The chain stops at its
+    first zero term, or at its first term w_m = lam w_(m-2), which
+    `_folded_poly(m, lam)` folds in."""
     poly = _rotation_poly()
     x = cb.X(gamma)
     rs = cb.rs
@@ -1111,39 +1113,25 @@ def _phase_one_rotation(cb: ChevalleyBasis, gamma: Root) -> GradedTable:
         image = cb.combine((c, w) for c, w in zip(coeffs, chain) if c)
         if image != chain[0]:
             images[k] = image
-
-    @lru_cache(maxsize=None)
-    def pairing(r):
-        return 0 if r is None else rs.cartan_int(r, gamma)
-
-    return _graded(cb, images, lambda a, b: ((pairing(b) - pairing(a)) // 2,))
+    return images
 
 
 def root_rotation(cb: ChevalleyBasis, gamma: Root, rho=ONE) -> RootRotation:
     """exp((pi/2) ad X_gamma) at the phase rho, rephased from the rotation
-    at the phase one, which `_phase_one_rotation` builds once per basis and
-    root.  Ad(exp(s H_gamma)) scales E_beta by e^(s <beta, gamma^vee>) and
-    fixes the Cartan, so with e^(2s) = rho it sends X(gamma, 1) =
-    (E_gamma - E_-gamma)/2 to (rho E_gamma - rho^-1 E_-gamma)/2 =
-    X(gamma, rho), as rho^-1 = conj(rho) on the unit circle.  So rot_rho =
-    Ad rot_1 Ad^-1, and an entry of grade j (beta - alpha = j gamma) scales by
-    e^(s <j gamma, gamma^vee>) = e^(2sj) = rho^j: the square root cancels,
-    and everything stays in Q(i, sqrt2).  Each distinct value of the table
-    is rephased once, and its entries filled in by value id.  The moved dict
-    is new on every call."""
+    at the phase one, the table of (gamma,) that `_rotation_table` builds
+    once per basis.  Ad(exp(s H_gamma)) scales E_beta by e^(s <beta,
+    gamma^vee>) and fixes the Cartan, so with e^(2s) = rho it sends
+    X(gamma, 1) = (E_gamma - E_-gamma)/2 to (rho E_gamma - rho^-1
+    E_-gamma)/2 = X(gamma, rho), as rho^-1 = conj(rho) on the unit circle.
+    So rot_rho = Ad rot_1 Ad^-1, and an entry of grade j (beta - alpha =
+    j gamma) scales by e^(s <j gamma, gamma^vee>) = e^(2sj) = rho^j: the
+    square root cancels, and everything stays in Q(i, sqrt2).  Each
+    distinct value of the table is rephased once, and its entries filled
+    in by value id.  The moved dict is new on every call."""
     if gamma not in cb.rs.root_set:
         raise ValueError("not a root: %s" % (gamma,))
-    return _rephased(cb, _phase_one_table(cb, gamma),
+    return _rephased(cb, _rotation_table(cb, (gamma,)),
                      (_phase_map([gamma], rho)[gamma],))
-
-
-def _phase_one_table(cb: ChevalleyBasis, gamma: Root) -> GradedTable:
-    """The graded table of `_phase_one_rotation` at gamma, built at the
-    first call and kept on the basis."""
-    table = cb.rotations.get(gamma)
-    if table is None:
-        table = cb.rotations[gamma] = _phase_one_rotation(cb, gamma)
-    return table
 
 
 def _grade_powers(rho):
@@ -1196,15 +1184,15 @@ def _phase_map(gammas, phases):
     return {g: _unit_phase(phases.get(g, ONE), g) for g in gammas}
 
 
-def _product_grades(cb: ChevalleyBasis, gammas):
+def _grades(cb: ChevalleyBasis, gammas):
     """grades(alpha, beta) for the product of the rotations at the distinct,
-    pairwise orthogonal roots gammas: the j_t with beta - alpha = sum_t j_t
-    gamma_t and |j_t| <= 3, or None if there are none.  Orthogonality gives
-    2 j_t = <beta - alpha, gamma_t^vee>, which is linear in beta - alpha:
-    its coordinates times <alpha_i, gamma_t^vee> over the simple roots
-    alpha_i.  The sum is then checked coordinatewise.  Weights are in
-    global coordinates, each root's own at its component's offset, and
-    each difference is solved once."""
+    pairwise orthogonal roots gammas, one root or more: the j_t with
+    beta - alpha = sum_t j_t gamma_t and |j_t| <= 3, or None if there are
+    none.  Orthogonality gives 2 j_t = <beta - alpha, gamma_t^vee>, which
+    is linear in beta - alpha: its coordinates times <alpha_i, gamma_t^vee>
+    over the simple roots alpha_i.  The sum is then checked coordinatewise.
+    Weights are in global coordinates, each root's own at its component's
+    offset, and each difference is solved once."""
     rs, zero = cb.rs, (0,) * cb.semisimple_rank
 
     def place(comp, coords):
@@ -1237,30 +1225,41 @@ def _product_grades(cb: ChevalleyBasis, gammas):
     return grades
 
 
-def _product_table(cb: ChevalleyBasis, gammas):
+def _rotation_table(cb: ChevalleyBasis, gammas):
     """The graded table of the product of the phase-one rotations at the
-    roots gammas, composed in the order of `rotation_product`, built at the
-    first call and kept on the basis by the tuple of roots; None, and
-    nothing kept, unless the roots are distinct and pairwise orthogonal and
-    every entry has its grades (`_product_grades`)."""
+    roots gammas, built at the first call and kept on the basis by the
+    tuple of roots: the images of `_phase_one_images` for one root, else
+    their one-root tables composed in the order of `rotation_product`.
+    None, and nothing kept, unless the roots are distinct and pairwise
+    orthogonal and every entry has its `_grades`; a one-root entry without
+    them is a defect of the build, and raises."""
     key = tuple(gammas)
-    table = cb.rotation_products.get(key)
+    table = cb.rotation_tables.get(key)
     rs = cb.rs
     if table is None and len(set(key)) == len(key) \
             and all(g in rs.root_set for g in key) \
             and not any(rs.cartan_int(g, d) for g, d in combinations(key, 2)):
-        prod = RootRotation(cb, {})
-        for g in key:
-            prod = _rephased(cb, _phase_one_table(cb, g), (ONE,)).compose(prod)
-        table = _graded(cb, prod.moved, _product_grades(cb, key))
+        if len(key) == 1:
+            images = _phase_one_images(cb, key[0])
+        else:
+            prod = RootRotation(cb, {})
+            for g in key:
+                prod = _rephased(cb, _rotation_table(cb, (g,)),
+                                 (ONE,)).compose(prod)
+            images = prod.moved
+        table = _graded(cb, images, _grades(cb, key))
         if table is not None:
-            cb.rotation_products[key] = table
+            cb.rotation_tables[key] = table
+        elif len(key) == 1:
+            raise AssertionError("the rotation at %s moves an entry off "
+                                 "its gamma-string" % (key[0],))
     return table
 
 
 def rotation_product(cb: ChevalleyBasis, gammas, phases=None) -> RootRotation:
     """Composition of the stem rotations (they commute, so order is moot),
-    rephased from their product at the phase one, `_product_table`.
+    rephased from their product at the phase one, `_rotation_table`, which
+    for one root is the table that `root_rotation` rephases.
 
     With D_t = Ad(exp(s_t H_gamma_t)) and e^(2 s_t) = rho_t, the rotation at
     gamma_t is D_t R1_t D_t^-1 (see `root_rotation`).  Every entry of R1_t
@@ -1276,7 +1275,7 @@ def rotation_product(cb: ChevalleyBasis, gammas, phases=None) -> RootRotation:
     grades, leave no table: the rotations at the phases are composed."""
     gammas = list(gammas)
     phases = _phase_map(gammas, phases)
-    table = _product_table(cb, gammas)
+    table = _rotation_table(cb, gammas)
     if table is not None:
         return _rephased(cb, table, [phases[g] for g in gammas])
     prod = RootRotation(cb, {})
@@ -1314,7 +1313,7 @@ def _rephases_table(cb: ChevalleyBasis, gamma: Root, rot: RootRotation,
     value (c, (j,)), so no stored grade is taken unchecked.  Then rot =
     D R1 D^-1 exactly, for D = Ad(exp(s H_gamma)) with e^(2s) = rho (see
     `root_rotation`)."""
-    table = _phase_one_table(cb, gamma)
+    table = _rotation_table(cb, (gamma,))
     if rot.moved.keys() != table.moved.keys():
         return False
     g, comp = gamma.coords, gamma.comp
@@ -1435,11 +1434,11 @@ def _phase_one_proofs(cb: ChevalleyBasis, gamma: Root, others) -> bool:
     proofs = cb.rotation_proofs
     unproved = [d for d in others if frozenset((gamma, d)) not in proofs]
     if gamma not in proofs or unproved:
-        r1 = _rephased(cb, _phase_one_table(cb, gamma), (ONE,))
+        r1 = _rephased(cb, _rotation_table(cb, (gamma,)), (ONE,))
         if gamma not in proofs:
             proofs[gamma] = _generator_proofs(cb, r1)[1]
         for d in unproved:
-            o1 = _rephased(cb, _phase_one_table(cb, d), (ONE,))
+            o1 = _rephased(cb, _rotation_table(cb, (d,)), (ONE,))
             proofs[frozenset((gamma, d))] = r1.compose(o1) == o1.compose(r1)
     return proofs[gamma] and all(proofs[frozenset((gamma, d))]
                                  for d in others)

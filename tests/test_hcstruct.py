@@ -753,10 +753,11 @@ def test_folded_rotation_equals_the_degree_six_polynomial(text):
     # the eigenvalues of (ad X)^2 are -k^2/4 for |k| <= 3: the chains stop
     # at a handful of (m, lam), the same for every root and phase
     assert hcstruct._folded_poly.cache_info().currsize <= 4
-    grades = {table.values[v][1][0] for table in cb.rotations.values()
+    tables = [t for key, t in cb.rotation_tables.items() if len(key) == 1]
+    grades = {table.values[v][1][0] for table in tables
               for cartan, e in table.moved.values() for v in cartan[1] + e[1]}
     assert all(len(set(table.values)) == len(table.values)
-               for table in cb.rotations.values())
+               for table in tables)
     assert grades <= set(range(-3, 4))
     if text == "G2":
         assert {-3, 3} <= grades
@@ -777,7 +778,7 @@ def test_rotation_is_built_once_per_basis_and_root(monkeypatch):
     monkeypatch.setattr(cb, "bracket", counted)
     g = max(cb.rs.positives, key=lambda r: r.height)
     first = root_rotation(cb, g, PYTH)
-    assert brackets and list(cb.rotations) == [g]
+    assert brackets and list(cb.rotation_tables) == [(g,)]
     del brackets[:]
     twisted = root_rotation(cb, g, TWISTED)
     assert not brackets
@@ -790,6 +791,57 @@ def test_rotation_is_built_once_per_basis_and_root(monkeypatch):
     twisted.moved[cb.key_index[("h", 0)]] = cb.E(g)
     assert root_rotation(cb, g, TWISTED).images == want
     assert root_rotation(cb, g, PYTH).images[k] != cb.zero()
+
+
+@pytest.mark.parametrize("text", ["A3", "B3", "G2"])
+def test_rotation_build_rejects_an_entry_off_its_string(monkeypatch, text):
+    """The images of the rotation at the highest root gamma with one entry
+    moved off the gamma-string: the entry at beta != alpha of the image of
+    the first root vector E_alpha it moves, moved onto the first root r
+    outside that image with r - alpha no multiple of gamma and
+    <r - alpha, gamma^vee> even and at most 6 in size, so that a grade
+    read off that pairing alone would pass it.  `root_rotation` and a
+    one-root `rotation_product` raise AssertionError naming gamma, and the
+    tables kept before stay as they were."""
+    sh = parse_shape(text)
+    cb = ChevalleyBasis(build_cached(sh))
+    rs = cb.rs
+    gamma = max(rs.positives, key=lambda r: r.height)
+    simple = rs.simple_roots(0)[0]
+    root_rotation(cb, simple)
+    before = dict(cb.rotation_tables)
+    images = hcstruct._phase_one_images
+
+    def off_its_string(alpha, r):
+        twice = rs.cartan_int(r, gamma) - rs.cartan_int(alpha, gamma)
+        return twice % 2 == 0 and abs(twice) <= 6 and not any(
+            r.coords == tuple(a + j * c for a, c in zip(alpha.coords,
+                                                        gamma.coords))
+            for j in range(-3, 4))
+
+    def bent(cb_, g):
+        out = images(cb_, g)
+        k, alpha, beta = next((k, key, b) for k in sorted(out)
+                              for kind, key in [cb_.basis_keys[k]]
+                              if kind == "e" for b in out[k].e if b != key)
+        target = next(r for r in sorted(rs.roots, key=Root.key)
+                      if r not in out[k].e and off_its_string(alpha, r))
+        e = dict(out[k].e)
+        e[target] = e.pop(beta)
+        out[k] = AlgebraElement(cb_, dict(out[k].cartan), e)
+        return out
+
+    monkeypatch.setattr(hcstruct, "_phase_one_images", bent)
+    for build in (lambda: root_rotation(cb, gamma, PYTH),
+                  lambda: rotation_product(cb, [gamma])):
+        with pytest.raises(AssertionError) as err:
+            build()
+        assert str(gamma) in str(err.value)
+        assert cb.rotation_tables.keys() == before.keys()
+        assert all(cb.rotation_tables[k] is t for k, t in before.items())
+    monkeypatch.undo()
+    root_rotation(cb, gamma, PYTH)
+    assert set(cb.rotation_tables) == {(simple,), (gamma,)}
 
 
 def test_rotation_matches_float_exponential():
@@ -1579,7 +1631,7 @@ def test_rotation_items_at_fresh_phases_equal_every_pair(text):
 def first_odd_entry(cb, gamma):
     """(k, beta, c, j) of the first entry of odd grade j of the phase-one
     table of gamma: the entry c at beta of the image of basis vector k."""
-    table = cb.rotations[gamma]
+    table = cb.rotation_tables[(gamma,)]
     return next((k, r, c, j) for k, (_, e) in sorted(table.moved.items())
                 for r, v in zip(*e) for c, (j,) in [table.values[v]] if j % 2)
 
@@ -1603,12 +1655,13 @@ def refreshed(cb, gamma, k, beta, value):
     """Point the entry at beta of image k of the phase-one table of gamma at
     a fresh value id that holds value, (coefficient, grades), and leave the
     ids it shared alone, so that the change reaches that one entry."""
-    table = cb.rotations[gamma]
+    table = cb.rotation_tables[(gamma,)]
     cartan, (roots, ids) = table.moved[k]
     fresh = len(table.values)
     table.moved[k] = (cartan, (roots, tuple(fresh if r == beta else v
                                             for r, v in zip(roots, ids))))
-    cb.rotations[gamma] = table._replace(values=table.values + (value,))
+    cb.rotation_tables[(gamma,)] = table._replace(
+        values=table.values + (value,))
 
 
 def flipped_stored_grade(cb, gamma):
@@ -1626,7 +1679,7 @@ def off_string(cb, gamma):
     into another root vector, moved onto the first root outside that image
     and outside the gamma-string through alpha."""
     rs = cb.rs
-    table = cb.rotations[gamma]
+    table = cb.rotation_tables[(gamma,)]
     k, alpha, beta = next((k, key, r) for k, (kind, key) in
                           enumerate(cb.basis_keys)
                           if kind == "e" and k in table.moved
@@ -1714,7 +1767,7 @@ def test_rotation_proofs_fall_back_on_a_table_that_fails_them(text):
     cb = ChevalleyBasis(build_cached(sh))
     gamma = st.elements[0]
     root_rotation(cb, gamma)
-    table = cb.rotations[gamma]
+    table = cb.rotation_tables[(gamma,)]
     k = cb.key_index[("e", gamma)]
     (c, grades), = [table.values[v] for r, v in zip(*table.moved[k][1])
                     if r == gamma]
@@ -1799,12 +1852,12 @@ PRODUCT_TYPES = ("B4", "C4", "D4", "F4", "G2", "A7", "D6", "E6", "c^1 x B3",
 
 
 def composed(cb, gammas, phases):
-    """The rotations at gammas, each its phase-one table rephased by
+    """The rotations at gammas, each its one-root table rephased by
     `_rephased`, composed in the order of `rotation_product`."""
     phases = hcstruct._phase_map(gammas, phases)
     prod = hcstruct.RootRotation(cb, {})
     for g in gammas:
-        rot = hcstruct._rephased(cb, hcstruct._phase_one_table(cb, g),
+        rot = hcstruct._rephased(cb, hcstruct._rotation_table(cb, (g,)),
                                  (phases[g],))
         prod = rot.compose(prod)
     return prod
@@ -1815,8 +1868,8 @@ def test_product_table_equals_the_composed_rotations(text):
     """At five phases, as a full phase map (a different phase per root), a
     map of one root and a broadcast scalar, the stem product rephased from
     its phase-one table moves the keys that the composition of the
-    rephased rotations moves, and equals it; one table is kept, by the
-    tuple of stem roots."""
+    rephased rotations moves, and equals it; one product table is kept, by
+    the tuple of stem roots, beside the table of each stem root."""
     sh = parse_shape(text)
     cb = ChevalleyBasis(build_cached(sh))
     gammas = list(stem_of(sh).elements)
@@ -1828,7 +1881,7 @@ def test_product_table_equals_the_composed_rotations(text):
             want = composed(cb, gammas, phases)
             assert got.moved.keys() == want.moved.keys(), (rho, name)
             assert got == want, (rho, name)
-    assert list(cb.rotation_products) == [tuple(gammas)]
+    assert set(cb.rotation_tables) == {tuple(gammas)} | {(g,) for g in gammas}
 
 
 @pytest.mark.parametrize("text", ["A4", "D4", "c^1 x B3"])
@@ -1837,7 +1890,7 @@ def test_product_of_repeated_or_opposite_roots_is_composed(monkeypatch,
     """Roots that repeat, or gamma with -gamma, which is not orthogonal to
     it, have no product table: `rotation_product` composes the rotations
     at the phases, one composition per root, and matches their
-    composition."""
+    composition.  Only the one-root tables are kept."""
     sh = parse_shape(text)
     cb = ChevalleyBasis(build_cached(sh))
     g, d = stem_of(sh).elements[:2]
@@ -1849,7 +1902,7 @@ def test_product_of_repeated_or_opposite_roots_is_composed(monkeypatch,
         return compose(self, other)
 
     for gammas in ([g, -g], [g, g], [g, d, g]):
-        assert hcstruct._product_table(cb, gammas) is None
+        assert hcstruct._rotation_table(cb, gammas) is None
         for rho in FRESH_PHASES:
             with monkeypatch.context() as m:
                 m.setattr(hcstruct.RootRotation, "compose", counted_compose)
@@ -1859,7 +1912,7 @@ def test_product_of_repeated_or_opposite_roots_is_composed(monkeypatch,
             want = composed(cb, gammas, rho)
             assert got.moved.keys() == want.moved.keys(), (gammas, rho)
             assert got == want, (gammas, rho)
-    assert cb.rotation_products == {}
+    assert set(cb.rotation_tables) == {(g,), (-g,), (d,)}
 
 
 @pytest.mark.parametrize("text", ["A3", "A4", "A5"])
@@ -1876,7 +1929,7 @@ def test_product_with_an_entry_off_its_grades_is_composed(text):
     sh = parse_shape(text)
     cb = ChevalleyBasis(build_cached(sh))
     gammas = list(stem_of(sh).elements)
-    table = hcstruct._phase_one_table(cb, gammas[0])
+    table = hcstruct._rotation_table(cb, gammas[:1])
     assert len({g.comp for g in gammas}) == 1
 
     def off_grades(alpha, r):
@@ -1898,18 +1951,20 @@ def test_product_with_an_entry_off_its_grades_is_composed(text):
     beta = next(b for b in roots if b != alpha)
     table.moved[k] = (cartan, (tuple(target if r == beta else r
                                      for r in roots), ids))
-    assert hcstruct._product_table(cb, gammas) is None
+    assert hcstruct._rotation_table(cb, gammas) is None
     for rho in FRESH_PHASES:
         assert rotation_product(cb, gammas, rho) == \
             composed(cb, gammas, rho), rho
-    assert cb.rotation_products == {}
+    assert tuple(gammas) not in cb.rotation_tables
+    assert all(len(key) == 1 for key in cb.rotation_tables)
 
 
 def test_product_table_is_built_once_per_basis_and_roots(monkeypatch):
     """On a fresh basis, `verify_rotation_spans` at three phases builds one
     product table, composing the phase-one rotations at its first call
     only; the table is kept by the tuple of stem roots, never by phase,
-    and at the phase one it is the composition there."""
+    beside the table of each stem root, and at the phase one it is the
+    composition there."""
     sh = parse_shape("D4")
     st = stem_of(sh)
     cb = ChevalleyBasis(build_cached(sh))
@@ -1924,14 +1979,15 @@ def test_product_table_is_built_once_per_basis_and_roots(monkeypatch):
     key = tuple(st.elements)
     assert verify_rotation_spans(cb, st, PYTH).ok
     assert len(compositions) == len(key)
-    assert list(cb.rotation_products) == [key]
-    table = cb.rotation_products[key]
+    keys = {key} | {(g,) for g in key}
+    assert set(cb.rotation_tables) == keys
+    table = cb.rotation_tables[key]
     for rho in (TWISTED, ONE):
         del compositions[:]
         assert verify_rotation_spans(cb, st, rho).ok
         assert not compositions
-        assert list(cb.rotation_products) == [key]
-        assert cb.rotation_products[key] is table
+        assert set(cb.rotation_tables) == keys
+        assert cb.rotation_tables[key] is table
     monkeypatch.undo()
     assert hcstruct._rephased(cb, table, [ONE] * len(key)) == \
         composed(cb, key, ONE)

@@ -17,6 +17,8 @@ from stemhc.stem import stem_of
 from test_hcstruct import ATLAS_TYPES
 from test_rootsystems import optimized_stdout
 
+from cascade_oracle import nodes, shape_cascade
+
 
 def shape(text):
     return parse_shape(text)
@@ -217,6 +219,32 @@ def test_pair_b2_deficiency():
     assert rep.srank_g == 4
     assert rep.deficiency == -2
     assert REASON_DEFICIENCY_NEGATIVE in rep.reasons
+
+
+# 2s - r, with s the number of stem roots, pinned per simple type: 0 on
+# A_even and 1 on A_odd, n on B_n and C_n, n on D_n for even n and n - 2 for
+# odd n
+LEAST_TORUS = dict(
+    [("A%d" % n, n % 2) for n in range(1, 9)]
+    + [("%s%d" % (f, n), n) for f in "BC" for n in range(2, 9)]
+    + [("D%d" % n, n if n % 2 == 0 else n - 2) for n in range(4, 9)]
+    + [("E6", 2), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)])
+
+
+@pytest.mark.parametrize("text", [t for t in ATLAS_TYPES if t != "C2"])
+def test_least_torus_is_twice_the_stem_size_minus_the_rank(text):
+    """On the 31 simple types of rank <= 8 (C2 is B2), with s the number of
+    nodes of the cascade, which reads no root: `check_pair` accepts c^m x G
+    with trivial k at m = 2s - r, and rejects it at m - 1 when m > 0."""
+    sh = shape(text)
+    m = 2 * len(nodes(shape_cascade(sh))) - sh.rank
+    assert m == LEAST_TORUS[text]
+
+    def accepted(torus):
+        return check_pair(spec("c^%d x %s" % (torus, text) if torus
+                               else text)).verdict
+    assert accepted(m)
+    assert m == 0 or not accepted(m - 1)
 
 
 def test_o_k_dim_bounds():

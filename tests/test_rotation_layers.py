@@ -26,4 +26,7 @@ def test_rotation_layers_on_two_small_types():
     for seconds in got["type_layer_s"].values():
         assert list(seconds) == layers
         assert all(s > 0 for s in seconds.values())
+    # one table per stem root and one for the stem product, which for the
+    # single stem root of A2 is that root's own table
+    assert got["tables"] == {"A2": 1, "G2": 3}
     assert got["machine"]["cpus"] >= 1
