@@ -14,9 +14,9 @@ comes first.
 
 It prints one JSON object: per layer the median over the passes of its
 seconds in a pass, the median pass, each layer's share of the layers' sum,
-per type the median seconds of each layer (`type_layer_s`) and the number
-of rotation tables its basis holds after the passes (`tables`), and the
-machine.  No tracing wrappers run, so the layers time the library alone.
+per type the median seconds of each layer (`type_layer_s`), the number
+of rotation tables its basis holds after the passes (`tables`) and the
+number of phase-one proofs it keeps (`proofs`), and the machine.  No tracing wrappers run, so the layers time the library alone.
 """
 
 from __future__ import annotations
@@ -99,6 +99,7 @@ def layers(types, passes, seed=1):
                       for layer, s in median.items()},
         "type_layer_s": type_layer,
         "tables": {t: len(bases[t].rotation_tables) for t in types},
+        "proofs": {t: len(bases[t].rotation_proofs) for t in types},
         "machine": {"python": platform.python_version(),
                     "cpus": os.cpu_count(), "processor": platform.machine()},
     }

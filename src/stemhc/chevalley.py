@@ -163,9 +163,11 @@ class ChevalleyBasis:
         # the rotations exp((pi/2) ad X_gamma) at the phase one and their
         # products by tuple of roots, rephased by `hcstruct.root_rotation`
         # and `hcstruct.rotation_product`; and the proofs that
-        # `hcstruct.verify_rotation` makes on them: by root, whether one
-        # respects brackets and tau, and by pair of roots (a frozenset),
-        # whether two commute
+        # `hcstruct.verify_rotation` makes on them: by the key (root,) of a
+        # one-root table, (table, whether its stored grades are those of
+        # the weights); by root, whether one respects brackets and tau; by
+        # pair of roots (a frozenset), whether two commute; and by (root,
+        # blocks), the image items at the phase one
         self.rotation_tables = {}
         self.rotation_proofs = {}
 

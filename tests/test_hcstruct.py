@@ -1740,7 +1740,7 @@ def test_rotation_proofs_fall_back_on_a_rotation_the_grades_reject(
                 assert gamma not in cb.rotation_proofs
                 assert not hcstruct._rephases_table(
                     cb, gamma, rotation(cb, gamma), ONE)
-                assert hcstruct._phase_one_proofs(cb, gamma, st.elements[1:])
+                assert hcstruct._phase_one_proofs(cb, st, gamma, True)[0]
         assert (gamma in cb.rotation_proofs) == proved
         with monkeypatch.context() as m:
             m.setattr(hcstruct, "root_rotation", corrupted)
@@ -1806,17 +1806,20 @@ def test_rotation_proofs_fall_back_on_a_root_that_is_not_orthogonal(text):
 
 
 def test_phase_one_proof_is_made_once_per_basis_and_root(monkeypatch):
-    """A fresh basis proves the bracket and conjugation items of a stem root
-    at its first `verify_rotation`, and the commutation item once per pair
-    of stem roots, whichever root comes first.  A call at another phase
-    makes no bracket and no composition, and the proofs are kept by root
-    and by pair of roots, never by phase."""
+    """A fresh basis proves the bracket and conjugation items and the five
+    image items of a stem root at its first `verify_rotation`, the
+    commutation item once per pair of stem roots, whichever root comes
+    first, and the grades of each stem root's table once.  A call at
+    another phase makes no bracket, no composition and no image item, and
+    the proofs are kept by root, by pair of roots, by the key (root,) of a
+    table and by root and blocks, never by phase."""
     sh = parse_shape("D4")
     st = stem_of(sh)
     cb = ChevalleyBasis(build_cached(sh))
-    brackets, compositions = [], []
+    brackets, compositions, image_items = [], [], []
     bracket = cb.bracket
     compose = hcstruct.RootRotation.compose
+    items = hcstruct._image_items
 
     def counted(x, y):
         brackets.append(1)
@@ -1826,23 +1829,286 @@ def test_phase_one_proof_is_made_once_per_basis_and_root(monkeypatch):
         compositions.append(1)
         return compose(self, other)
 
+    def counted_items(*args):
+        image_items.append(args[4])
+        return items(*args)
+
     monkeypatch.setattr(cb, "bracket", counted)
     monkeypatch.setattr(hcstruct.RootRotation, "compose", counted_compose)
+    monkeypatch.setattr(hcstruct, "_image_items", counted_items)
     g, d, *rest = st.elements
+    blocks = tuple((x, st.phi[x]) for x in st.elements)
+    tables = {(x,) for x in st.elements}
     assert verify_rotation(cb, st, g, PYTH).ok
     assert brackets and len(compositions) == 2 * (len(rest) + 1)
-    assert set(cb.rotation_proofs) == {g} | {frozenset((g, x))
-                                             for x in [d] + rest}
+    assert image_items == [ONE]
+    assert set(cb.rotation_proofs) == {g, (g, blocks)} | tables | {
+        frozenset((g, x)) for x in [d] + rest}
     for rho in (PYTH, TWISTED, ONE):
-        del brackets[:], compositions[:]
+        del brackets[:], compositions[:], image_items[:]
         assert verify_rotation(cb, st, g, rho).ok
-        assert not brackets and not compositions
+        assert not brackets and not compositions and not image_items
     assert verify_rotation(cb, st, d, TWISTED).ok
     assert brackets and len(compositions) == 2 * len(rest)
-    assert set(cb.rotation_proofs) == {g, d} | {
-        frozenset(p) for p in [(g, d)] + [(x, y) for x in (g, d)
-                                          for y in rest]}
-    assert all(v is True for v in cb.rotation_proofs.values())
+    assert image_items == [ONE]
+    assert set(cb.rotation_proofs) == {g, d, (g, blocks), (d, blocks)} \
+        | tables | {frozenset(p) for p in [(g, d)] + [(x, y) for x in (g, d)
+                                                       for y in rest]}
+    for key, proof in cb.rotation_proofs.items():
+        if key in tables:
+            assert proof[0] is cb.rotation_tables[key] and proof[1] is True
+        elif key in ((g, blocks), (d, blocks)):
+            assert [bad for _, _, bad in proof] == [[]] * 5
+        else:
+            assert proof is True
+
+
+# ------------------------------------------ image items from the phase one
+
+TWIN_TYPES = ("B4", "C4", "D4", "F4", "G2", "A7", "D6", "E6", "c^1 x B3",
+              "A2 x A2")
+
+
+def direct_image_items(cb, st, gamma, rho):
+    """The five image items of verify_rotation at gamma, evaluated directly
+    at rho on the dense columns of the rotation that `hcstruct.root_rotation`
+    builds, against the closed images written out in root vectors and
+    Cartan slots: with rhobar = conj(rho) and gamma(h) the pairing of gamma
+    with h,
+      E_a  -> (E_a + N(gamma, -a) rhobar E_(a-gamma)) sqrt2/2 for a wing a,
+      E_-a -> (E_-a + N(gamma, -a) rho E_(gamma-a)) sqrt2/2,
+      E_gamma  -> (E_gamma - rhobar^2 E_-gamma + rhobar H_gamma)/2,
+      E_-gamma -> (E_-gamma - rho^2 E_gamma + rho H_gamma)/2,
+      h -> h - gamma(h) (rho E_gamma + rhobar E_-gamma + H_gamma)/2;
+    every vector of the kernel of gamma fixed; each image of a wing block
+    of another stem root (or of its negatives) inside that block, and each
+    image of E_gamma, E_-gamma and H_gamma in their span."""
+    rot = hcstruct.root_rotation(cb, gamma, rho)
+    cols = rot.cols
+    index = cb.key_index
+    n = len(cols)
+    rhobar = rho.conj()
+
+    def image(x):
+        out = [ZERO] * n
+        for k, c in enumerate(g_coords(cb, x)):
+            if c:
+                out = [o + c * v for o, v in zip(out, cols[k])]
+        return out
+
+    def dense(terms):
+        """sum c * basis vector over the (key, c) pairs of terms."""
+        out = [ZERO] * n
+        for key, c in terms:
+            out[index[key]] = out[index[key]] + c
+        return out
+
+    h_gamma = [(("h", j), c) for j, c in enumerate(cb.H_of_root(gamma).h)
+               if c]
+    items = []
+    bad = []
+    wings = sorted(st.phi[gamma], key=Root.key)
+    s = SQRT2 * HALF
+    for a in wings:
+        nc = cb.N(gamma, -a)
+        for x, y, c in ((a, root_sub(a, gamma), nc * rhobar),
+                        (-a, root_sub(gamma, a), nc * rho)):
+            if image(cb.E(x)) != dense([(("e", x), s), (("e", y), c * s)]):
+                bad.append("wing image at %s" % (x,))
+    items.append(("wing vectors mix with weight sqrt2/2",
+                  max(2 * len(wings), 1), bad))
+
+    bad = []
+    for x, sign, name in ((gamma, 1, "image of the stem root vector"),
+                          (-gamma, -1,
+                           "image of the opposite stem root vector")):
+        r = rhobar if sign > 0 else rho
+        want = dense([(("e", x), HALF), (("e", -x), -r * r * HALF)]
+                     + [(k, c * r * HALF) for k, c in h_gamma])
+        if image(cb.E(x)) != want:
+            bad.append(name)
+    items.append(("stem root vectors rotate onto the twisted compact pair",
+                  2, bad))
+
+    bad = []
+    for j in range(cb.total_rank):
+        g = -HALF * cb.pairings[gamma].get(j, 0)
+        want = dense([(("h", j), ONE), (("e", gamma), g * rho),
+                      (("e", -gamma), g * rhobar)]
+                     + [(k, g * c) for k, c in h_gamma])
+        if image(cb.basis_element(("h", j))) != want:
+            bad.append("Cartan image at slot %d" % j)
+    items.append(("Cartan vectors shear along the stem root",
+                  cb.total_rank, bad))
+
+    functional = [Fraction(cb.pairings[gamma].get(j, 0))
+                  for j in range(cb.total_rank)]
+    ker = linalg.kernel_basis([functional], cb.total_rank)
+    bad = ["kernel vector moved" for v in ker
+           if image(cb.H_vec(v)) != g_coords(cb, cb.H_vec(v))]
+    items.append(("rotation fixes the kernel of the stem root",
+                  max(len(ker), 1), bad))
+
+    def support(vec):
+        return {cb.basis_keys[i] for i, c in enumerate(vec) if c}
+
+    bad = []
+    others = [d for d in st.elements if d != gamma]
+    for d in others:
+        for sign in (1, -1):
+            side = {("e", a if sign > 0 else -a) for a in st.phi[d]}
+            if any(not support(image(cb.E(key[1]))) <= side for key in side):
+                bad.append("wing block of %s not setwise invariant"
+                           % (d if sign > 0 else -d,))
+    # in the span of E_gamma, E_-gamma and H_gamma: no other root vector,
+    # and a Cartan part that is a multiple of H_gamma
+    allowed = {("e", gamma), ("e", -gamma)} | {k for k, _ in h_gamma}
+    (k0, c0) = h_gamma[0]
+    for w in map(image, [cb.E(gamma), cb.E(-gamma), cb.H_of_root(gamma)]):
+        t = w[index[k0]] / c0
+        if not support(w) <= allowed \
+                or any(w[index[k]] != t * c for k, c in h_gamma):
+            bad.append("own sl2 block not setwise invariant")
+            break
+    items.append(("other wing blocks and the own sl2 stay setwise invariant",
+                  2 * len(others) + 1, bad))
+    return [{"name": name, "checked": checked, "ok": not bad,
+             "violations": bad, "violation_count": len(bad)}
+            for name, checked, bad in items]
+
+
+def direct_items(cb, st, gamma, rho):
+    """All eight items of verify_rotation at gamma, evaluated directly at
+    rho: the bracket, conjugation and commutation items over every pair,
+    vector and composition, and the image items on the dense columns."""
+    return all_pairs_items(cb, st, gamma, rho) \
+        + direct_image_items(cb, st, gamma, rho)
+
+
+@pytest.mark.parametrize("text", TWIN_TYPES)
+def test_every_rotation_item_equals_its_direct_evaluation(monkeypatch, text):
+    """On a fresh basis, at each fresh phase and at 1, all eight items of
+    every stem root equal their direct evaluation at rho, and so does the
+    image helper run on the rotation at rho.  The image items come from
+    the phase one: the helper runs once per stem root, there, within
+    `verify_rotation`."""
+    sh = parse_shape(text)
+    st = stem_of(sh)
+    cb = ChevalleyBasis(build_cached(sh))
+    items = hcstruct._image_items
+    phases = []
+
+    def counted_items(cb_, st_, g, rot, rho):
+        phases.append((g, rho))
+        return items(cb_, st_, g, rot, rho)
+
+    monkeypatch.setattr(hcstruct, "_image_items", counted_items)
+    for rho in FRESH_PHASES + (ONE,):
+        for g in st.elements:
+            got = verify_rotation(cb, st, g, rho)
+            want = direct_items(cb, st, g, rho)
+            assert [it.to_dict() for it in got.items] == want, (g, rho)
+            assert got.ok, (g, rho)
+            at_rho = items(cb, st, g, root_rotation(cb, g, rho), rho)
+            assert [{"name": name, "checked": checked, "ok": not bad,
+                     "violations": bad, "violation_count": len(bad)}
+                    for name, checked, bad in at_rho] == want[3:], (g, rho)
+    assert phases == [(g, ONE) for g in st.elements]
+
+
+def wing_scaled(cb, st):
+    """The first stem root, and the corruption of its first wing vector's
+    image, times 2."""
+    gamma = st.elements[0]
+    a = sorted(st.phi[gamma], key=Root.key)[0]
+    return gamma, scaled_image(("e", a), 2), ["wing image at %s" % (a,)]
+
+
+def cartan_scaled(cb, st):
+    """The first stem root, and the corruption of the image of the first
+    Cartan slot that it pairs with, times 2."""
+    gamma = st.elements[0]
+    j = min(cb.pairings[gamma])
+    return gamma, scaled_image(("h", j), 2), ["Cartan image at slot %d" % j]
+
+
+def block_bent(cb, st):
+    """The first stem root gamma with another stem root d that has wings,
+    and the corruption of the image of d's first wing vector, which gains
+    E_gamma."""
+    gamma, d = next((g, d) for g in st.elements for d in st.elements
+                    if d != g and st.phi[d])
+    a = sorted(st.phi[d], key=Root.key)[0]
+    return gamma, added_image(a, gamma), [
+        "wing block of %s not setwise invariant" % (d,)]
+
+
+@pytest.mark.parametrize("text", ["A4", "C4", "c^1 x B3"])
+@pytest.mark.parametrize("corruption", ["wing", "cartan", "block"])
+def test_image_items_fall_back_on_a_corrupted_image(monkeypatch, text,
+                                                     corruption):
+    """With the phase-one proofs kept and clean, every rotation at a stem
+    root corrupted at rho in one image: a wing vector's, a Cartan slot's,
+    or that of a wing vector of another stem root.  The rotation fails the
+    grade check, so the image items run on it at rho: all eight items
+    equal their direct evaluation, and the item that reads the image names
+    exactly it."""
+    sh = parse_shape(text)
+    st = stem_of(sh)
+    cb = ChevalleyBasis(build_cached(sh))
+    gamma, corrupt, named = {"wing": wing_scaled, "cartan": cartan_scaled,
+                             "block": block_bent}[corruption](cb, st)
+    assert verify_rotation(cb, st, gamma, PYTH).ok
+    blocks = (gamma, tuple((d, st.phi[d]) for d in st.elements))
+    assert not any(bad for _, _, bad in cb.rotation_proofs[blocks])
+    item = {"wing": 3, "cartan": 5, "block": 7}[corruption]
+    corrupted_rotation(monkeypatch, gamma, corrupt)
+    for rho in FRESH_PHASES + (ONE,):
+        got = [it.to_dict()
+               for it in verify_rotation(cb, st, gamma, rho).items]
+        assert got == direct_items(cb, st, gamma, rho), rho
+        assert got[item]["violations"] == named, rho
+
+
+def value_doubled(cb, gamma):
+    """A corruption of the phase-one table of gamma itself: the entry at
+    E_gamma of its image of E_gamma times 2, under a fresh value id, with
+    its grade kept."""
+    table = cb.rotation_tables[(gamma,)]
+    k = cb.key_index[("e", gamma)]
+    (c, grades), = [table.values[v] for r, v in zip(*table.moved[k][1])
+                    if r == gamma]
+    refreshed(cb, gamma, k, gamma, (c * 2, grades))
+
+
+@pytest.mark.parametrize("text", ["A4", "c^1 x B3"])
+@pytest.mark.parametrize("corruption", ["stored grade", "value"])
+def test_a_table_replaced_after_its_proofs_is_not_trusted(text, corruption):
+    """Every proof of the first stem root is made and kept, and then its
+    phase-one table is replaced by a corrupted one: one entry of odd grade
+    stored with the opposite grade, or the entry at E_gamma of the image of
+    E_gamma doubled with its grade kept.  The replaced table is proved
+    again and the kept proofs are dropped, so at each fresh phase all eight
+    items equal their direct evaluation, and some fail."""
+    sh = parse_shape(text)
+    st = stem_of(sh)
+    cb = ChevalleyBasis(build_cached(sh))
+    gamma = st.elements[0]
+    for rho in FRESH_PHASES:
+        assert verify_rotation(cb, st, gamma, rho).ok
+    old = cb.rotation_tables[(gamma,)]
+    assert cb.rotation_proofs[(gamma,)] == (old, True)
+    {"stored grade": flipped_stored_grade,
+     "value": value_doubled}[corruption](cb, gamma)
+    assert cb.rotation_tables[(gamma,)] is not old
+    for rho in FRESH_PHASES:
+        got = [it.to_dict()
+               for it in verify_rotation(cb, st, gamma, rho).items]
+        assert got == direct_items(cb, st, gamma, rho), rho
+        assert not all(it["ok"] for it in got), rho
+        table, graded = cb.rotation_proofs[(gamma,)]
+        assert table is cb.rotation_tables[(gamma,)]
+        assert graded is (corruption == "value")
 
 
 # ------------------------------ the stem product from one phase-one table

@@ -29,4 +29,7 @@ def test_rotation_layers_on_two_small_types():
     # one table per stem root and one for the stem product, which for the
     # single stem root of A2 is that root's own table
     assert got["tables"] == {"A2": 1, "G2": 3}
+    # per stem root the grades of its table, the bracket and conjugation
+    # proof and the image items, and one commutation proof per pair
+    assert got["proofs"] == {"A2": 3, "G2": 7}
     assert got["machine"]["cpus"] >= 1
